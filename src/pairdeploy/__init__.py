@@ -17,9 +17,11 @@ from .graphs import (
     PhaseView,
     UnionFind,
     build_graph,
+    connected_at,
     count_isolated,
     is_connected,
     is_connected_bfs,
+    isolated_count_at,
     restrict,
     write_edge_list,
 )
@@ -29,11 +31,10 @@ from .montecarlo import (
     ExperimentPlan,
     RingCensus,
     estimate_from,
-    run_connectivity_sweep,
-    run_isolation_sweep,
     run_keyring_census,
     run_phased_detail,
     run_phased_experiment,
+    run_sweep,
     wilson_interval,
 )
 from .scheme import (
@@ -77,14 +78,15 @@ __all__ = [
     "is_connected_bfs",
     "count_isolated",
     "write_edge_list",
+    "connected_at",
+    "isolated_count_at",
     "theory",
     "ExperimentPlan",
     "Estimate",
     "RingCensus",
     "DeploymentSchedule",
     "estimate_from",
-    "run_connectivity_sweep",
-    "run_isolation_sweep",
+    "run_sweep",
     "run_phased_experiment",
     "run_phased_detail",
     "run_keyring_census",

@@ -6,7 +6,10 @@ Subcommands
     census   key-ring size census with per-trial maxima
     theory   closed-form values (thresholds, bounds, exact probabilities)
 
-All output is CSV (default) or JSON, to stdout unless --out is given.
+All output is CSV (default) or JSON, to stdout unless --out is given.  An
+--out file is written to a temporary file beside it and renamed into place
+only when the run succeeds, so a failed run leaves an existing file as it
+was.
 Every run is deterministic: the default seed is the fixed constant 1729,
 never overridable by environment, only by --seed.  K ranges use the
 inclusive grammar "a..b"; lists are comma-separated.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import IO, Sequence
 
@@ -129,12 +133,8 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
         base_seed=args.seed,
         workers=args.workers,
     )
-    tables = {
-        "connected": montecarlo.run_connectivity_sweep(plan),
-        "no_isolated": montecarlo.run_isolation_sweep(plan),
-    }
     rows = []
-    for kind, table in tables.items():
+    for kind, table in montecarlo.run_sweep(plan).items():
         for g in plan.gammas:
             for k in plan.k_values:
                 est = table[(g, k)]
@@ -315,13 +315,26 @@ def _run(args: argparse.Namespace, fp: IO[str]) -> None:
             fp.write("\n")
 
 
+def _run_to_file(args: argparse.Namespace) -> None:
+    """Run into a temporary file beside args.out, then rename it onto args.out."""
+    folder, name = os.path.split(os.path.abspath(args.out))
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    fp = open(tmp, "x", newline="")
+    try:
+        with fp:
+            _run(args, fp)
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.out:
-            with open(args.out, "w", newline="") as fp:
-                _run(args, fp)
+            _run_to_file(args)
         else:
             _run(args, sys.stdout)
     except ValueError as exc:

@@ -5,8 +5,16 @@ least one pairwise key.  A phase view restricts the graph to the first
 floor(gamma*n) nodes (the nodes deployed so far) and keeps only edges with
 both endpoints deployed; it is a view, never a copy.
 
-Connectivity is decided by union-find with path halving; a breadth-first
-search route is kept alongside as an independent check.
+Connectivity of one view is decided by union-find with path halving; a
+breadth-first search route is kept alongside as an independent check.
+
+The Monte Carlo harness uses two block kernels instead, which answer for a
+whole (trials, n, k) block of partner arrays at once in numpy:
+connected_at hooks each selection column into a flat label array of all
+the block's tables (min-label hooking plus pointer jumping) and retires a
+table as soon as it is connected or has no edges left; isolated_count_at
+marks every node touched by a deployed edge.  Both agree exactly with the
+per-view routes above.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ __all__ = [
     "count_isolated",
     "is_connected_bfs",
     "write_edge_list",
+    "connected_at",
+    "isolated_count_at",
 ]
 
 
@@ -178,37 +188,96 @@ def write_edge_list(graph: KeyGraph, fp: IO[str]) -> None:
         fp.write(f"{int(u) + 1} {int(v) + 1}\n")
 
 
-# -- array-level fast paths -------------------------------------------------
+# -- block kernels ------------------------------------------------------------
 #
-# The Monte Carlo harness evaluates thousands of tables; these operate on a
-# table's partner array directly and skip KeyGraph construction.  They must
-# agree exactly with the public route above (tested).
+# The Monte Carlo harness evaluates thousands of tables; these take a whole
+# (trials, n, k) block of partner arrays (rows sorted ascending, as every
+# table in this package is) and answer for every table at once, without
+# KeyGraph construction.  They must agree exactly with the object API above
+# (tested).  Each lays the views of all the block's tables out table by
+# table in one flat array; in connected_at node i of table t is label t*m + i.
 
-def connected_at(partners: np.ndarray, m: int) -> bool:
-    """is_connected of the m-node view, straight from a partner array.
+def connected_at(block: np.ndarray, m: int) -> np.ndarray:
+    """is_connected of the m-node view of every table, as a bool array.
 
-    Feeds edges to union-find a selection-column at a time, so a connected
-    instance usually early-exits after about m merges.
+    Selection columns are added in order; column c holds each node's
+    (c+1)-th smallest partner, so once a table has no deployed partner in a
+    column it gains no edge later.  Each column is merged by rounds of
+    min-label hooking and pointer jumping until no edge joins two roots.
+    A table leaves the open set as soon as it has one root (connected) or
+    no edges left (disconnected), so connected views exit early the way
+    sequential union-find does.
     """
+    trials = block.shape[0]
     if m == 1:
-        return True
-    uf = UnionFind(m)
-    union = uf.union
-    sub = partners[:m]
-    for col in range(partners.shape[1]):
-        js = sub[:, col]
-        keep = js < m
-        for a, b in zip(np.nonzero(keep)[0].tolist(), js[keep].tolist()):
-            if union(a, b) and uf.components == 1:
-                return True
-    return uf.components == 1
+        return np.ones(trials, dtype=bool)
+    connected = np.zeros(trials, dtype=bool)
+    open_ = np.arange(trials)
+    parent = np.arange(trials * m)
+    for c in range(block.shape[2]):
+        col = block[open_, :m, c]
+        live = col < m
+        alive = live.any(axis=1)
+        if not alive.all():
+            open_, parent = _keep_open(alive, open_, parent, m)
+            col, live = col[alive], live[alive]
+            if not len(open_):
+                break
+        base = np.arange(0, len(parent), m)
+        u = np.flatnonzero(live)
+        v = (col + base[:, None]).ravel()[u]
+        while len(u):
+            ru, rv = parent[u], parent[v]
+            split = ru != rv
+            if not split.any():
+                break
+            u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+            hooked = np.maximum(ru, rv)
+            np.minimum.at(parent, hooked, np.minimum(ru, rv))
+            # jump the hooked roots to final roots, then every node to its root
+            top = parent[hooked]
+            while True:
+                up = parent[top]
+                if np.array_equal(up, top):
+                    break
+                parent[hooked] = top = up
+            parent = parent[parent]
+        # min-label hooking leaves each component rooted at its smallest label
+        joined = parent.reshape(-1, m).max(axis=1) == base
+        if joined.any():
+            connected[open_[joined]] = True
+            open_, parent = _keep_open(~joined, open_, parent, m)
+            if not len(open_):
+                break
+    return connected
 
 
-def isolated_count_at(partners: np.ndarray, m: int) -> int:
-    """count_isolated of the m-node view, straight from a partner array."""
-    sub = partners[:m]
-    keep = sub < m
-    touched = np.zeros(m, dtype=bool)
-    touched[np.nonzero(keep.any(axis=1))[0]] = True
-    touched[sub[keep]] = True
-    return int(m - touched.sum())
+def _keep_open(keep, open_, parent, m):
+    """Keep the open tables flagged in `keep`, relabelled to stay contiguous."""
+    rows = np.flatnonzero(keep)
+    parent = parent.reshape(-1, m)[rows]
+    parent += ((np.arange(len(rows)) - rows) * m)[:, None]
+    return open_[rows], parent.ravel()
+
+
+def isolated_count_at(block: np.ndarray, m: int) -> np.ndarray:
+    """count_isolated of the m-node view of every table, as an int64 array.
+
+    A node is touched by its own deployed selections (its smallest partner
+    is below m) and by every deployed node that selected it.  Each table
+    gets m+1 flags; undeployed partners all land on the last, unused one.
+    """
+    trials = block.shape[0]
+    sub = block[:, :m]
+    touched = np.zeros((trials, m + 1), dtype=bool)
+    touched[:, :m] = sub[:, :, 0] < m
+    flat = touched.ravel()
+    base = np.arange(0, trials * (m + 1), m + 1)[:, None]
+    for c in range(block.shape[2]):
+        col = sub[:, :, c]
+        if col.min() >= m:
+            break  # rows are sorted: later columns are larger still
+        target = np.minimum(col, m)
+        target += base
+        flat[target] = True
+    return m - touched[:, :m].sum(axis=1, dtype=np.int64)

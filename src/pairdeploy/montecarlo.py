@@ -13,6 +13,7 @@ Default trial counts: 200 for sweeps, 1000 for censuses.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,8 +34,7 @@ __all__ = [
     "wilson_interval",
     "estimate_from",
     "evaluate_deployments",
-    "run_connectivity_sweep",
-    "run_isolation_sweep",
+    "run_sweep",
     "run_phased_experiment",
     "run_phased_detail",
     "run_keyring_census",
@@ -43,7 +43,10 @@ __all__ = [
 SWEEP_TRIALS_DEFAULT = 200
 CENSUS_TRIALS_DEFAULT = 1000
 
-# generated tables per block are capped around this many int64 entries
+# generated tables per block are capped around this many int64 entries.
+# Loops over blocks drop each block before drawing the next: holding two
+# ~32 MB blocks at once left freed holes in the malloc heap, and peak RSS
+# then swung by ~25 MB from one process to the next.
 _BLOCK_BUDGET = 4_000_000
 
 
@@ -155,7 +158,7 @@ def evaluate_deployments(
     """Generate `trials` tables for (n, k) and evaluate every gamma view.
 
     The workhorse behind sweeps and phased runs: per trial, one table,
-    all fractions checked on it.
+    all fractions checked on it, a whole block of tables per kernel call.
     """
     ms = {g: phase_size(n, g) for g in gammas}
     connected = {g: np.empty(trials, dtype=bool) for g in gammas}
@@ -163,11 +166,10 @@ def evaluate_deployments(
     seed = _table_seed(base_seed, k)
     for start, count in _block_sizes(n, k, trials):
         block = sampling.sample_pairing_block(seed, start, count, n, k)
-        for t in range(count):
-            partners = block[t]
-            for g, m in ms.items():
-                connected[g][start + t] = connected_at(partners, m)
-                isolated[g][start + t] = isolated_count_at(partners, m)
+        for g, m in ms.items():
+            connected[g][start : start + count] = connected_at(block, m)
+            isolated[g][start : start + count] = isolated_count_at(block, m)
+        del block
     return TrialRecord(n, k, tuple(gammas), connected, isolated)
 
 
@@ -175,32 +177,33 @@ def _evaluate_cell(args: tuple[int, int, tuple[float, ...], int, int]) -> TrialR
     return evaluate_deployments(*args)
 
 
+def _pool_size(workers: int | None, cells: int) -> int:
+    """Worker processes to start: at most one per cell and per CPU."""
+    return max(1, min(workers or 1, cells, os.cpu_count() or 1))
+
+
 def _records_by_k(plan: ExperimentPlan) -> dict[int, TrialRecord]:
     cells = [(plan.n, k, plan.gammas, plan.trials, plan.base_seed) for k in plan.k_values]
-    if plan.workers and plan.workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+    size = _pool_size(plan.workers, len(cells))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             records = list(pool.map(_evaluate_cell, cells))
     else:
         records = [_evaluate_cell(c) for c in cells]
     return {k: rec for k, rec in zip(plan.k_values, records)}
 
 
-def run_connectivity_sweep(plan: ExperimentPlan) -> dict[tuple[float, int], Estimate]:
-    """P[deployed graph connected] estimates indexed by (gamma, k)."""
-    out: dict[tuple[float, int], Estimate] = {}
+def run_sweep(plan: ExperimentPlan) -> dict[str, dict[tuple[float, int], Estimate]]:
+    """Both sweep curves from one evaluation pass, indexed by (gamma, k):
+    "connected" estimates P[deployed graph connected] and "no_isolated"
+    P[deployed graph has no isolated node], on the same tables."""
+    connected: dict[tuple[float, int], Estimate] = {}
+    no_isolated: dict[tuple[float, int], Estimate] = {}
     for k, rec in _records_by_k(plan).items():
         for g in plan.gammas:
-            out[(g, k)] = estimate_from(int(rec.connected[g].sum()), plan.trials)
-    return out
-
-
-def run_isolation_sweep(plan: ExperimentPlan) -> dict[tuple[float, int], Estimate]:
-    """P[deployed graph has no isolated node] estimates indexed by (gamma, k)."""
-    out: dict[tuple[float, int], Estimate] = {}
-    for k, rec in _records_by_k(plan).items():
-        for g in plan.gammas:
-            out[(g, k)] = estimate_from(int((rec.isolated[g] == 0).sum()), plan.trials)
-    return out
+            connected[(g, k)] = estimate_from(int(rec.connected[g].sum()), plan.trials)
+            no_isolated[(g, k)] = estimate_from(int((rec.isolated[g] == 0).sum()), plan.trials)
+    return {"connected": connected, "no_isolated": no_isolated}
 
 
 def run_phased_detail(
@@ -267,6 +270,7 @@ def run_keyring_census(
             if top >= len(max_hist):
                 max_hist = np.pad(max_hist, (0, top + 1 - len(max_hist)))
             max_hist[top] += 1
+        del block
     total = trials * n
     sizes_axis = np.arange(len(hist))
     frac_over = float(hist[sizes_axis > 3 * k].sum() / total)

@@ -75,24 +75,35 @@ def stream_values(keys: np.ndarray, step: int) -> np.ndarray:
     return _mix64_vec(keys + np.uint64((step + 1) * GOLDEN & MASK64))
 
 
+def _narrowest_int(top: int) -> type:
+    """Smallest signed integer type that holds 0..top."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def floyd_sample(keys: np.ndarray, m: int, k: int) -> np.ndarray:
     """Draw a uniform k-subset of {0..m-1} per stream key.
 
     keys may have any shape; the result appends an axis of length k.
-    Subsets are returned in Floyd insertion order (not sorted).
+    Subsets are returned in Floyd insertion order (not sorted), in the
+    narrowest signed integer type that holds m.  Draws are stored
+    draw-major, so the duplicate test reduces over contiguous rows; the
+    returned array is a view with the draw axis moved last.
     """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    out = np.empty(keys.shape + (k,), dtype=np.int64)
+    out = np.empty((k,) + keys.shape, dtype=_narrowest_int(m))
     for idx, j in enumerate(range(m - k, m)):
         u = stream_values(keys, idx)
-        t = (u % np.uint64(j + 1)).astype(np.int64)
+        t = (u % np.uint64(j + 1)).astype(out.dtype)
         if idx:
-            dup = (out[..., :idx] == t[..., None]).any(axis=-1)
+            dup = (out[:idx] == t).any(axis=0)
             # j itself cannot have been kept yet: earlier draws are <= j-1
             t = np.where(dup, j, t)
-        out[..., idx] = t
-    return out
+        out[idx] = t
+    return np.moveaxis(out, 0, -1)
 
 
 def sample_pairing_block(seed: int, first_trial: int, n_trials: int, n: int, k: int) -> np.ndarray:
@@ -100,13 +111,14 @@ def sample_pairing_block(seed: int, first_trial: int, n_trials: int, n: int, k: 
 
     Entry [t, i, :] is node i's k chosen partners (0-based ids, sorted
     ascending, never i itself) in trial first_trial + t.  Bitwise
-    reproducible for any block partitioning of the same trial range.
+    reproducible for any block partitioning of the same trial range.  The
+    array is stored selection-major, so each column [:, :, c] is contiguous
+    for the column-by-column graph kernels.
     """
     trials = np.arange(first_trial, first_trial + n_trials, dtype=np.uint64)
     keys = node_stream_keys(seed, trials, n)
     cand = floyd_sample(keys, n - 1, k)
     # candidate c of node i names id c if c < i else c+1 (self skipped)
-    self_ix = np.arange(n, dtype=np.int64)[None, :, None]
-    partners = cand + (cand >= self_ix)
-    partners.sort(axis=-1)
-    return partners
+    cand += cand >= np.arange(n, dtype=cand.dtype)[:, None]
+    cand.sort(axis=-1)
+    return cand.astype(np.int64)

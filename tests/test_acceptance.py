@@ -71,7 +71,7 @@ def crossing_location(gamma: float, conn: dict[tuple[float, int], float]) -> flo
 def test_full_deployment_two_keys_connects():
     started = time.perf_counter()
     plan = ExperimentPlan(n=N, k_values=(2,), gammas=(1.0,), trials=TRIALS, base_seed=SEED)
-    est = montecarlo.run_connectivity_sweep(plan)[(1.0, 2)]
+    est = montecarlo.run_sweep(plan)["connected"][(1.0, 2)]
     elapsed = time.perf_counter() - started
     print(f"n={N} k=2 full deployment: connected {est.successes}/{est.trials} "
           f"(p_hat={est.p_hat:.4f}) in {elapsed:.1f}s")
@@ -81,7 +81,7 @@ def test_full_deployment_two_keys_connects():
 
 def test_full_deployment_one_key_often_disconnects():
     plan = ExperimentPlan(n=N, k_values=(1,), gammas=(1.0,), trials=TRIALS, base_seed=SEED)
-    est = montecarlo.run_connectivity_sweep(plan)[(1.0, 1)]
+    est = montecarlo.run_sweep(plan)["connected"][(1.0, 1)]
     print(f"n={N} k=1 full deployment: connected {est.successes}/{est.trials} "
           f"(p_hat={est.p_hat:.4f})")
     assert est.p_hat <= 0.5

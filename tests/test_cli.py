@@ -242,6 +242,26 @@ class TestOutputFile:
         assert code == 0
         assert target.read_text() == stdout_text
 
+    def test_out_replaces_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        code, _, _ = run_cli(capsys, "theory", "--lambda-star", "--out", str(target))
+        assert code == 0
+        assert "lambda_star" in target.read_text()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_run_leaves_existing_file_untouched(self, capsys, tmp_path):
+        target = tmp_path / "sweep.csv"
+        target.write_text("previous results\n")
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "50", "--k", "2", "--gamma", "0.8,0.4",
+            "--trials", "5", "--out", str(target),
+        )
+        assert code == 2
+        assert "increasing" in err
+        assert target.read_text() == "previous results\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
     def test_unwritable_path_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "theory", "--lambda-star",

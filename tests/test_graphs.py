@@ -1,8 +1,9 @@
 """Key graph construction, phase views, and connectivity/isolation queries.
 
 Union-find answers are cross-checked against the breadth-first search
-route, and the array-level fast paths against the object API, over a large
-randomized sweep; the two implementations share no traversal code.
+route, and the block kernels against both and against count_isolated, over
+a large randomized sweep; the three implementations share no traversal
+code.
 """
 
 import io
@@ -12,6 +13,7 @@ import pytest
 
 from pairdeploy import (
     PairingTable,
+    PhaseView,
     SchemeParams,
     UnionFind,
     build_graph,
@@ -19,11 +21,11 @@ from pairdeploy import (
     generate_pairing,
     is_connected,
     is_connected_bfs,
-    phase_size,
     restrict,
     table_from_lists,
     write_edge_list,
 )
+from pairdeploy import montecarlo
 from pairdeploy.graphs import connected_at, isolated_count_at
 from pairdeploy.sampling import sample_pairing_block
 
@@ -150,26 +152,70 @@ class TestCountIsolated:
 
 
 def test_union_find_and_bfs_agree_on_random_instances():
-    """10000 random tables across n up to 200: both connectivity routes and
-    both isolation routes must agree exactly, fast paths included."""
-    sizes = [(4, 1), (6, 1), (10, 2), (17, 3), (33, 2), (60, 4), (200, 3)]
-    gammas = (0.3, 0.5, 0.8, 1.0)
-    per_size = 1430
+    """Over more than 10,000 (table, m) instances, n up to 200: the block
+    kernels, union-find, BFS and count_isolated must agree exactly.  The
+    views cover m = 1, 2 and n; K covers 1 and n-1."""
+    sizes = [(2, 1), (4, 1), (5, 4), (6, 1), (10, 2), (12, 11), (17, 3), (33, 2), (60, 4), (200, 3)]
+    per_size = 250
     checked = 0
     for n, k in sizes:
         block = sample_pairing_block(900 + n, 0, per_size, n, k)
+        ms = sorted({1, 2, n} | {max(1, n * tenths // 10) for tenths in (3, 5, 8)})
+        answers = {m: (connected_at(block, m), isolated_count_at(block, m)) for m in ms}
+        for conn, iso in answers.values():
+            assert conn.dtype == bool and conn.shape == (per_size,)
+            assert iso.dtype == np.int64 and iso.shape == (per_size,)
         params = SchemeParams(n, k)
         for t in range(per_size):
             graph = build_graph(PairingTable(params, block[t]))
-            for g in gammas:
-                view = restrict(graph, g)
-                m = phase_size(n, g)
+            for m, (conn, iso) in answers.items():
+                view = PhaseView(graph, m / n, m)
                 uf_answer = is_connected(view)
                 assert uf_answer == is_connected_bfs(view)
-                assert uf_answer == connected_at(block[t], m)
-                assert count_isolated(view) == isolated_count_at(block[t], m)
-            checked += 1
-    assert checked == per_size * len(sizes)
+                assert conn[t] == uf_answer
+                assert iso[t] == count_isolated(view)
+                checked += 1
+    assert checked >= 10_000
+
+
+@pytest.mark.parametrize("seed,trial,n,k,m", [(16, 2, 30, 3, 15), (20, 22, 50, 5, 16)])
+def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
+    """Connected views whose hooking builds chains of roots in one round:
+    stopping after a single pointer jump loses a link and says False."""
+    block = sample_pairing_block(seed, trial, 1, n, k)
+    view = PhaseView(build_graph(PairingTable(SchemeParams(n, k), block[0])), m / n, m)
+    assert is_connected(view)
+    assert connected_at(block, m).tolist() == [True]
+
+
+def test_block_kernels_on_hand_built_tables():
+    pairs = table_from_lists(4, 1, [[2], [1], [4], [3]]).partners
+    star = table_from_lists(4, 1, [[2], [1], [1], [1]]).partners
+    block = np.stack([pairs, star])
+    assert connected_at(block, 4).tolist() == [False, True]
+    assert connected_at(block, 2).tolist() == [True, True]
+    assert connected_at(block, 1).tolist() == [True, True]
+    assert isolated_count_at(block, 4).tolist() == [0, 0]
+    assert isolated_count_at(block, 3).tolist() == [1, 0]
+    assert isolated_count_at(block, 1).tolist() == [1, 1]
+
+
+def test_block_kernels_ignore_block_partitioning(monkeypatch):
+    """One-table blocks and the blocks _block_sizes cuts under a small
+    budget give the same answers as the whole trial range at once."""
+    n, k, trials, seed = 60, 3, 45, 77
+    whole = sample_pairing_block(seed, 0, trials, n, k)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 7 * n * k)
+    parts = montecarlo._block_sizes(n, k, trials)
+    assert len(parts) == 7 and sum(count for _, count in parts) == trials
+    for m in (1, 2, 20, 31, n):
+        conn, iso = connected_at(whole, m), isolated_count_at(whole, m)
+        blocks = [sample_pairing_block(seed, start, count, n, k) for start, count in parts]
+        assert np.array_equal(np.concatenate([connected_at(b, m) for b in blocks]), conn)
+        assert np.array_equal(np.concatenate([isolated_count_at(b, m) for b in blocks]), iso)
+        for t in range(trials):
+            assert connected_at(whole[t : t + 1], m).tolist() == [conn[t]]
+            assert isolated_count_at(whole[t : t + 1], m).tolist() == [iso[t]]
 
 
 def test_edge_list_export_format():

@@ -9,6 +9,7 @@ shares no code with the library.  Monte Carlo estimates must land within
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,18 +20,19 @@ from pairdeploy import (
     Estimate,
     ExperimentPlan,
     estimate_from,
-    run_connectivity_sweep,
-    run_isolation_sweep,
     run_keyring_census,
     run_phased_detail,
     run_phased_experiment,
+    run_sweep,
     theory,
     wilson_interval,
 )
+from pairdeploy import montecarlo, sampling
 from pairdeploy.graphs import connected_at, isolated_count_at
 from pairdeploy.montecarlo import (
     CENSUS_TRIALS_DEFAULT,
     SWEEP_TRIALS_DEFAULT,
+    _pool_size,
     evaluate_deployments,
 )
 
@@ -166,16 +168,17 @@ class TestExhaustiveOracle:
         )
 
     def test_fast_paths_agree_on_all_81_tables(self):
-        for partners in all_tables_n4():
-            for m in (2, 4):
-                assert connected_at(partners, m) == dfs_connected(partners, m)
-                assert isolated_count_at(partners, m) == dfs_isolated(partners, m)
+        tables = list(all_tables_n4())
+        block = np.stack(tables)
+        for m in (1, 2, 3, 4):
+            assert connected_at(block, m).tolist() == [dfs_connected(p, m) for p in tables]
+            assert isolated_count_at(block, m).tolist() == [dfs_isolated(p, m) for p in tables]
 
     def test_monte_carlo_within_three_standard_errors(self):
         trials = 100_000
         plan = ExperimentPlan(4, (1,), (0.5, 1.0), trials=trials, base_seed=7)
-        conn = run_connectivity_sweep(plan)
-        iso = run_isolation_sweep(plan)
+        sweep = run_sweep(plan)
+        conn, iso = sweep["connected"], sweep["no_isolated"]
         for est, exact in [
             (conn[(1.0, 1)], Fraction(26, 27)),
             (conn[(0.5, 1)], Fraction(5, 9)),
@@ -197,25 +200,40 @@ def small_plan(**overrides):
 
 def test_sweep_keys_and_types():
     plan = small_plan()
-    out = run_connectivity_sweep(plan)
-    assert set(out) == {(g, k) for g in plan.gammas for k in plan.k_values}
-    assert all(isinstance(v, Estimate) for v in out.values())
+    out = run_sweep(plan)
+    assert list(out) == ["connected", "no_isolated"]
+    for curve in out.values():
+        assert set(curve) == {(g, k) for g in plan.gammas for k in plan.k_values}
+        assert all(isinstance(v, Estimate) for v in curve.values())
 
 
 def test_full_deployment_never_isolated_for_any_k():
-    out = run_isolation_sweep(small_plan())
+    out = run_sweep(small_plan())["no_isolated"]
     assert out[(1.0, 2)].p_hat == 1.0
     assert out[(1.0, 3)].p_hat == 1.0
 
 
 def test_sweep_reruns_identically():
-    assert run_connectivity_sweep(small_plan()) == run_connectivity_sweep(small_plan())
+    assert run_sweep(small_plan()) == run_sweep(small_plan())
 
 
 def test_worker_count_does_not_change_results():
-    serial = run_connectivity_sweep(small_plan(workers=None))
-    parallel = run_connectivity_sweep(small_plan(workers=2))
+    serial = run_sweep(small_plan(workers=None))
+    parallel = run_sweep(small_plan(workers=2))
     assert serial == parallel
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    """The pool never outgrows the cells or the CPUs; nothing is started."""
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _pool_size(None, 25) == 1
+    assert _pool_size(1, 25) == 1
+    assert _pool_size(3, 25) == 3
+    assert _pool_size(10_000, 25) == 4
+    assert _pool_size(10_000, 2) == 2
+    assert _pool_size(8, 1) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_size(10_000, 25) == 1
 
 
 def test_different_seed_changes_something():
@@ -228,11 +246,12 @@ def test_different_seed_changes_something():
 def test_coupled_gammas_share_tables():
     """A sweep over two fractions and two single-fraction sweeps must see
     identical per-gamma outcomes, because tables depend only on (seed, k)."""
-    both = run_connectivity_sweep(small_plan())
-    lo = run_connectivity_sweep(small_plan(gammas=(0.5,)))
-    hi = run_connectivity_sweep(small_plan(gammas=(1.0,)))
-    assert both[(0.5, 2)] == lo[(0.5, 2)]
-    assert both[(1.0, 3)] == hi[(1.0, 3)]
+    both = run_sweep(small_plan())
+    lo = run_sweep(small_plan(gammas=(0.5,)))
+    hi = run_sweep(small_plan(gammas=(1.0,)))
+    for kind in ("connected", "no_isolated"):
+        assert both[kind][(0.5, 2)] == lo[kind][(0.5, 2)]
+        assert both[kind][(1.0, 3)] == hi[kind][(1.0, 3)]
 
 
 def test_isolated_mean_matches_first_moment():
@@ -243,6 +262,38 @@ def test_isolated_mean_matches_first_moment():
     expected = theory.expected_isolated(n, k, g)
     se = counts.std(ddof=1) / math.sqrt(trials)
     assert abs(counts.mean() - expected) < 3 * se
+
+
+def test_block_partition_does_not_change_records(monkeypatch):
+    """A budget that splits every cell into several blocks reproduces the
+    single-block records exactly."""
+    gammas = (0.2, 0.5, 1.0)
+    whole = evaluate_deployments(80, 3, gammas, 40, base_seed=8)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 80 * 3)
+    split = evaluate_deployments(80, 3, gammas, 40, base_seed=8)
+    for g in gammas:
+        assert np.array_equal(whole.connected[g], split.connected[g])
+        assert np.array_equal(whole.isolated[g], split.isolated[g])
+
+
+def test_one_block_alive_at_a_time(monkeypatch):
+    """Block loops drop each block before drawing the next.  Two live
+    ~32 MB blocks fragmented the malloc heap, and peak RSS of the same
+    census swung by ~25 MB from one process to the next."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2 * 10 * 3)
+    drawn = []
+    draw = sampling.sample_pairing_block
+
+    def tracked(*args):
+        assert all(ref() is None for ref in drawn), "previous block still alive"
+        block = draw(*args)
+        drawn.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
+    evaluate_deployments(10, 3, (0.5, 1.0), 7, base_seed=2)
+    run_keyring_census(10, 3, trials=7, base_seed=2)
+    assert len(drawn) == 8
 
 
 def test_trial_record_shape():
@@ -256,8 +307,8 @@ def test_trial_record_shape():
 
 def test_single_phase_equals_sweep_cell():
     est = run_phased_experiment(150, 2, DeploymentSchedule((1.0,)), 60, base_seed=41)
-    sweep = run_connectivity_sweep(small_plan(k_values=(2,), gammas=(1.0,)))
-    assert est == sweep[(1.0, 2)]
+    sweep = run_sweep(small_plan(k_values=(2,), gammas=(1.0,)))
+    assert est == sweep["connected"][(1.0, 2)]
 
 
 def test_joint_at_most_every_phase():

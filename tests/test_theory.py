@@ -192,6 +192,27 @@ def test_isolation_prob_matches_oracle(n, k, g):
     assert rel_err(theory.isolation_prob_exact(n, k, g), oracle_isolation(n, k, m)) < 1e-10
 
 
+@pytest.mark.parametrize("k,g", [(40, 0.3), (60, 0.9), (200, 0.7)])
+def test_isolation_prob_precise_at_million_nodes(k, g):
+    """At n = 1e6 the log-ratio sums must not lose digits to cancellation."""
+    n = 10**6
+    m = phase_size(n, g)
+    want = oracle_isolation(n, k, m)
+    assert rel_err(theory.isolation_prob_exact(n, k, g), want) < 1e-12
+    assert rel_err(theory.expected_isolated(n, k, g), m * want) < 1e-12
+
+
+def test_cli_rounding_at_million_nodes():
+    """Nine significant digits round the same way as the 50-digit value."""
+    n, k, g = 10**6, 60, 0.9
+    m = phase_size(n, g)
+    want = oracle_isolation(n, k, m)
+    assert f"{theory.isolation_prob_exact(n, k, g):.9g}" == "3.47138861e-84"
+    assert f"{theory.expected_isolated(n, k, g):.9g}" == "3.12424975e-78"
+    assert mp.nstr(want, 9) == "3.47138861e-84"
+    assert mp.nstr(m * want, 9) == "3.12424975e-78"
+
+
 def test_expected_isolated_values():
     assert math.isclose(theory.expected_isolated(4, 1, 0.5), 8 / 9, rel_tol=1e-12)
     assert math.isclose(theory.expected_isolated(6, 1, 0.5), 1.152, rel_tol=1e-12)
@@ -235,6 +256,13 @@ def test_event_prob_matches_oracle(n, k, g, r):
     got = theory.isolation_event_prob(n, k, g, r)
     assert 0 < got < 1
     assert rel_err(got, oracle_event(n, k, m, r)) < 1e-10
+
+
+@pytest.mark.parametrize("k,g,r", [(60, 0.9, 2), (30, 0.5, 2), (20, 0.5, 3)])
+def test_event_prob_precise_at_million_nodes(k, g, r):
+    n = 10**6
+    m = phase_size(n, g)
+    assert rel_err(theory.isolation_event_prob(n, k, g, r), oracle_event(n, k, m, r)) < 1e-12
 
 
 def test_event_prob_domain():
