@@ -6,23 +6,18 @@ other.  This package computes the exact and asymptotic connectivity
 behavior of the induced key graph when only a fraction of the nodes is
 deployed, and cross-checks every formula with Monte Carlo experiments.
 
-Layout: scheme (pairing tables and key rings), graphs (key graphs and
-phase views), theory (closed-form calculators), montecarlo (repeat-trial
-harness), cli (command-line front end), sampling (deterministic PRNG).
+Layout: scheme (pairing tables and key rings), graphs (key graphs and the
+block connectivity and isolation kernels), theory (closed-form
+calculators), montecarlo (repeat-trial harness), cli (command-line front
+end), sampling (deterministic PRNG).
 """
 
 from . import theory
 from .graphs import (
     KeyGraph,
-    PhaseView,
-    UnionFind,
     build_graph,
     connected_at,
-    count_isolated,
-    is_connected,
-    is_connected_bfs,
     isolated_count_at,
-    restrict,
     write_edge_list,
 )
 from .montecarlo import (
@@ -33,7 +28,6 @@ from .montecarlo import (
     estimate_from,
     run_keyring_census,
     run_phased_detail,
-    run_phased_experiment,
     run_sweep,
     wilson_interval,
 )
@@ -70,13 +64,7 @@ __all__ = [
     "table_from_json",
     "table_from_lists",
     "KeyGraph",
-    "PhaseView",
-    "UnionFind",
     "build_graph",
-    "restrict",
-    "is_connected",
-    "is_connected_bfs",
-    "count_isolated",
     "write_edge_list",
     "connected_at",
     "isolated_count_at",
@@ -87,7 +75,6 @@ __all__ = [
     "DeploymentSchedule",
     "estimate_from",
     "run_sweep",
-    "run_phased_experiment",
     "run_phased_detail",
     "run_keyring_census",
     "wilson_interval",

@@ -14,7 +14,9 @@ Every run is deterministic: the default seed is the fixed constant 1729,
 never overridable by environment, only by --seed.  K ranges use the
 inclusive grammar "a..b"; lists are comma-separated.
 
-Exit codes: 0 success, 1 runtime/output failure, 2 usage error.
+Exit codes: 0 success, 1 runtime/output failure, 2 usage error.  Past
+argument parsing, a failure prints one "pairdeploy: ..." line to stderr,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ import sys
 from typing import IO, Sequence
 
 from . import montecarlo, theory
+from .scheme import SchemeParams
 
 DEFAULT_SEED = 1729
 
-_SWEEP_FIELDS = ["kind", "gamma", "K", "n", "trials", "successes", "p_hat", "ci_low", "ci_high"]
-_PHASED_FIELDS = ["n", "K", "schedule", "trials", "successes", "p_hat", "ci_low", "ci_high"]
-_CENSUS_FIELDS = ["size", "count", "is_max_histogram"]
-_THEORY_FIELDS = ["quantity", "arg1", "arg2", "arg3", "arg4", "value"]
+_ESTIMATE_FIELDS = ["trials", "successes", "p_hat", "ci_low", "ci_high"]
+
+# what each command produces: CSV rows, an optional CSV trailer line, the JSON document
+_Output = tuple[list[dict], str | None, dict]
 
 
 def _prob(x: float) -> str:
@@ -48,14 +51,20 @@ def _gamma_str(g: float) -> str:
     return f"{g:g}"
 
 
-def parse_k_values(text: str) -> tuple[int, ...]:
-    """Parse "7", "1..20" (inclusive), or "1,5,9"."""
+def parse_k_values(text: str, n: int) -> tuple[int, ...]:
+    """Parse "7", "1..20" (inclusive), or "1,5,9".
+
+    Both ends of a range are checked against 1..n-1 before the range is
+    built, so a huge range fails without allocating.
+    """
     text = text.strip()
     if ".." in text:
         lo_txt, _, hi_txt = text.partition("..")
         lo, hi = int(lo_txt), int(hi_txt)
         if lo > hi:
             raise ValueError(f"empty k range {text!r}")
+        SchemeParams(n, lo)
+        SchemeParams(n, hi)
         return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(","))
 
@@ -124,84 +133,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_rows(args: argparse.Namespace) -> list[dict]:
+def _estimate_fields(est: montecarlo.Estimate) -> dict:
+    return {
+        "trials": est.trials,
+        "successes": est.successes,
+        "p_hat": _prob(est.p_hat),
+        "ci_low": _prob(est.ci_low),
+        "ci_high": _prob(est.ci_high),
+    }
+
+
+def _sweep(args: argparse.Namespace) -> _Output:
     plan = montecarlo.ExperimentPlan(
         n=args.n,
-        k_values=parse_k_values(args.k),
+        k_values=parse_k_values(args.k, args.n),
         gammas=parse_gamma_list(args.gamma),
         trials=args.trials,
         base_seed=args.seed,
         workers=args.workers,
     )
-    rows = []
-    for kind, table in montecarlo.run_sweep(plan).items():
-        for g in plan.gammas:
-            for k in plan.k_values:
-                est = table[(g, k)]
-                rows.append(
-                    {
-                        "kind": kind,
-                        "gamma": _gamma_str(g),
-                        "K": k,
-                        "n": plan.n,
-                        "trials": est.trials,
-                        "successes": est.successes,
-                        "p_hat": _prob(est.p_hat),
-                        "ci_low": _prob(est.ci_low),
-                        "ci_high": _prob(est.ci_high),
-                    }
-                )
-    return rows
+    rows = [
+        {"kind": kind, "gamma": _gamma_str(g), "K": k, "n": plan.n, **_estimate_fields(curve[g, k])}
+        for kind, curve in montecarlo.run_sweep(plan).items()
+        for g in plan.gammas
+        for k in plan.k_values
+    ]
+    return rows, None, {"command": "sweep", "seed": args.seed, "rows": rows}
 
 
-def _phased_rows(args: argparse.Namespace) -> list[dict]:
+def _phased(args: argparse.Namespace) -> _Output:
     schedule = montecarlo.DeploymentSchedule(parse_gamma_list(args.schedule))
     joint, phases = montecarlo.run_phased_detail(
         args.n, args.k, schedule, args.trials, args.seed
     )
-
-    def row(label: str, est: montecarlo.Estimate) -> dict:
-        return {
-            "n": args.n,
-            "K": args.k,
-            "schedule": label,
-            "trials": est.trials,
-            "successes": est.successes,
-            "p_hat": _prob(est.p_hat),
-            "ci_low": _prob(est.ci_low),
-            "ci_high": _prob(est.ci_high),
-        }
-
-    rows = [row(",".join(_gamma_str(g) for g in schedule.gammas), joint)]
-    rows.extend(row(_gamma_str(g), phases[g]) for g in schedule.gammas)
-    return rows
-
-
-def _census_result(args: argparse.Namespace) -> montecarlo.RingCensus:
-    return montecarlo.run_keyring_census(args.n, args.k, args.trials, args.seed)
-
-
-def _census_rows(census: montecarlo.RingCensus) -> list[dict]:
+    labelled = [(",".join(_gamma_str(g) for g in schedule.gammas), joint)]
+    labelled += [(_gamma_str(g), phases[g]) for g in schedule.gammas]
     rows = [
-        {"size": s, "count": c, "is_max_histogram": 0}
-        for s, c in sorted(census.histogram.items())
+        {"n": args.n, "K": args.k, "schedule": label, **_estimate_fields(est)}
+        for label, est in labelled
     ]
-    rows.extend(
-        {"size": s, "count": c, "is_max_histogram": 1}
-        for s, c in sorted(census.max_histogram.items())
-    )
-    return rows
+    return rows, None, {"command": "phased", "seed": args.seed, "rows": rows}
 
 
-def _census_summary(census: montecarlo.RingCensus) -> str:
-    return (
+def _census(args: argparse.Namespace) -> _Output:
+    census = montecarlo.run_keyring_census(args.n, args.k, args.trials, args.seed)
+    histogram = sorted(census.histogram.items())
+    max_histogram = sorted(census.max_histogram.items())
+    rows = [{"size": s, "count": c, "is_max_histogram": 0} for s, c in histogram]
+    rows += [{"size": s, "count": c, "is_max_histogram": 1} for s, c in max_histogram]
+    trailer = (
         f"# mean_size={_prob(census.mean_size)}"
         f" frac_over_3k={_prob(census.frac_over_3k)}"
         f" largest={census.largest}"
     )
+    doc = {
+        "command": "census",
+        "seed": args.seed,
+        "n": census.n,
+        "k": census.k,
+        "trials": census.trials,
+        "histogram": [[s, c] for s, c in histogram],
+        "max_histogram": [[s, c] for s, c in max_histogram],
+        "mean_size": census.mean_size,
+        "frac_over_3k": census.frac_over_3k,
+        "largest": census.largest,
+    }
+    return rows, trailer, doc
 
 
-def _theory_rows(args: argparse.Namespace) -> list[dict]:
+def _theory(args: argparse.Namespace) -> _Output:
     def row(quantity: str, a1="", a2="", a3="", a4="", value: float = 0.0) -> dict:
         return {
             "quantity": quantity,
@@ -261,10 +261,19 @@ def _theory_rows(args: argparse.Namespace) -> list[dict]:
         rows.append(row("maxring_bound", n, k, _num(t), value=theory.maxring_tail_bound(n, k, t)))
     if not rows:
         raise ValueError("theory: no quantities requested (see pairdeploy theory --help)")
-    return rows
+    return rows, None, {"command": "theory", "rows": rows}
 
 
-def _write_csv(fp: IO[str], fields: list[str], rows: list[dict], trailer: str | None = None) -> None:
+# command -> (CSV fields, function returning its rows, CSV trailer and JSON document)
+_COMMANDS = {
+    "sweep": (["kind", "gamma", "K", "n", *_ESTIMATE_FIELDS], _sweep),
+    "phased": (["n", "K", "schedule", *_ESTIMATE_FIELDS], _phased),
+    "census": (["size", "count", "is_max_histogram"], _census),
+    "theory": (["quantity", "arg1", "arg2", "arg3", "arg4", "value"], _theory),
+}
+
+
+def _write_csv(fp: IO[str], fields: list[str], rows: list[dict], trailer: str | None) -> None:
     writer = csv.DictWriter(fp, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
@@ -273,46 +282,13 @@ def _write_csv(fp: IO[str], fields: list[str], rows: list[dict], trailer: str | 
 
 
 def _run(args: argparse.Namespace, fp: IO[str]) -> None:
-    if args.command == "sweep":
-        rows = _sweep_rows(args)
-        if args.format == "csv":
-            _write_csv(fp, _SWEEP_FIELDS, rows)
-        else:
-            json.dump({"command": "sweep", "seed": args.seed, "rows": rows}, fp, indent=2)
-            fp.write("\n")
-    elif args.command == "phased":
-        rows = _phased_rows(args)
-        if args.format == "csv":
-            _write_csv(fp, _PHASED_FIELDS, rows)
-        else:
-            json.dump({"command": "phased", "seed": args.seed, "rows": rows}, fp, indent=2)
-            fp.write("\n")
-    elif args.command == "census":
-        census = _census_result(args)
-        if args.format == "csv":
-            _write_csv(fp, _CENSUS_FIELDS, _census_rows(census), trailer=_census_summary(census))
-        else:
-            doc = {
-                "command": "census",
-                "seed": args.seed,
-                "n": census.n,
-                "k": census.k,
-                "trials": census.trials,
-                "histogram": [[s, c] for s, c in sorted(census.histogram.items())],
-                "max_histogram": [[s, c] for s, c in sorted(census.max_histogram.items())],
-                "mean_size": census.mean_size,
-                "frac_over_3k": census.frac_over_3k,
-                "largest": census.largest,
-            }
-            json.dump(doc, fp, indent=2)
-            fp.write("\n")
-    else:  # theory
-        rows = _theory_rows(args)
-        if args.format == "csv":
-            _write_csv(fp, _THEORY_FIELDS, rows)
-        else:
-            json.dump({"command": "theory", "rows": rows}, fp, indent=2)
-            fp.write("\n")
+    fields, produce = _COMMANDS[args.command]
+    rows, trailer, doc = produce(args)
+    if args.format == "csv":
+        _write_csv(fp, fields, rows, trailer)
+    else:
+        json.dump(doc, fp, indent=2)
+        fp.write("\n")
 
 
 def _run_to_file(args: argparse.Namespace) -> None:
@@ -342,6 +318,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"pairdeploy: output failed: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"pairdeploy: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

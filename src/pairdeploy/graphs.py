@@ -1,20 +1,18 @@
-"""Key graphs induced by a pairing table, and their deployment-phase views.
+"""Key graphs induced by a pairing table, and the two deployment questions.
 
 Nodes i and j are adjacent iff either selected the other, so they share at
-least one pairwise key.  A phase view restricts the graph to the first
-floor(gamma*n) nodes (the nodes deployed so far) and keeps only edges with
-both endpoints deployed; it is a view, never a copy.
+least one pairwise key.  build_graph lists the edges of a table and
+write_edge_list exports them.
 
-Connectivity of one view is decided by union-find with path halving; a
-breadth-first search route is kept alongside as an independent check.
-
-The Monte Carlo harness uses two block kernels instead, which answer for a
+The deployment questions are asked of the view at fraction gamma: the
+first m = floor(gamma*n) nodes (the nodes deployed so far) and the edges
+with both endpoints deployed.  Each has one kernel, which answers for a
 whole (trials, n, k) block of partner arrays at once in numpy:
 connected_at hooks each selection column into a flat label array of all
 the block's tables (min-label hooking plus pointer jumping) and retires a
 table as soon as it is connected or has no edges left; isolated_count_at
-marks every node touched by a deployed edge.  Both agree exactly with the
-per-view routes above.
+marks every node touched by a deployed edge.  The tests check both against
+independent union-find, breadth-first search and edge-mask routes.
 """
 
 from __future__ import annotations
@@ -24,51 +22,15 @@ from typing import IO
 
 import numpy as np
 
-from .scheme import PairingTable, phase_size
+from .scheme import PairingTable
 
 __all__ = [
     "KeyGraph",
-    "PhaseView",
-    "UnionFind",
     "build_graph",
-    "restrict",
-    "is_connected",
-    "count_isolated",
-    "is_connected_bfs",
     "write_edge_list",
     "connected_at",
     "isolated_count_at",
 ]
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with union by size and path halving."""
-
-    __slots__ = ("parent", "size", "components")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
 
 
 @dataclass(frozen=True)
@@ -93,20 +55,6 @@ class KeyGraph:
         return deg
 
 
-@dataclass(frozen=True)
-class PhaseView:
-    """The key graph restricted to the first m = floor(gamma*n) nodes."""
-
-    parent: KeyGraph
-    gamma: float
-    m: int
-
-    def masked_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edges with both endpoints deployed (0-based arrays)."""
-        keep = (self.parent.edge_u < self.m) & (self.parent.edge_v < self.m)
-        return self.parent.edge_u[keep], self.parent.edge_v[keep]
-
-
 def build_graph(table: PairingTable) -> KeyGraph:
     """Build the key graph of a pairing table.
 
@@ -126,62 +74,6 @@ def build_graph(table: PairingTable) -> KeyGraph:
     return KeyGraph(n, u, v)
 
 
-def restrict(graph: KeyGraph, gamma: float) -> PhaseView:
-    """View of the graph at deployment fraction gamma in (0, 1]."""
-    return PhaseView(graph, gamma, phase_size(graph.n, gamma))
-
-
-def is_connected(view: PhaseView) -> bool:
-    """True iff the deployed subgraph is connected (m = 1 counts as connected)."""
-    if view.m == 1:
-        return True
-    u, v = view.masked_edges()
-    return _edges_connected(view.m, u, v)
-
-
-def _edges_connected(m: int, u: np.ndarray, v: np.ndarray) -> bool:
-    uf = UnionFind(m)
-    for a, b in zip(u.tolist(), v.tolist()):
-        if uf.union(a, b) and uf.components == 1:
-            return True
-    return uf.components == 1
-
-
-def count_isolated(view: PhaseView) -> int:
-    """Deployed nodes with no deployed neighbor; always 0 at gamma = 1."""
-    u, v = view.masked_edges()
-    touched = np.zeros(view.m, dtype=bool)
-    touched[u] = True
-    touched[v] = True
-    return int(view.m - touched.sum())
-
-
-def is_connected_bfs(view: PhaseView) -> bool:
-    """Breadth-first search route to the same answer as is_connected."""
-    m = view.m
-    if m == 1:
-        return True
-    u, v = view.masked_edges()
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for a, b in zip(u.tolist(), v.tolist()):
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * m
-    seen[0] = True
-    frontier = [0]
-    reached = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    reached += 1
-                    nxt.append(y)
-        frontier = nxt
-    return reached == m
-
-
 def write_edge_list(graph: KeyGraph, fp: IO[str]) -> None:
     """Write one "i j" line per edge, 1-based, i < j, sorted by (i, j)."""
     for u, v in zip(graph.edge_u, graph.edge_v):
@@ -193,14 +85,15 @@ def write_edge_list(graph: KeyGraph, fp: IO[str]) -> None:
 # The Monte Carlo harness evaluates thousands of tables; these take a whole
 # (trials, n, k) block of partner arrays (rows sorted ascending, as every
 # table in this package is) and answer for every table at once, without
-# KeyGraph construction.  They must agree exactly with the object API above
-# (tested).  Each lays the views of all the block's tables out table by
-# table in one flat array; in connected_at node i of table t is label t*m + i.
+# KeyGraph construction.  Each lays the views of all the block's tables out
+# table by table in one flat array; in connected_at node i of table t is
+# label t*m + i.
 
 def connected_at(block: np.ndarray, m: int) -> np.ndarray:
-    """is_connected of the m-node view of every table, as a bool array.
+    """Whether the m-node view of each table is connected, as a bool array.
 
-    Selection columns are added in order; column c holds each node's
+    A one-node view counts as connected.  Selection columns are added in
+    order; column c holds each node's
     (c+1)-th smallest partner, so once a table has no deployed partner in a
     column it gains no edge later.  Each column is merged by rounds of
     min-label hooking and pointer jumping until no edge joins two roots.
@@ -261,7 +154,8 @@ def _keep_open(keep, open_, parent, m):
 
 
 def isolated_count_at(block: np.ndarray, m: int) -> np.ndarray:
-    """count_isolated of the m-node view of every table, as an int64 array.
+    """Deployed nodes with no deployed neighbour in the m-node view of each
+    table, as an int64 array; always 0 at m = n.
 
     A node is touched by its own deployed selections (its smallest partner
     is below m) and by every deployed node that selected it.  Each table

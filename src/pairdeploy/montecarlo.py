@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import sampling
 from .graphs import connected_at, isolated_count_at
-from .scheme import phase_size
+from .scheme import SchemeParams, phase_size
 
 __all__ = [
     "SWEEP_TRIALS_DEFAULT",
@@ -30,12 +31,10 @@ __all__ = [
     "Estimate",
     "RingCensus",
     "DeploymentSchedule",
-    "TrialRecord",
     "wilson_interval",
     "estimate_from",
     "evaluate_deployments",
     "run_sweep",
-    "run_phased_experiment",
     "run_phased_detail",
     "run_keyring_census",
 ]
@@ -109,14 +108,11 @@ class ExperimentPlan:
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
         ks = tuple(int(k) for k in self.k_values)
         if not ks:
             raise ValueError("k_values must be nonempty")
         for k in ks:
-            if not 1 <= k <= self.n - 1:
-                raise ValueError(f"need 1 <= k <= n-1, got k={k} with n={self.n}")
+            SchemeParams(self.n, k)
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         if self.workers is not None and self.workers < 1:
@@ -126,21 +122,6 @@ class ExperimentPlan:
             phase_size(self.n, g)  # validates floor(gamma*n) >= 1
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "gammas", sched.gammas)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Raw per-trial outcomes for one (n, k) across deployment fractions."""
-
-    n: int
-    k: int
-    gammas: tuple[float, ...]
-    connected: dict[float, np.ndarray] = field(repr=False)  # bool, len trials
-    isolated: dict[float, np.ndarray] = field(repr=False)  # int64, len trials
-
-    @property
-    def trials(self) -> int:
-        return len(next(iter(self.connected.values())))
 
 
 def _table_seed(base_seed: int, k: int) -> int:
@@ -154,27 +135,25 @@ def _block_sizes(n: int, k: int, trials: int) -> list[tuple[int, int]]:
 
 def evaluate_deployments(
     n: int, k: int, gammas: tuple[float, ...], trials: int, base_seed: int
-) -> TrialRecord:
+) -> tuple[np.ndarray, np.ndarray]:
     """Generate `trials` tables for (n, k) and evaluate every gamma view.
 
     The workhorse behind sweeps and phased runs: per trial, one table,
     all fractions checked on it, a whole block of tables per kernel call.
+    Returns (connected, isolated), bool and int64 arrays of shape
+    (len(gammas), trials); row i belongs to gammas[i].
     """
-    ms = {g: phase_size(n, g) for g in gammas}
-    connected = {g: np.empty(trials, dtype=bool) for g in gammas}
-    isolated = {g: np.empty(trials, dtype=np.int64) for g in gammas}
+    ms = [phase_size(n, g) for g in gammas]
+    connected = np.empty((len(ms), trials), dtype=bool)
+    isolated = np.empty((len(ms), trials), dtype=np.int64)
     seed = _table_seed(base_seed, k)
     for start, count in _block_sizes(n, k, trials):
         block = sampling.sample_pairing_block(seed, start, count, n, k)
-        for g, m in ms.items():
-            connected[g][start : start + count] = connected_at(block, m)
-            isolated[g][start : start + count] = isolated_count_at(block, m)
+        for i, m in enumerate(ms):
+            connected[i, start : start + count] = connected_at(block, m)
+            isolated[i, start : start + count] = isolated_count_at(block, m)
         del block
-    return TrialRecord(n, k, tuple(gammas), connected, isolated)
-
-
-def _evaluate_cell(args: tuple[int, int, tuple[float, ...], int, int]) -> TrialRecord:
-    return evaluate_deployments(*args)
+    return connected, isolated
 
 
 def _pool_size(workers: int | None, cells: int) -> int:
@@ -182,50 +161,40 @@ def _pool_size(workers: int | None, cells: int) -> int:
     return max(1, min(workers or 1, cells, os.cpu_count() or 1))
 
 
-def _records_by_k(plan: ExperimentPlan) -> dict[int, TrialRecord]:
-    cells = [(plan.n, k, plan.gammas, plan.trials, plan.base_seed) for k in plan.k_values]
-    size = _pool_size(plan.workers, len(cells))
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            records = list(pool.map(_evaluate_cell, cells))
-    else:
-        records = [_evaluate_cell(c) for c in cells]
-    return {k: rec for k, rec in zip(plan.k_values, records)}
-
-
 def run_sweep(plan: ExperimentPlan) -> dict[str, dict[tuple[float, int], Estimate]]:
     """Both sweep curves from one evaluation pass, indexed by (gamma, k):
     "connected" estimates P[deployed graph connected] and "no_isolated"
     P[deployed graph has no isolated node], on the same tables."""
+    evaluate = partial(
+        evaluate_deployments,
+        plan.n,
+        gammas=plan.gammas,
+        trials=plan.trials,
+        base_seed=plan.base_seed,
+    )
+    size = _pool_size(plan.workers, len(plan.k_values))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            outcomes = list(pool.map(evaluate, plan.k_values))
+    else:
+        outcomes = list(map(evaluate, plan.k_values))
     connected: dict[tuple[float, int], Estimate] = {}
     no_isolated: dict[tuple[float, int], Estimate] = {}
-    for k, rec in _records_by_k(plan).items():
-        for g in plan.gammas:
-            connected[(g, k)] = estimate_from(int(rec.connected[g].sum()), plan.trials)
-            no_isolated[(g, k)] = estimate_from(int((rec.isolated[g] == 0).sum()), plan.trials)
+    for k, (conn, iso) in zip(plan.k_values, outcomes):
+        for g, conn_g, iso_g in zip(plan.gammas, conn, iso):
+            connected[(g, k)] = estimate_from(int(conn_g.sum()), plan.trials)
+            no_isolated[(g, k)] = estimate_from(int((iso_g == 0).sum()), plan.trials)
     return {"connected": connected, "no_isolated": no_isolated}
 
 
 def run_phased_detail(
     n: int, k: int, schedule: DeploymentSchedule, trials: int, base_seed: int
 ) -> tuple[Estimate, dict[float, Estimate]]:
-    """Joint all-phases-connected estimate plus per-phase estimates,
-    computed on the same trials."""
-    rec = evaluate_deployments(n, k, schedule.gammas, trials, base_seed)
-    joint = np.ones(trials, dtype=bool)
-    phases: dict[float, Estimate] = {}
-    for g in schedule.gammas:
-        joint &= rec.connected[g]
-        phases[g] = estimate_from(int(rec.connected[g].sum()), trials)
-    return estimate_from(int(joint.sum()), trials), phases
-
-
-def run_phased_experiment(
-    n: int, k: int, schedule: DeploymentSchedule, trials: int, base_seed: int
-) -> Estimate:
-    """Estimate of the joint event: connected at every phase of the schedule."""
-    joint, _ = run_phased_detail(n, k, schedule, trials, base_seed)
-    return joint
+    """Estimate of the joint event, connected at every phase of the
+    schedule, plus per-phase estimates, computed on the same trials."""
+    connected, _ = evaluate_deployments(n, k, schedule.gammas, trials, base_seed)
+    phases = {g: estimate_from(int(c.sum()), trials) for g, c in zip(schedule.gammas, connected)}
+    return estimate_from(int(connected.all(axis=0).sum()), trials), phases
 
 
 @dataclass(frozen=True)
@@ -251,8 +220,7 @@ def run_keyring_census(
     n: int, k: int, trials: int = CENSUS_TRIALS_DEFAULT, base_seed: int = 0
 ) -> RingCensus:
     """Tabulate all trials * n ring sizes and the per-trial maxima."""
-    if n < 2 or not 1 <= k <= n - 1:
-        raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got n={n}, k={k}")
+    SchemeParams(n, k)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     seed = _table_seed(base_seed, k)

@@ -32,6 +32,7 @@ __all__ = [
     "reverse_degree",
     "reverse_degrees",
     "ring_sizes",
+    "gamma_n_exact",
     "phase_size",
     "table_to_json",
     "table_from_json",
@@ -168,17 +169,22 @@ def derive_key_rings(table: PairingTable) -> list[KeyRing]:
     return [KeyRing(i0 + 1, frozenset(ks)) for i0, ks in enumerate(keys)]
 
 
+def gamma_n_exact(n: int, gamma: float) -> Fraction:
+    """gamma * n over the decimal value of gamma (the Fraction of its
+    shortest repr), so e.g. gamma=0.3, n=10 gives exactly 3 where
+    0.3*10 = 2.999... in binary floating point."""
+    return Fraction(str(gamma)) * n
+
+
 def phase_size(n: int, gamma: float) -> int:
     """Number of nodes deployed at fraction gamma: floor(gamma * n).
 
     gamma must lie in (0, 1] and the floor must be positive.  The floor is
-    taken over the decimal value of gamma (via Fraction of its shortest
-    repr), so e.g. gamma=0.3, n=10 gives 3 despite 0.3*10 = 2.999... in
-    binary floating point.
+    taken of gamma_n_exact, so gamma=0.3, n=10 gives 3.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    m = int(Fraction(str(gamma)) * n)
+    m = int(gamma_n_exact(n, gamma))
     if m < 1:
         raise ValueError(f"floor(gamma*n) must be >= 1, got 0 for gamma={gamma}, n={n}")
     return m

@@ -9,16 +9,18 @@ algebra bounding the largest key ring.  All logarithms are natural.
 Binomial-coefficient ratios C(x,K)/C(y,K) are evaluated as exactly rounded
 log-space sums of log1p((x-y)/(y-l)), which stay finite and accurate to
 below 1e-13 relative error for n up to 1e6; C(a,b) = 0 when a < b, so
-degenerate configurations yield probability 0 instead of errors.
+degenerate configurations yield probability 0 instead of errors.  A
+probability below the smallest positive double (about 4.9e-324) underflows
+to 0.0 as well: at n = 1e6 that already happens to isolation events of a
+few nodes, e.g. 5.1e-418 at K=60, gamma=0.9, r=5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .scheme import phase_size
+from .scheme import SchemeParams, gamma_n_exact, phase_size
 
 __all__ = [
     "TailExponents",
@@ -85,11 +87,23 @@ def _log_binom_ratio(x: int, y: int, k: int) -> float:
     return math.fsum(math.log1p((x - y) / (y - i)) for i in range(k))
 
 
-def _check_nk(n: int, k: int) -> None:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k} with n={n}")
+def _group_log_terms(n: int, k: int, m: int, r: int) -> tuple[float, float]:
+    """The two log factors of an r-node group among m deployed nodes:
+    log C(n-m+r-1, k)/C(n-1, k), one group node selecting only outside the
+    deployed rest, and log C(n-r-1, k)/C(n-1, k), one deployed node outside
+    the group selecting none of it."""
+    return _log_binom_ratio(n - m + r - 1, n - 1, k), _log_binom_ratio(n - r - 1, n - 1, k)
+
+
+def _group_phase_size(n: int, k: int, gamma: float) -> int:
+    """m = floor(gamma*n), after the preconditions of the group formulas:
+    2(k+1) < n and gamma*n > 2."""
+    SchemeParams(n, k)
+    if not 2 * (k + 1) < n:
+        raise ValueError(f"need 2(k+1) < n, got k={k}, n={n}")
+    if not gamma_n_exact(n, gamma) > 2:
+        raise ValueError(f"need gamma*n > 2, got gamma={gamma}, n={n}")
+    return phase_size(n, gamma)
 
 
 def isolation_prob_exact(n: int, k: int, gamma: float) -> float:
@@ -100,16 +114,16 @@ def isolation_prob_exact(n: int, k: int, gamma: float) -> float:
 
     The first factor is its own selections all avoiding deployed nodes; the
     second, none of the other m-1 deployed nodes selecting it.  Zero when
-    k > n - m (the node cannot avoid the deployed set).
+    k > n - m (the node cannot avoid the deployed set), and also when the
+    probability is below the smallest positive double and underflows.
     """
-    _check_nk(n, k)
+    SchemeParams(n, k)
     m = phase_size(n, gamma)
     if m < 2:
         raise ValueError(f"need floor(gamma*n) >= 2, got {m}")
-    own = _log_binom_ratio(n - m, n - 1, k)
+    own, others = _group_log_terms(n, k, m, 1)
     if own == -math.inf:
         return 0.0
-    others = _log_binom_ratio(n - 2, n - 1, k)
     return math.exp(own + (m - 1) * others)
 
 
@@ -119,10 +133,6 @@ def expected_isolated(n: int, k: int, gamma: float) -> float:
     return phase_size(n, gamma) * isolation_prob_exact(n, k, gamma)
 
 
-def _exact_gamma_n(n: int, gamma: float) -> Fraction:
-    return Fraction(str(gamma)) * n
-
-
 def isolation_event_prob(n: int, k: int, gamma: float, r: int) -> float:
     """Probability that a fixed set of r deployed nodes has no key-graph
     edge leaving it into the rest of the deployed set:
@@ -130,18 +140,13 @@ def isolation_event_prob(n: int, k: int, gamma: float, r: int) -> float:
         (C(n-m+r-1, k)/C(n-1, k))^r * (C(n-r-1, k)/C(n-1, k))^(m-r)
 
     with m = floor(gamma*n).  Requires 2(k+1) < n and gamma*n > 2; zero
-    binomials propagate to 0.  Equals isolation_prob_exact at r = 1.
+    binomials propagate to 0, and so does a probability below the smallest
+    positive double, which underflows.  Equals isolation_prob_exact at r = 1.
     """
-    _check_nk(n, k)
-    if not 2 * (k + 1) < n:
-        raise ValueError(f"need 2(k+1) < n, got k={k}, n={n}")
-    if not _exact_gamma_n(n, gamma) > 2:
-        raise ValueError(f"need gamma*n > 2, got gamma={gamma}, n={n}")
-    m = phase_size(n, gamma)
+    m = _group_phase_size(n, k, gamma)
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= floor(gamma*n) = {m}, got r={r}")
-    grp = _log_binom_ratio(n - m + r - 1, n - 1, k)
-    rest = _log_binom_ratio(n - r - 1, n - 1, k)
+    grp, rest = _group_log_terms(n, k, m, r)
     log_p = r * grp + (0 if m == r else (m - r) * rest)
     return 0.0 if log_p == -math.inf else math.exp(log_p)
 
@@ -154,24 +159,16 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
     summed in log space.  A valid upper bound whenever 2(k+1) < n,
     k+1 <= n - m and gamma*n > 2; may exceed 1 (vacuous but returned).
     """
-    _check_nk(n, k)
-    if not 2 * (k + 1) < n:
-        raise ValueError(f"need 2(k+1) < n, got k={k}, n={n}")
-    if not _exact_gamma_n(n, gamma) > 2:
-        raise ValueError(f"need gamma*n > 2, got gamma={gamma}, n={n}")
-    m = phase_size(n, gamma)
+    m = _group_phase_size(n, k, gamma)
     if not k + 1 <= n - m:
         raise ValueError(f"need k+1 <= n - floor(gamma*n), got k={k}, n={n}, m={m}")
+    # k+1 <= n-m keeps every binomial positive, and gamma*n > 2 gives m >= 2,
+    # so each of the m//2 >= 1 terms is finite
     log_terms = []
     for r in range(1, m // 2 + 1):
-        grp = _log_binom_ratio(n - m + r - 1, n - 1, k)
-        if grp == -math.inf:
-            continue
-        rest = _log_binom_ratio(n - r - 1, n - 1, k)
+        grp, rest = _group_log_terms(n, k, m, r)
         choose = math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
         log_terms.append(choose + r * grp + (m - r) * rest)
-    if not log_terms:
-        return 0.0
     top = max(log_terms)
     return math.exp(top) * sum(math.exp(t - top) for t in log_terms)
 

@@ -50,10 +50,11 @@ def threshold_curves():
     conn: dict[tuple[float, int], float] = {}
     noiso: dict[tuple[float, int], float] = {}
     for k, gs in sorted(need.items()):
-        rec = evaluate_deployments(N, k, tuple(sorted(gs)), TRIALS, SEED)
-        for g in gs:
-            conn[(g, k)] = float(rec.connected[g].mean())
-            noiso[(g, k)] = float((rec.isolated[g] == 0).mean())
+        gammas = tuple(sorted(gs))
+        connected, isolated = evaluate_deployments(N, k, gammas, TRIALS, SEED)
+        for g, conn_g, iso_g in zip(gammas, connected, isolated):
+            conn[(g, k)] = float(conn_g.mean())
+            noiso[(g, k)] = float((iso_g == 0).mean())
     elapsed = time.perf_counter() - started
     return conn, noiso, elapsed
 
@@ -172,9 +173,8 @@ def test_mean_isolated_count_matches_first_moment():
     worst = 0.0
     for n in (100, 400):
         for k in (1, 2, 3):
-            rec = evaluate_deployments(n, k, gammas, 10_000, SEED)
-            for g in gammas:
-                counts = rec.isolated[g]
+            _, isolated = evaluate_deployments(n, k, gammas, 10_000, SEED)
+            for g, counts in zip(gammas, isolated):
                 expected = theory.expected_isolated(n, k, g)
                 mean = float(counts.mean())
                 se = float(counts.std(ddof=1)) / math.sqrt(len(counts))
@@ -205,7 +205,7 @@ def test_phased_schedule_joint_connectivity():
     k = theory.scaling_k(2000, 1.2, 0.25)
     assert k == 37
     started = time.perf_counter()
-    joint = montecarlo.run_phased_experiment(
+    joint, _ = montecarlo.run_phased_detail(
         2000, k, DeploymentSchedule((0.25, 0.5, 1.0)), TRIALS, SEED
     )
     elapsed = time.perf_counter() - started

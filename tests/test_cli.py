@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from pairdeploy import cli
 from pairdeploy.cli import main, parse_gamma_list, parse_k_values
 
 SWEEP_HEADER = "kind,gamma,K,n,trials,successes,p_hat,ci_low,ci_high"
@@ -30,20 +31,26 @@ def parse_rows(text):
 
 class TestArgumentGrammar:
     def test_k_single(self):
-        assert parse_k_values("7") == (7,)
+        assert parse_k_values("7", 100) == (7,)
 
     def test_k_range_inclusive(self):
-        assert parse_k_values("1..20") == tuple(range(1, 21))
+        assert parse_k_values("1..20", 100) == tuple(range(1, 21))
 
     def test_k_list(self):
-        assert parse_k_values("1,5,9") == (1, 5, 9)
+        assert parse_k_values("1,5,9", 100) == (1, 5, 9)
 
     def test_k_empty_range_rejected(self):
         with pytest.raises(ValueError):
-            parse_k_values("5..1")
+            parse_k_values("5..1", 100)
 
     def test_gamma_list(self):
         assert parse_gamma_list("0.2,0.4") == (0.2, 0.4)
+
+    def test_k_range_ends_checked_against_n(self):
+        assert parse_k_values("1..99", 100) == tuple(range(1, 100))
+        for text in ("0..5", "1..100", "1..1000"):
+            with pytest.raises(ValueError, match="1 <= k <= n-1"):
+                parse_k_values(text, 100)
 
 
 class TestSweep:
@@ -102,6 +109,17 @@ class TestSweep:
         )
         assert code == 2
         assert "increasing" in err
+
+    def test_k_range_checked_before_it_is_built(self, capsys, monkeypatch):
+        def no_range(*args):
+            raise AssertionError("k range built before its ends were checked")
+
+        monkeypatch.setattr(cli, "range", no_range, raising=False)
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "100", "--k", "1..1000", "--gamma", "0.5", "--trials", "5"
+        )
+        assert code == 2
+        assert "1 <= k <= n-1" in err
 
     def test_bad_k_range_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -231,6 +249,14 @@ class TestTheory:
         code, _, err = run_cli(capsys, "theory", "--r-gamma", "1.5")
         assert code == 2
         assert "gamma" in err
+
+    def test_unexpected_error_is_one_line_exit_1(self, capsys):
+        # 1e400 nodes: converting n*n to a float raises OverflowError
+        code, out, err = run_cli(capsys, "theory", "--connectivity-bound", "1" + "0" * 400)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pairdeploy: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestOutputFile:

@@ -1,8 +1,10 @@
 """Byte-level contract: sampler blocks and CLI outputs pinned by sha256.
 
-Any rewrite of the sampler or of the Monte Carlo kernels must reproduce
-these digests exactly: a speedup that changes one draw or one output byte
-for a fixed seed is a different program.
+Any rewrite of the sampler, the Monte Carlo kernels or the closed forms
+must reproduce these digests exactly: a speedup or a refactor that changes
+one draw or one output byte for a fixed seed is a different program.  The
+closed forms are also pinned bit for bit, below the nine digits the CLI
+prints.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import io
 
 import pytest
 
+from pairdeploy import theory
 from pairdeploy.cli import main
 from pairdeploy.sampling import sample_pairing_block
 
@@ -52,6 +55,23 @@ CLI_COMMANDS = {
     "sweep_split": "sweep --n 1000 --k 24,25 --gamma 0.2,1.0 --trials 170",
     "phased": "phased --n 120 --k 4 --schedule 0.25,0.5,1.0 --trials 50 --seed 11",
     "census": "census --n 80 --k 3 --trials 60 --seed 2",
+    # every theory flag; r = 1..5 and n = 1e5..1e6, zero binomials and an underflow
+    "theory": (
+        "theory --r-gamma 0.05,0.2,0.5,0.9,0.99 --lambda-star --c-of-lambda 2.6,3,5,10"
+        " --h-exponent 3,2.9 --h-exponent 5,4.5"
+        " --isolation 100000,20,0.5 --isolation 1000000,40,0.3"
+        " --isolation 1000000,60,0.9 --isolation 500000,1,0.75"
+        " --expected-isolated 100000,20,0.5 --expected-isolated 1000000,60,0.9"
+        " --expected-isolated 1000000,200,0.7"
+        " --isolation-event 1000000,30,0.5,1 --isolation-event 1000000,30,0.5,2"
+        " --isolation-event 1000000,20,0.5,3 --isolation-event 100000,25,0.4,4"
+        " --isolation-event 1000000,60,0.9,5 --isolation-event 20,2,0.15,3"
+        " --isolation-event 20,8,0.8,1"
+        " --union-bound 1000,21,0.5 --union-bound 30,2,0.5"
+        " --union-bound 100000,30,0.2 --union-bound 20000,12,0.7"
+        " --connectivity-bound 2,100,100000,1000000"
+        " --maxring-bound 1000,21,20.03 --maxring-bound 1000000,42,40"
+    ),
 }
 
 CLI_DIGESTS = {
@@ -63,6 +83,8 @@ CLI_DIGESTS = {
     ("phased", "json"): "99524cfa786e0aa92bd9330d5db6a43b8f82fbc5d4d1c9b6f46672bfcc11444e",
     ("census", "csv"): "6a5ba01bda085f1b37441535a1f801194ba6f27775663ec5639ef5f5a939a526",
     ("census", "json"): "834b459fa2af7c37a82fb1bea9f5f440bbd1e36a24e7cc7355240e03bfe7bc9b",
+    ("theory", "csv"): "bb3f16b4ad9b017098a8682734c35c3b69582822ab70a0c0767d180850657b84",
+    ("theory", "json"): "e170d3161853887c94001d834866b9a61295cf27577424a987097191ea5fb4b4",
 }
 
 
@@ -74,3 +96,30 @@ def test_cli_output_digest(case):
         code = main(CLI_COMMANDS[label].split() + ["--format", fmt])
     assert code == 0
     assert digest(buf.getvalue().encode()) == CLI_DIGESTS[case]
+
+
+# (function, arguments) -> the exact double it returns
+THEORY_VALUES = {
+    ("isolation_prob_exact", (100000, 20, 0.5)): 4.3184300799970274e-11,
+    ("isolation_prob_exact", (1000000, 40, 0.3)): 3.909920560265473e-12,
+    ("isolation_prob_exact", (1000000, 60, 0.9)): 3.47138861444059e-84,
+    ("isolation_prob_exact", (500000, 1, 0.75)): 0.11809184484591946,
+    ("expected_isolated", (1000000, 200, 0.7)): 2.7668266627376677e-160,
+    ("isolation_event_prob", (1000000, 30, 0.5, 1)): 2.8471857612581247e-16,
+    ("isolation_event_prob", (1000000, 30, 0.5, 2)): 8.107804467981593e-32,
+    ("isolation_event_prob", (1000000, 20, 0.5, 3)): 8.112792465499204e-32,
+    ("isolation_event_prob", (100000, 25, 0.4, 4)): 2.7644455412776784e-40,
+    ("isolation_event_prob", (1000000, 60, 0.9, 5)): 0.0,
+    ("isolation_event_prob", (20, 2, 0.15, 3)): 1.0,
+    ("isolation_event_prob", (20, 8, 0.8, 1)): 0.0,
+    ("connectivity_union_bound", (1000, 21, 0.5)): 4.890462578005304e-09,
+    ("connectivity_union_bound", (30, 2, 0.5)): 7.2638667096073375,
+    ("connectivity_union_bound", (100000, 30, 0.2)): 0.06320132046456921,
+    ("connectivity_union_bound", (20000, 12, 0.7)): 1.6573220120211572e-06,
+}
+
+
+@pytest.mark.parametrize("call", list(THEORY_VALUES), ids=lambda c: f"{c[0]}{c[1]}")
+def test_theory_value_bits(call):
+    name, args = call
+    assert getattr(theory, name)(*args) == THEORY_VALUES[call]

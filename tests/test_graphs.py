@@ -1,9 +1,11 @@
-"""Key graph construction, phase views, and connectivity/isolation queries.
+"""Key graph construction, deployment views, and the two block kernels.
 
-Union-find answers are cross-checked against the breadth-first search
-route, and the block kernels against both and against count_isolated, over
-a large randomized sweep; the three implementations share no traversal
-code.
+The library answers connectivity only with connected_at and isolation only
+with isolated_count_at.  This module holds independent oracles that work
+on the edge list of build_graph instead: union-find, breadth-first search
+and an edge-mask isolated count.  They share no traversal code with the
+kernels or with each other, and a large randomized sweep checks that all
+of them agree.
 """
 
 import io
@@ -13,21 +15,95 @@ import pytest
 
 from pairdeploy import (
     PairingTable,
-    PhaseView,
     SchemeParams,
-    UnionFind,
     build_graph,
-    count_isolated,
+    connected_at,
     generate_pairing,
-    is_connected,
-    is_connected_bfs,
-    restrict,
+    isolated_count_at,
+    phase_size,
     table_from_lists,
     write_edge_list,
 )
 from pairdeploy import montecarlo
-from pairdeploy.graphs import connected_at, isolated_count_at
 from pairdeploy.sampling import sample_pairing_block
+
+
+# -- oracles on the edge list ---------------------------------------------------
+
+class UnionFind:
+    """Disjoint sets over 0..n-1 with union by size and path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.components = n
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; True if they were distinct."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.components -= 1
+        return True
+
+
+def deployed_edges(graph, m):
+    """Edges of the graph with both endpoints among the first m nodes."""
+    keep = (graph.edge_u < m) & (graph.edge_v < m)
+    return graph.edge_u[keep].tolist(), graph.edge_v[keep].tolist()
+
+
+def uf_connected(graph, m):
+    uf = UnionFind(m)
+    for a, b in zip(*deployed_edges(graph, m)):
+        uf.union(a, b)
+    return uf.components == 1
+
+
+def bfs_connected(graph, m):
+    adj = [[] for _ in range(m)]
+    for a, b in zip(*deployed_edges(graph, m)):
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * m
+    seen[0] = True
+    frontier = [0]
+    reached = 1
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    reached += 1
+                    nxt.append(y)
+        frontier = nxt
+    return reached == m
+
+
+def mask_isolated(graph, m):
+    u, v = deployed_edges(graph, m)
+    touched = np.zeros(m, dtype=bool)
+    touched[u] = True
+    touched[v] = True
+    return int(m - touched.sum())
+
+
+def kernels(table, m):
+    """connected_at and isolated_count_at on a one-table block."""
+    block = table.partners[None]
+    return bool(connected_at(block, m)[0]), int(isolated_count_at(block, m)[0])
 
 
 def star_table():
@@ -82,79 +158,83 @@ class TestBuildGraph:
 
 
 class TestRestrict:
+    """The view at fraction gamma keeps the first floor(gamma*n) nodes."""
+
     def test_gamma_one_is_identity(self):
         graph = build_graph(generate_pairing(SchemeParams(20, 2), seed=1))
-        view = restrict(graph, 1.0)
-        assert view.m == 20
-        u, v = view.masked_edges()
+        m = phase_size(20, 1.0)
+        assert m == 20
+        u, v = deployed_edges(graph, m)
         assert len(u) == graph.edge_count
 
     def test_floor_of_quarter(self):
-        graph = build_graph(generate_pairing(SchemeParams(10, 2), seed=1))
-        assert restrict(graph, 0.25).m == 2
+        assert phase_size(10, 0.25) == 2
 
     def test_views_nest(self):
         graph = build_graph(generate_pairing(SchemeParams(100, 3), seed=2))
-        small = set(zip(*(a.tolist() for a in restrict(graph, 0.3).masked_edges())))
-        big = set(zip(*(a.tolist() for a in restrict(graph, 0.7).masked_edges())))
+        small = set(zip(*deployed_edges(graph, phase_size(100, 0.3))))
+        big = set(zip(*deployed_edges(graph, phase_size(100, 0.7))))
         assert small <= big
 
     def test_gamma_domain(self):
-        graph = build_graph(generate_pairing(SchemeParams(10, 2), seed=1))
         with pytest.raises(ValueError):
-            restrict(graph, 0.0)
+            phase_size(10, 0.0)
         with pytest.raises(ValueError):
-            restrict(graph, 1.01)
+            phase_size(10, 1.01)
 
 
 class TestConnectivity:
     def test_two_disjoint_pairs_not_connected(self):
         table = table_from_lists(4, 1, [[2], [1], [4], [3]])
-        view = restrict(build_graph(table), 1.0)
-        assert not is_connected(view)
-        assert not is_connected_bfs(view)
+        graph = build_graph(table)
+        assert kernels(table, 4) == (False, 0)
+        assert not uf_connected(graph, 4)
+        assert not bfs_connected(graph, 4)
 
     def test_star_is_connected(self):
-        view = restrict(build_graph(star_table()), 1.0)
-        assert is_connected(view)
-        assert is_connected_bfs(view)
+        graph = build_graph(star_table())
+        assert kernels(star_table(), 3) == (True, 0)
+        assert uf_connected(graph, 3)
+        assert bfs_connected(graph, 3)
 
     def test_single_node_view_is_connected(self):
-        view = restrict(build_graph(star_table()), 0.34)
-        assert view.m == 1
-        assert is_connected(view)
-        assert is_connected_bfs(view)
-        assert count_isolated(view) == 1  # deployed alone, no neighbor yet
+        graph = build_graph(star_table())
+        m = phase_size(3, 0.34)
+        assert m == 1
+        assert kernels(star_table(), m) == (True, 1)  # deployed alone, no neighbor yet
+        assert uf_connected(graph, m)
+        assert bfs_connected(graph, m)
+        assert mask_isolated(graph, m) == 1
 
 
 class TestCountIsolated:
     def test_full_deployment_never_isolated(self):
         for seed in range(5):
             table = generate_pairing(SchemeParams(40, 2), seed=seed)
-            assert count_isolated(restrict(build_graph(table), 1.0)) == 0
+            assert kernels(table, 40)[1] == 0
+            assert mask_isolated(build_graph(table), 40) == 0
 
     def test_hand_built_isolated_node(self):
         # nodes 1..3 all select into {4,5,6} and nobody deployed selects
         # node 1, so node 1 is isolated once only half the nodes are out
         table = table_from_lists(6, 1, [[4], [5], [6], [5], [6], [4]])
-        view = restrict(build_graph(table), 0.5)
-        assert count_isolated(view) == 3
+        m = phase_size(6, 0.5)
+        assert kernels(table, m)[1] == 3
+        assert mask_isolated(build_graph(table), m) == 3
 
     def test_connected_implies_no_isolated(self):
-        hits = 0
-        for seed in range(40):
-            table = generate_pairing(SchemeParams(30, 2), seed=seed)
-            view = restrict(build_graph(table), 0.5)
-            if is_connected(view):
-                hits += 1
-                assert count_isolated(view) == 0
-        assert hits > 0  # the implication was actually exercised
+        tables = [generate_pairing(SchemeParams(30, 2), seed=seed) for seed in range(40)]
+        block = np.stack([t.partners for t in tables])
+        connected, isolated = connected_at(block, 15), isolated_count_at(block, 15)
+        assert connected.any()  # the implication was actually exercised
+        assert (isolated[connected] == 0).all()
 
 
 def test_union_find_and_bfs_agree_on_random_instances():
     """Over more than 10,000 (table, m) instances, n up to 200: the block
-    kernels, union-find, BFS and count_isolated must agree exactly.  The
-    views cover m = 1, 2 and n; K covers 1 and n-1."""
+    kernels, the union-find and BFS oracles and the edge-mask isolated
+    count must agree exactly.  The views cover m = 1, 2 and n; K covers 1
+    and n-1."""
     sizes = [(2, 1), (4, 1), (5, 4), (6, 1), (10, 2), (12, 11), (17, 3), (33, 2), (60, 4), (200, 3)]
     per_size = 250
     checked = 0
@@ -169,11 +249,10 @@ def test_union_find_and_bfs_agree_on_random_instances():
         for t in range(per_size):
             graph = build_graph(PairingTable(params, block[t]))
             for m, (conn, iso) in answers.items():
-                view = PhaseView(graph, m / n, m)
-                uf_answer = is_connected(view)
-                assert uf_answer == is_connected_bfs(view)
+                uf_answer = uf_connected(graph, m)
+                assert uf_answer == bfs_connected(graph, m)
                 assert conn[t] == uf_answer
-                assert iso[t] == count_isolated(view)
+                assert iso[t] == mask_isolated(graph, m)
                 checked += 1
     assert checked >= 10_000
 
@@ -183,8 +262,8 @@ def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
     """Connected views whose hooking builds chains of roots in one round:
     stopping after a single pointer jump loses a link and says False."""
     block = sample_pairing_block(seed, trial, 1, n, k)
-    view = PhaseView(build_graph(PairingTable(SchemeParams(n, k), block[0])), m / n, m)
-    assert is_connected(view)
+    graph = build_graph(PairingTable(SchemeParams(n, k), block[0]))
+    assert uf_connected(graph, m)
     assert connected_at(block, m).tolist() == [True]
 
 

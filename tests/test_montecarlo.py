@@ -22,7 +22,6 @@ from pairdeploy import (
     estimate_from,
     run_keyring_census,
     run_phased_detail,
-    run_phased_experiment,
     run_sweep,
     theory,
     wilson_interval,
@@ -238,9 +237,9 @@ def test_pool_size_is_clamped(monkeypatch):
 
 def test_different_seed_changes_something():
     # Compare raw per-trial outcomes: aggregate counts can collide by chance.
-    a = evaluate_deployments(150, 1, (1.0,), 60, base_seed=0)
-    b = evaluate_deployments(150, 1, (1.0,), 60, base_seed=42)
-    assert not np.array_equal(a.connected[1.0], b.connected[1.0])
+    a, _ = evaluate_deployments(150, 1, (1.0,), 60, base_seed=0)
+    b, _ = evaluate_deployments(150, 1, (1.0,), 60, base_seed=42)
+    assert not np.array_equal(a, b)
 
 
 def test_coupled_gammas_share_tables():
@@ -257,8 +256,8 @@ def test_coupled_gammas_share_tables():
 def test_isolated_mean_matches_first_moment():
     """Sample mean of the isolated count vs the exact expectation, 3 SE."""
     n, k, g, trials = 400, 2, 0.5, 10_000
-    rec = evaluate_deployments(n, k, (g,), trials, base_seed=10)
-    counts = rec.isolated[g].astype(np.float64)
+    _, isolated = evaluate_deployments(n, k, (g,), trials, base_seed=10)
+    counts = isolated[0].astype(np.float64)
     expected = theory.expected_isolated(n, k, g)
     se = counts.std(ddof=1) / math.sqrt(trials)
     assert abs(counts.mean() - expected) < 3 * se
@@ -266,14 +265,13 @@ def test_isolated_mean_matches_first_moment():
 
 def test_block_partition_does_not_change_records(monkeypatch):
     """A budget that splits every cell into several blocks reproduces the
-    single-block records exactly."""
+    single-block outcomes exactly."""
     gammas = (0.2, 0.5, 1.0)
     whole = evaluate_deployments(80, 3, gammas, 40, base_seed=8)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 80 * 3)
     split = evaluate_deployments(80, 3, gammas, 40, base_seed=8)
-    for g in gammas:
-        assert np.array_equal(whole.connected[g], split.connected[g])
-        assert np.array_equal(whole.isolated[g], split.isolated[g])
+    for a, b in zip(whole, split):
+        assert np.array_equal(a, b)
 
 
 def test_one_block_alive_at_a_time(monkeypatch):
@@ -297,16 +295,19 @@ def test_one_block_alive_at_a_time(monkeypatch):
 
 
 def test_trial_record_shape():
-    rec = evaluate_deployments(30, 2, (0.5, 1.0), 25, base_seed=3)
-    assert rec.trials == 25
-    assert set(rec.connected) == {0.5, 1.0}
-    assert rec.isolated[1.0].sum() == 0
+    """Per-trial outcomes: one row per fraction, in the order given."""
+    connected, isolated = evaluate_deployments(30, 2, (0.5, 1.0), 25, base_seed=3)
+    assert connected.shape == isolated.shape == (2, 25)
+    assert connected.dtype == bool and isolated.dtype == np.int64
+    assert isolated[1].sum() == 0  # gamma = 1.0 never has isolated nodes
+    single, _ = evaluate_deployments(30, 2, (0.5,), 25, base_seed=3)
+    assert np.array_equal(single[0], connected[0])
 
 
 # -- phased deployments ----------------------------------------------------------
 
 def test_single_phase_equals_sweep_cell():
-    est = run_phased_experiment(150, 2, DeploymentSchedule((1.0,)), 60, base_seed=41)
+    est, _ = run_phased_detail(150, 2, DeploymentSchedule((1.0,)), 60, base_seed=41)
     sweep = run_sweep(small_plan(k_values=(2,), gammas=(1.0,)))
     assert est == sweep["connected"][(1.0, 2)]
 
@@ -323,8 +324,8 @@ def test_joint_at_most_every_phase():
 
 def test_phased_rerun_identical():
     sched = DeploymentSchedule((0.5, 1.0))
-    a = run_phased_experiment(100, 3, sched, 50, base_seed=9)
-    b = run_phased_experiment(100, 3, sched, 50, base_seed=9)
+    a = run_phased_detail(100, 3, sched, 50, base_seed=9)
+    b = run_phased_detail(100, 3, sched, 50, base_seed=9)
     assert a == b
 
 

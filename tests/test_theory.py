@@ -265,6 +265,19 @@ def test_event_prob_precise_at_million_nodes(k, g, r):
     assert rel_err(theory.isolation_event_prob(n, k, g, r), oracle_event(n, k, m, r)) < 1e-12
 
 
+def test_values_below_double_range_underflow_to_zero():
+    """The exact values here are positive but below the smallest positive
+    double (about 4.9e-324), and the functions return 0.0 as documented."""
+    n = 10**6
+    event = oracle_event(n, 60, phase_size(n, 0.9), 5)
+    assert 0 < event < mpf("5e-324")
+    assert mp.nstr(event, 2) == "5.1e-418"
+    assert theory.isolation_event_prob(n, 60, 0.9, 5) == 0.0
+    single = oracle_isolation(n, 300, phase_size(n, 0.9))
+    assert 0 < single < mpf("5e-324")
+    assert theory.isolation_prob_exact(n, 300, 0.9) == 0.0
+
+
 def test_event_prob_domain():
     with pytest.raises(ValueError):
         theory.isolation_event_prob(10, 4, 0.5, 1)  # 2(k+1) = 10, not < n
