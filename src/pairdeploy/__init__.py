@@ -7,7 +7,7 @@ behavior of the induced key graph when only a fraction of the nodes is
 deployed, and cross-checks every formula with Monte Carlo experiments.
 
 Layout: scheme (pairing tables and key rings), graphs (key graphs and the
-block connectivity and isolation kernels), theory (closed-form
+block kernel for connectivity and isolation), theory (closed-form
 calculators), montecarlo (repeat-trial harness), cli (command-line front
 end), sampling (deterministic PRNG).
 """
@@ -17,7 +17,6 @@ from .graphs import (
     KeyGraph,
     build_graph,
     connected_at,
-    isolated_count_at,
     write_edge_list,
 )
 from .montecarlo import (
@@ -67,7 +66,6 @@ __all__ = [
     "build_graph",
     "write_edge_list",
     "connected_at",
-    "isolated_count_at",
     "theory",
     "ExperimentPlan",
     "Estimate",

@@ -6,13 +6,13 @@ write_edge_list exports them.
 
 The deployment questions are asked of the view at fraction gamma: the
 first m = floor(gamma*n) nodes (the nodes deployed so far) and the edges
-with both endpoints deployed.  Each has one kernel, which answers for a
-whole (trials, n, k) block of partner arrays at once in numpy:
-connected_at hooks each selection column into a flat label array of all
-the block's tables (min-label hooking plus pointer jumping) and retires a
-table as soon as it is connected or has no edges left; isolated_count_at
-marks every node touched by a deployed edge.  The tests check both against
-independent union-find, breadth-first search and edge-mask routes.
+with both endpoints deployed.  One kernel answers both, for a whole
+(trials, n, k) block of partner arrays at once in numpy: connected_at hooks
+each selection column into a flat label array of all the block's tables
+(min-label hooking plus pointer jumping), retires a table as soon as it is
+connected or has no edges left, and counts the isolated nodes of a retired
+table as the singleton components of its final labels.  The tests check it
+against independent union-find, breadth-first search and edge-mask routes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "build_graph",
     "write_edge_list",
     "connected_at",
-    "isolated_count_at",
 ]
 
 
@@ -80,31 +79,35 @@ def write_edge_list(graph: KeyGraph, fp: IO[str]) -> None:
         fp.write(f"{int(u) + 1} {int(v) + 1}\n")
 
 
-# -- block kernels ------------------------------------------------------------
+# -- block kernel -------------------------------------------------------------
 #
-# The Monte Carlo harness evaluates thousands of tables; these take a whole
-# (trials, n, k) block of partner arrays (rows sorted ascending, as every
-# table in this package is) and answer for every table at once, without
-# KeyGraph construction.  Each lays the views of all the block's tables out
-# table by table in one flat array; in connected_at node i of table t is
+# The Monte Carlo harness evaluates thousands of tables; connected_at takes a
+# whole (trials, n, k) block of partner arrays (rows sorted ascending, as
+# every table in this package is) and answers for every table at once,
+# without KeyGraph construction.  It lays the views of all the block's
+# tables out table by table in one flat label array: node i of table t is
 # label t*m + i.
 
-def connected_at(block: np.ndarray, m: int) -> np.ndarray:
-    """Whether the m-node view of each table is connected, as a bool array.
+def connected_at(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both deployment questions for the m-node view of each table:
+    (connected, isolated), a bool array and an int64 array of the deployed
+    nodes with no deployed neighbour.
 
-    A one-node view counts as connected.  Selection columns are added in
-    order; column c holds each node's
+    A one-node view counts as connected, with its one node isolated.
+    Selection columns are added in order; column c holds each node's
     (c+1)-th smallest partner, so once a table has no deployed partner in a
     column it gains no edge later.  Each column is merged by rounds of
-    min-label hooking and pointer jumping until no edge joins two roots.
-    A table leaves the open set as soon as it has one root (connected) or
-    no edges left (disconnected), so connected views exit early the way
-    sequential union-find does.
+    min-label hooking and pointer jumping until no edge joins two roots,
+    which leaves every label pointing straight at its root.  A table leaves
+    the open set as soon as it has one root (connected, so nothing is
+    isolated) or no edges left, or when the columns run out; its labels are
+    then final and its isolated nodes are its singleton components.
     """
     trials = block.shape[0]
     if m == 1:
-        return np.ones(trials, dtype=bool)
+        return np.ones(trials, dtype=bool), np.ones(trials, dtype=np.int64)
     connected = np.zeros(trials, dtype=bool)
+    isolated = np.zeros(trials, dtype=np.int64)
     open_ = np.arange(trials)
     parent = np.arange(trials * m)
     for c in range(block.shape[2]):
@@ -112,6 +115,8 @@ def connected_at(block: np.ndarray, m: int) -> np.ndarray:
         live = col < m
         alive = live.any(axis=1)
         if not alive.all():
+            done, labels = _keep_open(~alive, open_, parent, m)
+            isolated[done] = _singletons(labels, m)
             open_, parent = _keep_open(alive, open_, parent, m)
             col, live = col[alive], live[alive]
             if not len(open_):
@@ -142,7 +147,8 @@ def connected_at(block: np.ndarray, m: int) -> np.ndarray:
             open_, parent = _keep_open(~joined, open_, parent, m)
             if not len(open_):
                 break
-    return connected
+    isolated[open_] = _singletons(parent, m)
+    return connected, isolated
 
 
 def _keep_open(keep, open_, parent, m):
@@ -153,25 +159,8 @@ def _keep_open(keep, open_, parent, m):
     return open_[rows], parent.ravel()
 
 
-def isolated_count_at(block: np.ndarray, m: int) -> np.ndarray:
-    """Deployed nodes with no deployed neighbour in the m-node view of each
-    table, as an int64 array; always 0 at m = n.
-
-    A node is touched by its own deployed selections (its smallest partner
-    is below m) and by every deployed node that selected it.  Each table
-    gets m+1 flags; undeployed partners all land on the last, unused one.
-    """
-    trials = block.shape[0]
-    sub = block[:, :m]
-    touched = np.zeros((trials, m + 1), dtype=bool)
-    touched[:, :m] = sub[:, :, 0] < m
-    flat = touched.ravel()
-    base = np.arange(0, trials * (m + 1), m + 1)[:, None]
-    for c in range(block.shape[2]):
-        col = sub[:, :, c]
-        if col.min() >= m:
-            break  # rows are sorted: later columns are larger still
-        target = np.minimum(col, m)
-        target += base
-        flat[target] = True
-    return m - touched[:, :m].sum(axis=1, dtype=np.int64)
+def _singletons(parent, m):
+    """Singleton components per table of a contiguous label array in which
+    every label points straight at its root: a root no other label points at."""
+    sizes = np.bincount(parent, minlength=len(parent))
+    return (sizes == 1).reshape(-1, m).sum(axis=1)

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import sampling
-from .graphs import connected_at, isolated_count_at
+from .graphs import connected_at
 from .scheme import SchemeParams, phase_size
 
 __all__ = [
@@ -139,19 +139,23 @@ def evaluate_deployments(
     """Generate `trials` tables for (n, k) and evaluate every gamma view.
 
     The workhorse behind sweeps and phased runs: per trial, one table,
-    all fractions checked on it, a whole block of tables per kernel call.
-    Returns (connected, isolated), bool and int64 arrays of shape
-    (len(gammas), trials); row i belongs to gammas[i].
+    all fractions checked on it, one connected_at call per view for a
+    whole block of tables.  (n, k) and trials are checked before anything
+    is allocated.  Returns (connected, isolated), bool and int64 arrays of
+    shape (len(gammas), trials); row i belongs to gammas[i].
     """
+    SchemeParams(n, k)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     ms = [phase_size(n, g) for g in gammas]
     connected = np.empty((len(ms), trials), dtype=bool)
     isolated = np.empty((len(ms), trials), dtype=np.int64)
     seed = _table_seed(base_seed, k)
     for start, count in _block_sizes(n, k, trials):
         block = sampling.sample_pairing_block(seed, start, count, n, k)
+        span = slice(start, start + count)
         for i, m in enumerate(ms):
-            connected[i, start : start + count] = connected_at(block, m)
-            isolated[i, start : start + count] = isolated_count_at(block, m)
+            connected[i, span], isolated[i, span] = connected_at(block, m)
         del block
     return connected, isolated
 

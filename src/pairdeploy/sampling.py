@@ -113,7 +113,7 @@ def sample_pairing_block(seed: int, first_trial: int, n_trials: int, n: int, k: 
     ascending, never i itself) in trial first_trial + t.  Bitwise
     reproducible for any block partitioning of the same trial range.  The
     array is stored selection-major, so each column [:, :, c] is contiguous
-    for the column-by-column graph kernels.
+    for the column-by-column graph kernel.
     """
     trials = np.arange(first_trial, first_trial + n_trials, dtype=np.uint64)
     keys = node_stream_keys(seed, trials, n)

@@ -15,7 +15,7 @@ MODULES = ("sampling", "scheme", "graphs", "theory", "montecarlo", "cli")
 
 TRACED = {
     "sampling": ("sample_pairing_block",),
-    "graphs": ("connected_at", "isolated_count_at"),
+    "graphs": ("connected_at",),
     "montecarlo": ("run_sweep", "run_phased_detail", "run_keyring_census"),
     "theory": (
         "isolation_threshold",

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from pairdeploy import cli
+from pairdeploy import cli, montecarlo
 from pairdeploy.cli import main, parse_gamma_list, parse_k_values
 
 SWEEP_HEADER = "kind,gamma,K,n,trials,successes,p_hat,ci_low,ci_high"
@@ -152,6 +152,26 @@ class TestPhased:
         )
         assert code == 2
         assert "strictly increasing" in err
+
+    @pytest.mark.parametrize(
+        "n,k,trials,message",
+        [
+            ("2000", "5000", "10", "need 1 <= k <= n-1, got k=5000 with n=2000"),
+            ("1", "1", "10", "need at least 2 nodes, got n=1"),
+            ("100", "3", "-3", "need trials >= 1, got -3"),
+        ],
+        ids=["k_above_n", "one_node", "negative_trials"],
+    )
+    def test_sizes_checked_before_sampling(self, capsys, monkeypatch, n, k, trials, message):
+        def no_sampling(*args):
+            raise AssertionError("tables drawn before (n, k) and trials were checked")
+
+        monkeypatch.setattr(montecarlo.sampling, "sample_pairing_block", no_sampling)
+        code, _, err = run_cli(
+            capsys, "phased", "--n", n, "--k", k, "--schedule", "0.5,1.0", "--trials", trials
+        )
+        assert code == 2
+        assert err == f"pairdeploy: {message}\n"
 
     def test_deterministic(self, capsys):
         argv = ("phased", "--n", "100", "--k", "4", "--schedule", "0.5,1.0", "--trials", "25")

@@ -1,11 +1,11 @@
-"""Key graph construction, deployment views, and the two block kernels.
+"""Key graph construction, deployment views, and the block kernel.
 
-The library answers connectivity only with connected_at and isolation only
-with isolated_count_at.  This module holds independent oracles that work
-on the edge list of build_graph instead: union-find, breadth-first search
-and an edge-mask isolated count.  They share no traversal code with the
-kernels or with each other, and a large randomized sweep checks that all
-of them agree.
+The library answers both deployment questions with one kernel,
+connected_at, which returns (connected, isolated) for each table of a
+block.  This module holds independent oracles that work on the edge list
+of build_graph instead: union-find, breadth-first search and an edge-mask
+isolated count.  They share no traversal code with the kernel or with each
+other, and a large randomized sweep checks that all of them agree.
 """
 
 import io
@@ -19,7 +19,6 @@ from pairdeploy import (
     build_graph,
     connected_at,
     generate_pairing,
-    isolated_count_at,
     phase_size,
     table_from_lists,
     write_edge_list,
@@ -101,9 +100,9 @@ def mask_isolated(graph, m):
 
 
 def kernels(table, m):
-    """connected_at and isolated_count_at on a one-table block."""
-    block = table.partners[None]
-    return bool(connected_at(block, m)[0]), int(isolated_count_at(block, m)[0])
+    """connected_at on a one-table block."""
+    connected, isolated = connected_at(table.partners[None], m)
+    return bool(connected[0]), int(isolated[0])
 
 
 def star_table():
@@ -225,14 +224,14 @@ class TestCountIsolated:
     def test_connected_implies_no_isolated(self):
         tables = [generate_pairing(SchemeParams(30, 2), seed=seed) for seed in range(40)]
         block = np.stack([t.partners for t in tables])
-        connected, isolated = connected_at(block, 15), isolated_count_at(block, 15)
+        connected, isolated = connected_at(block, 15)
         assert connected.any()  # the implication was actually exercised
         assert (isolated[connected] == 0).all()
 
 
 def test_union_find_and_bfs_agree_on_random_instances():
     """Over more than 10,000 (table, m) instances, n up to 200: the block
-    kernels, the union-find and BFS oracles and the edge-mask isolated
+    kernel, the union-find and BFS oracles and the edge-mask isolated
     count must agree exactly.  The views cover m = 1, 2 and n; K covers 1
     and n-1."""
     sizes = [(2, 1), (4, 1), (5, 4), (6, 1), (10, 2), (12, 11), (17, 3), (33, 2), (60, 4), (200, 3)]
@@ -241,7 +240,7 @@ def test_union_find_and_bfs_agree_on_random_instances():
     for n, k in sizes:
         block = sample_pairing_block(900 + n, 0, per_size, n, k)
         ms = sorted({1, 2, n} | {max(1, n * tenths // 10) for tenths in (3, 5, 8)})
-        answers = {m: (connected_at(block, m), isolated_count_at(block, m)) for m in ms}
+        answers = {m: connected_at(block, m) for m in ms}
         for conn, iso in answers.values():
             assert conn.dtype == bool and conn.shape == (per_size,)
             assert iso.dtype == np.int64 and iso.shape == (per_size,)
@@ -264,19 +263,52 @@ def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
     block = sample_pairing_block(seed, trial, 1, n, k)
     graph = build_graph(PairingTable(SchemeParams(n, k), block[0]))
     assert uf_connected(graph, m)
-    assert connected_at(block, m).tolist() == [True]
+    assert connected_at(block, m)[0].tolist() == [True]
 
 
 def test_block_kernels_on_hand_built_tables():
     pairs = table_from_lists(4, 1, [[2], [1], [4], [3]]).partners
     star = table_from_lists(4, 1, [[2], [1], [1], [1]]).partners
     block = np.stack([pairs, star])
-    assert connected_at(block, 4).tolist() == [False, True]
-    assert connected_at(block, 2).tolist() == [True, True]
-    assert connected_at(block, 1).tolist() == [True, True]
-    assert isolated_count_at(block, 4).tolist() == [0, 0]
-    assert isolated_count_at(block, 3).tolist() == [1, 0]
-    assert isolated_count_at(block, 1).tolist() == [1, 1]
+    assert connected_at(block, 4)[0].tolist() == [False, True]
+    assert connected_at(block, 2)[0].tolist() == [True, True]
+    assert connected_at(block, 1)[0].tolist() == [True, True]
+    assert connected_at(block, 4)[1].tolist() == [0, 0]
+    assert connected_at(block, 3)[1].tolist() == [1, 0]
+    assert connected_at(block, 1)[1].tolist() == [1, 1]
+
+
+def test_isolated_counted_at_every_retirement_point():
+    """A table leaves connected_at when it connects, when a column has no
+    deployed partner left, or when the columns run out; each of the last
+    two reports isolated nodes that only its own singleton count finds.
+    In one block the four tables also leave in a mixed order."""
+    m = 4
+    tables = {
+        # column 0 has no deployed partner: all four deployed nodes alone
+        "no_partner_first": [[5, 6], [5, 6], [5, 6], [5, 6], [1, 2], [1, 2]],
+        # column 0 joins 1 and 2, column 1 has no deployed partner: 3, 4 alone
+        "no_partner_later": [[2, 5], [1, 6], [5, 6], [5, 6], [1, 2], [1, 2]],
+        # column 0 joins all four deployed nodes
+        "connected": [[2, 3], [1, 4], [1, 4], [1, 2], [1, 2], [1, 2]],
+        # columns run out with 1, 2, 3 joined and 4 alone
+        "columns_run_out": [[2, 3], [1, 3], [1, 2], [5, 6], [1, 2], [1, 2]],
+    }
+    expected = {
+        "no_partner_first": (False, 4),
+        "no_partner_later": (False, 2),
+        "connected": (True, 0),
+        "columns_run_out": (False, 1),
+    }
+    built = {name: table_from_lists(6, 2, rows) for name, rows in tables.items()}
+    for name, table in built.items():
+        assert kernels(table, m) == expected[name], name
+        assert mask_isolated(build_graph(table), m) == expected[name][1], name
+    block = np.stack([table.partners for table in built.values()])
+    connected, isolated = connected_at(block, m)
+    assert list(zip(connected.tolist(), isolated.tolist())) == list(expected.values())
+    connected, isolated = connected_at(block, 1)
+    assert connected.tolist() == [True] * 4 and isolated.tolist() == [1] * 4
 
 
 def test_block_kernels_ignore_block_partitioning(monkeypatch):
@@ -288,13 +320,13 @@ def test_block_kernels_ignore_block_partitioning(monkeypatch):
     parts = montecarlo._block_sizes(n, k, trials)
     assert len(parts) == 7 and sum(count for _, count in parts) == trials
     for m in (1, 2, 20, 31, n):
-        conn, iso = connected_at(whole, m), isolated_count_at(whole, m)
+        conn, iso = connected_at(whole, m)
         blocks = [sample_pairing_block(seed, start, count, n, k) for start, count in parts]
-        assert np.array_equal(np.concatenate([connected_at(b, m) for b in blocks]), conn)
-        assert np.array_equal(np.concatenate([isolated_count_at(b, m) for b in blocks]), iso)
+        assert np.array_equal(np.concatenate([connected_at(b, m)[0] for b in blocks]), conn)
+        assert np.array_equal(np.concatenate([connected_at(b, m)[1] for b in blocks]), iso)
         for t in range(trials):
-            assert connected_at(whole[t : t + 1], m).tolist() == [conn[t]]
-            assert isolated_count_at(whole[t : t + 1], m).tolist() == [iso[t]]
+            assert connected_at(whole[t : t + 1], m)[0].tolist() == [conn[t]]
+            assert connected_at(whole[t : t + 1], m)[1].tolist() == [iso[t]]
 
 
 def test_edge_list_export_format():

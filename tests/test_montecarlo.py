@@ -27,7 +27,7 @@ from pairdeploy import (
     wilson_interval,
 )
 from pairdeploy import montecarlo, sampling
-from pairdeploy.graphs import connected_at, isolated_count_at
+from pairdeploy.graphs import connected_at
 from pairdeploy.montecarlo import (
     CENSUS_TRIALS_DEFAULT,
     SWEEP_TRIALS_DEFAULT,
@@ -170,8 +170,8 @@ class TestExhaustiveOracle:
         tables = list(all_tables_n4())
         block = np.stack(tables)
         for m in (1, 2, 3, 4):
-            assert connected_at(block, m).tolist() == [dfs_connected(p, m) for p in tables]
-            assert isolated_count_at(block, m).tolist() == [dfs_isolated(p, m) for p in tables]
+            assert connected_at(block, m)[0].tolist() == [dfs_connected(p, m) for p in tables]
+            assert connected_at(block, m)[1].tolist() == [dfs_isolated(p, m) for p in tables]
 
     def test_monte_carlo_within_three_standard_errors(self):
         trials = 100_000
