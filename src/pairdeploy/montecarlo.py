@@ -42,10 +42,11 @@ __all__ = [
 SWEEP_TRIALS_DEFAULT = 200
 CENSUS_TRIALS_DEFAULT = 1000
 
-# generated tables per block are capped around this many int64 entries.
-# Loops over blocks drop each block before drawing the next: holding two
-# ~32 MB blocks at once left freed holes in the malloc heap, and peak RSS
-# then swung by ~25 MB from one process to the next.
+# generated tables per block are capped around this many entries of the
+# sampler's type (int16 at n=1000, so a block there is about 8 MB).  Loops
+# over blocks drop each block before drawing the next: holding two blocks at
+# once left freed holes in the malloc heap, and peak RSS then swung by
+# ~25 MB from one process to the next.
 _BLOCK_BUDGET = 4_000_000
 
 
@@ -124,10 +125,6 @@ class ExperimentPlan:
         object.__setattr__(self, "gammas", sched.gammas)
 
 
-def _table_seed(base_seed: int, k: int) -> int:
-    return sampling.fold(base_seed, k)
-
-
 def _block_sizes(n: int, k: int, trials: int) -> list[tuple[int, int]]:
     per = max(1, _BLOCK_BUDGET // (n * k))
     return [(start, min(per, trials - start)) for start in range(0, trials, per)]
@@ -150,7 +147,7 @@ def evaluate_deployments(
     ms = [phase_size(n, g) for g in gammas]
     connected = np.empty((len(ms), trials), dtype=bool)
     isolated = np.empty((len(ms), trials), dtype=np.int64)
-    seed = _table_seed(base_seed, k)
+    seed = sampling.fold(base_seed, k)
     for start, count in _block_sizes(n, k, trials):
         block = sampling.sample_pairing_block(seed, start, count, n, k)
         span = slice(start, start + count)
@@ -227,21 +224,15 @@ def run_keyring_census(
     SchemeParams(n, k)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    seed = _table_seed(base_seed, k)
-    hist = np.zeros(1, dtype=np.int64)
-    max_hist = np.zeros(1, dtype=np.int64)
+    seed = sampling.fold(base_seed, k)
+    # a ring holds k..k+n-1 keys
+    hist = np.zeros(n + k, dtype=np.int64)
+    max_hist = np.zeros(n + k, dtype=np.int64)
     for start, count in _block_sizes(n, k, trials):
         block = sampling.sample_pairing_block(seed, start, count, n, k)
-        for t in range(count):
-            sizes = k + np.bincount(block[t].ravel(), minlength=n)
-            top = int(sizes.max())
-            counts = np.bincount(sizes)
-            if len(counts) > len(hist):
-                hist = np.pad(hist, (0, len(counts) - len(hist)))
-            hist[: len(counts)] += counts
-            if top >= len(max_hist):
-                max_hist = np.pad(max_hist, (0, top + 1 - len(max_hist)))
-            max_hist[top] += 1
+        sizes = k + np.array([np.bincount(table.ravel(), minlength=n) for table in block])
+        hist += np.bincount(sizes.ravel(), minlength=n + k)
+        max_hist += np.bincount(sizes.max(axis=1), minlength=n + k)
         del block
     total = trials * n
     sizes_axis = np.arange(len(hist))

@@ -21,6 +21,9 @@ O(K) state per node, never rejects, and (unlike swap-tracking approaches)
 vectorizes across nodes.  The bounded draw reduces a 64-bit word modulo
 (j+1); the resulting bias is at most (j+1)/2^64 < 2^-44 in total variation
 for any supported table size, far below statistical detectability.
+
+Pairing blocks keep the narrowest signed integer type that holds every node
+id (int8, int16 or int32, by n); PairingTable widens one table to int64.
 """
 
 from __future__ import annotations
@@ -112,6 +115,8 @@ def sample_pairing_block(seed: int, first_trial: int, n_trials: int, n: int, k: 
     Entry [t, i, :] is node i's k chosen partners (0-based ids, sorted
     ascending, never i itself) in trial first_trial + t.  Bitwise
     reproducible for any block partitioning of the same trial range.  The
+    dtype is floyd_sample's: the narrowest signed integer type that holds
+    n-1 (int8 up to n=128, int16 up to 32768, int32 up to 2^31).  The
     array is stored selection-major, so each column [:, :, c] is contiguous
     for the column-by-column graph kernel.
     """
@@ -121,4 +126,4 @@ def sample_pairing_block(seed: int, first_trial: int, n_trials: int, n: int, k: 
     # candidate c of node i names id c if c < i else c+1 (self skipped)
     cand += cand >= np.arange(n, dtype=cand.dtype)[:, None]
     cand.sort(axis=-1)
-    return cand.astype(np.int64)
+    return cand

@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from pairdeploy import theory
@@ -23,6 +24,7 @@ def digest(data: bytes) -> str:
 
 
 # (seed, first_trial, n_trials, n, k) -> sha256 of the C-order int64 bytes
+# (blocks come in the sampler's narrow type; int64 pins their values)
 BLOCK_DIGESTS = {
     (0, 0, 4, 10, 1): "c656211631704bffc9c70ba4d375a2fa65bb71c537b4cfbbeb1b053d713ed2d7",
     (7, 0, 3, 10, 9): "14c10835355d55beb4706282ccd46aa564dc83ca3587d334076e1a6f8bc5a4fe",
@@ -39,13 +41,13 @@ BLOCK_DIGESTS = {
 def test_pairing_block_digest(spec):
     block = sample_pairing_block(*spec)
     assert block.shape == spec[2:]
-    assert digest(block.tobytes()) == BLOCK_DIGESTS[spec]
+    assert digest(block.astype(np.int64).tobytes()) == BLOCK_DIGESTS[spec]
 
 
 def test_two_block_partition_digest():
     """Trials 0..9 drawn as 0..3 plus 4..9 hash like the single block."""
     parts = [sample_pairing_block(31337, 0, 4, 40, 3), sample_pairing_block(31337, 4, 6, 40, 3)]
-    joined = b"".join(p.tobytes() for p in parts)
+    joined = b"".join(p.astype(np.int64).tobytes() for p in parts)
     assert digest(joined) == BLOCK_DIGESTS[(31337, 0, 10, 40, 3)]
 
 

@@ -329,6 +329,19 @@ def test_block_kernels_ignore_block_partitioning(monkeypatch):
             assert connected_at(whole[t : t + 1], m)[1].tolist() == [iso[t]]
 
 
+@pytest.mark.parametrize("n", [10, 128, 129, 32768, 32769])
+def test_narrow_blocks_answer_like_int64_blocks(n):
+    """The kernel answers the sampler's narrow block as it answers its int64
+    copy, also where m (128, 32768) lies beyond the narrow type's range."""
+    for k in (1, 2, 3):
+        block = sample_pairing_block(500 + n, 0, 3, n, k)
+        wide = block.astype(np.int64)
+        for m in (1, 2, n // 2, n - 1, n):
+            for narrow_out, wide_out in zip(connected_at(block, m), connected_at(wide, m)):
+                assert narrow_out.dtype == wide_out.dtype
+                assert np.array_equal(narrow_out, wide_out), (k, m)
+
+
 def test_edge_list_export_format():
     buf = io.StringIO()
     write_edge_list(build_graph(star_table()), buf)

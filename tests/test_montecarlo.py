@@ -352,6 +352,24 @@ def test_census_min_size_at_least_k():
     assert min(census.histogram) >= 4
 
 
+def test_census_block_partition_does_not_change_census(monkeypatch):
+    """A census binned over several blocks equals the one-block census."""
+    whole = run_keyring_census(40, 3, trials=25, base_seed=7)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 4 * 40 * 3)
+    assert len(montecarlo._block_sizes(40, 3, 25)) == 7
+    assert run_keyring_census(40, 3, trials=25, base_seed=7) == whole
+
+
+def test_census_two_node_rings_fill_the_last_bin():
+    """n=2, k=1: both nodes select each other, so every ring holds
+    k + n - 1 = 2 keys, the last size a ring can have."""
+    trials = 9
+    census = run_keyring_census(2, 1, trials=trials, base_seed=3)
+    assert census.histogram == {2: 2 * trials}
+    assert census.max_histogram == {2: trials}
+    assert census.largest == 2 and census.mean_size == 2.0
+
+
 def test_census_rerun_identical():
     a = run_keyring_census(60, 3, trials=25, base_seed=11)
     b = run_keyring_census(60, 3, trials=25, base_seed=11)

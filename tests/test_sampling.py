@@ -102,10 +102,15 @@ def test_floyd_sample_uniform_over_all_subsets():
 
 
 class TestPairingBlock:
-    def test_shape_and_dtype(self):
-        block = sample_pairing_block(5, 0, 8, 30, 3)
-        assert block.shape == (8, 30, 3)
-        assert block.dtype == np.int64
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [(10, "int8"), (128, "int8"), (129, "int16"), (32768, "int16"), (32769, "int32")],
+    )
+    def test_shape_and_dtype(self, n, dtype):
+        """Blocks come in the narrowest signed type that holds node id n-1."""
+        block = sample_pairing_block(5, 0, 2, n, 3)
+        assert block.shape == (2, n, 3)
+        assert block.dtype == np.dtype(dtype)
 
     def test_rows_sorted_distinct_and_never_self(self):
         block = sample_pairing_block(5, 0, 20, 25, 4)
