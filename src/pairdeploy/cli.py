@@ -12,7 +12,9 @@ only when the run succeeds, so a failed run leaves an existing file as it
 was.
 Every run is deterministic: the default seed is the fixed constant 1729,
 never overridable by environment, only by --seed.  K ranges use the
-inclusive grammar "a..b"; lists are comma-separated.
+inclusive grammar "a..b"; lists are comma-separated.  A theory flag of
+one argument takes a comma list, one query per value (--r-gamma 0.2,0.5);
+a flag of more takes a comma tuple and repeats, one query per use.
 
 Exit codes: 0 success, 1 runtime/output failure, 2 usage error.  Past
 argument parsing, a failure prints one "pairdeploy: ..." line to stderr,
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import IO, Sequence
@@ -34,6 +37,7 @@ from .scheme import SchemeParams
 DEFAULT_SEED = 1729
 
 _ESTIMATE_FIELDS = ["trials", "successes", "p_hat", "ci_low", "ci_high"]
+_THEORY_FIELDS = ["quantity", "arg1", "arg2", "arg3", "arg4", "value"]
 
 # what each command produces: CSV rows, an optional CSV trailer line, the JSON document
 _Output = tuple[list[dict], str | None, dict]
@@ -74,11 +78,45 @@ def parse_gamma_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _parse_args_list(text: str, types: Sequence[type], flag: str) -> tuple:
-    toks = text.split(",")
-    if len(toks) != len(types):
-        raise ValueError(f"{flag} expects {len(types)} comma-separated values, got {text!r}")
-    return tuple(t(tok) for t, tok in zip(types, toks))
+def _finite(tok: str) -> float:
+    x = float(tok)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {tok!r}")
+    return x
+
+
+# argument kinds of the theory queries: (parse a token, show the parsed value in a row);
+# ints go into rows as numbers, reals as text
+_INT = (int, int)
+_GAMMA = (_finite, _gamma_str)
+_REAL = (_finite, _num)
+
+# theory flag -> (quantity, evaluation, argument kinds, help text or, for a tuple flag,
+# metavar).  A flag with no argument kinds is a switch.  Evaluations look their function
+# up on `theory` as they run, so a wrapper installed there (perfbench's tracer) sees them.
+_THEORY_QUERIES = {
+    "--r-gamma": ("r_gamma", lambda g: theory.isolation_threshold(g),
+                  [_GAMMA], "isolation thresholds for these fractions"),
+    "--lambda-star": ("lambda_star", lambda: theory.maxring_critical_scale(),
+                      [], "critical max-ring scale"),
+    "--c-of-lambda": ("c_of_lambda", lambda lam: theory.upper_tail_root(lam),
+                      [_REAL], "deviation roots c for these scales"),
+    "--h-exponent": ("h_exponent", lambda lam, c: theory.tail_exponents(lam, c).h,
+                     [_REAL, _REAL], "LAM,C"),
+    "--isolation": ("isolation_prob", lambda *a: theory.isolation_prob_exact(*a),
+                    [_INT, _INT, _GAMMA], "N,K,GAMMA"),
+    "--expected-isolated": ("expected_isolated", lambda *a: theory.expected_isolated(*a),
+                            [_INT, _INT, _GAMMA], "N,K,GAMMA"),
+    "--isolation-event": ("isolation_event", lambda *a: theory.isolation_event_prob(*a),
+                          [_INT, _INT, _GAMMA, _INT], "N,K,GAMMA,R"),
+    "--union-bound": ("union_bound", lambda *a: theory.connectivity_union_bound(*a),
+                      [_INT, _INT, _GAMMA], "N,K,GAMMA"),
+    "--connectivity-bound": ("connectivity_lower_bound",
+                             lambda n: theory.connectivity_lower_bound_full(n),
+                             [_INT], "full-deployment bounds for these n"),
+    "--maxring-bound": ("maxring_bound", lambda *a: theory.maxring_tail_bound(*a),
+                        [_INT, _INT, _REAL], "N,K,T"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,16 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p_census)
 
     p_theory = sub.add_parser("theory", help="closed-form calculators")
-    p_theory.add_argument("--r-gamma", help="isolation thresholds for these fractions")
-    p_theory.add_argument("--lambda-star", action="store_true", help="critical max-ring scale")
-    p_theory.add_argument("--c-of-lambda", help="deviation roots c for these scales")
-    p_theory.add_argument("--h-exponent", action="append", default=[], metavar="LAM,C")
-    p_theory.add_argument("--isolation", action="append", default=[], metavar="N,K,GAMMA")
-    p_theory.add_argument("--expected-isolated", action="append", default=[], metavar="N,K,GAMMA")
-    p_theory.add_argument("--isolation-event", action="append", default=[], metavar="N,K,GAMMA,R")
-    p_theory.add_argument("--union-bound", action="append", default=[], metavar="N,K,GAMMA")
-    p_theory.add_argument("--connectivity-bound", help="full-deployment bounds for these n")
-    p_theory.add_argument("--maxring-bound", action="append", default=[], metavar="N,K,T")
+    for flag, (_, _, kinds, text) in _THEORY_QUERIES.items():
+        if not kinds:
+            p_theory.add_argument(flag, action="store_true", help=text)
+        elif len(kinds) == 1:
+            p_theory.add_argument(flag, help=text)
+        else:
+            p_theory.add_argument(flag, action="append", default=[], metavar=text)
     add_io(p_theory)
 
     return parser
@@ -202,63 +237,23 @@ def _census(args: argparse.Namespace) -> _Output:
 
 
 def _theory(args: argparse.Namespace) -> _Output:
-    def row(quantity: str, a1="", a2="", a3="", a4="", value: float = 0.0) -> dict:
-        return {
-            "quantity": quantity,
-            "arg1": a1,
-            "arg2": a2,
-            "arg3": a3,
-            "arg4": a4,
-            "value": _num(value),
-        }
-
     rows: list[dict] = []
-    if args.r_gamma:
-        for g in parse_gamma_list(args.r_gamma):
-            rows.append(row("r_gamma", _gamma_str(g), value=theory.isolation_threshold(g)))
-    if args.lambda_star:
-        rows.append(row("lambda_star", value=theory.maxring_critical_scale()))
-    if args.c_of_lambda:
-        for lam in (float(t) for t in args.c_of_lambda.split(",")):
-            rows.append(row("c_of_lambda", _num(lam), value=theory.upper_tail_root(lam)))
-    for spec in args.h_exponent:
-        lam, c = _parse_args_list(spec, [float, float], "--h-exponent")
-        rows.append(row("h_exponent", _num(lam), _num(c), value=theory.tail_exponents(lam, c).h))
-    for spec in args.isolation:
-        n, k, g = _parse_args_list(spec, [int, int, float], "--isolation")
-        rows.append(
-            row("isolation_prob", n, k, _gamma_str(g), value=theory.isolation_prob_exact(n, k, g))
-        )
-    for spec in args.expected_isolated:
-        n, k, g = _parse_args_list(spec, [int, int, float], "--expected-isolated")
-        rows.append(
-            row("expected_isolated", n, k, _gamma_str(g), value=theory.expected_isolated(n, k, g))
-        )
-    for spec in args.isolation_event:
-        n, k, g, r = _parse_args_list(spec, [int, int, float, int], "--isolation-event")
-        rows.append(
-            row(
-                "isolation_event",
-                n,
-                k,
-                _gamma_str(g),
-                r,
-                value=theory.isolation_event_prob(n, k, g, r),
-            )
-        )
-    for spec in args.union_bound:
-        n, k, g = _parse_args_list(spec, [int, int, float], "--union-bound")
-        rows.append(
-            row("union_bound", n, k, _gamma_str(g), value=theory.connectivity_union_bound(n, k, g))
-        )
-    if args.connectivity_bound:
-        for n in (int(t) for t in args.connectivity_bound.split(",")):
-            rows.append(
-                row("connectivity_lower_bound", n, value=theory.connectivity_lower_bound_full(n))
-            )
-    for spec in args.maxring_bound:
-        n, k, t = _parse_args_list(spec, [int, int, float], "--maxring-bound")
-        rows.append(row("maxring_bound", n, k, _num(t), value=theory.maxring_tail_bound(n, k, t)))
+    for flag, (quantity, evaluate, kinds, _) in _THEORY_QUERIES.items():
+        given = getattr(args, flag[2:].replace("-", "_"))
+        if not given:
+            continue
+        # a tuple flag asks one query per use, a list flag one per value, a switch one
+        specs = given if len(kinds) > 1 else given.split(",") if kinds else [""]
+        for spec in specs:
+            toks = spec.split(",") if kinds else []
+            if len(toks) != len(kinds):
+                raise ValueError(
+                    f"{flag} expects {len(kinds)} comma-separated values, got {spec!r}"
+                )
+            values = [parse(tok) for (parse, _), tok in zip(kinds, toks)]
+            shown = [show(x) for (_, show), x in zip(kinds, values)]
+            cells = [quantity, *shown, *[""] * (4 - len(shown)), _num(evaluate(*values))]
+            rows.append(dict(zip(_THEORY_FIELDS, cells)))
     if not rows:
         raise ValueError("theory: no quantities requested (see pairdeploy theory --help)")
     return rows, None, {"command": "theory", "rows": rows}
@@ -269,7 +264,7 @@ _COMMANDS = {
     "sweep": (["kind", "gamma", "K", "n", *_ESTIMATE_FIELDS], _sweep),
     "phased": (["n", "K", "schedule", *_ESTIMATE_FIELDS], _phased),
     "census": (["size", "count", "is_max_histogram"], _census),
-    "theory": (["quantity", "arg1", "arg2", "arg3", "arg4", "value"], _theory),
+    "theory": (_THEORY_FIELDS, _theory),
 }
 
 

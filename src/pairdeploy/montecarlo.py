@@ -49,17 +49,19 @@ CENSUS_TRIALS_DEFAULT = 1000
 # ~25 MB from one process to the next.
 _BLOCK_BUDGET = 4_000_000
 
+_Z95 = 1.96  # two-sided 95% normal quantile of the Wilson intervals
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    denom = 1.0 + _Z95 * _Z95 / trials
+    center = (p + _Z95 * _Z95 / (2 * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials + _Z95 * _Z95 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 

@@ -270,6 +270,60 @@ class TestTheory:
         assert code == 2
         assert "gamma" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--maxring-bound", "1000,21,nan"],
+            ["--h-exponent", "inf,2"],
+            ["--c-of-lambda", "inf"],
+            ["--c-of-lambda=-inf"],
+            ["--isolation", "1000,5,inf"],
+            ["--union-bound", "1000,5,nan"],
+            ["--r-gamma", "0.5,nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_real_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "theory", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("pairdeploy: ") and "finite" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag,spec,message",
+        [
+            ("--isolation", "1000,5", "--isolation expects 3 comma-separated values, got '1000,5'"),
+            (
+                "--isolation-event", "1000,5,0.5",
+                "--isolation-event expects 4 comma-separated values, got '1000,5,0.5'",
+            ),
+            ("--h-exponent", "3,2.9,1", "--h-exponent expects 2 comma-separated values, got '3,2.9,1'"),
+        ],
+        ids=["three", "four", "two"],
+    )
+    def test_wrong_arity_is_usage_error(self, capsys, flag, spec, message):
+        code, out, err = run_cli(capsys, "theory", flag, spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"pairdeploy: {message}\n"
+
+    def test_list_flag_keeps_its_last_use(self, capsys):
+        code, out, _ = run_cli(capsys, "theory", "--r-gamma", "0.2", "--r-gamma", "0.5,0.9")
+        assert code == 0
+        assert [(r["quantity"], r["arg1"]) for r in parse_rows(out)] == [
+            ("r_gamma", "0.5"), ("r_gamma", "0.9"),
+        ]
+
+    def test_tuple_flag_repeats_in_order(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "theory", "--isolation", "1000,5,0.5", "--isolation", "100,3,0.2"
+        )
+        assert code == 0
+        assert [(r["quantity"], r["arg1"], r["arg2"], r["arg3"]) for r in parse_rows(out)] == [
+            ("isolation_prob", "1000", "5", "0.5"), ("isolation_prob", "100", "3", "0.2"),
+        ]
+
     def test_unexpected_error_is_one_line_exit_1(self, capsys):
         # 1e400 nodes: converting n*n to a float raises OverflowError
         code, out, err = run_cli(capsys, "theory", "--connectivity-bound", "1" + "0" * 400)

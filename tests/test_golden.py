@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pairdeploy import theory
-from pairdeploy.cli import main
+from pairdeploy.cli import _THEORY_QUERIES, main
 from pairdeploy.sampling import sample_pairing_block
 
 
@@ -88,6 +88,12 @@ CLI_DIGESTS = {
     ("theory", "csv"): "bb3f16b4ad9b017098a8682734c35c3b69582822ab70a0c0767d180850657b84",
     ("theory", "json"): "e170d3161853887c94001d834866b9a61295cf27577424a987097191ea5fb4b4",
 }
+
+
+def test_every_theory_flag_is_pinned():
+    """A theory query cannot ship without a pinned digest of its output."""
+    used = {tok for command in CLI_COMMANDS.values() for tok in command.split()}
+    assert sorted(set(_THEORY_QUERIES) - used) == []
 
 
 @pytest.mark.parametrize("case", sorted(CLI_DIGESTS), ids="-".join)
