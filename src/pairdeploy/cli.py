@@ -237,7 +237,9 @@ def _census(args: argparse.Namespace) -> _Output:
 
 
 def _theory(args: argparse.Namespace) -> _Output:
-    rows: list[dict] = []
+    # every query is parsed before any is evaluated, so a malformed flag fails
+    # at once, however costly the queries before it
+    queries = []
     for flag, (quantity, evaluate, kinds, _) in _THEORY_QUERIES.items():
         given = getattr(args, flag[2:].replace("-", "_"))
         if not given:
@@ -250,12 +252,18 @@ def _theory(args: argparse.Namespace) -> _Output:
                 raise ValueError(
                     f"{flag} expects {len(kinds)} comma-separated values, got {spec!r}"
                 )
-            values = [parse(tok) for (parse, _), tok in zip(kinds, toks)]
+            try:
+                values = [parse(tok) for (parse, _), tok in zip(kinds, toks)]
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
             shown = [show(x) for (_, show), x in zip(kinds, values)]
-            cells = [quantity, *shown, *[""] * (4 - len(shown)), _num(evaluate(*values))]
-            rows.append(dict(zip(_THEORY_FIELDS, cells)))
-    if not rows:
+            queries.append((evaluate, values, [quantity, *shown, *[""] * (4 - len(shown))]))
+    if not queries:
         raise ValueError("theory: no quantities requested (see pairdeploy theory --help)")
+    rows = [
+        dict(zip(_THEORY_FIELDS, [*cells, _num(evaluate(*values))]))
+        for evaluate, values, cells in queries
+    ]
     return rows, None, {"command": "theory", "rows": rows}
 
 

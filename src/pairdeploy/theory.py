@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 
+# -log of a term too small to move a running sum >= 1: below e^-37.5, the
+# term stays below 2^-53 (e^-36.7), half an ulp of 1, after its own rounding
+_NEGLIGIBLE = 37.5
+
+
 @dataclass(frozen=True)
 class TailExponents:
     """Upper/lower tail coefficients a, b and the decay exponent h = -max(a, b)."""
@@ -160,20 +165,66 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
         sum_{r=1..floor(gamma*n/2)} C(m, r) * isolation_event_prob(n,k,gamma,r)
 
     summed in log space.  A valid upper bound whenever 2(k+1) < n,
-    k+1 <= n - m and gamma*n > 2; may exceed 1 (vacuous but returned).
+    k+1 <= n - m and gamma*n > 2; may exceed 1 (vacuous but returned), and
+    past the double range it is returned as math.inf.
+
+    Only the terms that can change the returned double are evaluated.  With
+    t_r the computed log of term r and top the largest t_r, the value is
+    exp(top) * S, where S adds exp(t_r - top) left to right in order of r.
+    Once exp(top - top) = 1 is in, S >= 1, and adding a term below 2^-53,
+    half an ulp of 1, leaves S unchanged.  For every s <= m//2 the exact log
+    term satisfies log T_s <= s * B(s), where
+
+        B(R) = 1 + ln(m/R) + g - k*(m - m//2)/(n-1),
+        g    = log C(n-m+m//2-1, k)/C(n-1, k) <= 0,
+
+    because C(m,s) <= (e*m/s)^s; the group factor C(n-m+s-1,k)/C(n-1,k) is
+    at most exp(g), C(x,k) growing with x; and the rest factor
+    C(n-s-1,k)/C(n-1,k) <= (1 - s/(n-1))^k <= exp(-k*s/(n-1)), raised to
+    m - s >= m - m//2.  B falls as R grows, so once B(R) < 0 every s >= R has
+    log T_s <= s*B(R) <= R*B(R), and the terms s >= R total at most
+    exp(R*B(R)) / (1 - exp(B(R))).  The loop stops before term R when the log
+    of that total is below top - 37.5 - margin.  Every later t_s is then
+    below top - 37.5, so top is final, and exp(t_s - top), rounded, is below
+    e^-37 < 2^-53: S, and the value, are those of the full sum bit for bit.
+
+    margin = 2^-44 * (lgamma(m+1) + k*m*n) bounds the rounding error of t_s
+    and of the stop test, 512 units of 2^-53 against about 32 needed: each
+    is a few operations of at most 8 ulps (lgamma, log, log1p) on values at
+    most lgamma(m+1) in size, plus the sums of k log1p terms, scaled by
+    r <= m/2 or m - r <= m; an argument of log1p carries relative error
+    2^-53, which moves its value by at most n/2 units of 2^-53, since
+    1 + z >= 2/n there.  Where no R qualifies, near the vacuous regime
+    (k*gamma small), every term is summed.
     """
     m = _group_phase_size(n, k, gamma)
     if not k + 1 <= n - m:
         raise ValueError(f"need k+1 <= n - floor(gamma*n), got k={k}, n={n}, m={m}")
     # k+1 <= n-m keeps every binomial positive, and gamma*n > 2 gives m >= 2,
     # so each of the m//2 >= 1 terms is finite
+    half = m // 2
+    slope = 1 + _log_binom_ratio(n - m + half - 1, n - 1, k) - k * (m - half) / (n - 1)
+    margin = 2.0**-44 * (math.lgamma(m + 1) + k * m * n)
     log_terms = []
-    for r in range(1, m // 2 + 1):
+    top = -math.inf
+    for r in range(1, half + 1):
+        b = slope + math.log(m / r)
+        if b < 0 and r * b - math.log(-math.expm1(b)) < top - _NEGLIGIBLE - margin:
+            break
         grp, rest = _group_log_terms(n, k, m, r)
         choose = math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
         log_terms.append(choose + r * grp + (m - r) * rest)
-    top = max(log_terms)
-    return math.exp(top) * sum(math.exp(t - top) for t in log_terms)
+        top = max(top, log_terms[-1])
+    # Plain left-to-right addition, which the stop above is proven against:
+    # from Python 3.12 the builtin sum() of floats is compensated, and its
+    # result would depend on the interpreter.
+    total = 0.0
+    for t in log_terms:
+        total += math.exp(t - top)
+    try:
+        return math.exp(top) * total
+    except OverflowError:
+        return math.inf
 
 
 def connectivity_lower_bound_full(n: int) -> float:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from pairdeploy import cli, montecarlo
+from pairdeploy import cli, montecarlo, theory
 from pairdeploy.cli import main, parse_gamma_list, parse_k_values
 
 SWEEP_HEADER = "kind,gamma,K,n,trials,successes,p_hat,ci_low,ci_high"
@@ -307,6 +307,35 @@ class TestTheory:
         assert code == 2
         assert out == ""
         assert err == f"pairdeploy: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag,spec,message",
+        [
+            ("--isolation", "1000,5.5,0.5", "--isolation: invalid literal for int() with base 10: '5.5'"),
+            ("--union-bound", "1000,5,nan", "--union-bound: expected a finite number, got 'nan'"),
+        ],
+        ids=["int", "real"],
+    )
+    def test_parse_error_names_its_flag(self, capsys, flag, spec, message):
+        code, out, err = run_cli(capsys, "theory", "--r-gamma", "0.5", flag, spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"pairdeploy: {message}\n"
+
+    @pytest.mark.parametrize("bad", [["--maxring-bound", "1,2"], ["--maxring-bound", "1000,x,5"]])
+    def test_queries_parsed_before_any_is_evaluated(self, capsys, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(theory, "connectivity_union_bound", lambda *a: calls.append(a))
+        code, out, _ = run_cli(capsys, "theory", "--union-bound", "1000000,30,0.5", *bad)
+        assert code == 2
+        assert out == ""
+        assert calls == []
+
+    def test_vacuous_union_bound_past_double_range_prints_inf(self, capsys):
+        code, out, err = run_cli(capsys, "theory", "--union-bound", "100000,2,0.5")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[1] == "union_bound,100000,2,0.5,,inf"
 
     def test_list_flag_keeps_its_last_use(self, capsys):
         code, out, _ = run_cli(capsys, "theory", "--r-gamma", "0.2", "--r-gamma", "0.5,0.9")

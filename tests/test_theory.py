@@ -3,9 +3,12 @@
 Every public formula is re-evaluated here with mpmath from its own
 definition (no shared code with the library) and must agree to 1e-10
 relative error.  A handful of externally worked values are frozen as
-literals on top of that.
+literals on top of that.  The union bound's early stop is checked bit for
+bit against its full sum over every term, computed with the library's own
+term arithmetic.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -339,6 +342,104 @@ def test_union_bound_vanishes_along_supercritical_scaling():
         vals.append(theory.connectivity_union_bound(n, k, 0.5))
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-8
+
+
+def full_sum_log_terms(n, k, m, rs=None):
+    log_terms = []
+    for r in rs or range(1, m // 2 + 1):
+        grp, rest = theory._group_log_terms(n, k, m, r)
+        choose = math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
+        log_terms.append(choose + r * grp + (m - r) * rest)
+    return log_terms
+
+
+@functools.cache
+def full_sum_union_bound(n, k, gamma):
+    """The union bound summed over every one of its m//2 terms, with the
+    library's own floating-point steps: the oracle for its early stop."""
+    log_terms = full_sum_log_terms(n, k, phase_size(n, gamma))
+    top = max(log_terms)
+    total = 0.0
+    for t in log_terms:
+        total += math.exp(t - top)
+    try:
+        return math.exp(top) * total
+    except OverflowError:
+        return math.inf
+
+
+def _union_bound_defined(n, k, g):
+    return 2 * (k + 1) < n and k + 1 <= n - phase_size(n, g)
+
+
+# few cases at n = 1e5 and 1e6: the full sum costs about 0.5 us per term and unit of K
+UNION_GRID = [
+    (n, k, g)
+    for ns, ks, gs in [
+        ((50, 300, 2000, 10000), (2, 5, 12, 25, 40), (0.1, 0.3, 0.5, 0.7, 0.9)),
+        ((100000,), (5, 30), (0.1, 0.5)),
+        ((1000000,), (30,), (0.1,)),
+    ]
+    for n in ns for k in ks for g in gs
+    if _union_bound_defined(n, k, g)
+]
+
+
+@pytest.mark.parametrize("n,k,g", UNION_GRID)
+def test_union_bound_early_stop_is_bit_exact(n, k, g):
+    assert theory.connectivity_union_bound(n, k, g) == full_sum_union_bound(n, k, g)
+
+
+def test_union_bound_early_stop_can_fail(monkeypatch):
+    """The grid can see an unsound stop: with the cutoff at top itself in
+    place of top - 37.5, terms that move the double are dropped."""
+    monkeypatch.setattr(theory, "_NEGLIGIBLE", 0.0)
+    small = [c for c in UNION_GRID if c[0] <= 2000]
+    assert any(theory.connectivity_union_bound(*c) != full_sum_union_bound(*c) for c in small)
+
+
+def evaluated_terms(monkeypatch, n, k, g):
+    """The r of every union-bound term connectivity_union_bound evaluates."""
+    calls = []
+    group_log_terms = theory._group_log_terms
+
+    def counted(*args):
+        calls.append(args[-1])
+        return group_log_terms(*args)
+
+    monkeypatch.setattr(theory, "_group_log_terms", counted)
+    theory.connectivity_union_bound(n, k, g)
+    return calls
+
+
+@pytest.mark.parametrize("n,k,g,most", [(100000, 30, 0.5, 500), (1000000, 30, 0.5, 2000)])
+def test_union_bound_evaluates_few_terms(monkeypatch, n, k, g, most):
+    calls = evaluated_terms(monkeypatch, n, k, g)
+    assert calls == list(range(1, len(calls) + 1))
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("n,k,g", [(30, 2, 0.5), (100000, 2, 0.5)])
+def test_union_bound_sums_every_term_where_no_stop_qualifies(monkeypatch, n, k, g):
+    assert evaluated_terms(monkeypatch, n, k, g) == list(range(1, phase_size(n, g) // 2 + 1))
+
+
+@pytest.mark.parametrize("n,k,g", [(10**6, 30, 0.5), (10**6, 200, 0.9), (10**5, 30, 0.2),
+                                   (10**6, 2, 0.999), (1000, 40, 0.9), (50, 2, 0.5)])
+def test_union_bound_margin_covers_term_rounding(n, k, g):
+    """The docstring's rounding budget, 32 units of 2^-53 (lgamma(m+1) + k*m*n)
+    out of a margin of 512, holds for the computed log terms."""
+    m = phase_size(n, g)
+    unit = 2.0**-53 * (math.lgamma(m + 1) + k * m * n)
+    rs = sorted({1, 2, 3, 10, m // 4, m // 2})
+    for r, t in zip(rs, full_sum_log_terms(n, k, m, rs)):
+        exact = mp.log(mp.binomial(m, r) * oracle_event(n, k, m, r))
+        assert abs(mpf(t) - exact) < 32 * unit
+
+
+@pytest.mark.parametrize("n,k,g", [(100000, 2, 0.5), (20000, 2, 0.1), (20000, 5, 0.1), (100000, 10, 0.1)])
+def test_union_bound_past_double_range_is_inf(n, k, g):
+    assert theory.connectivity_union_bound(n, k, g) == math.inf
 
 
 def test_union_bound_domain():
