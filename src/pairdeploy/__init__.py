@@ -17,7 +17,6 @@ from .graphs import (
     KeyGraph,
     build_graph,
     connected_at,
-    write_edge_list,
 )
 from .montecarlo import (
     DeploymentSchedule,
@@ -38,12 +37,9 @@ from .scheme import (
     derive_key_rings,
     generate_pairing,
     phase_size,
-    reverse_degree,
     reverse_degrees,
     ring_sizes,
-    table_from_json,
     table_from_lists,
-    table_to_json,
 )
 
 __version__ = "0.1.0"
@@ -55,16 +51,12 @@ __all__ = [
     "KeyRing",
     "generate_pairing",
     "derive_key_rings",
-    "reverse_degree",
     "reverse_degrees",
     "ring_sizes",
     "phase_size",
-    "table_to_json",
-    "table_from_json",
     "table_from_lists",
     "KeyGraph",
     "build_graph",
-    "write_edge_list",
     "connected_at",
     "theory",
     "ExperimentPlan",

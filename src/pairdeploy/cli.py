@@ -52,7 +52,9 @@ def _num(x: float) -> str:
 
 
 def _gamma_str(g: float) -> str:
-    return f"{g:g}"
+    # :g keeps six significant digits; a fraction that needs more prints in full
+    short = f"{g:g}"
+    return short if float(short) == g else repr(g)
 
 
 def parse_k_values(text: str, n: int) -> tuple[int, ...]:
@@ -295,17 +297,23 @@ def _run(args: argparse.Namespace, fp: IO[str]) -> None:
 
 
 def _run_to_file(args: argparse.Namespace) -> None:
-    """Run into a temporary file beside args.out, then rename it onto args.out."""
+    """Run into a temporary file beside args.out, then rename it onto args.out.
+    An error on the temporary file is reported against args.out."""
     folder, name = os.path.split(os.path.abspath(args.out))
     tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
-    fp = open(tmp, "x", newline="")
     try:
-        with fp:
-            _run(args, fp)
-        os.replace(tmp, args.out)
-    except BaseException:
-        os.remove(tmp)
-        raise
+        fp = open(tmp, "x", newline="")
+        try:
+            with fp:
+                _run(args, fp)
+            os.replace(tmp, args.out)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, args.out) from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,24 +1,24 @@
 """Key graphs induced by a pairing table, and the two deployment questions.
 
 Nodes i and j are adjacent iff either selected the other, so they share at
-least one pairwise key.  build_graph lists the edges of a table and
-write_edge_list exports them.
+least one pairwise key.  build_graph lists the edges of a table; the
+tests' independent oracles walk that list.
 
 The deployment questions are asked of the view at fraction gamma: the
 first m = floor(gamma*n) nodes (the nodes deployed so far) and the edges
 with both endpoints deployed.  One kernel answers both, for a whole
 (trials, n, k) block of partner arrays at once in numpy: connected_at hooks
 each selection column into a flat label array of all the block's tables
-(min-label hooking plus pointer jumping), retires a table as soon as it is
-connected or has no edges left, and counts the isolated nodes of a retired
-table as the singleton components of its final labels.  The tests check it
-against independent union-find, breadth-first search and edge-mask routes.
+(min-label hooking plus pointer jumping), retires a table once it is
+connected or can gain no more edges, and counts the isolated nodes of a
+retired table as the singleton components of its final labels.  The tests
+check it against independent union-find, breadth-first search and
+edge-mask routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .scheme import PairingTable
 __all__ = [
     "KeyGraph",
     "build_graph",
-    "write_edge_list",
     "connected_at",
 ]
 
@@ -43,10 +42,6 @@ class KeyGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_u)
-
-    def edges(self) -> set[tuple[int, int]]:
-        """Edge set as 1-based (i, j) tuples with i < j."""
-        return {(int(u) + 1, int(v) + 1) for u, v in zip(self.edge_u, self.edge_v)}
 
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self.edge_u, minlength=self.n)
@@ -73,12 +68,6 @@ def build_graph(table: PairingTable) -> KeyGraph:
     return KeyGraph(n, u, v)
 
 
-def write_edge_list(graph: KeyGraph, fp: IO[str]) -> None:
-    """Write one "i j" line per edge, 1-based, i < j, sorted by (i, j)."""
-    for u, v in zip(graph.edge_u, graph.edge_v):
-        fp.write(f"{int(u) + 1} {int(v) + 1}\n")
-
-
 # -- block kernel -------------------------------------------------------------
 #
 # The Monte Carlo harness evaluates thousands of tables; connected_at takes a
@@ -99,9 +88,11 @@ def connected_at(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     column it gains no edge later.  Each column is merged by rounds of
     min-label hooking and pointer jumping until no edge joins two roots,
     which leaves every label pointing straight at its root.  A table leaves
-    the open set as soon as it has one root (connected, so nothing is
-    isolated) or no edges left, or when the columns run out; its labels are
-    then final and its isolated nodes are its singleton components.
+    the open set at one point, after its column is hooked: when it has one
+    root (connected, so nothing is isolated), or when it is stuck, with no
+    deployed partner in the column or no column left.  No later column can
+    give a stuck table an edge, so its labels are final and its isolated
+    nodes are its singleton components.
     """
     trials = block.shape[0]
     if m == 1:
@@ -110,17 +101,10 @@ def connected_at(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     isolated = np.zeros(trials, dtype=np.int64)
     open_ = np.arange(trials)
     parent = np.arange(trials * m)
-    for c in range(block.shape[2]):
+    last = block.shape[2] - 1
+    for c in range(last + 1):
         col = block[open_, :m, c]
         live = col < m
-        alive = live.any(axis=1)
-        if not alive.all():
-            done, labels = _keep_open(~alive, open_, parent, m)
-            isolated[done] = _singletons(labels, m)
-            open_, parent = _keep_open(alive, open_, parent, m)
-            col, live = col[alive], live[alive]
-            if not len(open_):
-                break
         base = np.arange(0, len(parent), m)
         u = np.flatnonzero(live)
         v = (col + base[:, None]).ravel()[u]
@@ -142,12 +126,15 @@ def connected_at(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
             parent = parent[parent]
         # min-label hooking leaves each component rooted at its smallest label
         joined = parent.reshape(-1, m).max(axis=1) == base
-        if joined.any():
+        stuck = ~live.any(axis=1) if c < last else ~joined
+        done = joined | stuck
+        if done.any():
             connected[open_[joined]] = True
-            open_, parent = _keep_open(~joined, open_, parent, m)
+            left, labels = _keep_open(stuck, open_, parent, m)
+            isolated[left] = _singletons(labels, m)
+            open_, parent = _keep_open(~done, open_, parent, m)
             if not len(open_):
                 break
-    isolated[open_] = _singletons(parent, m)
     return connected, isolated
 
 

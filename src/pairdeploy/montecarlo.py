@@ -95,7 +95,7 @@ class DeploymentSchedule:
             if not 0 < g <= 1:
                 raise ValueError(f"deployment fractions must be in (0, 1], got {g}")
         if any(a >= b for a, b in zip(gs, gs[1:])):
-            raise ValueError(f"schedule must be strictly increasing, got {gs}")
+            raise ValueError(f"deployment fractions must be strictly increasing, got {gs}")
         object.__setattr__(self, "gammas", gs)
 
 
@@ -114,6 +114,8 @@ class ExperimentPlan:
         ks = tuple(int(k) for k in self.k_values)
         if not ks:
             raise ValueError("k_values must be nonempty")
+        if len(set(ks)) != len(ks):
+            raise ValueError(f"k_values must not repeat, got {ks}")
         for k in ks:
             SchemeParams(self.n, k)
         if self.trials < 1:

@@ -4,19 +4,19 @@ Each of n nodes is paired, before deployment, with k distinct other nodes
 chosen uniformly at random; selections of different nodes are mutually
 independent.  Every pairing (i -> j) installs one pairwise key, so node i
 finally holds one key per node it selected plus one per node that selected
-it: ring size = k + reverse_degree(i), and ring sizes over a table always
+it: ring size = k + reverse degree of i, and ring sizes over a table always
 sum to 2*n*k.
 
-Node ids are 1-based in every public surface (function arguments, key ids,
-JSON dumps, edge lists); storage is 0-based contiguous arrays.
+Node ids are 1-based where the package shows them (key rings, key ids and
+the selection lists of table_from_lists); storage is 0-based contiguous
+arrays.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -29,13 +29,10 @@ __all__ = [
     "PairingTable",
     "generate_pairing",
     "derive_key_rings",
-    "reverse_degree",
     "reverse_degrees",
     "ring_sizes",
     "gamma_n_exact",
     "phase_size",
-    "table_to_json",
-    "table_from_json",
     "table_from_lists",
 ]
 
@@ -84,14 +81,11 @@ class PairingTable:
     """Selections of every node: row i-1 holds node i's k partners.
 
     partners is an (n, k) int64 array, 0-based ids, each row sorted
-    ascending and never containing the row's own index.  seed/trial record
-    how the table was generated (None for hand-built tables).
+    ascending and never containing the row's own index.
     """
 
     params: SchemeParams
     partners: np.ndarray = field(repr=False)
-    seed: int | None = None
-    trial: int | None = None
 
     def __post_init__(self) -> None:
         p = np.asarray(self.partners, dtype=np.int64)
@@ -115,16 +109,6 @@ class PairingTable:
     def k(self) -> int:
         return self.params.k
 
-    def partners_of(self, node: int) -> tuple[int, ...]:
-        """1-based ids selected by `node` (1-based), ascending."""
-        _check_node(node, self.n)
-        return tuple(int(j) + 1 for j in self.partners[node - 1])
-
-
-def _check_node(node: int, n: int) -> None:
-    if not 1 <= node <= n:
-        raise ValueError(f"node id must be in 1..{n}, got {node}")
-
 
 def generate_pairing(params: SchemeParams, seed: int, trial: int = 0) -> PairingTable:
     """Draw a pairing table; uniform per node, independent across nodes.
@@ -133,18 +117,12 @@ def generate_pairing(params: SchemeParams, seed: int, trial: int = 0) -> Pairing
     sampling module for the stream layout.
     """
     block = sampling.sample_pairing_block(seed, trial, 1, params.n, params.k)
-    return PairingTable(params, block[0], seed=seed, trial=trial)
+    return PairingTable(params, block[0])
 
 
 def reverse_degrees(table: PairingTable) -> np.ndarray:
     """For every node, how many other nodes selected it (length-n array)."""
     return np.bincount(table.partners.ravel(), minlength=table.n)
-
-
-def reverse_degree(table: PairingTable, node: int) -> int:
-    """How many other nodes selected `node` (1-based)."""
-    _check_node(node, table.n)
-    return int(reverse_degrees(table)[node - 1])
 
 
 def ring_sizes(table: PairingTable) -> np.ndarray:
@@ -188,37 +166,6 @@ def phase_size(n: int, gamma: float) -> int:
     if m < 1:
         raise ValueError(f"floor(gamma*n) must be >= 1, got 0 for gamma={gamma}, n={n}")
     return m
-
-
-def table_to_json(table: PairingTable, fp: IO[str] | None = None) -> str | None:
-    """Dump a table as JSON: {"n":..., "k":..., "seed":..., "gamma":[[...],...]}.
-
-    gamma lists are 1-based selection lists in node order.  Writes to fp
-    when given, else returns the string.
-    """
-    doc = {
-        "n": table.n,
-        "k": table.k,
-        "seed": table.seed,
-        "gamma": (table.partners + 1).tolist(),
-    }
-    text = json.dumps(doc)
-    if fp is None:
-        return text
-    fp.write(text)
-    return None
-
-
-def table_from_json(source: str | IO[str]) -> PairingTable:
-    """Rebuild a PairingTable from table_to_json output (validates fully)."""
-    doc = json.loads(source if isinstance(source, str) else source.read())
-    params = SchemeParams(int(doc["n"]), int(doc["k"]))
-    rows = doc["gamma"]
-    if len(rows) != params.n:
-        raise ValueError(f"expected {params.n} selection lists, got {len(rows)}")
-    partners = np.asarray(rows, dtype=np.int64) - 1
-    seed = doc.get("seed")
-    return PairingTable(params, partners, seed=None if seed is None else int(seed))
 
 
 def table_from_lists(n: int, k: int, gamma_sets: Iterable[Iterable[int]]) -> PairingTable:

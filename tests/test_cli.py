@@ -110,6 +110,20 @@ class TestSweep:
         assert code == 2
         assert "increasing" in err
 
+    def test_repeated_k_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "20", "--k", "3,3", "--gamma", "0.5", "--trials", "5"
+        )
+        assert (code, out) == (2, "")
+        assert "must not repeat" in err
+
+    def test_repeated_gamma_names_fractions(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "20", "--k", "3", "--gamma", "0.5,0.5", "--trials", "5"
+        )
+        assert code == 2
+        assert "deployment fractions must be strictly increasing" in err
+
     def test_k_range_checked_before_it_is_built(self, capsys, monkeypatch):
         def no_range(*args):
             raise AssertionError("k range built before its ends were checked")
@@ -144,6 +158,16 @@ class TestPhased:
         joint = float(rows[0]["p_hat"])
         for row in rows[1:]:
             assert joint <= float(row["p_hat"])
+
+    def test_labels_keep_digits_that_six_would_drop(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "phased", "--n", "20", "--k", "3", "--schedule", "0.1234566,1.0", "--trials", "2"
+        )
+        assert [r["schedule"] for r in parse_rows(out)] == ["0.1234566,1", "0.1234566", "1"]
+        _, out, _ = run_cli(
+            capsys, "sweep", "--n", "20", "--k", "3", "--gamma", "0.1234566", "--trials", "2"
+        )
+        assert {r["gamma"] for r in parse_rows(out)} == {"0.1234566"}
 
     def test_non_increasing_schedule_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -337,6 +361,20 @@ class TestTheory:
         assert err == ""
         assert out.splitlines()[1] == "union_bound,100000,2,0.5,,inf"
 
+    def test_fraction_printed_in_full_when_six_digits_lose_it(self, capsys):
+        # phase sizes 123456 and 123457: two queries, so two distinct rows
+        code, out, _ = run_cli(
+            capsys, "theory",
+            "--isolation", "1000000,40,0.1234566", "--isolation", "1000000,40,0.1234574",
+            "--r-gamma", "0.5,0.25",
+        )
+        assert code == 0
+        rows = parse_rows(out)
+        # rows come in the flag table's order, --r-gamma first
+        assert [r["arg1"] for r in rows[:2]] == ["0.5", "0.25"]
+        assert [r["arg3"] for r in rows[2:]] == ["0.1234566", "0.1234574"]
+        assert [r["value"] for r in rows[2:]] == ["3.68332859e-05", "3.68301318e-05"]
+
     def test_list_flag_keeps_its_last_use(self, capsys):
         code, out, _ = run_cli(capsys, "theory", "--r-gamma", "0.2", "--r-gamma", "0.5,0.9")
         assert code == 0
@@ -392,12 +430,22 @@ class TestOutputFile:
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_unwritable_path_exit_1(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "theory", "--lambda-star",
-            "--out", str(tmp_path / "missing" / "x.csv"),
-        )
+        target = str(tmp_path / "missing" / "x.csv")
+        code, _, err = run_cli(capsys, "theory", "--lambda-star", "--out", target)
         assert code == 1
         assert "output failed" in err
+        # the message names the path given, not the temporary file beside it
+        assert repr(target) in err
+        assert ".tmp" not in err
+
+    def test_directory_as_out_is_named_and_left_alone(self, capsys, tmp_path):
+        target = tmp_path / "results"
+        target.mkdir()
+        code, _, err = run_cli(capsys, "theory", "--lambda-star", "--out", str(target))
+        assert code == 1
+        assert repr(str(target)) in err
+        assert ".tmp" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["results"]
 
 
 def test_module_entry_point():

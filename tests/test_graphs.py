@@ -8,8 +8,6 @@ isolated count.  They share no traversal code with the kernel or with each
 other, and a large randomized sweep checks that all of them agree.
 """
 
-import io
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,6 @@ from pairdeploy import (
     generate_pairing,
     phase_size,
     table_from_lists,
-    write_edge_list,
 )
 from pairdeploy import montecarlo
 from pairdeploy.sampling import sample_pairing_block
@@ -132,7 +129,7 @@ class TestUnionFind:
 class TestBuildGraph:
     def test_reciprocal_pairing_collapses_to_one_edge(self):
         graph = build_graph(star_table())
-        assert graph.edges() == {(1, 2), (1, 3)}
+        assert (graph.edge_u.tolist(), graph.edge_v.tolist()) == ([0, 0], [1, 2])
         assert graph.edge_count == 2
 
     def test_full_selection_gives_complete_graph(self):
@@ -341,17 +338,3 @@ def test_narrow_blocks_answer_like_int64_blocks(n):
                 assert narrow_out.dtype == wide_out.dtype
                 assert np.array_equal(narrow_out, wide_out), (k, m)
 
-
-def test_edge_list_export_format():
-    buf = io.StringIO()
-    write_edge_list(build_graph(star_table()), buf)
-    assert buf.getvalue() == "1 2\n1 3\n"
-
-
-def test_edge_list_export_is_sorted():
-    graph = build_graph(generate_pairing(SchemeParams(30, 2), seed=3))
-    buf = io.StringIO()
-    write_edge_list(graph, buf)
-    pairs = [tuple(map(int, line.split())) for line in buf.getvalue().splitlines()]
-    assert pairs == sorted(pairs)
-    assert all(a < b for a, b in pairs)

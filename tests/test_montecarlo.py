@@ -89,6 +89,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentPlan(10, (10,), (0.5,), trials=5)
         with pytest.raises(ValueError):
+            ExperimentPlan(10, (2, 3, 2), (0.5,), trials=5)  # repeated k
+        with pytest.raises(ValueError):
             ExperimentPlan(10, (1,), (0.5,), trials=0)
         with pytest.raises(ValueError):
             ExperimentPlan(10, (1,), (0.05,), trials=5)  # floor(gamma*n) = 0
