@@ -6,67 +6,16 @@ other.  This package computes the exact and asymptotic connectivity
 behavior of the induced key graph when only a fraction of the nodes is
 deployed, and cross-checks every formula with Monte Carlo experiments.
 
-Layout: scheme (pairing tables and key rings), graphs (key graphs and the
+Layout: the package exposes its modules, and each module's __all__ is its
+API: scheme (pairing tables and key rings), graphs (key graphs and the
 block kernel for connectivity and isolation), theory (closed-form
-calculators), montecarlo (repeat-trial harness), cli (command-line front
-end), sampling (deterministic PRNG).
+calculators), montecarlo (repeat-trial harness), sampling (deterministic
+PRNG).  cli (command-line front end) is not imported here, so importing
+the package loads no argparse, csv or json.
 """
 
-from . import theory
-from .graphs import (
-    KeyGraph,
-    build_graph,
-    connected_at,
-)
-from .montecarlo import (
-    DeploymentSchedule,
-    Estimate,
-    ExperimentPlan,
-    RingCensus,
-    estimate_from,
-    run_keyring_census,
-    run_phased_detail,
-    run_sweep,
-    wilson_interval,
-)
-from .scheme import (
-    KeyRing,
-    PairingTable,
-    PairwiseKeyId,
-    SchemeParams,
-    derive_key_rings,
-    generate_pairing,
-    phase_size,
-    reverse_degrees,
-    ring_sizes,
-    table_from_lists,
-)
+from . import graphs, montecarlo, sampling, scheme, theory
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SchemeParams",
-    "PairingTable",
-    "PairwiseKeyId",
-    "KeyRing",
-    "generate_pairing",
-    "derive_key_rings",
-    "reverse_degrees",
-    "ring_sizes",
-    "phase_size",
-    "table_from_lists",
-    "KeyGraph",
-    "build_graph",
-    "connected_at",
-    "theory",
-    "ExperimentPlan",
-    "Estimate",
-    "RingCensus",
-    "DeploymentSchedule",
-    "estimate_from",
-    "run_sweep",
-    "run_phased_detail",
-    "run_keyring_census",
-    "wilson_interval",
-    "__version__",
-]
+__all__ = ["graphs", "montecarlo", "sampling", "scheme", "theory", "__version__"]

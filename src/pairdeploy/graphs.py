@@ -89,14 +89,13 @@ def connected_at(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     min-label hooking and pointer jumping until no edge joins two roots,
     which leaves every label pointing straight at its root.  A table leaves
     the open set at one point, after its column is hooked: when it has one
-    root (connected, so nothing is isolated), or when it is stuck, with no
-    deployed partner in the column or no column left.  No later column can
-    give a stuck table an edge, so its labels are final and its isolated
-    nodes are its singleton components.
+    root (connected), or when it is stuck: its column has no deployed
+    partner, or the column is the last.  No later column can give a stuck
+    table an edge, so its labels are final and its isolated nodes are its
+    singleton components; a joined view of two or more nodes has none, and
+    a one-node view, joined and stuck at once, has its one node.
     """
     trials = block.shape[0]
-    if m == 1:
-        return np.ones(trials, dtype=bool), np.ones(trials, dtype=np.int64)
     connected = np.zeros(trials, dtype=bool)
     isolated = np.zeros(trials, dtype=np.int64)
     open_ = np.arange(trials)
@@ -126,7 +125,7 @@ def connected_at(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
             parent = parent[parent]
         # min-label hooking leaves each component rooted at its smallest label
         joined = parent.reshape(-1, m).max(axis=1) == base
-        stuck = ~live.any(axis=1) if c < last else ~joined
+        stuck = ~live.any(axis=1) | (c == last)
         done = joined | stuck
         if done.any():
             connected[open_[joined]] = True

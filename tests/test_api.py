@@ -1,9 +1,14 @@
 """The public surface, and the entry points the benchmark tracer wraps.
 
+The package exposes its modules, and each module's __all__ is its API, so
+every public object has one name: its module's.  The checks below pin that
+the package lists only its modules and that a module exports only what it
+defines.
+
 perfbench/spans.py wraps each layer's entry points by name and skips a
 name that no longer exists without an error, so a rename would silently
-drop that layer from the benchmark's per-layer numbers.  This test makes
-such a rename fail here instead.
+drop that layer from the benchmark's per-layer numbers.  The first test
+makes such a rename fail here instead.
 """
 
 import importlib
@@ -45,3 +50,23 @@ def test_public_names_and_traced_entry_points_resolve():
             if not (inspect.isfunction(fn) and fn.__module__ == module.__name__):
                 missing.append(f"{mod}.{name}")
     assert missing == []
+
+
+def test_package_exposes_only_its_modules():
+    expected = ["graphs", "montecarlo", "sampling", "scheme", "theory", "__version__"]
+    assert sorted(pairdeploy.__all__) == sorted(expected)
+
+
+def test_each_exported_name_is_defined_in_its_module():
+    elsewhere = []
+    for mod in MODULES:
+        module = importlib.import_module(f"pairdeploy.{mod}")
+        for name in getattr(module, "__all__", ()):
+            obj = vars(module).get(name)
+            defined_here = name in vars(module) and (
+                not (inspect.isfunction(obj) or inspect.isclass(obj))
+                or obj.__module__ == module.__name__
+            )
+            if not defined_here:
+                elsewhere.append(f"{mod}.{name}")
+    assert elsewhere == []

@@ -11,16 +11,15 @@ other, and a large randomized sweep checks that all of them agree.
 import numpy as np
 import pytest
 
-from pairdeploy import (
+from pairdeploy import montecarlo
+from pairdeploy.graphs import build_graph, connected_at
+from pairdeploy.scheme import (
     PairingTable,
     SchemeParams,
-    build_graph,
-    connected_at,
     generate_pairing,
     phase_size,
     table_from_lists,
 )
-from pairdeploy import montecarlo
 from pairdeploy.sampling import sample_pairing_block
 
 
@@ -306,6 +305,21 @@ def test_isolated_counted_at_every_retirement_point():
     assert list(zip(connected.tolist(), isolated.tolist())) == list(expected.values())
     connected, isolated = connected_at(block, 1)
     assert connected.tolist() == [True] * 4 and isolated.tolist() == [1] * 4
+
+
+def test_stuck_table_leaves_before_the_last_column():
+    """A table with no deployed partner in a column leaves the kernel there,
+    not on the last column.
+
+    The rows are deliberately unsorted, outside the sorted-rows contract:
+    on sorted rows a stuck table gains no edge later, so its answer is the
+    same whenever it leaves and the exit cannot be observed.  Here column 0
+    names no deployed node, and column 1 would join nodes 0 and 1; a kernel
+    that kept the table open until the last column would report (True, 0).
+    """
+    block = np.array([[[2, 1], [3, 0], [0, 1], [0, 1]]])
+    connected, isolated = connected_at(block, 2)
+    assert connected.tolist() == [False] and isolated.tolist() == [2]
 
 
 def test_block_kernels_ignore_block_partitioning(monkeypatch):

@@ -15,24 +15,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pairdeploy import (
-    DeploymentSchedule,
-    Estimate,
-    ExperimentPlan,
-    estimate_from,
-    run_keyring_census,
-    run_phased_detail,
-    run_sweep,
-    theory,
-    wilson_interval,
-)
-from pairdeploy import montecarlo, sampling
+from pairdeploy import montecarlo, sampling, theory
 from pairdeploy.graphs import connected_at
 from pairdeploy.montecarlo import (
     CENSUS_TRIALS_DEFAULT,
     SWEEP_TRIALS_DEFAULT,
+    DeploymentSchedule,
+    Estimate,
+    ExperimentPlan,
     _pool_size,
+    estimate_from,
     evaluate_deployments,
+    run_keyring_census,
+    run_phased_detail,
+    run_sweep,
+    wilson_interval,
 )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairdeploy import (
+from pairdeploy.scheme import (
     PairingTable,
     PairwiseKeyId,
     SchemeParams,

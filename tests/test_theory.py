@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from pairdeploy import phase_size, theory
+from pairdeploy import theory
 from pairdeploy.sampling import sample_pairing_block
+from pairdeploy.scheme import phase_size
 
 mp.dps = 50
 
