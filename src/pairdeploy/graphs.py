@@ -39,15 +39,6 @@ class KeyGraph:
     edge_u: np.ndarray = field(repr=False)
     edge_v: np.ndarray = field(repr=False)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_u)
-
-    def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.edge_u, minlength=self.n)
-        deg += np.bincount(self.edge_v, minlength=self.n)
-        return deg
-
 
 def build_graph(table: PairingTable) -> KeyGraph:
     """Build the key graph of a pairing table.

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import sampling
 from .graphs import connected_at
-from .scheme import SchemeParams, phase_size
+from .scheme import SchemeParams, phase_size, ring_sizes
 
 __all__ = [
     "SWEEP_TRIALS_DEFAULT",
@@ -234,7 +234,7 @@ def run_keyring_census(
     max_hist = np.zeros(n + k, dtype=np.int64)
     for start, count in _block_sizes(n, k, trials):
         block = sampling.sample_pairing_block(seed, start, count, n, k)
-        sizes = k + np.array([np.bincount(table.ravel(), minlength=n) for table in block])
+        sizes = ring_sizes(block)
         hist += np.bincount(sizes.ravel(), minlength=n + k)
         max_hist += np.bincount(sizes.max(axis=1), minlength=n + k)
         del block

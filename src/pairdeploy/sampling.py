@@ -30,6 +30,17 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = [
+    "MASK64",
+    "GOLDEN",
+    "mix64",
+    "fold",
+    "node_stream_keys",
+    "stream_values",
+    "floyd_sample",
+    "sample_pairing_block",
+]
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 

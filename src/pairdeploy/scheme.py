@@ -6,17 +6,12 @@ independent.  Every pairing (i -> j) installs one pairwise key, so node i
 finally holds one key per node it selected plus one per node that selected
 it: ring size = k + reverse degree of i, and ring sizes over a table always
 sum to 2*n*k.
-
-Node ids are 1-based where the package shows them (key rings, key ids and
-the selection lists of table_from_lists); storage is 0-based contiguous
-arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -24,16 +19,11 @@ from . import sampling
 
 __all__ = [
     "SchemeParams",
-    "PairwiseKeyId",
-    "KeyRing",
     "PairingTable",
     "generate_pairing",
-    "derive_key_rings",
-    "reverse_degrees",
     "ring_sizes",
     "gamma_n_exact",
     "phase_size",
-    "table_from_lists",
 ]
 
 
@@ -51,34 +41,9 @@ class SchemeParams:
             raise ValueError(f"need 1 <= k <= n-1, got k={self.k} with n={self.n}")
 
 
-@dataclass(frozen=True, order=True)
-class PairwiseKeyId:
-    """Identity of the key installed for the pairing (initiator -> responder).
-
-    slot is the 1-based position of responder in the initiator's selection
-    list sorted by ascending node id; (initiator, slot) determines the key.
-    """
-
-    initiator: int
-    responder: int
-    slot: int
-
-
-@dataclass(frozen=True)
-class KeyRing:
-    """All pairwise keys held by one node after the offline step."""
-
-    owner: int
-    keys: frozenset[PairwiseKeyId]
-
-    @property
-    def size(self) -> int:
-        return len(self.keys)
-
-
 @dataclass(frozen=True)
 class PairingTable:
-    """Selections of every node: row i-1 holds node i's k partners.
+    """Selections of every node: row i holds node i's k partners.
 
     partners is an (n, k) int64 array, 0-based ids, each row sorted
     ascending and never containing the row's own index.
@@ -120,31 +85,12 @@ def generate_pairing(params: SchemeParams, seed: int, trial: int = 0) -> Pairing
     return PairingTable(params, block[0])
 
 
-def reverse_degrees(table: PairingTable) -> np.ndarray:
-    """For every node, how many other nodes selected it (length-n array)."""
-    return np.bincount(table.partners.ravel(), minlength=table.n)
-
-
-def ring_sizes(table: PairingTable) -> np.ndarray:
-    """Key ring size of every node: k + reverse degree (length-n array)."""
-    return table.k + reverse_degrees(table)
-
-
-def derive_key_rings(table: PairingTable) -> list[KeyRing]:
-    """Materialize each node's key ring.
-
-    Node i holds the key of every pairing it initiated and of every pairing
-    that selected it.  Intended for small tables (tests, fixtures); census
-    work should use ring_sizes.
-    """
-    n = table.n
-    keys: list[set[PairwiseKeyId]] = [set() for _ in range(n)]
-    for i0 in range(n):
-        for slot, j0 in enumerate(table.partners[i0], start=1):
-            key = PairwiseKeyId(i0 + 1, int(j0) + 1, slot)
-            keys[i0].add(key)
-            keys[int(j0)].add(key)
-    return [KeyRing(i0 + 1, frozenset(ks)) for i0, ks in enumerate(keys)]
+def ring_sizes(block: np.ndarray) -> np.ndarray:
+    """Key ring sizes for a (trials, n, k) block of partner arrays: k plus
+    the reverse degree of every node of every table, a (trials, n) int64
+    array."""
+    _, n, k = block.shape
+    return k + np.array([np.bincount(table.ravel(), minlength=n) for table in block])
 
 
 def gamma_n_exact(n: int, gamma: float) -> Fraction:
@@ -166,15 +112,3 @@ def phase_size(n: int, gamma: float) -> int:
     if m < 1:
         raise ValueError(f"floor(gamma*n) must be >= 1, got 0 for gamma={gamma}, n={n}")
     return m
-
-
-def table_from_lists(n: int, k: int, gamma_sets: Iterable[Iterable[int]]) -> PairingTable:
-    """Build a table from 1-based selection lists (order within a row is free)."""
-    rows = [sorted(int(j) - 1 for j in row) for row in gamma_sets]
-    for row in rows:
-        if len(set(row)) != len(row):
-            raise ValueError("selection lists must not repeat ids")
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValueError("gamma_sets must be a list of equal-length id lists")
-    return PairingTable(SchemeParams(n, k), arr)

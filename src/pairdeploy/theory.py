@@ -38,7 +38,6 @@ __all__ = [
     "poisson_rate",
     "upper_tail_root",
     "maxring_tail_bound",
-    "maxring_tail_bound_scaled",
 ]
 
 
@@ -307,10 +306,9 @@ def maxring_tail_bound(n: int, k: int, t: float) -> float:
         A = ln(n) + t - (k+t) ln(1+t/k)      (upper tail)
         B = -t - (k-t) ln(1-t/k)             (lower tail)
 
-    Requires 0 < t < k so both tails are in range.
+    Requires a valid scheme (n, k) and 0 < t < k so both tails are in range.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    SchemeParams(n, k)
     if t <= 0:
         raise ValueError(f"need t > 0, got {t}")
     if t >= k:
@@ -318,18 +316,3 @@ def maxring_tail_bound(n: int, k: int, t: float) -> float:
     a_exp = math.log(n) + t - (k + t) * math.log1p(t / k)
     b_exp = -t - (k - t) * math.log1p(-t / k)
     return math.exp(a_exp) + math.exp(b_exp)
-
-
-def maxring_tail_bound_scaled(n: int, lam: float, c: float) -> float:
-    """Scaled form 2 * n^(-h(lam; c)) of the largest-ring deviation bound.
-
-    Valid (h > 0) whenever upper_tail_root(lam) < c < lam, which requires
-    lam above maxring_critical_scale(); both conditions are enforced.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not upper_tail_root(lam) < c < lam:
-        raise ValueError(
-            f"need upper_tail_root(lam) < c < lam, got c={c} with lam={lam}"
-        )
-    return 2.0 * n ** (-tail_exponents(lam, c).h)

@@ -230,8 +230,8 @@ def test_maxring_deviation_frequency_within_bound():
     dev = 2.9 * LOG_N
     bad = sum(c for m, c in census.max_histogram.items() if abs(m - 2 * k) >= dev)
     freq = bad / 1000
-    bound = theory.maxring_tail_bound_scaled(N, 3.0, 2.9)
     h = theory.tail_exponents(3.0, 2.9).h
+    bound = 2 * N ** -h
     print(f"max ring deviated >= {dev:.2f} from {2 * k} in {bad}/1000 trials "
           f"(freq {freq:.4f}); analytic bound {bound:.4f}, exponent h={h:.6f}")
     assert h > 0

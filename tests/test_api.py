@@ -2,8 +2,11 @@
 
 The package exposes its modules, and each module's __all__ is its API, so
 every public object has one name: its module's.  The checks below pin that
-the package lists only its modules and that a module exports only what it
-defines.
+the package lists only its modules, that a module exports only what it
+defines, and that every exported name has a caller: a reference in
+src/pairdeploy/ or perfbench/ outside its own definition.  A name that
+only the tests reach belongs in the tests; the few kept anyway are listed
+in UNCALLED with the reason.
 
 perfbench/spans.py wraps each layer's entry points by name and skips a
 name that no longer exists without an error, so a rename would silently
@@ -11,10 +14,14 @@ drop that layer from the benchmark's per-layer numbers.  The first test
 makes such a rename fail here instead.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pairdeploy
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ("sampling", "scheme", "graphs", "theory", "montecarlo", "cli")
 
@@ -34,6 +41,14 @@ TRACED = {
         "connectivity_lower_bound_full",
         "maxring_tail_bound",
     ),
+}
+
+
+# exported names that nothing in src/ or perfbench/ references, with the
+# reason each stays
+UNCALLED = {
+    "graphs.build_graph": "its edge list is what the tests' connectivity oracles walk",
+    "theory.scaling_k": "kept until theory solves for the smallest K of a schedule",
 }
 
 
@@ -70,3 +85,33 @@ def test_each_exported_name_is_defined_in_its_module():
             if not defined_here:
                 elsewhere.append(f"{mod}.{name}")
     assert elsewhere == []
+
+
+def referenced_names():
+    """Identifiers referenced in src/pairdeploy/ and perfbench/ outside the
+    definition of the same name: Name ids, attribute names and import
+    aliases.  Strings, such as the entries of __all__, do not count."""
+    names = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+        if field and getattr(node, field) not in defining:
+            names.add(getattr(node, field))
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    for folder in ("src/pairdeploy", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            visit(ast.parse(path.read_text()), frozenset())
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    referenced = referenced_names()
+    uncalled = []
+    for mod in MODULES:
+        module = importlib.import_module(f"pairdeploy.{mod}")
+        uncalled += [f"{mod}.{name}" for name in getattr(module, "__all__", ()) if name not in referenced]
+    assert sorted(uncalled) == sorted(UNCALLED)

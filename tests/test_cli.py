@@ -346,6 +346,12 @@ class TestTheory:
         assert out == ""
         assert err == f"pairdeploy: {message}\n"
 
+    def test_maxring_bound_needs_a_scheme_that_exists(self, capsys):
+        code, out, err = run_cli(capsys, "theory", "--maxring-bound", "10,100,5")
+        assert code == 2
+        assert out == ""
+        assert err == "pairdeploy: need 1 <= k <= n-1, got k=100 with n=10\n"
+
     @pytest.mark.parametrize("bad", [["--maxring-bound", "1,2"], ["--maxring-bound", "1000,x,5"]])
     def test_queries_parsed_before_any_is_evaluated(self, capsys, monkeypatch, bad):
         calls = []

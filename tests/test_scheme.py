@@ -1,20 +1,69 @@
-"""Pairing generation, key rings, and the ring-size conservation law."""
+"""Pairing generation, key rings, and the ring-size conservation law.
+
+The library counts ring sizes with one formula, scheme.ring_sizes.  The
+oracle here materializes every key of every ring instead, one pairing at a
+time, and shares no code with it.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from pairdeploy.scheme import (
     PairingTable,
-    PairwiseKeyId,
     SchemeParams,
-    derive_key_rings,
     generate_pairing,
     phase_size,
-    reverse_degrees,
     ring_sizes,
-    table_from_lists,
 )
 from pairdeploy.sampling import sample_pairing_block
+from pairing_fixtures import table_from_lists
+
+
+# -- oracle: materialized key rings ---------------------------------------------
+
+@dataclass(frozen=True, order=True)
+class PairwiseKeyId:
+    """Identity of the key installed for the pairing (initiator -> responder).
+
+    Ids are 1-based.  slot is the 1-based position of responder in the
+    initiator's selection list sorted by ascending node id; (initiator,
+    slot) determines the key.
+    """
+
+    initiator: int
+    responder: int
+    slot: int
+
+
+@dataclass(frozen=True)
+class KeyRing:
+    """All pairwise keys held by one node after the offline step."""
+
+    owner: int
+    keys: frozenset
+
+    @property
+    def size(self):
+        return len(self.keys)
+
+
+def derive_key_rings(table):
+    """Every node's key ring: the key of each pairing it initiated and of
+    each pairing that selected it."""
+    keys = [set() for _ in range(table.n)]
+    for i0 in range(table.n):
+        for slot, j0 in enumerate(table.partners[i0], start=1):
+            key = PairwiseKeyId(i0 + 1, int(j0) + 1, slot)
+            keys[i0].add(key)
+            keys[int(j0)].add(key)
+    return [KeyRing(i0 + 1, frozenset(ks)) for i0, ks in enumerate(keys)]
+
+
+def table_ring_sizes(table):
+    """ring_sizes of a one-table block."""
+    return ring_sizes(table.partners[None])[0]
 
 
 def test_params_validation():
@@ -50,10 +99,10 @@ class TestHandExample:
 
     def test_ring_sizes(self, table):
         assert [r.size for r in derive_key_rings(table)] == [3, 2, 1]
-        assert ring_sizes(table).tolist() == [3, 2, 1]
+        assert table_ring_sizes(table).tolist() == [3, 2, 1]
 
     def test_reverse_degrees(self, table):
-        assert reverse_degrees(table).tolist() == [2, 1, 0]
+        assert (table_ring_sizes(table) - table.k).tolist() == [2, 1, 0]
 
 
 def test_forced_full_selection():
@@ -61,7 +110,7 @@ def test_forced_full_selection():
     table = generate_pairing(SchemeParams(5, 4), seed=271828)
     for i in range(5):
         assert table.partners[i].tolist() == [j for j in range(5) if j != i]
-    assert reverse_degrees(table).tolist() == [4] * 5
+    assert table_ring_sizes(table).tolist() == [8] * 5
 
 
 def test_two_node_scheme():
@@ -79,15 +128,34 @@ def test_ring_size_conservation():
     """Every pairing lands in exactly two rings, so sizes sum to 2nk."""
     for n, k, seed in [(10, 1, 0), (50, 7, 1), (300, 12, 2)]:
         table = generate_pairing(SchemeParams(n, k), seed=seed)
-        assert int(ring_sizes(table).sum()) == 2 * n * k
-        assert ring_sizes(table).min() >= k
+        sizes = table_ring_sizes(table)
+        assert int(sizes.sum()) == 2 * n * k
+        assert sizes.min() >= k
 
 
 def test_derived_rings_match_size_formula():
     table = generate_pairing(SchemeParams(40, 3), seed=8)
-    sizes = ring_sizes(table)
+    sizes = table_ring_sizes(table)
     for ring in derive_key_rings(table):
         assert ring.size == sizes[ring.owner - 1]
+
+
+@pytest.mark.parametrize(
+    "n,k,trials,dtype",
+    [(10, 3, 6, np.int8), (129, 5, 3, np.int16), (2, 1, 4, np.int8), (9, 8, 3, np.int8)],
+    ids=["int8", "int16", "two_nodes", "k_is_n_minus_1"],
+)
+def test_block_ring_sizes_match_derived_rings(n, k, trials, dtype):
+    """ring_sizes on a sampler block, which is stored selection-major (each
+    column contiguous), agrees table by table with the materialized rings."""
+    block = sample_pairing_block(31 + n, 0, trials, n, k)
+    assert block.dtype == dtype
+    assert block.strides[2] == block.itemsize * trials * n
+    sizes = ring_sizes(block)
+    assert sizes.dtype == np.int64 and sizes.shape == (trials, n)
+    for t in range(trials):
+        rings = derive_key_rings(PairingTable(SchemeParams(n, k), block[t]))
+        assert sizes[t].tolist() == [ring.size for ring in rings]
 
 
 def test_all_key_ids_distinct():
@@ -129,7 +197,7 @@ def test_reverse_degree_moments():
     conservation, variance near k*(1 - k/(n-1))."""
     n, k, trials = 1000, 10, 100
     block = sample_pairing_block(5150, 0, trials, n, k)
-    degs = np.stack([np.bincount(block[t].ravel(), minlength=n) for t in range(trials)])
+    degs = ring_sizes(block) - k
     pooled = degs.ravel().astype(np.float64)
     assert abs(pooled.mean() - k) < 0.1  # exact up to float summation
     expected_var = k * (1 - k / (n - 1))
@@ -139,7 +207,7 @@ def test_reverse_degree_moments():
 def test_mean_ring_size_is_twice_k():
     n, k, trials = 500, 21, 200
     block = sample_pairing_block(61, 0, trials, n, k)
-    sizes = k + np.stack([np.bincount(block[t].ravel(), minlength=n) for t in range(trials)])
+    sizes = ring_sizes(block)
     assert abs(float(sizes.mean()) - 2 * k) < 0.2
 
 

@@ -555,21 +555,15 @@ def test_maxring_bound_domain():
         theory.maxring_tail_bound(1000, 21, 21.0)
     with pytest.raises(ValueError):
         theory.maxring_tail_bound(1, 21, 1.0)
+    with pytest.raises(ValueError):
+        theory.maxring_tail_bound(10, 100, 5.0)  # k > n-1: no such scheme
 
 
 def test_scaled_maxring_bound_values():
-    got = theory.maxring_tail_bound_scaled(1000, 3.0, 2.9)
-    assert abs(got - 1.07105283218991) < 1e-10
-    got4 = theory.maxring_tail_bound_scaled(10000, 3.0, 2.9)
-    assert abs(got4 - 0.869770205799759) < 1e-10
-
-
-def test_scaled_maxring_bound_needs_valid_window():
-    root = theory.upper_tail_root(3.0)
-    with pytest.raises(ValueError):
-        theory.maxring_tail_bound_scaled(1000, 3.0, root * 0.99)
-    with pytest.raises(ValueError):
-        theory.maxring_tail_bound_scaled(1000, 3.0, 3.0)
+    # the scaled form 2 * n^(-h) of the largest-ring bound at lam=3, c=2.9
+    h = theory.tail_exponents(3.0, 2.9).h
+    assert abs(2 * 1000 ** -h - 1.07105283218991) < 1e-10
+    assert abs(2 * 10000 ** -h - 0.869770205799759) < 1e-10
 
 
 def test_exponent_positive_between_root_and_scale():
