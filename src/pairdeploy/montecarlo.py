@@ -129,8 +129,8 @@ class ExperimentPlan:
         object.__setattr__(self, "gammas", sched.gammas)
 
 
-def _block_sizes(n: int, k: int, trials: int) -> list[tuple[int, int]]:
-    per = max(1, _BLOCK_BUDGET // (n * k))
+def _block_sizes(rows: int, k: int, trials: int) -> list[tuple[int, int]]:
+    per = max(1, _BLOCK_BUDGET // (rows * k))
     return [(start, min(per, trials - start)) for start in range(0, trials, per)]
 
 
@@ -141,9 +141,11 @@ def evaluate_deployments(
 
     The workhorse behind sweeps and phased runs: per trial, one table,
     all fractions checked on it, one connected_at call per view for a
-    whole block of tables.  (n, k) and trials are checked before anything
-    is allocated.  Returns (connected, isolated), bool and int64 arrays of
-    shape (len(gammas), trials); row i belongs to gammas[i].
+    whole block of tables.  Only the first max(m) nodes of each table,
+    the rows the views read, are drawn.  (n, k) and trials are checked
+    before anything is allocated.  Returns (connected, isolated), bool and
+    int64 arrays of shape (len(gammas), trials); row i belongs to
+    gammas[i].
     """
     SchemeParams(n, k)
     if trials < 1:
@@ -152,8 +154,9 @@ def evaluate_deployments(
     connected = np.empty((len(ms), trials), dtype=bool)
     isolated = np.empty((len(ms), trials), dtype=np.int64)
     seed = sampling.fold(base_seed, k)
-    for start, count in _block_sizes(n, k, trials):
-        block = sampling.sample_pairing_block(seed, start, count, n, k)
+    rows = max(ms)
+    for start, count in _block_sizes(rows, k, trials):
+        block = sampling.sample_pairing_block(seed, start, count, n, k, rows)
         span = slice(start, start + count)
         for i, m in enumerate(ms):
             connected[i, span], isolated[i, span] = connected_at(block, m)

@@ -55,6 +55,8 @@ CLI_COMMANDS = {
     "sweep_small": "sweep --n 60 --k 1..6 --gamma 0.3,0.6,1.0 --trials 40 --seed 5",
     # 170 trials split into two blocks at both K (160 + 10 and 166 + 4)
     "sweep_split": "sweep --n 1000 --k 24,25 --gamma 0.2,1.0 --trials 170",
+    # no fraction reaches 1, so every block holds only the first 210 rows
+    "sweep_cut": "sweep --n 300 --k 2..6 --gamma 0.3,0.7 --trials 60 --seed 3",
     "phased": "phased --n 120 --k 4 --schedule 0.25,0.5,1.0 --trials 50 --seed 11",
     "census": "census --n 80 --k 3 --trials 60 --seed 2",
     # every theory flag; r = 1..5 and n = 1e5..1e6, zero binomials and an underflow
@@ -81,6 +83,8 @@ CLI_DIGESTS = {
     ("sweep_small", "json"): "2481ecc38c7e3dcd2eb240969c0c7c0c046ec164d72f23f3cd8e651ff8a25e0a",
     ("sweep_split", "csv"): "37362bd257fbba6cb134c9bb806f0a17c22df574b718b3b65b264e1e37847ad7",
     ("sweep_split", "json"): "31ae1d5df6d402f5edcbe993336979dd816e693b24d747db29d1bc990d42b6a8",
+    ("sweep_cut", "csv"): "7ae64066f5fe9f02a8a5b8c198051951b293917f5019a16e3cc9b2febaf71e4c",
+    ("sweep_cut", "json"): "02101f383db80a4c9f726bec84a6ff95d693d7857becce6846d15812771be46e",
     ("phased", "csv"): "67e7ee87fe43307f08dccea3266265d400854e486c3c70227a1b1b537935d40d",
     ("phased", "json"): "99524cfa786e0aa92bd9330d5db6a43b8f82fbc5d4d1c9b6f46672bfcc11444e",
     ("census", "csv"): "6a5ba01bda085f1b37441535a1f801194ba6f27775663ec5639ef5f5a939a526",

@@ -273,6 +273,23 @@ def test_block_partition_does_not_change_records(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_only_the_deployed_rows_are_drawn(monkeypatch):
+    """Blocks hold the rows of the largest view, and are sized by them:
+    four 30-row tables fit the budget, where only two 50-row ones would."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 4 * 30 * 3)
+    shapes = []
+    draw = sampling.sample_pairing_block
+
+    def tracked(*args):
+        block = draw(*args)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
+    evaluate_deployments(50, 3, (0.2, 0.6), 9, base_seed=4)
+    assert shapes == [(4, 30, 3), (4, 30, 3), (1, 30, 3)]
+
+
 def test_one_block_alive_at_a_time(monkeypatch):
     """Block loops drop each block before drawing the next.  Two live
     ~32 MB blocks fragmented the malloc heap, and peak RSS of the same

@@ -1,5 +1,7 @@
 """Stream keying, Floyd subset sampling, and block reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,39 @@ from pairdeploy import sampling
 from pairdeploy.sampling import (
     GOLDEN,
     MASK64,
+    _CHUNK,
     floyd_sample,
     fold,
     mix64,
     node_stream_keys,
     sample_pairing_block,
-    stream_values,
 )
+
+
+def mix64_array(z):
+    """SplitMix64 finalizer over a uint64 array, out of place."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def stream_values(keys, step):
+    """Stream oracle: the step-th word (0-based) of the SplitMix64 stream
+    under each key."""
+    return mix64_array(keys + np.uint64((step + 1) * GOLDEN & MASK64))
+
+
+def floyd_oracle(keys, m, k):
+    """Floyd's algorithm over the whole key array at once, one draw step
+    per pass, with numpy's modulo; int64 values."""
+    out = np.empty((k,) + keys.shape, dtype=np.int64)
+    for idx, j in enumerate(range(m - k, m)):
+        t = (stream_values(keys, idx) % np.uint64(j + 1)).astype(np.int64)
+        if idx:
+            t = np.where((out[:idx] == t).any(axis=0), j, t)
+        out[idx] = t
+    return np.moveaxis(out, 0, -1)
+
 
 # Published SplitMix64 outputs for seed 0.  The reference generator advances
 # its state by GOLDEN before finalizing, so output l must equal
@@ -83,6 +111,21 @@ def test_floyd_sample_rejects_bad_k():
         floyd_sample(keys, 5, 6)
 
 
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
+@pytest.mark.parametrize(
+    "m, k, dtype",
+    [(9, 4, np.int8), (5, 5, np.int8), (1000, 7, np.int16), (40_000, 3, np.int32)],
+    ids=["int8", "int8_full", "int16", "int32"],
+)
+def test_floyd_sample_chunks_match_whole_array_oracle(count, m, k, dtype):
+    """Chunk edges change no draw: the chunked sampler equals the one-pass
+    oracle bit for bit, just below, at and just above each boundary."""
+    keys = node_stream_keys(count, np.arange(1, dtype=np.uint64), count)
+    got = floyd_sample(keys, m, k)
+    assert got.shape == (1, count, k) and got.dtype == dtype
+    assert np.array_equal(got, floyd_oracle(keys, m, k))
+
+
 def test_floyd_sample_uniform_over_all_subsets():
     """Chi-square goodness of fit over the 6 subsets of size 2 from 4 items.
 
@@ -140,6 +183,33 @@ class TestPairingBlock:
         a = sample_pairing_block(1, 0, 5, 40, 3)
         b = sample_pairing_block(2, 0, 5, 40, 3)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n, k", [(40, 3), (129, 5), (1000, 25)])
+    def test_rows_are_a_prefix_of_the_full_block(self, n, k):
+        """Each (trial, node) pair owns its stream, so drawing the first
+        `rows` nodes gives the full block's first `rows` rows."""
+        whole = sample_pairing_block(8, 3, 4, n, k)
+        for rows in (1, n // 2, n):
+            part = sample_pairing_block(8, 3, 4, n, k, rows=rows)
+            assert part.dtype == whole.dtype
+            assert np.array_equal(part, whole[:, :rows])
+
+    @pytest.mark.parametrize("rows", [0, 41])
+    def test_rows_out_of_range_rejected(self, rows):
+        with pytest.raises(ValueError, match="rows"):
+            sample_pairing_block(8, 0, 2, 40, 3, rows=rows)
+
+    def test_peak_memory_near_the_block(self):
+        """The sampler's temporaries are a column or a chunk, not a block:
+        a one-table block at n=2e5, K=40 (32 MB of int32) peaks within
+        1.15x of its own size."""
+        tracemalloc.start()
+        try:
+            block = sample_pairing_block(3, 0, 1, 200_000, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * block.nbytes
 
     def test_different_trials_differ(self):
         block = sample_pairing_block(1, 0, 2, 40, 3)
