@@ -199,12 +199,16 @@ def _sweep(args: argparse.Namespace) -> _Output:
 
 
 def _phased(args: argparse.Namespace) -> _Output:
-    schedule = montecarlo.DeploymentSchedule(parse_gamma_list(args.schedule))
-    joint, phases = montecarlo.run_phased_detail(
-        args.n, args.k, schedule, args.trials, args.seed
+    plan = montecarlo.ExperimentPlan(
+        n=args.n,
+        k_values=(args.k,),
+        gammas=parse_gamma_list(args.schedule),
+        trials=args.trials,
+        base_seed=args.seed,
     )
-    labelled = [(",".join(_gamma_str(g) for g in schedule.gammas), joint)]
-    labelled += [(_gamma_str(g), phases[g]) for g in schedule.gammas]
+    joint, phases = montecarlo.run_phased_detail(plan)
+    labelled = [(",".join(_gamma_str(g) for g in plan.gammas), joint)]
+    labelled += [(_gamma_str(g), phases[g]) for g in plan.gammas]
     rows = [
         {"n": args.n, "K": args.k, "schedule": label, **_estimate_fields(est)}
         for label, est in labelled
@@ -244,8 +248,8 @@ def _theory(args: argparse.Namespace) -> _Output:
     queries = []
     for flag, (quantity, evaluate, kinds, _) in _THEORY_QUERIES.items():
         given = getattr(args, flag[2:].replace("-", "_"))
-        if not given:
-            continue
+        if given in (None, False, []):
+            continue  # absent; an empty list value is parsed below, and fails
         # a tuple flag asks one query per use, a list flag one per value, a switch one
         specs = given if len(kinds) > 1 else given.split(",") if kinds else [""]
         for spec in specs:

@@ -1,11 +1,14 @@
 """Repeat-trial experiments: connectivity/isolation sweeps, phased
 deployments, and key-ring censuses.
 
-Sweeps are coupled: one table is generated per (k, trial) and every
-deployment fraction is evaluated as a view of that same table, matching
-how a gradually deployed network actually grows.  Table seeds derive from
-(base_seed, k, trial) through the sampling module's stream keying, so any
-execution order, chunking, or worker count reproduces identical results.
+One ExperimentPlan describes every deployment run, a sweep over its k
+values or a phased run of its one k.  Runs are coupled: one table is
+generated per (k, trial) and every deployment fraction is evaluated as a
+view of that same table, matching how a gradually deployed network
+actually grows.  Table seeds derive from (base_seed, k, trial) through the
+sampling module's stream keying, so any execution order, chunking, or
+worker count reproduces identical results.  All three runs draw their
+tables through one block loop.
 
 Default trial counts: 200 for sweeps, 1000 for censuses.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -30,7 +34,6 @@ __all__ = [
     "ExperimentPlan",
     "Estimate",
     "RingCensus",
-    "DeploymentSchedule",
     "wilson_interval",
     "estimate_from",
     "evaluate_deployments",
@@ -82,26 +85,9 @@ def estimate_from(successes: int, trials: int) -> Estimate:
 
 
 @dataclass(frozen=True)
-class DeploymentSchedule:
-    """Deployment fractions gamma_1 < ... < gamma_l, each in (0, 1]."""
-
-    gammas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        gs = tuple(float(g) for g in self.gammas)
-        if not gs:
-            raise ValueError("schedule needs at least one deployment fraction")
-        for g in gs:
-            if not 0 < g <= 1:
-                raise ValueError(f"deployment fractions must be in (0, 1], got {g}")
-        if any(a >= b for a, b in zip(gs, gs[1:])):
-            raise ValueError(f"deployment fractions must be strictly increasing, got {gs}")
-        object.__setattr__(self, "gammas", gs)
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
-    """A sweep: all (k, gamma) cells share n, trials, and seeding."""
+    """A deployment run: all (k, gamma) cells share n, trials, and seeding;
+    the gammas, strictly increasing in (0, 1], are its schedule."""
 
     n: int
     k_values: tuple[int, ...]
@@ -122,42 +108,57 @@ class ExperimentPlan:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        sched = DeploymentSchedule(self.gammas)  # validates ordering and range
-        for g in sched.gammas:
+        gs = tuple(float(g) for g in self.gammas)
+        if not gs:
+            raise ValueError("schedule needs at least one deployment fraction")
+        for g in gs:
+            if not 0 < g <= 1:
+                raise ValueError(f"deployment fractions must be in (0, 1], got {g}")
+        if any(a >= b for a, b in zip(gs, gs[1:])):
+            raise ValueError(f"deployment fractions must be strictly increasing, got {gs}")
+        for g in gs:
             phase_size(self.n, g)  # validates floor(gamma*n) >= 1
         object.__setattr__(self, "k_values", ks)
-        object.__setattr__(self, "gammas", sched.gammas)
+        object.__setattr__(self, "gammas", gs)
 
 
-def _block_sizes(rows: int, k: int, trials: int) -> list[tuple[int, int]]:
-    per = max(1, _BLOCK_BUDGET // (rows * k))
-    return [(start, min(per, trials - start)) for start in range(0, trials, per)]
+def _blocks(n: int, k: int, trials: int, base_seed: int, rows: int) -> Iterator:
+    """The (base_seed, k) tables of trials 0..trials-1, first `rows` nodes
+    each, drawn lazily in blocks of about _BLOCK_BUDGET entries, as
+    (span, block) pairs; span is the block's slice of the trial range.
 
-
-def evaluate_deployments(
-    n: int, k: int, gammas: tuple[float, ...], trials: int, base_seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Generate `trials` tables for (n, k) and evaluate every gamma view.
-
-    The workhorse behind sweeps and phased runs: per trial, one table,
-    all fractions checked on it, one connected_at call per view for a
-    whole block of tables.  Only the first max(m) nodes of each table,
-    the rows the views read, are drawn.  (n, k) and trials are checked
-    before anything is allocated.  Returns (connected, isolated), bool and
-    int64 arrays of shape (len(gammas), trials); row i belongs to
-    gammas[i].
+    (n, k) and trials are checked at the call, before the caller allocates;
+    block starts are stepped, not listed, and no yielded block is held here,
+    so a caller that drops its own reference frees it before the next draw.
     """
     SchemeParams(n, k)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    ms = [phase_size(n, g) for g in gammas]
-    connected = np.empty((len(ms), trials), dtype=bool)
-    isolated = np.empty((len(ms), trials), dtype=np.int64)
     seed = sampling.fold(base_seed, k)
-    rows = max(ms)
-    for start, count in _block_sizes(rows, k, trials):
-        block = sampling.sample_pairing_block(seed, start, count, n, k, rows)
-        span = slice(start, start + count)
+    per = max(1, _BLOCK_BUDGET // (rows * k))
+    spans = (slice(start, min(start + per, trials)) for start in range(0, trials, per))
+    return (
+        (span, sampling.sample_pairing_block(seed, span.start, span.stop - span.start, n, k, rows))
+        for span in spans
+    )
+
+
+def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generate the plan's tables for k and evaluate every gamma view.
+
+    The workhorse behind sweeps and phased runs: per trial, one table,
+    all the plan's fractions checked on it, one connected_at call per view
+    for a whole block of tables.  Only the first max(m) nodes of each
+    table, the rows the views read, are drawn.  The plan has checked its
+    fractions, and (n, k) and trials are checked before anything is
+    allocated.  Returns (connected, isolated), bool and int64 arrays of
+    shape (len(plan.gammas), plan.trials); row i belongs to plan.gammas[i].
+    """
+    ms = [phase_size(plan.n, g) for g in plan.gammas]
+    blocks = _blocks(plan.n, k, plan.trials, plan.base_seed, max(ms))
+    connected = np.empty((len(ms), plan.trials), dtype=bool)
+    isolated = np.empty((len(ms), plan.trials), dtype=np.int64)
+    for span, block in blocks:
         for i, m in enumerate(ms):
             connected[i, span], isolated[i, span] = connected_at(block, m)
         del block
@@ -173,13 +174,7 @@ def run_sweep(plan: ExperimentPlan) -> dict[str, dict[tuple[float, int], Estimat
     """Both sweep curves from one evaluation pass, indexed by (gamma, k):
     "connected" estimates P[deployed graph connected] and "no_isolated"
     P[deployed graph has no isolated node], on the same tables."""
-    evaluate = partial(
-        evaluate_deployments,
-        plan.n,
-        gammas=plan.gammas,
-        trials=plan.trials,
-        base_seed=plan.base_seed,
-    )
+    evaluate = partial(evaluate_deployments, plan)
     size = _pool_size(plan.workers, len(plan.k_values))
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
@@ -195,14 +190,15 @@ def run_sweep(plan: ExperimentPlan) -> dict[str, dict[tuple[float, int], Estimat
     return {"connected": connected, "no_isolated": no_isolated}
 
 
-def run_phased_detail(
-    n: int, k: int, schedule: DeploymentSchedule, trials: int, base_seed: int
-) -> tuple[Estimate, dict[float, Estimate]]:
-    """Estimate of the joint event, connected at every phase of the
-    schedule, plus per-phase estimates, computed on the same trials."""
-    connected, _ = evaluate_deployments(n, k, schedule.gammas, trials, base_seed)
-    phases = {g: estimate_from(int(c.sum()), trials) for g, c in zip(schedule.gammas, connected)}
-    return estimate_from(int(connected.all(axis=0).sum()), trials), phases
+def run_phased_detail(plan: ExperimentPlan) -> tuple[Estimate, dict[float, Estimate]]:
+    """Estimate of the joint event, connected at every phase of the plan's
+    schedule (its gammas) for its one k, plus per-phase estimates, computed
+    on the same trials."""
+    if len(plan.k_values) != 1:
+        raise ValueError(f"a phased run takes one k, got {plan.k_values}")
+    connected, _ = evaluate_deployments(plan, plan.k_values[0])
+    phases = {g: estimate_from(int(c.sum()), plan.trials) for g, c in zip(plan.gammas, connected)}
+    return estimate_from(int(connected.all(axis=0).sum()), plan.trials), phases
 
 
 @dataclass(frozen=True)
@@ -228,15 +224,11 @@ def run_keyring_census(
     n: int, k: int, trials: int = CENSUS_TRIALS_DEFAULT, base_seed: int = 0
 ) -> RingCensus:
     """Tabulate all trials * n ring sizes and the per-trial maxima."""
-    SchemeParams(n, k)
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    seed = sampling.fold(base_seed, k)
+    blocks = _blocks(n, k, trials, base_seed, n)
     # a ring holds k..k+n-1 keys
     hist = np.zeros(n + k, dtype=np.int64)
     max_hist = np.zeros(n + k, dtype=np.int64)
-    for start, count in _block_sizes(n, k, trials):
-        block = sampling.sample_pairing_block(seed, start, count, n, k)
+    for _, block in blocks:
         sizes = ring_sizes(block)
         hist += np.bincount(sizes.ravel(), minlength=n + k)
         max_hist += np.bincount(sizes.max(axis=1), minlength=n + k)

@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 
 from pairdeploy import montecarlo, sampling, theory
-from pairdeploy.montecarlo import DeploymentSchedule, ExperimentPlan, evaluate_deployments
+from pairdeploy.montecarlo import ExperimentPlan, evaluate_deployments
 
 SEED = 1729
 N = 1000
@@ -51,7 +51,8 @@ def threshold_curves():
     noiso: dict[tuple[float, int], float] = {}
     for k, gs in sorted(need.items()):
         gammas = tuple(sorted(gs))
-        connected, isolated = evaluate_deployments(N, k, gammas, TRIALS, SEED)
+        plan = ExperimentPlan(N, (k,), gammas, TRIALS, SEED)
+        connected, isolated = evaluate_deployments(plan, k)
         for g, conn_g, iso_g in zip(gammas, connected, isolated):
             conn[(g, k)] = float(conn_g.mean())
             noiso[(g, k)] = float((iso_g == 0).mean())
@@ -181,7 +182,7 @@ def test_mean_isolated_count_matches_first_moment():
     worst = 0.0
     for n in (100, 400):
         for k in (1, 2, 3):
-            _, isolated = evaluate_deployments(n, k, gammas, 10_000, SEED)
+            _, isolated = evaluate_deployments(ExperimentPlan(n, (k,), gammas, 10_000, SEED), k)
             for g, counts in zip(gammas, isolated):
                 expected = theory.expected_isolated(n, k, g)
                 mean = float(counts.mean())
@@ -214,7 +215,7 @@ def test_phased_schedule_joint_connectivity():
     assert k == 37
     started = time.perf_counter()
     joint, _ = montecarlo.run_phased_detail(
-        2000, k, DeploymentSchedule((0.25, 0.5, 1.0)), TRIALS, SEED
+        ExperimentPlan(2000, (k,), (0.25, 0.5, 1.0), TRIALS, SEED)
     )
     elapsed = time.perf_counter() - started
     print(f"n=2000 k={k} schedule (0.25, 0.5, 1.0): joint connectivity "

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,8 +340,15 @@ class TestTheory:
         [
             ("--isolation", "1000,5.5,0.5", "--isolation: invalid literal for int() with base 10: '5.5'"),
             ("--union-bound", "1000,5,nan", "--union-bound: expected a finite number, got 'nan'"),
+            # an empty list value is malformed, not an absent flag
+            ("--r-gamma", "", "--r-gamma: could not convert string to float: ''"),
+            ("--c-of-lambda", "", "--c-of-lambda: could not convert string to float: ''"),
+            (
+                "--connectivity-bound", "",
+                "--connectivity-bound: invalid literal for int() with base 10: ''",
+            ),
         ],
-        ids=["int", "real"],
+        ids=["int", "real", "empty-r-gamma", "empty-c-of-lambda", "empty-connectivity-bound"],
     )
     def test_parse_error_names_its_flag(self, capsys, flag, spec, message):
         code, out, err = run_cli(capsys, "theory", "--r-gamma", "0.5", flag, spec)
@@ -471,3 +481,40 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert "0.419059784" in proc.stdout
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """(command, printed lines) for every `$ pairdeploy ...` line of the
+    README's sh blocks that has output shown below it."""
+    text = README.read_text() if README.exists() else ""  # missing: the test below fails
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *printed = chunk.rstrip("\n").split("\n")
+            if printed:
+                examples.append((command, printed))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_examples_are_found():
+    assert [command.split()[1] for command, _ in README_EXAMPLES] == ["sweep", "census", "theory"]
+
+
+@pytest.mark.parametrize("command,printed", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example_prints_what_it_shows(capsys, command, printed):
+    argv, _, pipe = command.partition(" | ")
+    program, *args = shlex.split(argv)
+    assert program == "pairdeploy"
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()
+    if pipe:
+        assert pipe == "tail -1"
+        lines = lines[-1:]
+    assert lines == printed

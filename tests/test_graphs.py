@@ -11,7 +11,7 @@ other, and a large randomized sweep checks that all of them agree.
 import numpy as np
 import pytest
 
-from pairdeploy import montecarlo
+from pairdeploy import montecarlo, sampling
 from pairdeploy.graphs import build_graph, connected_at
 from pairdeploy.scheme import PairingTable, SchemeParams, generate_pairing, phase_size
 from pairdeploy.sampling import sample_pairing_block
@@ -322,16 +322,16 @@ def test_stuck_table_leaves_before_the_last_column():
 
 
 def test_block_kernels_ignore_block_partitioning(monkeypatch):
-    """One-table blocks and the blocks _block_sizes cuts under a small
-    budget give the same answers as the whole trial range at once."""
+    """One-table blocks and the blocks the Monte Carlo block loop cuts under
+    a small budget give the same answers as the whole trial range at once."""
     n, k, trials, seed = 60, 3, 45, 77
-    whole = sample_pairing_block(seed, 0, trials, n, k)
+    whole = sample_pairing_block(sampling.fold(seed, k), 0, trials, n, k)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 7 * n * k)
-    parts = montecarlo._block_sizes(n, k, trials)
-    assert len(parts) == 7 and sum(count for _, count in parts) == trials
+    parts = list(montecarlo._blocks(n, k, trials, seed, n))
+    assert len(parts) == 7 and sum(span.stop - span.start for span, _ in parts) == trials
+    blocks = [block for _, block in parts]
     for m in (1, 2, 20, 31, n):
         conn, iso = connected_at(whole, m)
-        blocks = [sample_pairing_block(seed, start, count, n, k) for start, count in parts]
         assert np.array_equal(np.concatenate([connected_at(b, m)[0] for b in blocks]), conn)
         assert np.array_equal(np.concatenate([connected_at(b, m)[1] for b in blocks]), iso)
         for t in range(trials):

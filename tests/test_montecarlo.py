@@ -9,6 +9,7 @@ shares no code with the library.  Monte Carlo estimates must land within
 
 import itertools
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from pairdeploy.graphs import connected_at
 from pairdeploy.montecarlo import (
     CENSUS_TRIALS_DEFAULT,
     SWEEP_TRIALS_DEFAULT,
-    DeploymentSchedule,
     Estimate,
     ExperimentPlan,
     _pool_size,
@@ -66,18 +66,22 @@ class TestWilson:
 
 class TestValidation:
     def test_schedule_must_increase(self):
-        DeploymentSchedule((0.25, 0.5, 1.0))
-        DeploymentSchedule((1.0,))
-        with pytest.raises(ValueError):
-            DeploymentSchedule(())
-        with pytest.raises(ValueError):
-            DeploymentSchedule((0.5, 0.25))
-        with pytest.raises(ValueError):
-            DeploymentSchedule((0.5, 0.5))
-        with pytest.raises(ValueError):
-            DeploymentSchedule((0.0, 0.5))
-        with pytest.raises(ValueError):
-            DeploymentSchedule((0.5, 1.2))
+        ExperimentPlan(10, (1,), (0.25, 0.5, 1.0), trials=5)
+        ExperimentPlan(10, (1,), (1.0,), trials=5)
+        with pytest.raises(ValueError, match="at least one"):
+            ExperimentPlan(10, (1,), (), trials=5)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ExperimentPlan(10, (1,), (0.5, 0.25), trials=5)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ExperimentPlan(10, (1,), (0.5, 0.5), trials=5)
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            ExperimentPlan(10, (1,), (0.0, 0.5), trials=5)
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            ExperimentPlan(10, (1,), (0.5, 1.2), trials=5)
+
+    def test_phased_run_takes_one_k(self):
+        with pytest.raises(ValueError, match="one k"):
+            run_phased_detail(ExperimentPlan(10, (1, 2), (0.5, 1.0), trials=5))
 
     def test_plan_validation(self):
         ExperimentPlan(10, (1, 2), (0.5, 1.0), trials=5)
@@ -236,8 +240,8 @@ def test_pool_size_is_clamped(monkeypatch):
 
 def test_different_seed_changes_something():
     # Compare raw per-trial outcomes: aggregate counts can collide by chance.
-    a, _ = evaluate_deployments(150, 1, (1.0,), 60, base_seed=0)
-    b, _ = evaluate_deployments(150, 1, (1.0,), 60, base_seed=42)
+    a, _ = evaluate_deployments(ExperimentPlan(150, (1,), (1.0,), 60, base_seed=0), 1)
+    b, _ = evaluate_deployments(ExperimentPlan(150, (1,), (1.0,), 60, base_seed=42), 1)
     assert not np.array_equal(a, b)
 
 
@@ -255,7 +259,7 @@ def test_coupled_gammas_share_tables():
 def test_isolated_mean_matches_first_moment():
     """Sample mean of the isolated count vs the exact expectation, 3 SE."""
     n, k, g, trials = 400, 2, 0.5, 10_000
-    _, isolated = evaluate_deployments(n, k, (g,), trials, base_seed=10)
+    _, isolated = evaluate_deployments(ExperimentPlan(n, (k,), (g,), trials, base_seed=10), k)
     counts = isolated[0].astype(np.float64)
     expected = theory.expected_isolated(n, k, g)
     se = counts.std(ddof=1) / math.sqrt(trials)
@@ -265,10 +269,10 @@ def test_isolated_mean_matches_first_moment():
 def test_block_partition_does_not_change_records(monkeypatch):
     """A budget that splits every cell into several blocks reproduces the
     single-block outcomes exactly."""
-    gammas = (0.2, 0.5, 1.0)
-    whole = evaluate_deployments(80, 3, gammas, 40, base_seed=8)
+    plan = ExperimentPlan(80, (3,), (0.2, 0.5, 1.0), 40, base_seed=8)
+    whole = evaluate_deployments(plan, 3)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 80 * 3)
-    split = evaluate_deployments(80, 3, gammas, 40, base_seed=8)
+    split = evaluate_deployments(plan, 3)
     for a, b in zip(whole, split):
         assert np.array_equal(a, b)
 
@@ -286,7 +290,7 @@ def test_only_the_deployed_rows_are_drawn(monkeypatch):
         return block
 
     monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
-    evaluate_deployments(50, 3, (0.2, 0.6), 9, base_seed=4)
+    evaluate_deployments(ExperimentPlan(50, (3,), (0.2, 0.6), 9, base_seed=4), 3)
     assert shapes == [(4, 30, 3), (4, 30, 3), (1, 30, 3)]
 
 
@@ -305,33 +309,55 @@ def test_one_block_alive_at_a_time(monkeypatch):
         return block
 
     monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
-    evaluate_deployments(10, 3, (0.5, 1.0), 7, base_seed=2)
+    evaluate_deployments(ExperimentPlan(10, (3,), (0.5, 1.0), 7, base_seed=2), 3)
     run_keyring_census(10, 3, trials=7, base_seed=2)
     assert len(drawn) == 8
 
 
+def test_blocks_are_sized_lazily(monkeypatch):
+    """The block loop checks its sizes when called and steps block starts
+    without listing them: a census of 10**12 trials reaches its first draw
+    having allocated almost nothing."""
+    with pytest.raises(ValueError, match="trials"):
+        montecarlo._blocks(10, 1, 0, 0, 10)  # not iterated: checked at the call
+
+    class FirstDraw(Exception):
+        pass
+
+    def first_draw(*args):
+        raise FirstDraw
+
+    monkeypatch.setattr(sampling, "sample_pairing_block", first_draw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstDraw):
+            run_keyring_census(1000, 24, 10**12, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_trial_record_shape():
     """Per-trial outcomes: one row per fraction, in the order given."""
-    connected, isolated = evaluate_deployments(30, 2, (0.5, 1.0), 25, base_seed=3)
+    connected, isolated = evaluate_deployments(ExperimentPlan(30, (2,), (0.5, 1.0), 25, base_seed=3), 2)
     assert connected.shape == isolated.shape == (2, 25)
     assert connected.dtype == bool and isolated.dtype == np.int64
     assert isolated[1].sum() == 0  # gamma = 1.0 never has isolated nodes
-    single, _ = evaluate_deployments(30, 2, (0.5,), 25, base_seed=3)
+    single, _ = evaluate_deployments(ExperimentPlan(30, (2,), (0.5,), 25, base_seed=3), 2)
     assert np.array_equal(single[0], connected[0])
 
 
 # -- phased deployments ----------------------------------------------------------
 
 def test_single_phase_equals_sweep_cell():
-    est, _ = run_phased_detail(150, 2, DeploymentSchedule((1.0,)), 60, base_seed=41)
+    est, _ = run_phased_detail(ExperimentPlan(150, (2,), (1.0,), 60, base_seed=41))
     sweep = run_sweep(small_plan(k_values=(2,), gammas=(1.0,)))
     assert est == sweep["connected"][(1.0, 2)]
 
 
 def test_joint_at_most_every_phase():
-    joint, phases = run_phased_detail(
-        300, 5, DeploymentSchedule((0.25, 0.5, 1.0)), 100, base_seed=17
-    )
+    joint, phases = run_phased_detail(ExperimentPlan(300, (5,), (0.25, 0.5, 1.0), 100, base_seed=17))
     assert set(phases) == {0.25, 0.5, 1.0}
     for est in phases.values():
         assert joint.successes <= est.successes
@@ -339,9 +365,9 @@ def test_joint_at_most_every_phase():
 
 
 def test_phased_rerun_identical():
-    sched = DeploymentSchedule((0.5, 1.0))
-    a = run_phased_detail(100, 3, sched, 50, base_seed=9)
-    b = run_phased_detail(100, 3, sched, 50, base_seed=9)
+    plan = ExperimentPlan(100, (3,), (0.5, 1.0), 50, base_seed=9)
+    a = run_phased_detail(plan)
+    b = run_phased_detail(plan)
     assert a == b
 
 
@@ -372,7 +398,7 @@ def test_census_block_partition_does_not_change_census(monkeypatch):
     """A census binned over several blocks equals the one-block census."""
     whole = run_keyring_census(40, 3, trials=25, base_seed=7)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 4 * 40 * 3)
-    assert len(montecarlo._block_sizes(40, 3, 25)) == 7
+    assert len(list(montecarlo._blocks(40, 3, 25, 7, 40))) == 7
     assert run_keyring_census(40, 3, trials=25, base_seed=7) == whole
 
 
