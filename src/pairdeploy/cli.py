@@ -189,9 +189,10 @@ def _sweep(args: argparse.Namespace) -> _Output:
         base_seed=args.seed,
         workers=args.workers,
     )
+    curves = montecarlo.run_sweep(plan)
     rows = [
-        {"kind": kind, "gamma": _gamma_str(g), "K": k, "n": plan.n, **_estimate_fields(curve[g, k])}
-        for kind, curve in montecarlo.run_sweep(plan).items()
+        {"kind": kind, "gamma": _gamma_str(g), "K": k, "n": plan.n, **_estimate_fields(curves[kind][g, k])}
+        for kind in ("connected", "no_isolated")
         for g in plan.gammas
         for k in plan.k_values
     ]
@@ -206,9 +207,9 @@ def _phased(args: argparse.Namespace) -> _Output:
         trials=args.trials,
         base_seed=args.seed,
     )
-    joint, phases = montecarlo.run_phased_detail(plan)
-    labelled = [(",".join(_gamma_str(g) for g in plan.gammas), joint)]
-    labelled += [(_gamma_str(g), phases[g]) for g in plan.gammas]
+    curves = montecarlo.run_sweep(plan)
+    labelled = [(",".join(_gamma_str(g) for g in plan.gammas), curves["joint"][args.k])]
+    labelled += [(_gamma_str(g), curves["connected"][g, args.k]) for g in plan.gammas]
     rows = [
         {"n": args.n, "K": args.k, "schedule": label, **_estimate_fields(est)}
         for label, est in labelled

@@ -1,14 +1,14 @@
-"""Repeat-trial experiments: connectivity/isolation sweeps, phased
-deployments, and key-ring censuses.
+"""Repeat-trial experiments: deployment runs and key-ring censuses.
 
-One ExperimentPlan describes every deployment run, a sweep over its k
-values or a phased run of its one k.  Runs are coupled: one table is
-generated per (k, trial) and every deployment fraction is evaluated as a
-view of that same table, matching how a gradually deployed network
-actually grows.  Table seeds derive from (base_seed, k, trial) through the
-sampling module's stream keying, so any execution order, chunking, or
-worker count reproduces identical results.  All three runs draw their
-tables through one block loop.
+One ExperimentPlan describes every deployment run, and run_sweep answers
+all its questions from one evaluation pass: the per-fraction connectivity
+and isolation curves, and the joint all-phases connectivity per k.  Runs
+are coupled: one table is generated per (k, trial) and every deployment
+fraction is evaluated as a view of that same table, matching how a
+gradually deployed network actually grows.  Table seeds derive from
+(base_seed, k, trial) through the sampling module's stream keying, so any
+execution order, chunking, or worker count reproduces identical results.
+Deployment runs and censuses draw their tables through one block loop.
 
 Default trial counts: 200 for sweeps, 1000 for censuses.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "estimate_from",
     "evaluate_deployments",
     "run_sweep",
-    "run_phased_detail",
     "run_keyring_census",
 ]
 
@@ -106,6 +105,8 @@ class ExperimentPlan:
             SchemeParams(self.n, k)
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
+        if not 0 <= self.base_seed <= sampling.MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.base_seed}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         gs = tuple(float(g) for g in self.gammas)
@@ -127,13 +128,16 @@ def _blocks(n: int, k: int, trials: int, base_seed: int, rows: int) -> Iterator:
     each, drawn lazily in blocks of about _BLOCK_BUDGET entries, as
     (span, block) pairs; span is the block's slice of the trial range.
 
-    (n, k) and trials are checked at the call, before the caller allocates;
-    block starts are stepped, not listed, and no yielded block is held here,
-    so a caller that drops its own reference frees it before the next draw.
+    (n, k), trials and the seed are checked at the call, before the caller
+    allocates; block starts are stepped, not listed, and no yielded block is
+    held here, so a caller that drops its own reference frees it before the
+    next draw.
     """
     SchemeParams(n, k)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if not 0 <= base_seed <= sampling.MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {base_seed}")
     seed = sampling.fold(base_seed, k)
     per = max(1, _BLOCK_BUDGET // (rows * k))
     spans = (slice(start, min(start + per, trials)) for start in range(0, trials, per))
@@ -146,12 +150,12 @@ def _blocks(n: int, k: int, trials: int, base_seed: int, rows: int) -> Iterator:
 def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Generate the plan's tables for k and evaluate every gamma view.
 
-    The workhorse behind sweeps and phased runs: per trial, one table,
+    The one evaluation pass behind run_sweep's curves: per trial, one table,
     all the plan's fractions checked on it, one connected_at call per view
     for a whole block of tables.  Only the first max(m) nodes of each
     table, the rows the views read, are drawn.  The plan has checked its
-    fractions, and (n, k) and trials are checked before anything is
-    allocated.  Returns (connected, isolated), bool and int64 arrays of
+    fractions, and (n, k), trials and the seed are checked before anything
+    is allocated.  Returns (connected, isolated), bool and int64 arrays of
     shape (len(plan.gammas), plan.trials); row i belongs to plan.gammas[i].
     """
     ms = [phase_size(plan.n, g) for g in plan.gammas]
@@ -170,10 +174,12 @@ def _pool_size(workers: int | None, cells: int) -> int:
     return max(1, min(workers or 1, cells, os.cpu_count() or 1))
 
 
-def run_sweep(plan: ExperimentPlan) -> dict[str, dict[tuple[float, int], Estimate]]:
-    """Both sweep curves from one evaluation pass, indexed by (gamma, k):
-    "connected" estimates P[deployed graph connected] and "no_isolated"
-    P[deployed graph has no isolated node], on the same tables."""
+def run_sweep(plan: ExperimentPlan) -> dict[str, dict]:
+    """Every deployment curve of the plan from one evaluation pass, on the
+    same tables.  "connected" estimates P[deployed graph connected] and
+    "no_isolated" P[deployed graph has no isolated node], both indexed by
+    (gamma, k); "joint" estimates P[connected at every gamma of the plan],
+    the phased-deployment question, indexed by k."""
     evaluate = partial(evaluate_deployments, plan)
     size = _pool_size(plan.workers, len(plan.k_values))
     if size > 1:
@@ -183,22 +189,13 @@ def run_sweep(plan: ExperimentPlan) -> dict[str, dict[tuple[float, int], Estimat
         outcomes = list(map(evaluate, plan.k_values))
     connected: dict[tuple[float, int], Estimate] = {}
     no_isolated: dict[tuple[float, int], Estimate] = {}
+    joint: dict[int, Estimate] = {}
     for k, (conn, iso) in zip(plan.k_values, outcomes):
         for g, conn_g, iso_g in zip(plan.gammas, conn, iso):
             connected[(g, k)] = estimate_from(int(conn_g.sum()), plan.trials)
             no_isolated[(g, k)] = estimate_from(int((iso_g == 0).sum()), plan.trials)
-    return {"connected": connected, "no_isolated": no_isolated}
-
-
-def run_phased_detail(plan: ExperimentPlan) -> tuple[Estimate, dict[float, Estimate]]:
-    """Estimate of the joint event, connected at every phase of the plan's
-    schedule (its gammas) for its one k, plus per-phase estimates, computed
-    on the same trials."""
-    if len(plan.k_values) != 1:
-        raise ValueError(f"a phased run takes one k, got {plan.k_values}")
-    connected, _ = evaluate_deployments(plan, plan.k_values[0])
-    phases = {g: estimate_from(int(c.sum()), plan.trials) for g, c in zip(plan.gammas, connected)}
-    return estimate_from(int(connected.all(axis=0).sum()), plan.trials), phases
+        joint[k] = estimate_from(int(conn.all(axis=0).sum()), plan.trials)
+    return {"connected": connected, "no_isolated": no_isolated, "joint": joint}
 
 
 @dataclass(frozen=True)

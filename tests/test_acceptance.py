@@ -214,9 +214,8 @@ def test_phased_schedule_joint_connectivity():
     k = theory.scaling_k(2000, 1.2, 0.25)
     assert k == 37
     started = time.perf_counter()
-    joint, _ = montecarlo.run_phased_detail(
-        ExperimentPlan(2000, (k,), (0.25, 0.5, 1.0), TRIALS, SEED)
-    )
+    plan = ExperimentPlan(2000, (k,), (0.25, 0.5, 1.0), TRIALS, SEED)
+    joint = montecarlo.run_sweep(plan)["joint"][k]
     elapsed = time.perf_counter() - started
     print(f"n=2000 k={k} schedule (0.25, 0.5, 1.0): joint connectivity "
           f"{joint.successes}/{joint.trials} (p_hat={joint.p_hat:.4f}) in {elapsed:.1f}s")

@@ -28,7 +28,7 @@ MODULES = ("sampling", "scheme", "graphs", "theory", "montecarlo", "cli")
 TRACED = {
     "sampling": ("sample_pairing_block",),
     "graphs": ("connected_at",),
-    "montecarlo": ("run_sweep", "run_phased_detail", "run_keyring_census"),
+    "montecarlo": ("run_sweep", "run_keyring_census"),
     "theory": (
         "isolation_threshold",
         "maxring_critical_scale",

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, golden values, exit codes, determinism."""
 
 import csv
+import importlib
 import io
 import json
 import re
@@ -416,6 +417,42 @@ class TestTheory:
         assert len(err.splitlines()) == 1
 
 
+# one small run of each command that takes --seed; sweep also through its pool
+SEEDED_RUNS = {
+    "sweep": ["sweep", "--n", "30", "--k", "2,3", "--gamma", "0.5,1.0", "--trials", "4"],
+    "sweep_workers": [
+        "sweep", "--n", "30", "--k", "2,3", "--gamma", "0.5,1.0", "--trials", "4", "--workers", "2"
+    ],
+    "phased": ["phased", "--n", "30", "--k", "3", "--schedule", "0.5,1.0", "--trials", "4"],
+    "census": ["census", "--n", "30", "--k", "3", "--trials", "4"],
+}
+
+
+class TestSeedRange:
+    """A seed is a uint64: one outside [0, 2**64) would be wrapped into it
+    by the sampler's mixing and run as another seed, so it is refused."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", SEEDED_RUNS)
+    def test_outside_uint64_is_usage_error(self, capsys, monkeypatch, command, seed):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the seed was checked")
+
+        monkeypatch.setattr(montecarlo.sampling, "sample_pairing_block", no_work)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_work)
+        code, out, err = run_cli(capsys, *SEEDED_RUNS[command], "--seed", str(seed))
+        assert (code, out) == (2, "")
+        assert err == f"pairdeploy: seed must be in [0, 2**64), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("command", SEEDED_RUNS)
+    def test_range_ends_run(self, capsys, command, seed):
+        argv = [*SEEDED_RUNS[command], "--seed", str(seed), "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["seed"] == seed
+
+
 class TestOutputFile:
     def test_out_matches_stdout(self, capsys, tmp_path):
         argv = ("census", "--n", "30", "--k", "2", "--trials", "10")
@@ -483,6 +520,20 @@ def test_console_script():
     assert "0.419059784" in proc.stdout
 
 
+def test_console_script_target_is_the_cli_main(capsys):
+    """The [project.scripts] entry, checked without installing the package."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert section is not None
+    target = re.search(r'^pairdeploy\s*=\s*"([\w.]+):(\w+)"\s*$', section.group(1), re.M)
+    assert target is not None
+    module, attr = target.groups()
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is cli.main
+    assert entry(["theory", "--r-gamma", "0.5"]) == 0
+    assert "0.419059784" in capsys.readouterr().out
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -503,7 +554,7 @@ README_EXAMPLES = readme_examples()
 
 
 def test_readme_examples_are_found():
-    assert [command.split()[1] for command, _ in README_EXAMPLES] == ["sweep", "census", "theory"]
+    assert [command.split()[1] for command, _ in README_EXAMPLES] == ["sweep", "phased", "census", "theory"]
 
 
 @pytest.mark.parametrize("command,printed", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])

@@ -27,7 +27,6 @@ from pairdeploy.montecarlo import (
     estimate_from,
     evaluate_deployments,
     run_keyring_census,
-    run_phased_detail,
     run_sweep,
     wilson_interval,
 )
@@ -79,10 +78,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"in \(0, 1\]"):
             ExperimentPlan(10, (1,), (0.5, 1.2), trials=5)
 
-    def test_phased_run_takes_one_k(self):
-        with pytest.raises(ValueError, match="one k"):
-            run_phased_detail(ExperimentPlan(10, (1, 2), (0.5, 1.0), trials=5))
-
     def test_plan_validation(self):
         ExperimentPlan(10, (1, 2), (0.5, 1.0), trials=5)
         with pytest.raises(ValueError):
@@ -97,6 +92,12 @@ class TestValidation:
             ExperimentPlan(10, (1,), (0.05,), trials=5)  # floor(gamma*n) = 0
         with pytest.raises(ValueError):
             ExperimentPlan(10, (1,), (0.5,), trials=5, workers=0)
+        ExperimentPlan(10, (1,), (0.5,), trials=5, base_seed=2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                ExperimentPlan(10, (1,), (0.5,), trials=5, base_seed=seed)
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                run_keyring_census(10, 1, trials=5, base_seed=seed)
 
     def test_defaults_match_protocol(self):
         assert SWEEP_TRIALS_DEFAULT == 200
@@ -203,9 +204,11 @@ def small_plan(**overrides):
 def test_sweep_keys_and_types():
     plan = small_plan()
     out = run_sweep(plan)
-    assert list(out) == ["connected", "no_isolated"]
+    assert list(out) == ["connected", "no_isolated", "joint"]
+    for kind in ("connected", "no_isolated"):
+        assert set(out[kind]) == {(g, k) for g in plan.gammas for k in plan.k_values}
+    assert list(out["joint"]) == list(plan.k_values)
     for curve in out.values():
-        assert set(curve) == {(g, k) for g in plan.gammas for k in plan.k_values}
         assert all(isinstance(v, Estimate) for v in curve.values())
 
 
@@ -351,24 +354,30 @@ def test_trial_record_shape():
 # -- phased deployments ----------------------------------------------------------
 
 def test_single_phase_equals_sweep_cell():
-    est, _ = run_phased_detail(ExperimentPlan(150, (2,), (1.0,), 60, base_seed=41))
-    sweep = run_sweep(small_plan(k_values=(2,), gammas=(1.0,)))
-    assert est == sweep["connected"][(1.0, 2)]
+    out = run_sweep(small_plan(k_values=(2,), gammas=(1.0,)))
+    assert out["joint"][2] == out["connected"][(1.0, 2)]
 
 
 def test_joint_at_most_every_phase():
-    joint, phases = run_phased_detail(ExperimentPlan(300, (5,), (0.25, 0.5, 1.0), 100, base_seed=17))
-    assert set(phases) == {0.25, 0.5, 1.0}
-    for est in phases.values():
-        assert joint.successes <= est.successes
-    assert joint.trials == 100
+    plan = ExperimentPlan(300, (3, 5), (0.25, 0.5, 1.0), 100, base_seed=17)
+    out = run_sweep(plan)
+    for k in plan.k_values:
+        joint = out["joint"][k]
+        assert joint.trials == 100
+        for g in plan.gammas:
+            assert joint.successes <= out["connected"][(g, k)].successes
+
+
+def test_joint_of_one_k_does_not_depend_on_the_other_ks():
+    """Tables depend only on (seed, k), so adding a K leaves K=3's joint as it was."""
+    both = run_sweep(ExperimentPlan(300, (3, 5), (0.25, 0.5, 1.0), 100, base_seed=17))
+    alone = run_sweep(ExperimentPlan(300, (3,), (0.25, 0.5, 1.0), 100, base_seed=17))
+    assert both["joint"][3] == alone["joint"][3]
 
 
 def test_phased_rerun_identical():
     plan = ExperimentPlan(100, (3,), (0.5, 1.0), 50, base_seed=9)
-    a = run_phased_detail(plan)
-    b = run_phased_detail(plan)
-    assert a == b
+    assert run_sweep(plan) == run_sweep(plan)
 
 
 # -- ring census -------------------------------------------------------------------
