@@ -103,7 +103,7 @@ _THEORY_QUERIES = {
                       [], "critical max-ring scale"),
     "--c-of-lambda": ("c_of_lambda", lambda lam: theory.upper_tail_root(lam),
                       [_REAL], "deviation roots c for these scales"),
-    "--h-exponent": ("h_exponent", lambda lam, c: theory.tail_exponents(lam, c).h,
+    "--h-exponent": ("h_exponent", lambda lam, c: theory.decay_exponent(lam, c),
                      [_REAL, _REAL], "LAM,C"),
     "--isolation": ("isolation_prob", lambda *a: theory.isolation_prob_exact(*a),
                     [_INT, _INT, _GAMMA], "N,K,GAMMA"),

@@ -2,9 +2,9 @@
 
 Everything here is finite-n evaluation of exact formulas: the isolation
 threshold governing how many selections per node a partial deployment
-needs, exact first-moment isolation probabilities, a union bound on the
-probability the deployed key graph is disconnected, and the exponent
-algebra bounding the largest key ring.  All logarithms are natural.
+needs, the exact probability that r deployed nodes are cut off, a union
+bound on the probability the deployed key graph is disconnected, and the
+exponent algebra bounding the largest key ring.  All logarithms are natural.
 
 Binomial-coefficient ratios C(x,K)/C(y,K) are evaluated as exactly rounded
 log-space sums of log1p((x-y)/(y-l)), which stay finite and accurate to
@@ -18,15 +18,12 @@ few nodes, e.g. 5.1e-418 at K=60, gamma=0.9, r=5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .scheme import SchemeParams, gamma_n_exact, phase_size
 
 __all__ = [
-    "TailExponents",
     "isolation_threshold",
     "maxring_critical_scale",
-    "scaling_k",
     "isolation_prob_exact",
     "expected_isolated",
     "isolation_event_prob",
@@ -34,7 +31,7 @@ __all__ = [
     "connectivity_lower_bound_full",
     "upper_tail_coeff",
     "lower_tail_coeff",
-    "tail_exponents",
+    "decay_exponent",
     "poisson_rate",
     "upper_tail_root",
     "maxring_tail_bound",
@@ -44,15 +41,6 @@ __all__ = [
 # -log of a term too small to move a running sum >= 1: below e^-37.5, the
 # term stays below 2^-53 (e^-36.7), half an ulp of 1, after its own rounding
 _NEGLIGIBLE = 37.5
-
-
-@dataclass(frozen=True)
-class TailExponents:
-    """Upper/lower tail coefficients a, b and the decay exponent h = -max(a, b)."""
-
-    a: float
-    b: float
-    h: float
 
 
 def isolation_threshold(gamma: float) -> float:
@@ -75,17 +63,6 @@ def maxring_critical_scale() -> float:
     return 1.0 / (2.0 * math.log(2.0) - 1.0)
 
 
-def scaling_k(n: int, c: float, gamma: float) -> int:
-    """Selections per node under the scaling k = ceil(c * ln(n) / gamma)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if c <= 0:
-        raise ValueError(f"scaling constant must be positive, got {c}")
-    if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    return math.ceil(c * math.log(n) / gamma)
-
-
 def _log_binom_ratio(x: int, y: int, k: int) -> float:
     """log of C(x,k)/C(y,k) for x <= y; -inf when C(x,k) = 0."""
     if x < k:
@@ -100,6 +77,14 @@ def _group_log_terms(n: int, k: int, m: int, r: int) -> tuple[float, float]:
     deployed rest, and log C(n-r-1, k)/C(n-1, k), one deployed node outside
     the group selecting none of it."""
     return _log_binom_ratio(n - m + r - 1, n - 1, k), _log_binom_ratio(n - r - 1, n - 1, k)
+
+
+def _event_prob(n: int, k: int, m: int, r: int) -> float:
+    """(C(n-m+r-1, k)/C(n-1, k))^r * (C(n-r-1, k)/C(n-1, k))^(m-r), from the
+    two log factors; a zero binomial, or underflow, gives 0.0."""
+    grp, rest = _group_log_terms(n, k, m, r)
+    log_p = r * grp + (0 if m == r else (m - r) * rest)
+    return 0.0 if log_p == -math.inf else math.exp(log_p)
 
 
 def _group_phase_size(n: int, k: int, gamma: float) -> int:
@@ -128,10 +113,7 @@ def isolation_prob_exact(n: int, k: int, gamma: float) -> float:
     m = phase_size(n, gamma)
     if m < 2:
         raise ValueError(f"need floor(gamma*n) >= 2, got {m}")
-    own, others = _group_log_terms(n, k, m, 1)
-    if own == -math.inf:
-        return 0.0
-    return math.exp(own + (m - 1) * others)
+    return _event_prob(n, k, m, 1)
 
 
 def expected_isolated(n: int, k: int, gamma: float) -> float:
@@ -153,9 +135,7 @@ def isolation_event_prob(n: int, k: int, gamma: float, r: int) -> float:
     m = _group_phase_size(n, k, gamma)
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= floor(gamma*n) = {m}, got r={r}")
-    grp, rest = _group_log_terms(n, k, m, r)
-    log_p = r * grp + (0 if m == r else (m - r) * rest)
-    return 0.0 if log_p == -math.inf else math.exp(log_p)
+    return _event_prob(n, k, m, r)
 
 
 def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
@@ -163,9 +143,10 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
 
         sum_{r=1..floor(gamma*n/2)} C(m, r) * isolation_event_prob(n,k,gamma,r)
 
-    summed in log space.  A valid upper bound whenever 2(k+1) < n,
-    k+1 <= n - m and gamma*n > 2; may exceed 1 (vacuous but returned), and
-    past the double range it is returned as math.inf.
+    summed in log space.  A valid upper bound whenever 2(k+1) < n and
+    gamma*n > 2, full deployment included: a zero group binomial (small r
+    with k+1 > n - m) gives a -inf log term, which adds 0.  It may exceed 1
+    (vacuous but returned); past the double range it is math.inf.
 
     Only the terms that can change the returned double are evaluated.  With
     t_r the computed log of term r and top the largest t_r, the value is
@@ -186,6 +167,8 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
     of that total is below top - 37.5 - margin.  Every later t_s is then
     below top - 37.5, so top is final, and exp(t_s - top), rounded, is below
     e^-37 < 2^-53: S, and the value, are those of the full sum bit for bit.
+    A leading -inf term cannot stop the loop, as top starts at -inf, and g
+    is finite: n-m+m//2-1 >= n//2-1 >= k.
 
     margin = 2^-44 * (lgamma(m+1) + k*m*n) bounds the rounding error of t_s
     and of the stop test, 512 units of 2^-53 against about 32 needed: each
@@ -194,13 +177,10 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
     r <= m/2 or m - r <= m; an argument of log1p carries relative error
     2^-53, which moves its value by at most n/2 units of 2^-53, since
     1 + z >= 2/n there.  Where no R qualifies, near the vacuous regime
-    (k*gamma small), every term is summed.
+    (k*gamma small), every term is summed.  At gamma = 1 B falls slowly: at
+    (1e6, 3, 1.0) the stop comes only past R of about n/13, after 0.5 s.
     """
     m = _group_phase_size(n, k, gamma)
-    if not k + 1 <= n - m:
-        raise ValueError(f"need k+1 <= n - floor(gamma*n), got k={k}, n={n}, m={m}")
-    # k+1 <= n-m keeps every binomial positive, and gamma*n > 2 gives m >= 2,
-    # so each of the m//2 >= 1 terms is finite
     half = m // 2
     slope = 1 + _log_binom_ratio(n - m + half - 1, n - 1, k) - k * (m - half) / (n - 1)
     margin = 2.0**-44 * (math.lgamma(m + 1) + k * m * n)
@@ -263,11 +243,9 @@ def lower_tail_coeff(lam: float, c: float) -> float:
     return -c - (lam - c) * math.log1p(-c / lam)
 
 
-def tail_exponents(lam: float, c: float) -> TailExponents:
-    """Both tail coefficients and the decay exponent h = -max(a, b)."""
-    a = upper_tail_coeff(lam, c)
-    b = lower_tail_coeff(lam, c)
-    return TailExponents(a=a, b=b, h=-max(a, b))
+def decay_exponent(lam: float, c: float) -> float:
+    """h = -max(a, b): the largest-ring bound at k = lam*ln(n), t = c*ln(n) is <= 2 n^-h."""
+    return -max(upper_tail_coeff(lam, c), lower_tail_coeff(lam, c))
 
 
 def poisson_rate(x: float) -> float:
@@ -304,7 +282,7 @@ def maxring_tail_bound(n: int, k: int, t: float) -> float:
     """Bound exp(A) + exp(B) on P[|largest ring - 2k| > t], where
 
         A = ln(n) + t - (k+t) ln(1+t/k)      (upper tail)
-        B = -t - (k-t) ln(1-t/k)             (lower tail)
+        B = -t - (k-t) ln(1-t/k)             (lower tail: lower_tail_coeff(k, t))
 
     Requires a valid scheme (n, k) and 0 < t < k so both tails are in range.
     """
@@ -314,5 +292,4 @@ def maxring_tail_bound(n: int, k: int, t: float) -> float:
     if t >= k:
         raise ValueError(f"lower tail needs t < k, got t={t}, k={k}")
     a_exp = math.log(n) + t - (k + t) * math.log1p(t / k)
-    b_exp = -t - (k - t) * math.log1p(-t / k)
-    return math.exp(a_exp) + math.exp(b_exp)
+    return math.exp(a_exp) + math.exp(lower_tail_coeff(k, t))

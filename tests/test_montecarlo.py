@@ -460,5 +460,5 @@ def test_maxring_deviation_frequency_below_analytic_bound(n, trials):
     bad = sum(
         count for size, count in census.max_histogram.items() if abs(size - 2 * k) >= t
     )
-    bound = 2 * n ** -theory.tail_exponents(3.0, 2.9).h
+    bound = 2 * n ** -theory.decay_exponent(3.0, 2.9)
     assert bad / trials <= bound

@@ -154,32 +154,6 @@ def test_poisson_rate_shape():
         theory.poisson_rate(-0.01)
 
 
-# -- scaling ------------------------------------------------------------------
-
-def test_scaling_k_values():
-    assert theory.scaling_k(1000, 1.2, 0.4) == 21
-    assert theory.scaling_k(1000, 1.5, 0.5) == 21
-    assert theory.scaling_k(2000, 1.2, 0.25) == 37
-
-
-def test_scaling_k_positive_and_consistent():
-    for n in (2, 3, 10, 10**6):
-        for c in (0.1, 1.0, 3.0):
-            for g in (0.2, 1.0):
-                got = theory.scaling_k(n, c, g)
-                assert got >= 1
-                assert got == math.ceil(c * math.log(n) / g)
-
-
-def test_scaling_k_domain():
-    with pytest.raises(ValueError):
-        theory.scaling_k(1, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        theory.scaling_k(100, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        theory.scaling_k(100, 1.0, 0.0)
-
-
 # -- exact isolation probabilities --------------------------------------------
 
 def test_isolation_prob_hand_values():
@@ -317,7 +291,11 @@ def test_union_bound_fixture():
     assert got < 0.05
 
 
-@pytest.mark.parametrize("n,k,g", [(30, 2, 0.5), (100, 3, 0.4), (250, 5, 0.5), (1000, 21, 0.5)])
+@pytest.mark.parametrize(
+    "n,k,g",
+    [(30, 2, 0.5), (100, 3, 0.4), (250, 5, 0.5), (1000, 21, 0.5),
+     (100, 2, 1.0), (1000, 2, 1.0), (2000, 3, 1.0)],
+)
 def test_union_bound_matches_oracle(n, k, g):
     m = phase_size(n, g)
     assert rel_err(theory.connectivity_union_bound(n, k, g), oracle_union_bound(n, k, m)) < 1e-10
@@ -339,7 +317,7 @@ def test_union_bound_vanishes_along_supercritical_scaling():
     # k grows like 1.5 ln(n) / gamma: the bound must fall toward zero
     vals = []
     for n in (250, 500, 1000, 2000):
-        k = theory.scaling_k(n, 1.5, 0.5)
+        k = math.ceil(1.5 * math.log(n) / 0.5)
         vals.append(theory.connectivity_union_bound(n, k, 0.5))
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-8
@@ -370,14 +348,14 @@ def full_sum_union_bound(n, k, gamma):
 
 
 def _union_bound_defined(n, k, g):
-    return 2 * (k + 1) < n and k + 1 <= n - phase_size(n, g)
+    return 2 * (k + 1) < n
 
 
 # few cases at n = 1e5 and 1e6: the full sum costs about 0.5 us per term and unit of K
 UNION_GRID = [
     (n, k, g)
     for ns, ks, gs in [
-        ((50, 300, 2000, 10000), (2, 5, 12, 25, 40), (0.1, 0.3, 0.5, 0.7, 0.9)),
+        ((50, 300, 2000, 10000), (2, 5, 12, 25, 40), (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)),
         ((100000,), (5, 30), (0.1, 0.5)),
         ((1000000,), (30,), (0.1,)),
     ]
@@ -448,8 +426,6 @@ def test_union_bound_domain():
         theory.connectivity_union_bound(10, 4, 0.5)  # 2(k+1) not < n
     with pytest.raises(ValueError):
         theory.connectivity_union_bound(20, 2, 0.1)  # gamma*n not > 2
-    with pytest.raises(ValueError):
-        theory.connectivity_union_bound(100, 30, 0.8)  # k+1 > n - m
 
 
 # -- full-deployment connectivity bound ----------------------------------------
@@ -485,12 +461,14 @@ def test_lower_tail_coeff_negative_inside_interval():
             assert theory.lower_tail_coeff(lam, lam * frac) < 0
 
 
-def test_tail_exponents_bundle():
-    te = theory.tail_exponents(3.0, 2.9)
-    assert te.h == -max(te.a, te.b)
-    assert abs(te.a + 0.090406367237028) < 1e-12
-    assert abs(te.b + 2.55988026183378) < 1e-11
-    assert abs(te.h - 0.090406367237028) < 1e-12
+def test_decay_exponent():
+    a = theory.upper_tail_coeff(3.0, 2.9)
+    b = theory.lower_tail_coeff(3.0, 2.9)
+    h = theory.decay_exponent(3.0, 2.9)
+    assert h == -max(a, b)
+    assert abs(a + 0.090406367237028) < 1e-12
+    assert abs(b + 2.55988026183378) < 1e-11
+    assert abs(h - 0.090406367237028) < 1e-12
 
 
 def test_tail_coeff_domain():
@@ -561,7 +539,7 @@ def test_maxring_bound_domain():
 
 def test_scaled_maxring_bound_values():
     # the scaled form 2 * n^(-h) of the largest-ring bound at lam=3, c=2.9
-    h = theory.tail_exponents(3.0, 2.9).h
+    h = theory.decay_exponent(3.0, 2.9)
     assert abs(2 * 1000 ** -h - 1.07105283218991) < 1e-10
     assert abs(2 * 10000 ** -h - 0.869770205799759) < 1e-10
 
@@ -570,4 +548,4 @@ def test_exponent_positive_between_root_and_scale():
     for lam in (2.7, 3.0, 5.0, 10.0):
         root = theory.upper_tail_root(lam)
         for c in np.linspace(root, lam, 12)[1:-1]:
-            assert theory.tail_exponents(lam, float(c)).h > 0
+            assert theory.decay_exponent(lam, float(c)) > 0
