@@ -1,8 +1,7 @@
-"""Key graphs induced by a pairing table, and the two deployment questions.
+"""The key graph of a pairing table, and the two deployment questions.
 
 Nodes i and j are adjacent iff either selected the other, so they share at
-least one pairwise key.  build_graph lists the edges of a table; the
-tests' independent oracles walk that list.
+least one pairwise key: the edges are the selection pairs (i, partners[i, c]).
 
 The deployment questions are asked of the view at fraction gamma: the
 first m = floor(gamma*n) nodes (the nodes deployed so far) and the edges
@@ -13,50 +12,14 @@ each selection column into a flat label array of all the block's tables
 connected or can gain no more edges, and counts the isolated nodes of a
 retired table as the singleton components of its final labels.  The tests
 check it against independent union-find, breadth-first search and
-edge-mask routes.
+edge-mask routes over the selection pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .scheme import PairingTable
-
-__all__ = [
-    "KeyGraph",
-    "build_graph",
-    "connected_at",
-]
-
-
-@dataclass(frozen=True)
-class KeyGraph:
-    """Undirected key graph: n nodes, deduplicated edge arrays (u < v)."""
-
-    n: int
-    edge_u: np.ndarray = field(repr=False)
-    edge_v: np.ndarray = field(repr=False)
-
-
-def build_graph(table: PairingTable) -> KeyGraph:
-    """Build the key graph of a pairing table.
-
-    Mutual selections collapse to a single edge; every node has degree at
-    least k, so the full graph never has isolated nodes.
-    """
-    n, k = table.n, table.k
-    rows = np.repeat(np.arange(n, dtype=np.int64), k)
-    cols = table.partners.ravel()
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    packed = np.unique(lo * n + hi)
-    u = packed // n
-    v = packed % n
-    u.flags.writeable = False
-    v.flags.writeable = False
-    return KeyGraph(n, u, v)
+__all__ = ["connected_at"]
 
 
 # -- block kernel -------------------------------------------------------------
@@ -64,9 +27,9 @@ def build_graph(table: PairingTable) -> KeyGraph:
 # The Monte Carlo harness evaluates thousands of tables; connected_at takes a
 # whole (trials, n, k) block of partner arrays (rows sorted ascending, as
 # every table in this package is) and answers for every table at once,
-# without KeyGraph construction.  It lays the views of all the block's
-# tables out table by table in one flat label array: node i of table t is
-# label t*m + i.
+# straight from the selection columns, with no edge list built.  It lays
+# the views of all the block's tables out table by table in one flat label
+# array: node i of table t is label t*m + i.
 
 def connected_at(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Both deployment questions for the m-node view of each table:

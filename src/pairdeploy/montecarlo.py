@@ -112,13 +112,10 @@ class ExperimentPlan:
         gs = tuple(float(g) for g in self.gammas)
         if not gs:
             raise ValueError("schedule needs at least one deployment fraction")
-        for g in gs:
-            if not 0 < g <= 1:
-                raise ValueError(f"deployment fractions must be in (0, 1], got {g}")
         if any(a >= b for a, b in zip(gs, gs[1:])):
             raise ValueError(f"deployment fractions must be strictly increasing, got {gs}")
         for g in gs:
-            phase_size(self.n, g)  # validates floor(gamma*n) >= 1
+            phase_size(self.n, g)  # validates 0 < gamma <= 1 and floor(gamma*n) >= 1
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "gammas", gs)
 

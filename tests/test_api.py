@@ -5,8 +5,7 @@ every public object has one name: its module's.  The checks below pin that
 the package lists only its modules, that a module exports only what it
 defines, and that every exported name has a caller: a reference in
 src/pairdeploy/ or perfbench/ outside its own definition.  A name that
-only the tests reach belongs in the tests; the few kept anyway are listed
-in UNCALLED with the reason.
+only the tests reach belongs in the tests.
 
 perfbench/spans.py wraps each layer's entry points by name and skips a
 name that no longer exists without an error, so a rename would silently
@@ -41,13 +40,6 @@ TRACED = {
         "connectivity_lower_bound_full",
         "maxring_tail_bound",
     ),
-}
-
-
-# exported names that nothing in src/ or perfbench/ references, with the
-# reason each stays
-UNCALLED = {
-    "graphs.build_graph": "its edge list is what the tests' connectivity oracles walk",
 }
 
 
@@ -113,4 +105,4 @@ def test_every_exported_name_has_a_caller():
     for mod in MODULES:
         module = importlib.import_module(f"pairdeploy.{mod}")
         uncalled += [f"{mod}.{name}" for name in getattr(module, "__all__", ()) if name not in referenced]
-    assert sorted(uncalled) == sorted(UNCALLED)
+    assert uncalled == []

@@ -1,24 +1,26 @@
-"""Key graph construction, deployment views, and the block kernel.
+"""Deployment views and the block kernel.
 
 The library answers both deployment questions with one kernel,
 connected_at, which returns (connected, isolated) for each table of a
-block.  This module holds independent oracles that work on the edge list
-of build_graph instead: union-find, breadth-first search and an edge-mask
-isolated count.  They share no traversal code with the kernel or with each
-other, and a large randomized sweep checks that all of them agree.
+block.  This module holds independent oracles that work on the selection
+pairs (i, partners[i, c]) of a table instead: union-find, breadth-first
+search and an edge-mask isolated count.  A mutual pair is listed twice,
+which changes none of their answers.  They share no traversal code with
+the kernel or with each other, and a large randomized sweep checks that
+all of them agree.
 """
 
 import numpy as np
 import pytest
 
 from pairdeploy import montecarlo, sampling
-from pairdeploy.graphs import build_graph, connected_at
+from pairdeploy.graphs import connected_at
 from pairdeploy.scheme import PairingTable, SchemeParams, generate_pairing, phase_size
 from pairdeploy.sampling import sample_pairing_block
 from pairing_fixtures import table_from_lists
 
 
-# -- oracles on the edge list ---------------------------------------------------
+# -- oracles on the selection pairs -------------------------------------------
 
 class UnionFind:
     """Disjoint sets over 0..n-1 with union by size and path halving."""
@@ -48,22 +50,24 @@ class UnionFind:
         return True
 
 
-def deployed_edges(graph, m):
-    """Edges of the graph with both endpoints among the first m nodes."""
-    keep = (graph.edge_u < m) & (graph.edge_v < m)
-    return graph.edge_u[keep].tolist(), graph.edge_v[keep].tolist()
+def deployed_edges(table, m):
+    """Selection pairs (i, partners[i, c]) with both ends among the first m
+    nodes, as two lists; a mutual pair appears once from each end."""
+    rows = table.partners[:m]
+    keep = rows < m
+    return np.nonzero(keep)[0].tolist(), rows[keep].tolist()
 
 
-def uf_connected(graph, m):
+def uf_connected(table, m):
     uf = UnionFind(m)
-    for a, b in zip(*deployed_edges(graph, m)):
+    for a, b in zip(*deployed_edges(table, m)):
         uf.union(a, b)
     return uf.components == 1
 
 
-def bfs_connected(graph, m):
+def bfs_connected(table, m):
     adj = [[] for _ in range(m)]
-    for a, b in zip(*deployed_edges(graph, m)):
+    for a, b in zip(*deployed_edges(table, m)):
         adj[a].append(b)
         adj[b].append(a)
     seen = [False] * m
@@ -82,17 +86,12 @@ def bfs_connected(graph, m):
     return reached == m
 
 
-def mask_isolated(graph, m):
-    u, v = deployed_edges(graph, m)
+def mask_isolated(table, m):
+    u, v = deployed_edges(table, m)
     touched = np.zeros(m, dtype=bool)
     touched[u] = True
     touched[v] = True
     return int(m - touched.sum())
-
-
-def degrees(graph):
-    """Key-graph degree of every node."""
-    return np.bincount(np.concatenate([graph.edge_u, graph.edge_v]), minlength=graph.n)
 
 
 def kernels(table, m):
@@ -125,49 +124,23 @@ class TestUnionFind:
         assert uf.find(3) != uf.find(0)
 
 
-class TestBuildGraph:
-    def test_reciprocal_pairing_collapses_to_one_edge(self):
-        graph = build_graph(star_table())
-        assert (graph.edge_u.tolist(), graph.edge_v.tolist()) == ([0, 0], [1, 2])
-
-    def test_full_selection_gives_complete_graph(self):
-        table = generate_pairing(SchemeParams(5, 4), seed=0)
-        graph = build_graph(table)
-        assert len(graph.edge_u) == 10
-        assert degrees(graph).tolist() == [4] * 5
-
-    def test_edge_count_at_most_nk(self):
-        for seed in range(5):
-            table = generate_pairing(SchemeParams(60, 3), seed=seed)
-            assert len(build_graph(table).edge_u) <= 60 * 3
-
-    def test_min_degree_at_least_k(self):
-        for seed in range(10):
-            table = generate_pairing(SchemeParams(80, 4), seed=seed)
-            assert degrees(build_graph(table)).min() >= 4
-
-    def test_no_self_loops_and_normalized(self):
-        graph = build_graph(generate_pairing(SchemeParams(50, 2), seed=9))
-        assert (graph.edge_u < graph.edge_v).all()
-
-
 class TestRestrict:
     """The view at fraction gamma keeps the first floor(gamma*n) nodes."""
 
     def test_gamma_one_is_identity(self):
-        graph = build_graph(generate_pairing(SchemeParams(20, 2), seed=1))
+        table = generate_pairing(SchemeParams(20, 2), seed=1)
         m = phase_size(20, 1.0)
         assert m == 20
-        u, v = deployed_edges(graph, m)
-        assert len(u) == len(graph.edge_u)
+        u, v = deployed_edges(table, m)
+        assert len(u) == table.partners.size
 
     def test_floor_of_quarter(self):
         assert phase_size(10, 0.25) == 2
 
     def test_views_nest(self):
-        graph = build_graph(generate_pairing(SchemeParams(100, 3), seed=2))
-        small = set(zip(*deployed_edges(graph, phase_size(100, 0.3))))
-        big = set(zip(*deployed_edges(graph, phase_size(100, 0.7))))
+        table = generate_pairing(SchemeParams(100, 3), seed=2)
+        small = set(zip(*deployed_edges(table, phase_size(100, 0.3))))
+        big = set(zip(*deployed_edges(table, phase_size(100, 0.7))))
         assert small <= big
 
     def test_gamma_domain(self):
@@ -180,25 +153,24 @@ class TestRestrict:
 class TestConnectivity:
     def test_two_disjoint_pairs_not_connected(self):
         table = table_from_lists(4, 1, [[2], [1], [4], [3]])
-        graph = build_graph(table)
         assert kernels(table, 4) == (False, 0)
-        assert not uf_connected(graph, 4)
-        assert not bfs_connected(graph, 4)
+        assert not uf_connected(table, 4)
+        assert not bfs_connected(table, 4)
 
     def test_star_is_connected(self):
-        graph = build_graph(star_table())
-        assert kernels(star_table(), 3) == (True, 0)
-        assert uf_connected(graph, 3)
-        assert bfs_connected(graph, 3)
+        table = star_table()
+        assert kernels(table, 3) == (True, 0)
+        assert uf_connected(table, 3)
+        assert bfs_connected(table, 3)
 
     def test_single_node_view_is_connected(self):
-        graph = build_graph(star_table())
+        table = star_table()
         m = phase_size(3, 0.34)
         assert m == 1
-        assert kernels(star_table(), m) == (True, 1)  # deployed alone, no neighbor yet
-        assert uf_connected(graph, m)
-        assert bfs_connected(graph, m)
-        assert mask_isolated(graph, m) == 1
+        assert kernels(table, m) == (True, 1)  # deployed alone, no neighbor yet
+        assert uf_connected(table, m)
+        assert bfs_connected(table, m)
+        assert mask_isolated(table, m) == 1
 
 
 class TestCountIsolated:
@@ -206,7 +178,7 @@ class TestCountIsolated:
         for seed in range(5):
             table = generate_pairing(SchemeParams(40, 2), seed=seed)
             assert kernels(table, 40)[1] == 0
-            assert mask_isolated(build_graph(table), 40) == 0
+            assert mask_isolated(table, 40) == 0
 
     def test_hand_built_isolated_node(self):
         # nodes 1..3 all select into {4,5,6} and nobody deployed selects
@@ -214,7 +186,7 @@ class TestCountIsolated:
         table = table_from_lists(6, 1, [[4], [5], [6], [5], [6], [4]])
         m = phase_size(6, 0.5)
         assert kernels(table, m)[1] == 3
-        assert mask_isolated(build_graph(table), m) == 3
+        assert mask_isolated(table, m) == 3
 
     def test_connected_implies_no_isolated(self):
         tables = [generate_pairing(SchemeParams(30, 2), seed=seed) for seed in range(40)]
@@ -241,12 +213,12 @@ def test_union_find_and_bfs_agree_on_random_instances():
             assert iso.dtype == np.int64 and iso.shape == (per_size,)
         params = SchemeParams(n, k)
         for t in range(per_size):
-            graph = build_graph(PairingTable(params, block[t]))
+            table = PairingTable(params, block[t])
             for m, (conn, iso) in answers.items():
-                uf_answer = uf_connected(graph, m)
-                assert uf_answer == bfs_connected(graph, m)
+                uf_answer = uf_connected(table, m)
+                assert uf_answer == bfs_connected(table, m)
                 assert conn[t] == uf_answer
-                assert iso[t] == mask_isolated(graph, m)
+                assert iso[t] == mask_isolated(table, m)
                 checked += 1
     assert checked >= 10_000
 
@@ -256,8 +228,7 @@ def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
     """Connected views whose hooking builds chains of roots in one round:
     stopping after a single pointer jump loses a link and says False."""
     block = sample_pairing_block(seed, trial, 1, n, k)
-    graph = build_graph(PairingTable(SchemeParams(n, k), block[0]))
-    assert uf_connected(graph, m)
+    assert uf_connected(PairingTable(SchemeParams(n, k), block[0]), m)
     assert connected_at(block, m)[0].tolist() == [True]
 
 
@@ -298,7 +269,7 @@ def test_isolated_counted_at_every_retirement_point():
     built = {name: table_from_lists(6, 2, rows) for name, rows in tables.items()}
     for name, table in built.items():
         assert kernels(table, m) == expected[name], name
-        assert mask_isolated(build_graph(table), m) == expected[name][1], name
+        assert mask_isolated(table, m) == expected[name][1], name
     block = np.stack([table.partners for table in built.values()])
     connected, isolated = connected_at(block, m)
     assert list(zip(connected.tolist(), isolated.tolist())) == list(expected.values())

@@ -77,6 +77,10 @@ class TestValidation:
             ExperimentPlan(10, (1,), (0.0, 0.5), trials=5)
         with pytest.raises(ValueError, match=r"in \(0, 1\]"):
             ExperimentPlan(10, (1,), (0.5, 1.2), trials=5)
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            ExperimentPlan(10, (1,), (0.5, float("nan")), trials=5)
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            ExperimentPlan(10, (1,), (float("inf"),), trials=5)
 
     def test_plan_validation(self):
         ExperimentPlan(10, (1, 2), (0.5, 1.0), trials=5)
