@@ -6,16 +6,22 @@ least one pairwise key: the edges are the selection pairs (i, partners[i, c]).
 The deployment questions are asked of the view at fraction gamma: the
 first m = floor(gamma*n) nodes (the nodes deployed so far) and the edges
 with both endpoints deployed.  One kernel answers both, for a whole
-(trials, n, k) block of partner arrays at once in numpy: connected_at hooks
-each selection column into a flat label array of all the block's tables
-(min-label hooking plus pointer jumping), retires a table once it is
-connected or can gain no more edges, and counts the isolated nodes of a
-retired table as the singleton components of its final labels.  The tests
-check it against independent union-find, breadth-first search and
-edge-mask routes over the selection pairs.
+(trials, n, k) block of partner arrays and all of a schedule's views at
+once in numpy.  The views nest, each the first nodes of the next, so
+connected_at answers them in stages, smallest first: a stage starts from
+the labels the last one left and adds only its new edges, those with an
+end among its new nodes.  Within a stage it hooks each selection column
+into a flat label array of all the block's tables (min-label hooking plus
+pointer jumping), retires a table once it is connected or can gain no more
+edges, and counts the isolated nodes of a retired table as the singleton
+components of its final labels.  The tests check it against independent
+union-find, breadth-first search and edge-mask routes over the selection
+pairs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,67 +33,90 @@ __all__ = ["connected_at"]
 # The Monte Carlo harness evaluates thousands of tables; connected_at takes a
 # whole (trials, n, k) block of partner arrays (rows sorted ascending, as
 # every table in this package is) and answers for every table at once,
-# straight from the selection columns, with no edge list built.  It lays
-# the views of all the block's tables out table by table in one flat label
-# array: node i of table t is label t*m + i.
+# straight from the selection columns, with no edge list built.  Each
+# stage lays the m-node views of the block's open tables out table by table
+# in one flat label array: node i of table t is label t*m + i.
 
-def connected_at(block: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both deployment questions for the m-node view of each table:
-    (connected, isolated), a bool array and an int64 array of the deployed
-    nodes with no deployed neighbour.
+def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Both deployment questions for the nested views of each table, the
+    first m nodes for each m in ms: (connected, isolated), a bool array and
+    an int64 array of the deployed nodes with no deployed neighbour, both of
+    shape (len(ms), trials); row s answers the view of ms[s] nodes.
 
-    A one-node view counts as connected, with its one node isolated.
-    Selection columns are added in order; column c holds each node's
-    (c+1)-th smallest partner, so once a table has no deployed partner in a
-    column it gains no edge later.  Each column is merged by rounds of
-    min-label hooking and pointer jumping until no edge joins two roots,
-    which leaves every label pointing straight at its root.  A table leaves
-    the open set at one point, after its column is hooked: when it has one
-    root (connected), or when it is stuck: its column has no deployed
-    partner, or the column is the last.  No later column can give a stuck
-    table an edge, so its labels are final and its isolated nodes are its
-    singleton components; a joined view of two or more nodes has none, and
-    a one-node view, joined and stuck at once, has its one node.
+    ms must be non-empty, strictly increasing and within 1..block.shape[1];
+    anything else raises ValueError.  A one-node view counts as connected,
+    with its one node isolated.
+
+    The views are answered in stages, smallest first.  Stage s starts from
+    the labels stage s-1 left for the nodes below ms[s-1], which are the
+    exact components of that view, gives each new node its own label, and
+    hooks only its new edges: the live selection pairs with both ends below
+    ms[s] and one end at or past ms[s-1].  Selection columns are added in
+    order; column c holds each node's (c+1)-th smallest partner, so once a
+    table has no deployed partner in a column it gains no edge later.  Each
+    column is merged by rounds of min-label hooking and pointer jumping
+    until no edge joins two roots, which leaves every label pointing
+    straight at its root.  A table leaves the stage at one point, after its
+    column is hooked: when it has one root (joined), or when it is stuck:
+    its column has no deployed partner, or the column is the last.  No later
+    column can give a stuck table an edge, so its labels are final and its
+    isolated nodes are its singleton components; a joined view of two or
+    more nodes has none, and a one-node view, joined and stuck at once, has
+    its one node.  Either way the labels it leaves are the components of its
+    view: the edges a joined table skipped lie inside its one component, and
+    a stuck table has none left.  So every table enters the next stage.
     """
-    trials = block.shape[0]
-    connected = np.zeros(trials, dtype=bool)
-    isolated = np.zeros(trials, dtype=np.int64)
-    open_ = np.arange(trials)
-    parent = np.arange(trials * m)
-    last = block.shape[2] - 1
-    for c in range(last + 1):
-        col = block[open_, :m, c]
-        live = col < m
-        base = np.arange(0, len(parent), m)
-        u = np.flatnonzero(live)
-        v = (col + base[:, None]).ravel()[u]
-        while len(u):
-            ru, rv = parent[u], parent[v]
-            split = ru != rv
-            if not split.any():
-                break
-            u, v, ru, rv = u[split], v[split], ru[split], rv[split]
-            hooked = np.maximum(ru, rv)
-            np.minimum.at(parent, hooked, np.minimum(ru, rv))
-            # jump the hooked roots to final roots, then every node to its root
-            top = parent[hooked]
-            while True:
-                up = parent[top]
-                if np.array_equal(up, top):
+    ms = tuple(ms)
+    if not ms or ms[0] < 1 or ms[-1] > block.shape[1] or any(a >= b for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"views must be strictly increasing within 1..{block.shape[1]}, got {ms}")
+    trials, last = block.shape[0], block.shape[2] - 1
+    connected = np.zeros((len(ms), trials), dtype=bool)
+    isolated = np.zeros((len(ms), trials), dtype=np.int64)
+    # each table's labels as it left the last stage, as node ids of its roots
+    labels = np.empty((trials, ms[-1]), dtype=np.int64)
+    prev = 0
+    for s, m in enumerate(ms):
+        labels[:, prev:m] = np.arange(prev, m)
+        open_ = np.arange(trials)
+        parent = (labels[:, :m] + np.arange(0, trials * m, m)[:, None]).ravel()
+        for c in range(last + 1):
+            col = block[open_, :m, c]
+            live = col < m
+            stuck = ~live.any(axis=1) | (c == last)
+            # the edges among the first prev nodes are already hooked
+            live[:, :prev] &= col[:, :prev] >= prev
+            base = np.arange(0, len(parent), m)
+            u = np.flatnonzero(live)
+            v = (col + base[:, None]).ravel()[u]
+            while len(u):
+                ru, rv = parent[u], parent[v]
+                split = ru != rv
+                if not split.any():
                     break
-                parent[hooked] = top = up
-            parent = parent[parent]
-        # min-label hooking leaves each component rooted at its smallest label
-        joined = parent.reshape(-1, m).max(axis=1) == base
-        stuck = ~live.any(axis=1) | (c == last)
-        done = joined | stuck
-        if done.any():
-            connected[open_[joined]] = True
-            left, labels = _keep_open(stuck, open_, parent, m)
-            isolated[left] = _singletons(labels, m)
-            open_, parent = _keep_open(~done, open_, parent, m)
-            if not len(open_):
-                break
+                u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+                hooked = np.maximum(ru, rv)
+                np.minimum.at(parent, hooked, np.minimum(ru, rv))
+                # jump the hooked roots to final roots, then every node to its root
+                top = parent[hooked]
+                while True:
+                    up = parent[top]
+                    if np.array_equal(up, top):
+                        break
+                    parent[hooked] = top = up
+                parent = parent[parent]
+            # min-label hooking leaves each component rooted at its smallest label
+            joined = parent.reshape(-1, m).max(axis=1) == base
+            done = joined | stuck
+            if done.any():
+                rows = np.flatnonzero(done)
+                labels[open_[rows], :m] = parent.reshape(-1, m)[rows] - base[rows, None]
+                connected[s, open_[joined]] = True
+                left, kept = _keep_open(stuck, open_, parent, m)
+                isolated[s, left] = _singletons(kept, m)
+                open_, parent = _keep_open(~done, open_, parent, m)
+                if not len(open_):
+                    break
+        prev = m
     return connected, isolated
 
 

@@ -148,9 +148,9 @@ def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.n
     """Generate the plan's tables for k and evaluate every gamma view.
 
     The one evaluation pass behind run_sweep's curves: per trial, one table,
-    all the plan's fractions checked on it, one connected_at call per view
-    for a whole block of tables.  Only the first max(m) nodes of each
-    table, the rows the views read, are drawn.  The plan has checked its
+    all the plan's fractions checked on it, one connected_at call for all
+    the views of a whole block of tables.  Only the first max(m) nodes of
+    each table, the rows the views read, are drawn.  The plan has checked its
     fractions, and (n, k), trials and the seed are checked before anything
     is allocated.  Returns (connected, isolated), bool and int64 arrays of
     shape (len(plan.gammas), plan.trials); row i belongs to plan.gammas[i].
@@ -160,8 +160,7 @@ def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.n
     connected = np.empty((len(ms), plan.trials), dtype=bool)
     isolated = np.empty((len(ms), plan.trials), dtype=np.int64)
     for span, block in blocks:
-        for i, m in enumerate(ms):
-            connected[i, span], isolated[i, span] = connected_at(block, m)
+        connected[:, span], isolated[:, span] = connected_at(block, ms)
         del block
     return connected, isolated
 

@@ -57,6 +57,8 @@ CLI_COMMANDS = {
     "sweep_split": "sweep --n 1000 --k 24,25 --gamma 0.2,1.0 --trials 170",
     # no fraction reaches 1, so every block holds only the first 210 rows
     "sweep_cut": "sweep --n 300 --k 2..6 --gamma 0.3,0.7 --trials 60 --seed 3",
+    # six nested views, m = 1, 2, 20, 100, 180 and 200, in one kernel call per block
+    "sweep_views": "sweep --n 200 --k 1..8 --gamma 0.005,0.01,0.1,0.5,0.9,1.0 --trials 60 --seed 9",
     "phased": "phased --n 120 --k 4 --schedule 0.25,0.5,1.0 --trials 50 --seed 11",
     "census": "census --n 80 --k 3 --trials 60 --seed 2",
     # every theory flag; r = 1..5 and n = 1e5..1e6, zero binomials and an underflow
@@ -85,6 +87,8 @@ CLI_DIGESTS = {
     ("sweep_split", "json"): "31ae1d5df6d402f5edcbe993336979dd816e693b24d747db29d1bc990d42b6a8",
     ("sweep_cut", "csv"): "7ae64066f5fe9f02a8a5b8c198051951b293917f5019a16e3cc9b2febaf71e4c",
     ("sweep_cut", "json"): "02101f383db80a4c9f726bec84a6ff95d693d7857becce6846d15812771be46e",
+    ("sweep_views", "csv"): "e257e251f9a998f1805ba5987c35771c9a8f43e1bd81f337f6889fd01ad141a6",
+    ("sweep_views", "json"): "506dd105f20822ec3b2186aab298a370c08e7b1c71ce794d68957c7b2124a512",
     ("phased", "csv"): "67e7ee87fe43307f08dccea3266265d400854e486c3c70227a1b1b537935d40d",
     ("phased", "json"): "99524cfa786e0aa92bd9330d5db6a43b8f82fbc5d4d1c9b6f46672bfcc11444e",
     ("census", "csv"): "6a5ba01bda085f1b37441535a1f801194ba6f27775663ec5639ef5f5a939a526",

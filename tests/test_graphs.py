@@ -2,9 +2,10 @@
 
 The library answers both deployment questions with one kernel,
 connected_at, which returns (connected, isolated) for each table of a
-block.  This module holds independent oracles that work on the selection
-pairs (i, partners[i, c]) of a table instead: union-find, breadth-first
-search and an edge-mask isolated count.  A mutual pair is listed twice,
+block and each of its nested views, in stages that hand their labels on
+from one view to the next.  This module holds independent oracles that
+work on the selection pairs (i, partners[i, c]) of a table instead:
+union-find, breadth-first search and an edge-mask isolated count.  A mutual pair is listed twice,
 which changes none of their answers.  They share no traversal code with
 the kernel or with each other, and a large randomized sweep checks that
 all of them agree.
@@ -95,9 +96,9 @@ def mask_isolated(table, m):
 
 
 def kernels(table, m):
-    """connected_at on a one-table block."""
-    connected, isolated = connected_at(table.partners[None], m)
-    return bool(connected[0]), int(isolated[0])
+    """connected_at on a one-table block and its one view of m nodes."""
+    connected, isolated = connected_at(table.partners[None], (m,))
+    return bool(connected[0, 0]), int(isolated[0, 0])
 
 
 def star_table():
@@ -191,57 +192,63 @@ class TestCountIsolated:
     def test_connected_implies_no_isolated(self):
         tables = [generate_pairing(SchemeParams(30, 2), seed=seed) for seed in range(40)]
         block = np.stack([t.partners for t in tables])
-        connected, isolated = connected_at(block, 15)
+        (connected,), (isolated,) = connected_at(block, (15,))
         assert connected.any()  # the implication was actually exercised
         assert (isolated[connected] == 0).all()
 
 
 def test_union_find_and_bfs_agree_on_random_instances():
     """Over more than 10,000 (table, m) instances, n up to 200: the block
-    kernel, the union-find and BFS oracles and the edge-mask isolated
-    count must agree exactly.  The views cover m = 1, 2 and n; K covers 1
-    and n-1."""
+    kernel, called once per block with all its views, the union-find and
+    BFS oracles and the edge-mask isolated count must agree exactly, and
+    each row must equal the kernel's answer for that view alone.  The views
+    cover m = 1, 2 and n; K covers 1 and n-1."""
     sizes = [(2, 1), (4, 1), (5, 4), (6, 1), (10, 2), (12, 11), (17, 3), (33, 2), (60, 4), (200, 3)]
     per_size = 250
     checked = 0
     for n, k in sizes:
         block = sample_pairing_block(900 + n, 0, per_size, n, k)
         ms = sorted({1, 2, n} | {max(1, n * tenths // 10) for tenths in (3, 5, 8)})
-        answers = {m: connected_at(block, m) for m in ms}
-        for conn, iso in answers.values():
-            assert conn.dtype == bool and conn.shape == (per_size,)
-            assert iso.dtype == np.int64 and iso.shape == (per_size,)
+        conn, iso = connected_at(block, ms)
+        assert conn.dtype == bool and conn.shape == (len(ms), per_size)
+        assert iso.dtype == np.int64 and iso.shape == (len(ms), per_size)
+        for s, m in enumerate(ms):
+            alone = connected_at(block, (m,))
+            assert np.array_equal(alone[0][0], conn[s]) and np.array_equal(alone[1][0], iso[s])
         params = SchemeParams(n, k)
         for t in range(per_size):
             table = PairingTable(params, block[t])
-            for m, (conn, iso) in answers.items():
+            for s, m in enumerate(ms):
                 uf_answer = uf_connected(table, m)
                 assert uf_answer == bfs_connected(table, m)
-                assert conn[t] == uf_answer
-                assert iso[t] == mask_isolated(table, m)
+                assert conn[s, t] == uf_answer
+                assert iso[s, t] == mask_isolated(table, m)
                 checked += 1
     assert checked >= 10_000
 
 
-@pytest.mark.parametrize("seed,trial,n,k,m", [(16, 2, 30, 3, 15), (20, 22, 50, 5, 16)])
+@pytest.mark.parametrize(
+    "seed,trial,n,k,m",
+    [(16, 2, 30, 3, 15), (20, 22, 50, 5, 16), (26, 46, 30, 3, 15), (19, 20, 50, 2, 33), (5, 34, 30, 2, 15)],
+)
 def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
-    """Connected views whose hooking builds chains of roots in one round:
-    stopping after a single pointer jump loses a link and says False."""
+    """Views whose hooking builds chains of roots in one round.  Stopping
+    after a single pointer jump loses a link: on a one-table block, where no
+    other table's rounds jump the labels again, it says False for the
+    connected views (26, 46, ...) and (19, 20, ...), and counts a third
+    isolated node on (5, 34, ...)."""
     block = sample_pairing_block(seed, trial, 1, n, k)
-    assert uf_connected(PairingTable(SchemeParams(n, k), block[0]), m)
-    assert connected_at(block, m)[0].tolist() == [True]
+    table = PairingTable(SchemeParams(n, k), block[0])
+    assert kernels(table, m) == (uf_connected(table, m), mask_isolated(table, m))
 
 
 def test_block_kernels_on_hand_built_tables():
     pairs = table_from_lists(4, 1, [[2], [1], [4], [3]]).partners
     star = table_from_lists(4, 1, [[2], [1], [1], [1]]).partners
     block = np.stack([pairs, star])
-    assert connected_at(block, 4)[0].tolist() == [False, True]
-    assert connected_at(block, 2)[0].tolist() == [True, True]
-    assert connected_at(block, 1)[0].tolist() == [True, True]
-    assert connected_at(block, 4)[1].tolist() == [0, 0]
-    assert connected_at(block, 3)[1].tolist() == [1, 0]
-    assert connected_at(block, 1)[1].tolist() == [1, 1]
+    connected, isolated = connected_at(block, (1, 2, 3, 4))
+    assert connected.tolist() == [[True, True], [True, True], [False, True], [False, True]]
+    assert isolated.tolist() == [[1, 1], [0, 0], [1, 0], [0, 0]]
 
 
 def test_isolated_counted_at_every_retirement_point():
@@ -271,10 +278,9 @@ def test_isolated_counted_at_every_retirement_point():
         assert kernels(table, m) == expected[name], name
         assert mask_isolated(table, m) == expected[name][1], name
     block = np.stack([table.partners for table in built.values()])
-    connected, isolated = connected_at(block, m)
-    assert list(zip(connected.tolist(), isolated.tolist())) == list(expected.values())
-    connected, isolated = connected_at(block, 1)
-    assert connected.tolist() == [True] * 4 and isolated.tolist() == [1] * 4
+    connected, isolated = connected_at(block, (1, m))
+    assert connected[0].tolist() == [True] * 4 and isolated[0].tolist() == [1] * 4
+    assert list(zip(connected[1].tolist(), isolated[1].tolist())) == list(expected.values())
 
 
 def test_stuck_table_leaves_before_the_last_column():
@@ -288,8 +294,58 @@ def test_stuck_table_leaves_before_the_last_column():
     that kept the table open until the last column would report (True, 0).
     """
     block = np.array([[[2, 1], [3, 0], [0, 1], [0, 1]]])
-    connected, isolated = connected_at(block, 2)
-    assert connected.tolist() == [False] and isolated.tolist() == [2]
+    connected, isolated = connected_at(block, (2,))
+    assert connected.tolist() == [[False]] and isolated.tolist() == [[2]]
+
+
+# (views, 1-based rows of an n=6, K=2 table, (connected, isolated) per view)
+HANDOFFS = {
+    # stage 1 (m=3) joins on column 0 and skips column 1, whose edge 1-4 is
+    # node 4's only one: stage 2 (m=4) must hook it from an old row
+    "joined_early": ((3, 4), [[2, 4], [1, 6], [1, 6], [5, 6], [1, 2], [1, 2]], [(True, 0), (True, 0)]),
+    # stage 1 (m=2) is stuck on column 0; stage 2 (m=4) joins on column 0
+    "stuck_then_joined": ((2, 4), [[3, 4], [3, 4], [1, 5], [2, 5], [1, 2], [1, 2]], [(False, 2), (True, 0)]),
+    # stage 1 (m=3) joins; nobody deployed selects node 4, nor it them
+    "split_by_new_node": ((3, 4), [[2, 5], [1, 5], [1, 5], [5, 6], [1, 2], [1, 2]], [(True, 0), (False, 1)]),
+    # a one-node first view, then a triangle
+    "one_node_first": ((1, 3), [[2, 3], [1, 3], [1, 2], [1, 2], [1, 2], [1, 2]], [(True, 1), (True, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HANDOFFS))
+def test_stage_handoffs(name):
+    """Each stage starts from the labels the last one left, also for tables
+    that left it early, and adds the new edges from old rows too."""
+    ms, rows, expected = HANDOFFS[name]
+    table = table_from_lists(6, 2, rows)
+    connected, isolated = connected_at(table.partners[None], ms)
+    assert list(zip(connected[:, 0].tolist(), isolated[:, 0].tolist())) == expected
+    assert [(uf_connected(table, m), mask_isolated(table, m)) for m in ms] == expected
+    assert [kernels(table, m) for m in ms] == expected
+
+
+def test_stage_handoffs_in_one_block():
+    """The four handoff tables in one block, with every view of 1..6 nodes,
+    so that they hand over at every stage and leave in a mixed order."""
+    tables = [table_from_lists(6, 2, rows) for _, rows, _ in HANDOFFS.values()]
+    ms = range(1, 7)
+    connected, isolated = connected_at(np.stack([t.partners for t in tables]), ms)
+    for t, table in enumerate(tables):
+        assert connected[:, t].tolist() == [uf_connected(table, m) for m in ms]
+        assert isolated[:, t].tolist() == [mask_isolated(table, m) for m in ms]
+
+
+@pytest.mark.parametrize(
+    "ms",
+    [(), (0,), (0, 3), (3, 3), (4, 2), (12,), (1, 6)],
+    ids=["empty", "zero", "zero_first", "repeat", "falling", "past_rows", "last_past_rows"],
+)
+def test_views_the_block_does_not_hold_are_rejected(ms):
+    """A view must be 1..rows nodes, and the views strictly increasing:
+    a 5-row block once answered m=12 by counting 7 never-drawn nodes."""
+    block = sample_pairing_block(3, 0, 3, 40, 2, rows=5)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        connected_at(block, ms)
 
 
 def test_block_kernels_ignore_block_partitioning(monkeypatch):
@@ -301,13 +357,14 @@ def test_block_kernels_ignore_block_partitioning(monkeypatch):
     parts = list(montecarlo._blocks(n, k, trials, seed, n))
     assert len(parts) == 7 and sum(span.stop - span.start for span, _ in parts) == trials
     blocks = [block for _, block in parts]
-    for m in (1, 2, 20, 31, n):
-        conn, iso = connected_at(whole, m)
-        assert np.array_equal(np.concatenate([connected_at(b, m)[0] for b in blocks]), conn)
-        assert np.array_equal(np.concatenate([connected_at(b, m)[1] for b in blocks]), iso)
-        for t in range(trials):
-            assert connected_at(whole[t : t + 1], m)[0].tolist() == [conn[t]]
-            assert connected_at(whole[t : t + 1], m)[1].tolist() == [iso[t]]
+    ms = (1, 2, 20, 31, n)
+    conn, iso = connected_at(whole, ms)
+    answers = [connected_at(b, ms) for b in blocks]
+    assert np.array_equal(np.concatenate([a[0] for a in answers], axis=1), conn)
+    assert np.array_equal(np.concatenate([a[1] for a in answers], axis=1), iso)
+    for t in range(trials):
+        one = connected_at(whole[t : t + 1], ms)
+        assert np.array_equal(one[0][:, 0], conn[:, t]) and np.array_equal(one[1][:, 0], iso[:, t])
 
 
 @pytest.mark.parametrize("n", [10, 128, 129, 32768, 32769])
@@ -317,8 +374,8 @@ def test_narrow_blocks_answer_like_int64_blocks(n):
     for k in (1, 2, 3):
         block = sample_pairing_block(500 + n, 0, 3, n, k)
         wide = block.astype(np.int64)
-        for m in (1, 2, n // 2, n - 1, n):
-            for narrow_out, wide_out in zip(connected_at(block, m), connected_at(wide, m)):
-                assert narrow_out.dtype == wide_out.dtype
-                assert np.array_equal(narrow_out, wide_out), (k, m)
+        ms = (1, 2, n // 2, n - 1, n)
+        for narrow_out, wide_out in zip(connected_at(block, ms), connected_at(wide, ms)):
+            assert narrow_out.dtype == wide_out.dtype
+            assert np.array_equal(narrow_out, wide_out), k
 

@@ -177,9 +177,10 @@ class TestExhaustiveOracle:
     def test_fast_paths_agree_on_all_81_tables(self):
         tables = list(all_tables_n4())
         block = np.stack(tables)
-        for m in (1, 2, 3, 4):
-            assert connected_at(block, m)[0].tolist() == [dfs_connected(p, m) for p in tables]
-            assert connected_at(block, m)[1].tolist() == [dfs_isolated(p, m) for p in tables]
+        connected, isolated = connected_at(block, (1, 2, 3, 4))
+        for s, m in enumerate((1, 2, 3, 4)):
+            assert connected[s].tolist() == [dfs_connected(p, m) for p in tables]
+            assert isolated[s].tolist() == [dfs_isolated(p, m) for p in tables]
 
     def test_monte_carlo_within_three_standard_errors(self):
         trials = 100_000
