@@ -149,18 +149,22 @@ def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.n
 
     The one evaluation pass behind run_sweep's curves: per trial, one table,
     all the plan's fractions checked on it, one connected_at call for all
-    the views of a whole block of tables.  Only the first max(m) nodes of
+    the distinct view sizes of a whole block of tables (fractions that floor
+    to one size get equal rows).  Only the first max(m) nodes of
     each table, the rows the views read, are drawn.  The plan has checked its
     fractions, and (n, k), trials and the seed are checked before anything
     is allocated.  Returns (connected, isolated), bool and int64 arrays of
     shape (len(plan.gammas), plan.trials); row i belongs to plan.gammas[i].
     """
-    ms = [phase_size(plan.n, g) for g in plan.gammas]
-    blocks = _blocks(plan.n, k, plan.trials, plan.base_seed, max(ms))
-    connected = np.empty((len(ms), plan.trials), dtype=bool)
-    isolated = np.empty((len(ms), plan.trials), dtype=np.int64)
+    # two fractions may floor to one view size; each size is answered once
+    sizes, row = np.unique([phase_size(plan.n, g) for g in plan.gammas], return_inverse=True)
+    ms = sizes.tolist()
+    blocks = _blocks(plan.n, k, plan.trials, plan.base_seed, ms[-1])
+    connected = np.empty((len(row), plan.trials), dtype=bool)
+    isolated = np.empty((len(row), plan.trials), dtype=np.int64)
     for span, block in blocks:
-        connected[:, span], isolated[:, span] = connected_at(block, ms)
+        conn, iso = connected_at(block, ms)
+        connected[:, span], isolated[:, span] = conn[row], iso[row]
         del block
     return connected, isolated
 

@@ -173,6 +173,14 @@ class TestPhased:
         )
         assert {r["gamma"] for r in parse_rows(out)} == {"0.1234566"}
 
+    def test_fractions_of_one_view_size_give_equal_rows(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "phased", "--n", "10", "--k", "3", "--schedule", "0.31,0.35", "--trials", "20"
+        )
+        assert code == 0
+        joint, lo, hi = (r["successes"] for r in parse_rows(out))
+        assert joint == lo == hi
+
     def test_non_increasing_schedule_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "phased", "--n", "100", "--k", "3",

@@ -227,19 +227,29 @@ def test_union_find_and_bfs_agree_on_random_instances():
     assert checked >= 10_000
 
 
-@pytest.mark.parametrize(
-    "seed,trial,n,k,m",
-    [(16, 2, 30, 3, 15), (20, 22, 50, 5, 16), (26, 46, 30, 3, 15), (19, 20, 50, 2, 33), (5, 34, 30, 2, 15)],
-)
+# (seed, trial, n, k, m) of a one-table block: (connected, isolated) of its view
+DEEP_HOOK_CHAINS = {
+    (16, 2, 30, 3, 15): (True, 0),
+    (20, 22, 50, 5, 16): (True, 0),
+    (26, 46, 30, 3, 15): (True, 0),
+    (19, 20, 50, 2, 33): (True, 0),
+    (5, 34, 30, 2, 15): (False, 2),
+}
+
+
+@pytest.mark.parametrize("seed,trial,n,k,m", DEEP_HOOK_CHAINS)
 def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
     """Views whose hooking builds chains of roots in one round.  Stopping
     after a single pointer jump loses a link: on a one-table block, where no
     other table's rounds jump the labels again, it says False for the
     connected views (26, 46, ...) and (19, 20, ...), and counts a third
-    isolated node on (5, 34, ...)."""
+    isolated node on (5, 34, ...).  The oracles pin what each view is, so a
+    case that stopped being connected would fail here, not pass unseen."""
     block = sample_pairing_block(seed, trial, 1, n, k)
     table = PairingTable(SchemeParams(n, k), block[0])
-    assert kernels(table, m) == (uf_connected(table, m), mask_isolated(table, m))
+    expected = DEEP_HOOK_CHAINS[seed, trial, n, k, m]
+    assert (uf_connected(table, m), mask_isolated(table, m)) == expected
+    assert kernels(table, m) == expected
 
 
 def test_block_kernels_on_hand_built_tables():

@@ -264,6 +264,16 @@ def test_coupled_gammas_share_tables():
         assert both[kind][(1.0, 3)] == hi[kind][(1.0, 3)]
 
 
+def test_fractions_that_floor_to_one_view_get_equal_rows():
+    """0.5 and 0.505 of n=100 both deploy 50 nodes; their rows match each
+    other and the single-fraction plan's."""
+    conn, iso = evaluate_deployments(ExperimentPlan(100, (2,), (0.5, 0.505, 1.0), 40, base_seed=5), 2)
+    one, one_iso = evaluate_deployments(ExperimentPlan(100, (2,), (0.5,), 40, base_seed=5), 2)
+    for rows in (conn, iso):
+        assert np.array_equal(rows[0], rows[1])
+    assert np.array_equal(conn[0], one[0]) and np.array_equal(iso[0], one_iso[0])
+
+
 def test_isolated_mean_matches_first_moment():
     """Sample mean of the isolated count vs the exact expectation, 3 SE."""
     n, k, g, trials = 400, 2, 0.5, 10_000
