@@ -8,7 +8,8 @@ fraction is evaluated as a view of that same table, matching how a
 gradually deployed network actually grows.  Table seeds derive from
 (base_seed, k, trial) through the sampling module's stream keying, so any
 execution order, chunking, or worker count reproduces identical results.
-Deployment runs and censuses draw their tables through one block loop.
+Deployment runs and censuses draw their tables through one block loop, and
+fold each block into counts before drawing the next.
 
 Default trial counts: 200 for sweeps, 1000 for censuses.
 """
@@ -101,12 +102,7 @@ class ExperimentPlan:
             raise ValueError("k_values must be nonempty")
         if len(set(ks)) != len(ks):
             raise ValueError(f"k_values must not repeat, got {ks}")
-        for k in ks:
-            SchemeParams(self.n, k)
-        if self.trials < 1:
-            raise ValueError(f"need trials >= 1, got {self.trials}")
-        if not 0 <= self.base_seed <= sampling.MASK64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.base_seed}")
+        _check_run(self.n, ks, self.trials, self.base_seed)
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         gs = tuple(float(g) for g in self.gammas)
@@ -120,53 +116,57 @@ class ExperimentPlan:
         object.__setattr__(self, "gammas", gs)
 
 
-def _blocks(n: int, k: int, trials: int, base_seed: int, rows: int) -> Iterator:
+def _check_run(n: int, ks: tuple[int, ...], trials: int, base_seed: int) -> None:
+    """The checks every run makes before it allocates."""
+    for k in ks:
+        SchemeParams(n, k)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    if not 0 <= base_seed <= sampling.MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {base_seed}")
+
+
+def _blocks(n: int, k: int, trials: int, base_seed: int, rows: int) -> Iterator[np.ndarray]:
     """The (base_seed, k) tables of trials 0..trials-1, first `rows` nodes
-    each, drawn lazily in blocks of about _BLOCK_BUDGET entries, as
-    (span, block) pairs; span is the block's slice of the trial range.
+    each, in order, drawn lazily in blocks of about _BLOCK_BUDGET entries.
 
     (n, k), trials and the seed are checked at the call, before the caller
     allocates; block starts are stepped, not listed, and no yielded block is
     held here, so a caller that drops its own reference frees it before the
     next draw.
     """
-    SchemeParams(n, k)
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    if not 0 <= base_seed <= sampling.MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {base_seed}")
+    _check_run(n, (k,), trials, base_seed)
     seed = sampling.fold(base_seed, k)
     per = max(1, _BLOCK_BUDGET // (rows * k))
-    spans = (slice(start, min(start + per, trials)) for start in range(0, trials, per))
     return (
-        (span, sampling.sample_pairing_block(seed, span.start, span.stop - span.start, n, k, rows))
-        for span in spans
+        sampling.sample_pairing_block(seed, start, min(per, trials - start), n, k, rows)
+        for start in range(0, trials, per)
     )
 
 
-def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generate the plan's tables for k and evaluate every gamma view.
+def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Count the outcomes of every gamma view of the plan's tables for k.
 
-    The one evaluation pass behind run_sweep's curves: per trial, one table,
-    all the plan's fractions checked on it, one connected_at call for all
-    the distinct view sizes of a whole block of tables (fractions that floor
-    to one size get equal rows).  Only the first max(m) nodes of
-    each table, the rows the views read, are drawn.  The plan has checked its
-    fractions, and (n, k), trials and the seed are checked before anything
-    is allocated.  Returns (connected, isolated), bool and int64 arrays of
-    shape (len(plan.gammas), plan.trials); row i belongs to plan.gammas[i].
+    The one evaluation pass behind run_sweep's curves: each block of tables
+    is drawn with the rows its largest view reads, answered for every
+    distinct view size by one connected_at call, and added to the counts
+    before the next is drawn; (n, k), trials and the seed are checked
+    before the first.  Returns (connected, no_isolated, joint): the trials
+    connected and with no isolated node per fraction, as int64 arrays in
+    the order of plan.gammas, and the trials connected at every fraction.
     """
     # two fractions may floor to one view size; each size is answered once
-    sizes, row = np.unique([phase_size(plan.n, g) for g in plan.gammas], return_inverse=True)
+    sizes, entry = np.unique([phase_size(plan.n, g) for g in plan.gammas], return_inverse=True)
     ms = sizes.tolist()
-    blocks = _blocks(plan.n, k, plan.trials, plan.base_seed, ms[-1])
-    connected = np.empty((len(row), plan.trials), dtype=bool)
-    isolated = np.empty((len(row), plan.trials), dtype=np.int64)
-    for span, block in blocks:
+    connected, no_isolated = np.zeros((2, len(ms)), dtype=np.int64)
+    joint = 0
+    for block in _blocks(plan.n, k, plan.trials, plan.base_seed, ms[-1]):
         conn, iso = connected_at(block, ms)
-        connected[:, span], isolated[:, span] = conn[row], iso[row]
         del block
-    return connected, isolated
+        connected += conn.sum(axis=1)
+        no_isolated += (iso == 0).sum(axis=1)
+        joint += int(conn.all(axis=0).sum())
+    return connected[entry], no_isolated[entry], joint
 
 
 def _pool_size(workers: int | None, cells: int) -> int:
@@ -190,11 +190,11 @@ def run_sweep(plan: ExperimentPlan) -> dict[str, dict]:
     connected: dict[tuple[float, int], Estimate] = {}
     no_isolated: dict[tuple[float, int], Estimate] = {}
     joint: dict[int, Estimate] = {}
-    for k, (conn, iso) in zip(plan.k_values, outcomes):
-        for g, conn_g, iso_g in zip(plan.gammas, conn, iso):
-            connected[(g, k)] = estimate_from(int(conn_g.sum()), plan.trials)
-            no_isolated[(g, k)] = estimate_from(int((iso_g == 0).sum()), plan.trials)
-        joint[k] = estimate_from(int(conn.all(axis=0).sum()), plan.trials)
+    for k, (conn, no_iso, joint_k) in zip(plan.k_values, outcomes):
+        for g, conn_g, no_iso_g in zip(plan.gammas, conn.tolist(), no_iso.tolist()):
+            connected[(g, k)] = estimate_from(conn_g, plan.trials)
+            no_isolated[(g, k)] = estimate_from(no_iso_g, plan.trials)
+        joint[k] = estimate_from(joint_k, plan.trials)
     return {"connected": connected, "no_isolated": no_isolated, "joint": joint}
 
 
@@ -225,7 +225,7 @@ def run_keyring_census(
     # a ring holds k..k+n-1 keys
     hist = np.zeros(n + k, dtype=np.int64)
     max_hist = np.zeros(n + k, dtype=np.int64)
-    for _, block in blocks:
+    for block in blocks:
         sizes = ring_sizes(block)
         hist += np.bincount(sizes.ravel(), minlength=n + k)
         max_hist += np.bincount(sizes.max(axis=1), minlength=n + k)

@@ -15,6 +15,7 @@ import pytest
 
 from pairdeploy import montecarlo, sampling, theory
 from pairdeploy.montecarlo import ExperimentPlan, evaluate_deployments
+from pairing_fixtures import per_trial_outcomes
 
 SEED = 1729
 N = 1000
@@ -52,10 +53,10 @@ def threshold_curves():
     for k, gs in sorted(need.items()):
         gammas = tuple(sorted(gs))
         plan = ExperimentPlan(N, (k,), gammas, TRIALS, SEED)
-        connected, isolated = evaluate_deployments(plan, k)
-        for g, conn_g, iso_g in zip(gammas, connected, isolated):
-            conn[(g, k)] = float(conn_g.mean())
-            noiso[(g, k)] = float((iso_g == 0).mean())
+        connected, no_isolated, _ = evaluate_deployments(plan, k)
+        for g, conn_g, no_iso_g in zip(gammas, connected.tolist(), no_isolated.tolist()):
+            conn[(g, k)] = conn_g / TRIALS
+            noiso[(g, k)] = no_iso_g / TRIALS
     elapsed = time.perf_counter() - started
     return conn, noiso, elapsed
 
@@ -182,7 +183,7 @@ def test_mean_isolated_count_matches_first_moment():
     worst = 0.0
     for n in (100, 400):
         for k in (1, 2, 3):
-            _, isolated = evaluate_deployments(ExperimentPlan(n, (k,), gammas, 10_000, SEED), k)
+            _, isolated = per_trial_outcomes(ExperimentPlan(n, (k,), gammas, 10_000, SEED), k)
             for g, counts in zip(gammas, isolated):
                 expected = theory.expected_isolated(n, k, g)
                 mean = float(counts.mean())

@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import os
 import re
 import shlex
 import shutil
@@ -526,9 +527,13 @@ class TestOutputFile:
 
 
 def test_module_entry_point():
+    """`python -m pairdeploy` from a checkout: pytest's pythonpath setting
+    does not reach a subprocess, so the repository's src leads its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pairdeploy", "theory", "--lambda-star"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "2.58869945" in proc.stdout

@@ -201,8 +201,11 @@ def test_union_find_and_bfs_agree_on_random_instances():
     """Over more than 10,000 (table, m) instances, n up to 200: the block
     kernel, called once per block with all its views, the union-find and
     BFS oracles and the edge-mask isolated count must agree exactly, and
-    each row must equal the kernel's answer for that view alone.  The views
-    cover m = 1, 2 and n; K covers 1 and n-1."""
+    each row must equal the kernel's answer for that view alone, and each
+    column its answer for that table alone.  On a one-table block no other
+    table's hooking rounds jump the labels again, so a kernel that
+    under-jumps fails there.  The views cover m = 1, 2 and n; K covers 1
+    and n-1."""
     sizes = [(2, 1), (4, 1), (5, 4), (6, 1), (10, 2), (12, 11), (17, 3), (33, 2), (60, 4), (200, 3)]
     per_size = 250
     checked = 0
@@ -218,6 +221,8 @@ def test_union_find_and_bfs_agree_on_random_instances():
         params = SchemeParams(n, k)
         for t in range(per_size):
             table = PairingTable(params, block[t])
+            one = connected_at(block[t : t + 1], ms)
+            assert np.array_equal(one[0][:, 0], conn[:, t]) and np.array_equal(one[1][:, 0], iso[:, t])
             for s, m in enumerate(ms):
                 uf_answer = uf_connected(table, m)
                 assert uf_answer == bfs_connected(table, m)
@@ -364,9 +369,8 @@ def test_block_kernels_ignore_block_partitioning(monkeypatch):
     n, k, trials, seed = 60, 3, 45, 77
     whole = sample_pairing_block(sampling.fold(seed, k), 0, trials, n, k)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 7 * n * k)
-    parts = list(montecarlo._blocks(n, k, trials, seed, n))
-    assert len(parts) == 7 and sum(span.stop - span.start for span, _ in parts) == trials
-    blocks = [block for _, block in parts]
+    blocks = list(montecarlo._blocks(n, k, trials, seed, n))
+    assert len(blocks) == 7 and sum(len(block) for block in blocks) == trials
     ms = (1, 2, 20, 31, n)
     conn, iso = connected_at(whole, ms)
     answers = [connected_at(b, ms) for b in blocks]

@@ -30,6 +30,7 @@ from pairdeploy.montecarlo import (
     run_sweep,
     wilson_interval,
 )
+from pairing_fixtures import per_trial_outcomes
 
 
 class TestWilson:
@@ -248,9 +249,11 @@ def test_pool_size_is_clamped(monkeypatch):
 
 def test_different_seed_changes_something():
     # Compare raw per-trial outcomes: aggregate counts can collide by chance.
-    a, _ = evaluate_deployments(ExperimentPlan(150, (1,), (1.0,), 60, base_seed=0), 1)
-    b, _ = evaluate_deployments(ExperimentPlan(150, (1,), (1.0,), 60, base_seed=42), 1)
+    plans = [ExperimentPlan(150, (1,), (1.0,), 60, base_seed=seed) for seed in (0, 42)]
+    (a, _), (b, _) = (per_trial_outcomes(plan, 1) for plan in plans)
     assert not np.array_equal(a, b)
+    for plan, rows in zip(plans, (a, b)):
+        assert evaluate_deployments(plan, 1)[0].tolist() == rows.sum(axis=1).tolist()
 
 
 def test_coupled_gammas_share_tables():
@@ -265,19 +268,35 @@ def test_coupled_gammas_share_tables():
 
 
 def test_fractions_that_floor_to_one_view_get_equal_rows():
-    """0.5 and 0.505 of n=100 both deploy 50 nodes; their rows match each
-    other and the single-fraction plan's."""
-    conn, iso = evaluate_deployments(ExperimentPlan(100, (2,), (0.5, 0.505, 1.0), 40, base_seed=5), 2)
-    one, one_iso = evaluate_deployments(ExperimentPlan(100, (2,), (0.5,), 40, base_seed=5), 2)
-    for rows in (conn, iso):
-        assert np.array_equal(rows[0], rows[1])
-    assert np.array_equal(conn[0], one[0]) and np.array_equal(iso[0], one_iso[0])
+    """0.5 and 0.505 of n=100 both deploy 50 nodes; their counts match each
+    other and the single-fraction plan's, and the repeated view leaves the
+    all-phases count as it was."""
+    conn, no_iso, joint = evaluate_deployments(ExperimentPlan(100, (2,), (0.5, 0.505, 1.0), 40, base_seed=5), 2)
+    one = evaluate_deployments(ExperimentPlan(100, (2,), (0.5,), 40, base_seed=5), 2)
+    two = evaluate_deployments(ExperimentPlan(100, (2,), (0.5, 1.0), 40, base_seed=5), 2)
+    assert conn[0] == conn[1] == one[0][0] and no_iso[0] == no_iso[1] == one[1][0]
+    assert joint == two[2]
+
+
+def test_counts_are_sums_of_per_trial_outcomes(monkeypatch):
+    """Over blocks that split the trials, and with two fractions of one view
+    size, the counts are the sums of the per-trial outcomes drawn here."""
+    plan = ExperimentPlan(100, (4,), (0.3, 0.5, 0.505, 1.0), 40, base_seed=8)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 100 * 4)
+    assert len(list(montecarlo._blocks(100, 4, 40, 8, 100))) == 7
+    connected, isolated = per_trial_outcomes(plan, 4)
+    conn, no_iso, joint = evaluate_deployments(plan, 4)
+    assert conn.tolist() == connected.sum(axis=1).tolist()
+    assert no_iso.tolist() == (isolated == 0).sum(axis=1).tolist()
+    assert joint == connected.all(axis=0).sum()
+    # the three counts differ, and none is 0 or all 40 throughout
+    assert 0 < joint < conn[1] < 40 and no_iso[0] != conn[0]
 
 
 def test_isolated_mean_matches_first_moment():
     """Sample mean of the isolated count vs the exact expectation, 3 SE."""
     n, k, g, trials = 400, 2, 0.5, 10_000
-    _, isolated = evaluate_deployments(ExperimentPlan(n, (k,), (g,), trials, base_seed=10), k)
+    _, isolated = per_trial_outcomes(ExperimentPlan(n, (k,), (g,), trials, base_seed=10), k)
     counts = isolated[0].astype(np.float64)
     expected = theory.expected_isolated(n, k, g)
     se = counts.std(ddof=1) / math.sqrt(trials)
@@ -286,13 +305,16 @@ def test_isolated_mean_matches_first_moment():
 
 def test_block_partition_does_not_change_records(monkeypatch):
     """A budget that splits every cell into several blocks reproduces the
-    single-block outcomes exactly."""
+    single-block counts exactly, and both are the sums of the per-trial
+    outcomes drawn here."""
     plan = ExperimentPlan(80, (3,), (0.2, 0.5, 1.0), 40, base_seed=8)
     whole = evaluate_deployments(plan, 3)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 80 * 3)
     split = evaluate_deployments(plan, 3)
-    for a, b in zip(whole, split):
-        assert np.array_equal(a, b)
+    connected, isolated = per_trial_outcomes(plan, 3)
+    sums = (connected.sum(axis=1), (isolated == 0).sum(axis=1), connected.all(axis=0).sum())
+    for a, b, c in zip(whole, split, sums):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_only_the_deployed_rows_are_drawn(monkeypatch):
@@ -332,18 +354,20 @@ def test_one_block_alive_at_a_time(monkeypatch):
     assert len(drawn) == 8
 
 
+class FirstDraw(Exception):
+    pass
+
+
+def first_draw(*args):
+    raise FirstDraw
+
+
 def test_blocks_are_sized_lazily(monkeypatch):
     """The block loop checks its sizes when called and steps block starts
     without listing them: a census of 10**12 trials reaches its first draw
     having allocated almost nothing."""
     with pytest.raises(ValueError, match="trials"):
         montecarlo._blocks(10, 1, 0, 0, 10)  # not iterated: checked at the call
-
-    class FirstDraw(Exception):
-        pass
-
-    def first_draw(*args):
-        raise FirstDraw
 
     monkeypatch.setattr(sampling, "sample_pairing_block", first_draw)
     tracemalloc.start()
@@ -356,14 +380,32 @@ def test_blocks_are_sized_lazily(monkeypatch):
     assert peak < 1_000_000
 
 
-def test_trial_record_shape():
-    """Per-trial outcomes: one row per fraction, in the order given."""
-    connected, isolated = evaluate_deployments(ExperimentPlan(30, (2,), (0.5, 1.0), 25, base_seed=3), 2)
-    assert connected.shape == isolated.shape == (2, 25)
-    assert connected.dtype == bool and isolated.dtype == np.int64
-    assert isolated[1].sum() == 0  # gamma = 1.0 never has isolated nodes
-    single, _ = evaluate_deployments(ExperimentPlan(30, (2,), (0.5,), 25, base_seed=3), 2)
-    assert np.array_equal(single[0], connected[0])
+def test_sweep_memory_does_not_grow_with_trials(monkeypatch):
+    """A sweep keeps counts, not per-trial outcomes: the traced peak of a
+    four-fraction plan before its first draw is the same at 10**3 and
+    10**6 trials (per-trial arrays would take 36 MB at 10**6)."""
+    monkeypatch.setattr(sampling, "sample_pairing_block", first_draw)
+    peaks = []
+    for trials in (10**3, 10**6):
+        plan = ExperimentPlan(1000, (24,), (0.25, 0.5, 0.75, 1.0), trials, base_seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstDraw):
+                run_sweep(plan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 50_000
+
+
+def test_counts_follow_the_fractions():
+    """Counts: one entry per fraction, in the order given, and one joint."""
+    connected, no_isolated, joint = evaluate_deployments(ExperimentPlan(30, (2,), (0.5, 1.0), 25, base_seed=3), 2)
+    assert connected.shape == no_isolated.shape == (2,)
+    assert connected.dtype == no_isolated.dtype == np.int64 and type(joint) is int
+    assert no_isolated[1] == 25  # gamma = 1.0 never has isolated nodes
+    single = evaluate_deployments(ExperimentPlan(30, (2,), (0.5,), 25, base_seed=3), 2)
+    assert single[0][0] == connected[0] and single[1][0] == no_isolated[0]
 
 
 # -- phased deployments ----------------------------------------------------------
