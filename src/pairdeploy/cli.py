@@ -170,13 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _estimate_fields(est: montecarlo.Estimate) -> dict:
+def _estimate_fields(successes: int, trials: int) -> dict:
+    low, high = montecarlo.wilson_interval(successes, trials)
     return {
-        "trials": est.trials,
-        "successes": est.successes,
-        "p_hat": _prob(est.p_hat),
-        "ci_low": _prob(est.ci_low),
-        "ci_high": _prob(est.ci_high),
+        "trials": trials,
+        "successes": successes,
+        "p_hat": _prob(successes / trials),
+        "ci_low": _prob(low),
+        "ci_high": _prob(high),
     }
 
 
@@ -189,11 +190,12 @@ def _sweep(args: argparse.Namespace) -> _Output:
         base_seed=args.seed,
         workers=args.workers,
     )
-    curves = montecarlo.run_sweep(plan)
+    counts = montecarlo.run_sweep(plan)  # k -> (connected, no_isolated, joint)
     rows = [
-        {"kind": kind, "gamma": _gamma_str(g), "K": k, "n": plan.n, **_estimate_fields(curves[kind][g, k])}
-        for kind in ("connected", "no_isolated")
-        for g in plan.gammas
+        {"kind": kind, "gamma": _gamma_str(g), "K": k, "n": plan.n,
+         **_estimate_fields(int(counts[k][curve][i]), plan.trials)}
+        for curve, kind in enumerate(("connected", "no_isolated"))
+        for i, g in enumerate(plan.gammas)
         for k in plan.k_values
     ]
     return rows, None, {"command": "sweep", "seed": args.seed, "rows": rows}
@@ -207,38 +209,39 @@ def _phased(args: argparse.Namespace) -> _Output:
         trials=args.trials,
         base_seed=args.seed,
     )
-    curves = montecarlo.run_sweep(plan)
-    labelled = [(",".join(_gamma_str(g) for g in plan.gammas), curves["joint"][args.k])]
-    labelled += [(_gamma_str(g), curves["connected"][g, args.k]) for g in plan.gammas]
+    connected, _, joint = montecarlo.run_sweep(plan)[args.k]
+    labelled = [(",".join(_gamma_str(g) for g in plan.gammas), joint)]
+    labelled += zip(map(_gamma_str, plan.gammas), connected.tolist())
     rows = [
-        {"n": args.n, "K": args.k, "schedule": label, **_estimate_fields(est)}
-        for label, est in labelled
+        {"n": args.n, "K": args.k, "schedule": label, **_estimate_fields(successes, plan.trials)}
+        for label, successes in labelled
     ]
     return rows, None, {"command": "phased", "seed": args.seed, "rows": rows}
 
 
 def _census(args: argparse.Namespace) -> _Output:
-    census = montecarlo.run_keyring_census(args.n, args.k, args.trials, args.seed)
-    histogram = sorted(census.histogram.items())
-    max_histogram = sorted(census.max_histogram.items())
+    counts = montecarlo.run_keyring_census(args.n, args.k, args.trials, args.seed)
+    # [size, count] of every size seen, for all rings and for each trial's largest
+    histogram, max_histogram = ([[s, c] for s, c in enumerate(h.tolist()) if c] for h in counts)
     rows = [{"size": s, "count": c, "is_max_histogram": 0} for s, c in histogram]
     rows += [{"size": s, "count": c, "is_max_histogram": 1} for s, c in max_histogram]
-    trailer = (
-        f"# mean_size={_prob(census.mean_size)}"
-        f" frac_over_3k={_prob(census.frac_over_3k)}"
-        f" largest={census.largest}"
-    )
+    # exact integer sums over trials * n rings, divided once
+    rings = args.trials * args.n
+    mean_size = sum(s * c for s, c in histogram) / rings
+    frac_over_3k = sum(c for s, c in histogram if s > 3 * args.k) / rings
+    largest = histogram[-1][0]
+    trailer = f"# mean_size={_prob(mean_size)} frac_over_3k={_prob(frac_over_3k)} largest={largest}"
     doc = {
         "command": "census",
         "seed": args.seed,
-        "n": census.n,
-        "k": census.k,
-        "trials": census.trials,
-        "histogram": [[s, c] for s, c in histogram],
-        "max_histogram": [[s, c] for s, c in max_histogram],
-        "mean_size": census.mean_size,
-        "frac_over_3k": census.frac_over_3k,
-        "largest": census.largest,
+        "n": args.n,
+        "k": args.k,
+        "trials": args.trials,
+        "histogram": histogram,
+        "max_histogram": max_histogram,
+        "mean_size": mean_size,
+        "frac_over_3k": frac_over_3k,
+        "largest": largest,
     }
     return rows, trailer, doc
 

@@ -1,15 +1,18 @@
-"""Repeat-trial experiments: deployment runs and key-ring censuses.
+"""Repeat-trial experiments: deployment runs and key-ring censuses, as counts.
 
 One ExperimentPlan describes every deployment run, and run_sweep answers
-all its questions from one evaluation pass: the per-fraction connectivity
-and isolation curves, and the joint all-phases connectivity per k.  Runs
-are coupled: one table is generated per (k, trial) and every deployment
-fraction is evaluated as a view of that same table, matching how a
-gradually deployed network actually grows.  Table seeds derive from
-(base_seed, k, trial) through the sampling module's stream keying, so any
-execution order, chunking, or worker count reproduces identical results.
-Deployment runs and censuses draw their tables through one block loop, and
-fold each block into counts before drawing the next.
+all its questions from one evaluation pass: per k, the trials connected and
+the trials with no isolated node at each fraction, and the trials connected
+at every fraction (the phased-deployment question).  Runs are coupled: one
+table is generated per (k, trial) and every deployment fraction is
+evaluated as a view of that same table, matching how a gradually deployed
+network actually grows.  Table seeds derive from (base_seed, k, trial)
+through the sampling module's stream keying, so any execution order,
+chunking, or worker count reproduces identical results.  Deployment runs
+and censuses draw their tables through one block loop, and fold each block
+into counts before drawing the next.  This module returns counts; the
+command line turns them into estimates with wilson_interval, and into
+census summaries.
 
 Default trial counts: 200 for sweeps, 1000 for censuses.
 """
@@ -33,10 +36,7 @@ __all__ = [
     "SWEEP_TRIALS_DEFAULT",
     "CENSUS_TRIALS_DEFAULT",
     "ExperimentPlan",
-    "Estimate",
-    "RingCensus",
     "wilson_interval",
-    "estimate_from",
     "evaluate_deployments",
     "run_sweep",
     "run_keyring_census",
@@ -66,22 +66,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     center = (p + _Z95 * _Z95 / (2 * trials)) / denom
     half = _Z95 * math.sqrt(p * (1.0 - p) / trials + _Z95 * _Z95 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A binomial success estimate with its 95% Wilson interval."""
-
-    successes: int
-    trials: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
-
-
-def estimate_from(successes: int, trials: int) -> Estimate:
-    low, high = wilson_interval(successes, trials)
-    return Estimate(successes, trials, successes / trials, low, high)
 
 
 @dataclass(frozen=True)
@@ -147,7 +131,7 @@ def _blocks(n: int, k: int, trials: int, base_seed: int, rows: int) -> Iterator[
 def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Count the outcomes of every gamma view of the plan's tables for k.
 
-    The one evaluation pass behind run_sweep's curves: each block of tables
+    The one evaluation pass behind run_sweep: each block of tables
     is drawn with the rows its largest view reads, answered for every
     distinct view size by one connected_at call, and added to the counts
     before the next is drawn; (n, k), trials and the seed are checked
@@ -174,74 +158,32 @@ def _pool_size(workers: int | None, cells: int) -> int:
     return max(1, min(workers or 1, cells, os.cpu_count() or 1))
 
 
-def run_sweep(plan: ExperimentPlan) -> dict[str, dict]:
-    """Every deployment curve of the plan from one evaluation pass, on the
-    same tables.  "connected" estimates P[deployed graph connected] and
-    "no_isolated" P[deployed graph has no isolated node], both indexed by
-    (gamma, k); "joint" estimates P[connected at every gamma of the plan],
-    the phased-deployment question, indexed by k."""
+def run_sweep(plan: ExperimentPlan) -> dict[int, tuple[np.ndarray, np.ndarray, int]]:
+    """evaluate_deployments(plan, k) for every k of the plan, in the order
+    of plan.k_values, each k in its own worker process when plan.workers
+    allows."""
     evaluate = partial(evaluate_deployments, plan)
     size = _pool_size(plan.workers, len(plan.k_values))
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            outcomes = list(pool.map(evaluate, plan.k_values))
-    else:
-        outcomes = list(map(evaluate, plan.k_values))
-    connected: dict[tuple[float, int], Estimate] = {}
-    no_isolated: dict[tuple[float, int], Estimate] = {}
-    joint: dict[int, Estimate] = {}
-    for k, (conn, no_iso, joint_k) in zip(plan.k_values, outcomes):
-        for g, conn_g, no_iso_g in zip(plan.gammas, conn.tolist(), no_iso.tolist()):
-            connected[(g, k)] = estimate_from(conn_g, plan.trials)
-            no_isolated[(g, k)] = estimate_from(no_iso_g, plan.trials)
-        joint[k] = estimate_from(joint_k, plan.trials)
-    return {"connected": connected, "no_isolated": no_isolated, "joint": joint}
-
-
-@dataclass(frozen=True)
-class RingCensus:
-    """Aggregated ring sizes over trials * n rings.
-
-    histogram counts every ring; max_histogram counts each trial's largest
-    ring.  frac_over_3k is the fraction of all rings strictly larger than
-    3k; mean_size is exactly 2k by conservation (kept as an output check).
-    """
-
-    n: int
-    k: int
-    trials: int
-    histogram: dict[int, int]
-    max_histogram: dict[int, int]
-    frac_over_3k: float
-    mean_size: float
-    largest: int
+            return dict(zip(plan.k_values, pool.map(evaluate, plan.k_values)))
+    return dict(zip(plan.k_values, map(evaluate, plan.k_values)))
 
 
 def run_keyring_census(
     n: int, k: int, trials: int = CENSUS_TRIALS_DEFAULT, base_seed: int = 0
-) -> RingCensus:
-    """Tabulate all trials * n ring sizes and the per-trial maxima."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count all trials * n ring sizes and the per-trial largest rings.
+
+    Returns (histogram, max_histogram), int64 arrays indexed by ring size:
+    the first sums to trials * n, the second to trials.  A ring holds
+    k..k+n-1 keys.
+    """
     blocks = _blocks(n, k, trials, base_seed, n)
-    # a ring holds k..k+n-1 keys
-    hist = np.zeros(n + k, dtype=np.int64)
-    max_hist = np.zeros(n + k, dtype=np.int64)
+    hist, max_hist = np.zeros((2, n + k), dtype=np.int64)
     for block in blocks:
         sizes = ring_sizes(block)
         hist += np.bincount(sizes.ravel(), minlength=n + k)
         max_hist += np.bincount(sizes.max(axis=1), minlength=n + k)
         del block
-    total = trials * n
-    sizes_axis = np.arange(len(hist))
-    frac_over = float(hist[sizes_axis > 3 * k].sum() / total)
-    mean = float((hist * sizes_axis).sum() / total)
-    largest = int(np.nonzero(hist)[0].max())
-    return RingCensus(
-        n=n,
-        k=k,
-        trials=trials,
-        histogram={int(s): int(c) for s, c in enumerate(hist) if c},
-        max_histogram={int(s): int(c) for s, c in enumerate(max_hist) if c},
-        frac_over_3k=frac_over,
-        mean_size=mean,
-        largest=largest,
-    )
+    return hist, max_hist

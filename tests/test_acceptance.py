@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from pairdeploy import montecarlo, sampling, theory
@@ -74,20 +75,20 @@ def crossing_location(gamma: float, conn: dict[tuple[float, int], float]) -> flo
 def test_full_deployment_two_keys_connects():
     started = time.perf_counter()
     plan = ExperimentPlan(n=N, k_values=(2,), gammas=(1.0,), trials=TRIALS, base_seed=SEED)
-    est = montecarlo.run_sweep(plan)["connected"][(1.0, 2)]
+    connected = int(montecarlo.run_sweep(plan)[2][0][0])
     elapsed = time.perf_counter() - started
-    print(f"n={N} k=2 full deployment: connected {est.successes}/{est.trials} "
-          f"(p_hat={est.p_hat:.4f}) in {elapsed:.1f}s")
-    assert est.p_hat >= 0.99
+    print(f"n={N} k=2 full deployment: connected {connected}/{TRIALS} "
+          f"(p_hat={connected / TRIALS:.4f}) in {elapsed:.1f}s")
+    assert connected / TRIALS >= 0.99
     assert elapsed < 10.0
 
 
 def test_full_deployment_one_key_often_disconnects():
     plan = ExperimentPlan(n=N, k_values=(1,), gammas=(1.0,), trials=TRIALS, base_seed=SEED)
-    est = montecarlo.run_sweep(plan)["connected"][(1.0, 1)]
-    print(f"n={N} k=1 full deployment: connected {est.successes}/{est.trials} "
-          f"(p_hat={est.p_hat:.4f})")
-    assert est.p_hat <= 0.5
+    connected = int(montecarlo.run_sweep(plan)[1][0][0])
+    print(f"n={N} k=1 full deployment: connected {connected}/{TRIALS} "
+          f"(p_hat={connected / TRIALS:.4f})")
+    assert connected / TRIALS <= 0.5
 
 
 def test_partial_deployment_threshold_location(threshold_curves):
@@ -133,21 +134,25 @@ def test_connected_and_no_isolated_curves_coincide(threshold_curves):
 
 def test_ring_census_concentration():
     configs = ((200, 4), (500, 21), (1000, 24), (2000, 26))
-    censuses = {(n, k): montecarlo.run_keyring_census(n, k, 1000, SEED) for n, k in configs}
+    # histograms of all 1000 * n ring sizes, indexed by size
+    hists = {(n, k): montecarlo.run_keyring_census(n, k, 1000, SEED)[0] for n, k in configs}
 
-    small = censuses[(200, 4)]
-    print(f"n=200 k=4: frac_over_3k={small.frac_over_3k:.4f}")
-    assert 0.005 <= small.frac_over_3k <= 0.05
+    small = hists[(200, 4)]
+    frac_over_3k = int(small[3 * 4 + 1:].sum()) / (1000 * 200)
+    print(f"n=200 k=4: frac_over_3k={frac_over_3k:.4f}")
+    assert 0.005 <= frac_over_3k <= 0.05
 
-    big = censuses[(1000, 24)]
-    over = sum(c for s, c in big.histogram.items() if s > 72)
-    print(f"n=1000 k=24: {over} of 10^6 rings exceed 3k, largest={big.largest}")
+    big = hists[(1000, 24)]
+    over = int(big[3 * 24 + 1:].sum())
+    largest = int(np.flatnonzero(big)[-1])
+    print(f"n=1000 k=24: {over} of 10^6 rings exceed 3k, largest={largest}")
     assert over <= 50
-    assert big.largest <= 100
+    assert largest <= 100
 
-    for (n, k), census in censuses.items():
-        rel = abs(census.mean_size - 2 * k) / (2 * k)
-        print(f"n={n} k={k}: mean ring size {census.mean_size:.3f} "
+    for (n, k), hist in hists.items():
+        mean_size = int((np.arange(len(hist)) * hist).sum()) / (1000 * n)
+        rel = abs(mean_size - 2 * k) / (2 * k)
+        print(f"n={n} k={k}: mean ring size {mean_size:.3f} "
               f"(target {2 * k}, rel err {rel:.4f})")
         assert rel <= 0.01
 
@@ -216,20 +221,20 @@ def test_phased_schedule_joint_connectivity():
     assert k == 37
     started = time.perf_counter()
     plan = ExperimentPlan(2000, (k,), (0.25, 0.5, 1.0), TRIALS, SEED)
-    joint = montecarlo.run_sweep(plan)["joint"][k]
+    _, _, joint = montecarlo.run_sweep(plan)[k]
     elapsed = time.perf_counter() - started
     print(f"n=2000 k={k} schedule (0.25, 0.5, 1.0): joint connectivity "
-          f"{joint.successes}/{joint.trials} (p_hat={joint.p_hat:.4f}) in {elapsed:.1f}s")
-    assert joint.p_hat >= 0.95
+          f"{joint}/{TRIALS} (p_hat={joint / TRIALS:.4f}) in {elapsed:.1f}s")
+    assert joint / TRIALS >= 0.95
     assert elapsed < 60.0
 
 
 def test_maxring_deviation_frequency_within_bound():
     k = math.ceil(3 * LOG_N)
     assert k == 21
-    census = montecarlo.run_keyring_census(N, k, 1000, SEED)
+    _, max_hist = montecarlo.run_keyring_census(N, k, 1000, SEED)
     dev = 2.9 * LOG_N
-    bad = sum(c for m, c in census.max_histogram.items() if abs(m - 2 * k) >= dev)
+    bad = int(max_hist[np.abs(np.arange(len(max_hist)) - 2 * k) >= dev].sum())
     freq = bad / 1000
     h = theory.decay_exponent(3.0, 2.9)
     bound = 2 * N ** -h

@@ -261,6 +261,30 @@ class TestCensus:
         assert sum(c for _, c in doc["max_histogram"]) == 30
         assert doc["largest"] == max(s for s, _ in doc["histogram"])
 
+    def test_json_summary_follows_the_histogram(self, capsys):
+        """The JSON summary holds exact doubles: the mean ring size is 2k,
+        since each selection puts its key in two rings, and the largest
+        ring of all is the largest of some trial.  (At this seed, summing
+        size * count / rings term by term gives 6.000000000000001.)"""
+        _, jtext, _ = run_cli(
+            capsys, "census", "--n", "50", "--k", "3", "--trials", "40", "--format", "json"
+        )
+        doc = json.loads(jtext)
+        assert doc["mean_size"] == 2 * 3
+        assert doc["largest"] == doc["histogram"][-1][0] == doc["max_histogram"][-1][0]
+        over = sum(c for s, c in doc["histogram"] if s > 3 * 3)
+        assert 0 < over and doc["frac_over_3k"] == over / (40 * 50)
+
+    def test_rings_at_exactly_3k_do_not_count_as_over(self, capsys):
+        # n=3, k=1: the largest possible ring is 1 + 2 = 3 = 3k
+        _, jtext, _ = run_cli(
+            capsys, "census", "--n", "3", "--k", "1", "--trials", "200", "--seed", "1",
+            "--format", "json",
+        )
+        doc = json.loads(jtext)
+        assert doc["largest"] == 3
+        assert doc["frac_over_3k"] == 0.0
+
 
 class TestTheory:
     def test_golden_values(self, capsys):

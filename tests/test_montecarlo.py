@@ -21,10 +21,8 @@ from pairdeploy.graphs import connected_at
 from pairdeploy.montecarlo import (
     CENSUS_TRIALS_DEFAULT,
     SWEEP_TRIALS_DEFAULT,
-    Estimate,
     ExperimentPlan,
     _pool_size,
-    estimate_from,
     evaluate_deployments,
     run_keyring_census,
     run_sweep,
@@ -57,11 +55,10 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(11, 10)
 
-    @pytest.mark.parametrize("successes", [0, 1, 57, 199, 200])
+    @pytest.mark.parametrize("successes", range(201))
     def test_estimate_ordering(self, successes):
-        est = estimate_from(successes, 200)
-        assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
-        assert est.p_hat == successes / 200
+        low, high = wilson_interval(successes, 200)
+        assert 0.0 <= low <= successes / 200 <= high <= 1.0
 
 
 class TestValidation:
@@ -186,17 +183,16 @@ class TestExhaustiveOracle:
     def test_monte_carlo_within_three_standard_errors(self):
         trials = 100_000
         plan = ExperimentPlan(4, (1,), (0.5, 1.0), trials=trials, base_seed=7)
-        sweep = run_sweep(plan)
-        conn, iso = sweep["connected"], sweep["no_isolated"]
-        for est, exact in [
-            (conn[(1.0, 1)], Fraction(26, 27)),
-            (conn[(0.5, 1)], Fraction(5, 9)),
-            (iso[(0.5, 1)], Fraction(5, 9)),
+        conn, iso, _ = run_sweep(plan)[1]
+        for successes, exact in [
+            (conn[1], Fraction(26, 27)),
+            (conn[0], Fraction(5, 9)),
+            (iso[0], Fraction(5, 9)),
         ]:
             p = float(exact)
             se = math.sqrt(p * (1 - p) / trials)
-            assert abs(est.p_hat - p) < 3 * se
-        assert iso[(1.0, 1)].p_hat == 1.0  # full graph never has isolated nodes
+            assert abs(successes / trials - p) < 3 * se
+        assert iso[1] == trials  # full graph never has isolated nodes
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -207,31 +203,46 @@ def small_plan(**overrides):
     return ExperimentPlan(**defaults)
 
 
+def as_lists(sweep):
+    """A run_sweep result with its count arrays as lists, comparable by ==."""
+    return {
+        k: (conn.tolist(), no_iso.tolist(), joint) for k, (conn, no_iso, joint) in sweep.items()
+    }
+
+
 def test_sweep_keys_and_types():
-    plan = small_plan()
+    """One entry per k, in the plan's order, each the counts that
+    evaluate_deployments returns for that k."""
+    plan = small_plan(k_values=(3, 2))
     out = run_sweep(plan)
-    assert list(out) == ["connected", "no_isolated", "joint"]
-    for kind in ("connected", "no_isolated"):
-        assert set(out[kind]) == {(g, k) for g in plan.gammas for k in plan.k_values}
-    assert list(out["joint"]) == list(plan.k_values)
-    for curve in out.values():
-        assert all(isinstance(v, Estimate) for v in curve.values())
+    assert list(out) == [3, 2]
+    for k, (conn, no_iso, joint) in out.items():
+        assert conn.dtype == no_iso.dtype == np.int64 and type(joint) is int
+        assert conn.shape == no_iso.shape == (len(plan.gammas),)
+        expected = evaluate_deployments(plan, k)
+        assert np.array_equal(conn, expected[0]) and np.array_equal(no_iso, expected[1])
+        assert joint == expected[2]
 
 
 def test_full_deployment_never_isolated_for_any_k():
-    out = run_sweep(small_plan())["no_isolated"]
-    assert out[(1.0, 2)].p_hat == 1.0
-    assert out[(1.0, 3)].p_hat == 1.0
+    out = run_sweep(small_plan())
+    assert out[2][1][1] == 60
+    assert out[3][1][1] == 60
 
 
-def test_sweep_reruns_identically():
-    assert run_sweep(small_plan()) == run_sweep(small_plan())
+@pytest.mark.parametrize(
+    "plan",
+    [small_plan(), ExperimentPlan(100, (3,), (0.5, 1.0), 50, base_seed=9)],
+    ids=["sweep", "phased"],
+)
+def test_reruns_identically(plan):
+    assert as_lists(run_sweep(plan)) == as_lists(run_sweep(plan))
 
 
 def test_worker_count_does_not_change_results():
     serial = run_sweep(small_plan(workers=None))
     parallel = run_sweep(small_plan(workers=2))
-    assert serial == parallel
+    assert as_lists(serial) == as_lists(parallel)
 
 
 def test_pool_size_is_clamped(monkeypatch):
@@ -262,9 +273,9 @@ def test_coupled_gammas_share_tables():
     both = run_sweep(small_plan())
     lo = run_sweep(small_plan(gammas=(0.5,)))
     hi = run_sweep(small_plan(gammas=(1.0,)))
-    for kind in ("connected", "no_isolated"):
-        assert both[kind][(0.5, 2)] == lo[kind][(0.5, 2)]
-        assert both[kind][(1.0, 3)] == hi[kind][(1.0, 3)]
+    for curve in (0, 1):  # connected, no_isolated
+        assert both[2][curve][0] == lo[2][curve][0]
+        assert both[3][curve][1] == hi[3][curve][0]
 
 
 def test_fractions_that_floor_to_one_view_get_equal_rows():
@@ -411,53 +422,46 @@ def test_counts_follow_the_fractions():
 # -- phased deployments ----------------------------------------------------------
 
 def test_single_phase_equals_sweep_cell():
-    out = run_sweep(small_plan(k_values=(2,), gammas=(1.0,)))
-    assert out["joint"][2] == out["connected"][(1.0, 2)]
+    conn, _, joint = run_sweep(small_plan(k_values=(2,), gammas=(1.0,)))[2]
+    assert joint == conn[0]
 
 
 def test_joint_at_most_every_phase():
-    plan = ExperimentPlan(300, (3, 5), (0.25, 0.5, 1.0), 100, base_seed=17)
-    out = run_sweep(plan)
-    for k in plan.k_values:
-        joint = out["joint"][k]
-        assert joint.trials == 100
-        for g in plan.gammas:
-            assert joint.successes <= out["connected"][(g, k)].successes
+    # K large enough that some trials connect at 0.25 (none do at K = 3 or 5)
+    plan = ExperimentPlan(300, (7, 8), (0.25, 0.5, 1.0), 100, base_seed=17)
+    for conn, _, joint in run_sweep(plan).values():
+        assert 0 < joint <= conn.min()
 
 
 def test_joint_of_one_k_does_not_depend_on_the_other_ks():
-    """Tables depend only on (seed, k), so adding a K leaves K=3's joint as it was."""
-    both = run_sweep(ExperimentPlan(300, (3, 5), (0.25, 0.5, 1.0), 100, base_seed=17))
-    alone = run_sweep(ExperimentPlan(300, (3,), (0.25, 0.5, 1.0), 100, base_seed=17))
-    assert both["joint"][3] == alone["joint"][3]
-
-
-def test_phased_rerun_identical():
-    plan = ExperimentPlan(100, (3,), (0.5, 1.0), 50, base_seed=9)
-    assert run_sweep(plan) == run_sweep(plan)
+    """Tables depend only on (seed, k), so adding a K leaves K=8's joint as it was."""
+    both = run_sweep(ExperimentPlan(300, (5, 8), (0.25, 0.5, 1.0), 100, base_seed=17))
+    alone = run_sweep(ExperimentPlan(300, (8,), (0.25, 0.5, 1.0), 100, base_seed=17))
+    assert both[8][2] == alone[8][2] > 0
 
 
 # -- ring census -------------------------------------------------------------------
 
 def test_census_conservation():
-    census = run_keyring_census(50, 3, trials=40, base_seed=5)
-    assert sum(census.histogram.values()) == 40 * 50
-    assert sum(census.max_histogram.values()) == 40
-    assert census.largest == max(census.histogram)
-    assert max(census.max_histogram) == census.largest
-    assert math.isclose(census.mean_size, 2 * 3, rel_tol=1e-12)
-
-
-def test_census_rings_at_exactly_3k_do_not_count_as_over():
-    # n=3, k=1: the largest possible ring is 1 + 2 = 3 = 3k
-    census = run_keyring_census(3, 1, trials=200, base_seed=1)
-    assert census.largest <= 3
-    assert census.frac_over_3k == 0.0
+    """Exact integer conservation: every ring is counted once, the keys of
+    all rings number twice the selections (each selection puts its key in
+    two rings), and each trial has one largest ring."""
+    n, k, trials = 50, 3, 40
+    hist, max_hist = run_keyring_census(n, k, trials=trials, base_seed=5)
+    assert hist.dtype == max_hist.dtype == np.int64
+    assert hist.shape == max_hist.shape == (n + k,)
+    sizes = np.arange(n + k)
+    assert int(hist.sum()) == trials * n
+    assert int((sizes * hist).sum()) == 2 * k * trials * n
+    assert int(max_hist.sum()) == trials
+    # the largest ring of all is the largest of some trial
+    assert np.flatnonzero(hist)[-1] == np.flatnonzero(max_hist)[-1]
 
 
 def test_census_min_size_at_least_k():
-    census = run_keyring_census(80, 4, trials=30, base_seed=2)
-    assert min(census.histogram) >= 4
+    hist, max_hist = run_keyring_census(80, 4, trials=30, base_seed=2)
+    assert np.flatnonzero(hist)[0] >= 4
+    assert hist[:4].sum() == max_hist[:4].sum() == 0
 
 
 def test_census_block_partition_does_not_change_census(monkeypatch):
@@ -465,23 +469,23 @@ def test_census_block_partition_does_not_change_census(monkeypatch):
     whole = run_keyring_census(40, 3, trials=25, base_seed=7)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 4 * 40 * 3)
     assert len(list(montecarlo._blocks(40, 3, 25, 7, 40))) == 7
-    assert run_keyring_census(40, 3, trials=25, base_seed=7) == whole
+    split = run_keyring_census(40, 3, trials=25, base_seed=7)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
 
 def test_census_two_node_rings_fill_the_last_bin():
     """n=2, k=1: both nodes select each other, so every ring holds
     k + n - 1 = 2 keys, the last size a ring can have."""
     trials = 9
-    census = run_keyring_census(2, 1, trials=trials, base_seed=3)
-    assert census.histogram == {2: 2 * trials}
-    assert census.max_histogram == {2: trials}
-    assert census.largest == 2 and census.mean_size == 2.0
+    hist, max_hist = run_keyring_census(2, 1, trials=trials, base_seed=3)
+    assert hist.tolist() == [0, 0, 2 * trials]
+    assert max_hist.tolist() == [0, 0, trials]
 
 
 def test_census_rerun_identical():
     a = run_keyring_census(60, 3, trials=25, base_seed=11)
     b = run_keyring_census(60, 3, trials=25, base_seed=11)
-    assert a == b
+    assert [h.tolist() for h in a] == [h.tolist() for h in b]
 
 
 def test_census_domain():
@@ -499,12 +503,9 @@ def test_ring_sizes_concentrate_as_n_grows():
     outside = []
     for n, trials in [(1_000, 300), (10_000, 40), (100_000, 10)]:
         k = math.ceil(3 * math.log(n))
-        census = run_keyring_census(n, k, trials=trials, base_seed=23)
-        bad = sum(
-            count
-            for size, count in census.histogram.items()
-            if size < 1.6 * k or size > 2.4 * k
-        )
+        hist, _ = run_keyring_census(n, k, trials=trials, base_seed=23)
+        sizes = np.arange(len(hist))
+        bad = int(hist[(sizes < 1.6 * k) | (sizes > 2.4 * k)].sum())
         outside.append(bad / (trials * n))
     assert outside[0] > outside[1] > outside[2]
 
@@ -513,9 +514,7 @@ def test_ring_sizes_concentrate_as_n_grows():
 def test_maxring_deviation_frequency_below_analytic_bound(n, trials):
     k = math.ceil(3 * math.log(n))
     t = 2.9 * math.log(n)
-    census = run_keyring_census(n, k, trials=trials, base_seed=29)
-    bad = sum(
-        count for size, count in census.max_histogram.items() if abs(size - 2 * k) >= t
-    )
+    _, max_hist = run_keyring_census(n, k, trials=trials, base_seed=29)
+    bad = int(max_hist[np.abs(np.arange(len(max_hist)) - 2 * k) >= t].sum())
     bound = 2 * n ** -theory.decay_exponent(3.0, 2.9)
     assert bad / trials <= bound
