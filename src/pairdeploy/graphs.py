@@ -7,16 +7,9 @@ The deployment questions are asked of the view at fraction gamma: the
 first m = floor(gamma*n) nodes (the nodes deployed so far) and the edges
 with both endpoints deployed.  One kernel answers both, for a whole
 (trials, n, k) block of partner arrays and all of a schedule's views at
-once in numpy.  The views nest, each the first nodes of the next, so
-connected_at answers them in stages, smallest first: a stage starts from
-the labels the last one left and adds only its new edges, those with an
-end among its new nodes.  Within a stage it hooks each selection column
-into a flat label array of all the block's tables (min-label hooking plus
-pointer jumping), retires a table once it is connected or can gain no more
-edges, and counts the isolated nodes of a retired table as the singleton
-components of its final labels.  The tests check it against independent
-union-find, breadth-first search and edge-mask routes over the selection
-pairs.
+once in numpy: connected_at, whose docstring walks through its stages.
+The tests check it against independent union-find, breadth-first search
+and edge-mask routes over the selection pairs.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
     an int64 array of the deployed nodes with no deployed neighbour, both of
     shape (len(ms), trials); row s answers the view of ms[s] nodes.
 
-    ms must be non-empty, strictly increasing and within 1..block.shape[1];
+    ms must be non-empty, non-decreasing and within 1..block.shape[1];
     anything else raises ValueError.  A one-node view counts as connected,
     with its one node isolated.
 
@@ -65,10 +58,15 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
     its one node.  Either way the labels it leaves are the components of its
     view: the edges a joined table skipped lie inside its one component, and
     a stuck table has none left.  So every table enters the next stage.
+
+    A repeated size needs no special case: its stage has no new node and no
+    new edge, so it starts from labels that already are its view's
+    components, hooks nothing, and each table leaves through the joined or
+    stuck exit with the answers of the stage before.
     """
     ms = tuple(ms)
-    if not ms or ms[0] < 1 or ms[-1] > block.shape[1] or any(a >= b for a, b in zip(ms, ms[1:])):
-        raise ValueError(f"views must be strictly increasing within 1..{block.shape[1]}, got {ms}")
+    if not ms or ms[0] < 1 or ms[-1] > block.shape[1] or any(a > b for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"views must be non-decreasing within 1..{block.shape[1]}, got {ms}")
     trials, last = block.shape[0], block.shape[2] - 1
     connected = np.zeros((len(ms), trials), dtype=bool)
     isolated = np.zeros((len(ms), trials), dtype=np.int64)

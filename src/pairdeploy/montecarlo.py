@@ -131,17 +131,15 @@ def _blocks(n: int, k: int, trials: int, base_seed: int, rows: int) -> Iterator[
 def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Count the outcomes of every gamma view of the plan's tables for k.
 
-    The one evaluation pass behind run_sweep: each block of tables
-    is drawn with the rows its largest view reads, answered for every
-    distinct view size by one connected_at call, and added to the counts
-    before the next is drawn; (n, k), trials and the seed are checked
-    before the first.  Returns (connected, no_isolated, joint): the trials
-    connected and with no isolated node per fraction, as int64 arrays in
-    the order of plan.gammas, and the trials connected at every fraction.
+    The one evaluation pass behind run_sweep: each block of tables is
+    drawn with the rows its largest view reads, answered for every view by
+    one connected_at call, and added to the counts before the next is
+    drawn; (n, k), trials and the seed are checked before the first.
+    Returns (connected, no_isolated, joint): the trials connected and with
+    no isolated node per fraction, as int64 arrays in the order of
+    plan.gammas, and the trials connected at every fraction.
     """
-    # two fractions may floor to one view size; each size is answered once
-    sizes, entry = np.unique([phase_size(plan.n, g) for g in plan.gammas], return_inverse=True)
-    ms = sizes.tolist()
+    ms = [phase_size(plan.n, g) for g in plan.gammas]
     connected, no_isolated = np.zeros((2, len(ms)), dtype=np.int64)
     joint = 0
     for block in _blocks(plan.n, k, plan.trials, plan.base_seed, ms[-1]):
@@ -150,7 +148,7 @@ def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.n
         connected += conn.sum(axis=1)
         no_isolated += (iso == 0).sum(axis=1)
         joint += int(conn.all(axis=0).sum())
-    return connected[entry], no_isolated[entry], joint
+    return connected, no_isolated, joint
 
 
 def _pool_size(workers: int | None, cells: int) -> int:

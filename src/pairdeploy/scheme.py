@@ -66,14 +66,6 @@ class PairingTable:
         p.flags.writeable = False
         object.__setattr__(self, "partners", p)
 
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def k(self) -> int:
-        return self.params.k
-
 
 def generate_pairing(params: SchemeParams, seed: int, trial: int = 0) -> PairingTable:
     """Draw a pairing table; uniform per node, independent across nodes.

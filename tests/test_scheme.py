@@ -52,8 +52,8 @@ class KeyRing:
 def derive_key_rings(table):
     """Every node's key ring: the key of each pairing it initiated and of
     each pairing that selected it."""
-    keys = [set() for _ in range(table.n)]
-    for i0 in range(table.n):
+    keys = [set() for _ in range(table.params.n)]
+    for i0 in range(table.params.n):
         for slot, j0 in enumerate(table.partners[i0], start=1):
             key = PairwiseKeyId(i0 + 1, int(j0) + 1, slot)
             keys[i0].add(key)
@@ -102,7 +102,7 @@ class TestHandExample:
         assert table_ring_sizes(table).tolist() == [3, 2, 1]
 
     def test_reverse_degrees(self, table):
-        assert (table_ring_sizes(table) - table.k).tolist() == [2, 1, 0]
+        assert (table_ring_sizes(table) - table.params.k).tolist() == [2, 1, 0]
 
 
 def test_forced_full_selection():
