@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from . import montecarlo, theory
 from .scheme import SchemeParams
@@ -78,6 +78,14 @@ def parse_k_values(text: str, n: int) -> tuple[int, ...]:
 def parse_gamma_list(text: str) -> tuple[float, ...]:
     """Parse a comma-separated list of deployment fractions."""
     return tuple(float(tok) for tok in text.split(","))
+
+
+def _parse_flag(flag: str, parse: Callable[..., tuple], text: str, *args: int) -> tuple:
+    """parse(text, *args), with a ValueError's message prefixed by the flag."""
+    try:
+        return parse(text, *args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _finite(tok: str) -> float:
@@ -184,8 +192,8 @@ def _estimate_fields(successes: int, trials: int) -> dict:
 def _sweep(args: argparse.Namespace) -> _Output:
     plan = montecarlo.ExperimentPlan(
         n=args.n,
-        k_values=parse_k_values(args.k, args.n),
-        gammas=parse_gamma_list(args.gamma),
+        k_values=_parse_flag("--k", parse_k_values, args.k, args.n),
+        gammas=_parse_flag("--gamma", parse_gamma_list, args.gamma),
         trials=args.trials,
         base_seed=args.seed,
         workers=args.workers,
@@ -205,7 +213,7 @@ def _phased(args: argparse.Namespace) -> _Output:
     plan = montecarlo.ExperimentPlan(
         n=args.n,
         k_values=(args.k,),
-        gammas=parse_gamma_list(args.schedule),
+        gammas=_parse_flag("--schedule", parse_gamma_list, args.schedule),
         trials=args.trials,
         base_seed=args.seed,
     )

@@ -147,6 +147,19 @@ class TestSweep:
         assert code == 2
         assert err.startswith("pairdeploy:")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--k", "1..", "--gamma", "0.5"), "--k: invalid literal for int() with base 10: ''"),
+            (("--k", "2", "--gamma", "0.2,x"), "--gamma: could not convert string to float: 'x'"),
+        ],
+        ids=["k", "gamma"],
+    )
+    def test_list_parse_error_names_its_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sweep", "--n", "50", *argv, "--trials", "5")
+        assert (code, out) == (2, "")
+        assert err == f"pairdeploy: {message}\n"
+
 
 class TestPhased:
     def test_joint_row_then_phases(self, capsys):
@@ -181,6 +194,13 @@ class TestPhased:
         assert code == 0
         joint, lo, hi = (r["successes"] for r in parse_rows(out))
         assert joint == lo == hi
+
+    def test_schedule_parse_error_names_its_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "phased", "--n", "100", "--k", "3", "--schedule", "0.2,,1", "--trials", "10"
+        )
+        assert (code, out) == (2, "")
+        assert err == "pairdeploy: --schedule: could not convert string to float: ''\n"
 
     def test_non_increasing_schedule_exit_2(self, capsys):
         code, _, err = run_cli(

@@ -34,6 +34,11 @@ BLOCK_DIGESTS = {
     (31337, 4, 6, 40, 3): "0e81d3d1b2d7bfe3586dd157c627804d7a331d26fa85cbc637070f05599b2dc4",
     (2**40 + 3, 123, 2, 1000, 25): "80f8710731647a5363673bf1bd3c1fc5b13c399e8ce1fb22f47cbb4a38f5e859",
     (99, 0, 5, 2, 1): "cbea8128e418b1507b23c43c958adffb2657c041cc00f7672aebfa40f5921341",
+    # k = 32 is the last sorted by the comparator network, k = 33 the first by numpy
+    (2024, 0, 3, 200, 32): "7d1e2a43f7045d7e2282428cc2ecc0574d27a4701ea4a321babc696ce32629b5",
+    (2024, 0, 3, 200, 33): "6aa80c03821eb6e021d8697a85a822592d3acf97687734c368c4723191b19cec",
+    # an int32 block
+    (2024, 0, 1, 40000, 4): "d9adad35fe57a0595450124b5f7ce652a42f841c741d8a77cd7bb2d018deadfe",
 }
 
 

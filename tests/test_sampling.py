@@ -10,6 +10,8 @@ from pairdeploy.sampling import (
     GOLDEN,
     MASK64,
     _CHUNK,
+    _NETWORK_MAX_K,
+    _network_sort,
     floyd_sample,
     fold,
     mix64,
@@ -144,6 +146,31 @@ def test_floyd_sample_uniform_over_all_subsets():
     assert chi2 < 20.52
 
 
+@pytest.mark.parametrize("k", range(1, 17))
+def test_network_sorts_every_zero_one_column(k):
+    """0-1 principle: a comparator network that sorts all 2^k columns of
+    zeros and ones sorts every column of k values."""
+    cols = ((np.arange(2**k)[None, :] >> np.arange(k)[:, None]) & 1).astype(np.int8)
+    expected = np.sort(cols, axis=0)
+    _network_sort(cols)
+    assert np.array_equal(cols, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+@pytest.mark.parametrize("k", range(1, _NETWORK_MAX_K + 3))
+def test_network_sort_matches_numpy_with_ties(k, dtype, monkeypatch):
+    """Random columns drawn from five values, the type's extremes among
+    them, so most columns hold ties; a 1000-byte chunk budget puts several
+    uneven chunk edges into 1001 columns."""
+    monkeypatch.setattr(sampling, "_NETWORK_CHUNK_BYTES", 1000)
+    info = np.iinfo(dtype)
+    values = np.array([info.min, -1, 0, 1, info.max], dtype=dtype)
+    cols = np.random.default_rng(k).choice(values, size=(k, 1001))
+    expected = np.sort(cols, axis=0)
+    _network_sort(cols)
+    assert np.array_equal(cols, expected)
+
+
 class TestPairingBlock:
     @pytest.mark.parametrize(
         "n, dtype",
@@ -161,6 +188,12 @@ class TestPairingBlock:
         assert block.min() >= 0 and block.max() < 25
         self_ids = np.arange(25)[None, :, None]
         assert not (block == self_ids).any()
+
+    @pytest.mark.parametrize("k", [_NETWORK_MAX_K, _NETWORK_MAX_K + 1])
+    def test_rows_ascending_on_both_sides_of_the_network_threshold(self, k):
+        """The comparator network sorts up to _NETWORK_MAX_K, numpy above."""
+        block = sample_pairing_block(11, 0, 3, 200, k)
+        assert (block[:, :, 1:] > block[:, :, :-1]).all()
 
     def test_deterministic_rerun(self):
         a = sample_pairing_block(99, 0, 10, 50, 2)
@@ -210,6 +243,19 @@ class TestPairingBlock:
         finally:
             tracemalloc.stop()
         assert peak <= 1.15 * block.nbytes
+
+    def test_peak_memory_near_the_block_on_the_network_path(self):
+        """K=16 is sorted by the comparator network, whose scratch is one
+        chunk: a one-table int32 block at n=2e5 peaks within 1.2x of its
+        own size."""
+        tracemalloc.start()
+        try:
+            block = sample_pairing_block(3, 0, 1, 200_000, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.dtype == np.int32
+        assert peak <= 1.2 * block.nbytes
 
     def test_different_trials_differ(self):
         block = sample_pairing_block(1, 0, 2, 40, 3)
