@@ -58,10 +58,11 @@ def _gamma_str(g: float) -> str:
 
 
 def parse_k_values(text: str, n: int) -> tuple[int, ...]:
-    """Parse "7", "1..20" (inclusive), or "1,5,9".
+    """Parse "7", "1..20" (inclusive), or "1,5,9" (no value twice).
 
-    Both ends of a range are checked against 1..n-1 before the range is
-    built, so a huge range fails without allocating.
+    Every listed value and both ends of a range are checked against
+    1..n-1; a range's ends are checked before it is built, so a huge range
+    fails without allocating.
     """
     text = text.strip()
     if ".." in text:
@@ -72,7 +73,12 @@ def parse_k_values(text: str, n: int) -> tuple[int, ...]:
         SchemeParams(n, lo)
         SchemeParams(n, hi)
         return tuple(range(lo, hi + 1))
-    return tuple(int(tok) for tok in text.split(","))
+    ks = tuple(int(tok) for tok in text.split(","))
+    for k in ks:
+        SchemeParams(n, k)
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"values must not repeat, got {text!r}")
+    return ks
 
 
 def parse_gamma_list(text: str) -> tuple[float, ...]:

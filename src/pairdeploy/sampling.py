@@ -10,7 +10,9 @@ fold(a, b) = mix(mix(a) ^ b):
 
 so every (seed, trial, node) triple owns an independent stream and tables
 can be generated per trial, per node, in any order or degree of
-parallelism, without changing a single draw.  Everything is uint64 with
+parallelism, without changing a single draw.  GOLDEN is odd, so node *
+GOLDEN is a bijection on uint64, and fold is bijective in its second word:
+the nodes of a trial get distinct keys.  Everything is uint64 with
 wraparound, which numpy and the Python-int fallback both define exactly,
 so results are platform independent.
 
@@ -22,23 +24,29 @@ vectorizes across nodes.  The bounded draw reduces a 64-bit word modulo
 (j+1); the resulting bias is at most (j+1)/2^64 < 2^-44 in total variation
 for any supported table size, far below statistical detectability.
 
-The draw walks the flat stream keys in chunks of _CHUNK keys.  Per chunk,
-each of the K steps adds, mixes and reduces its words in place in two
-preallocated uint64 buffers, so every pass stays in cache, then casts the
-step into the output and runs the duplicate test there.  The modulo is
-computed as u - (u // d) * d, because numpy divides uint64 by a scalar
-several times faster than it takes the remainder; for unsigned integers
-the two are exactly equal.  Chunking and rows change no draw.
+A block is built by one draw loop, then one sort pass.  The loop walks
+the block in chunks of about _CHUNK (trial, node) pairs: whole trials, or
+a span of one trial's nodes when a trial has more rows.  Per chunk it
+XORs the trial keys (mixed once per trial) with node * GOLDEN and mixes
+them into stream keys; each of the K Floyd steps then adds, mixes and
+reduces its words in place in preallocated uint64 buffers, so every pass
+stays in cache, and casts them into the output, where the duplicate test
+runs; last, each candidate is shifted past the node's own id.  No array
+of keys or words outgrows a chunk.  The modulo is computed as
+u - (u // d) * d, because numpy divides uint64 by a scalar several times
+faster than it takes the remainder; for unsigned integers the two are
+exactly equal.  Chunking and rows change no draw.
 
-Each block row is sorted ascending.  Up to _NETWORK_MAX_K selections per
-node, a comparator network sorts the block: Batcher's odd-even merge sort
-network for the next power of two, less every comparator that touches a
-padded input (padding acts as +infinity, so those never swap).  Each
-comparator is one np.minimum and one np.maximum across every (trial, node)
-of a chunk at once, over the block's contiguous selection columns, so the
-cost is a few passes per comparator rather than a sort call per row.  Above
-that K, numpy's row-by-row sort is faster and is used instead; both give the
-same ascending rows.
+The sort pass then orders each row ascending.  Up to rows of
+_NETWORK_MAX_ROW_BYTES bytes (k = 96, 48 and 24 selections for int8, int16
+and int32 blocks), a comparator network sorts the block: Batcher's
+odd-even merge sort network for the next power of two, less every
+comparator that touches a padded input (padding acts as +infinity, so
+those never swap).  Each comparator is one np.minimum and one np.maximum
+across every (trial, node) of a chunk at once, over the block's contiguous
+selection columns, so the cost is a few passes per comparator rather than
+a sort call per row.  Longer rows take numpy's row-by-row sort, the faster
+of the two there for int16 and int32; both give the same ascending rows.
 
 A block may hold only the first `rows` nodes of each table, the rows a
 deployment view reads: node i's row depends on its own stream alone, so
@@ -54,15 +62,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = [
-    "MASK64",
-    "GOLDEN",
-    "mix64",
-    "fold",
-    "node_stream_keys",
-    "floyd_sample",
-    "sample_pairing_block",
-]
+__all__ = ["MASK64", "GOLDEN", "mix64", "fold", "sample_pairing_block"]
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -74,12 +74,14 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-# keys per chunk of floyd_sample: its two uint64 buffers take 128 KiB each
+# (trial, node) pairs per chunk of the draw loop: its three uint64 buffers
+# take 128 KiB each
 _CHUNK = 16384
 
-# largest k whose blocks the comparator network sorts; on 4M-entry blocks it
-# ties numpy's row sort near k=48 for int16 and between k=25 and 32 for int32
-_NETWORK_MAX_K = 32
+# largest row, k * itemsize bytes, that the comparator network sorts; on 4M-entry
+# blocks it ties numpy's row sort near 100-112 bytes for int16 and int32, and
+# beats it at every k for int8
+_NETWORK_MAX_ROW_BYTES = 96
 # block bytes the network sorts at a time, so a chunk's k columns stay in cache
 _NETWORK_CHUNK_BYTES = 1 << 20
 
@@ -108,63 +110,12 @@ def fold(a: int, b: int) -> int:
     return mix64(mix64(a) ^ (b & MASK64))
 
 
-def node_stream_keys(seed: int, trials: np.ndarray, rows: int) -> np.ndarray:
-    """Stream keys for the first `rows` nodes of every trial, shape
-    (len(trials), rows).
-
-    Equals fold(fold(seed, trial), node * GOLDEN) elementwise; node indices
-    are 0-based.  GOLDEN is odd, so node * GOLDEN is a bijection on uint64
-    and distinct nodes get distinct key inputs.
-    """
-    trial_keys = np.asarray(trials, dtype=np.uint64) ^ np.uint64(mix64(seed))
-    tmp = np.empty_like(trial_keys)
-    _mix64(_mix64(trial_keys, tmp), tmp)
-    keys = trial_keys[:, None] ^ (np.arange(rows, dtype=np.uint64) * _U64_GOLDEN)
-    return _mix64(keys, np.empty_like(keys))
-
-
 def _narrowest_int(top: int) -> type:
     """Smallest signed integer type that holds 0..top."""
     for dtype in (np.int8, np.int16, np.int32):
         if top <= np.iinfo(dtype).max:
             return dtype
     return np.int64
-
-
-def floyd_sample(keys: np.ndarray, m: int, k: int) -> np.ndarray:
-    """Draw a uniform k-subset of {0..m-1} per stream key.
-
-    keys may have any shape; the result appends an axis of length k.
-    Subsets are returned in Floyd insertion order (not sorted), in the
-    narrowest signed integer type that holds m.  Draws are stored
-    draw-major, so the duplicate test reduces over contiguous rows; the
-    returned array is a view with the draw axis moved last.
-    """
-    if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    flat = keys.reshape(-1)
-    out = np.empty((k, flat.size), dtype=_narrowest_int(m))
-    words = np.empty(min(_CHUNK, flat.size), dtype=np.uint64)
-    scratch = np.empty_like(words)
-    for lo in range(0, flat.size, _CHUNK):
-        chunk = flat[lo : lo + _CHUNK]
-        u, tmp = words[: chunk.size], scratch[: chunk.size]
-        drawn = out[:, lo : lo + chunk.size]
-        for idx, j in enumerate(range(m - k, m)):
-            # word idx of each key's SplitMix64 stream
-            np.add(chunk, np.uint64((idx + 1) * GOLDEN & MASK64), out=u)
-            _mix64(u, tmp)
-            # u % (j+1), as u - (u // d) * d (see the module docstring)
-            d = np.uint64(j + 1)
-            np.floor_divide(u, d, out=tmp)
-            np.multiply(tmp, d, out=tmp)
-            np.subtract(u, tmp, out=u)
-            t = drawn[idx]
-            t[...] = u
-            if idx:
-                # j itself cannot have been kept yet: earlier draws are <= j-1
-                np.copyto(t, j, where=(drawn[:idx] == t).any(axis=0))
-    return np.moveaxis(out.reshape((k,) + keys.shape), 0, -1)
 
 
 def _merge_pairs(k: int) -> list[tuple[int, int]]:
@@ -244,28 +195,59 @@ def sample_pairing_block(
     (trial, node) pair draws from its own stream, so the block is bitwise
     reproducible for any block partitioning of the same trial range, and
     a block of `rows` rows equals the first `rows` rows of the full block.
-    The dtype is floyd_sample's: the narrowest signed integer type that
-    holds n-1 (int8 up to n=128, int16 up to 32768, int32 up to 2^31).
-    The array is stored selection-major, so each column [:, :, c] is
-    contiguous for the column-by-column graph kernel.  Rows are sorted by
-    the comparator network over those columns up to k = _NETWORK_MAX_K and
-    by numpy's sort above it (see the module docstring); the rows are the
+    The dtype is the narrowest signed integer type that holds n-1 (int8
+    up to n=128, int16 up to 32768, int32 up to 2^31).  The array is stored
+    selection-major, so each column [:, :, c] is contiguous for the
+    column-by-column graph kernel.  Rows are sorted by the comparator
+    network over those columns up to rows of _NETWORK_MAX_ROW_BYTES bytes
+    and by numpy's sort above (see the module docstring); the rows are the
     same either way.
     """
     rows = n if rows is None else rows
     if not 1 <= rows <= n:
         raise ValueError(f"need 1 <= rows <= n, got rows={rows}, n={n}")
-    trials = np.arange(first_trial, first_trial + n_trials, dtype=np.uint64)
-    cand = floyd_sample(node_stream_keys(seed, trials, rows), n - 1, k)
-    # candidate c of node i names id c if c < i else c+1 (self skipped);
-    # shifted one selection column at a time, so the test's bool array is
-    # one column, not the block
-    ids = np.arange(rows, dtype=cand.dtype)
-    for c in range(k):
-        col = cand[:, :, c]
-        col += col >= ids
-    if k <= _NETWORK_MAX_K:
-        _network_sort(np.moveaxis(cand, -1, 0).reshape(k, -1))
+    m = n - 1  # candidates per node: every id but its own
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    # mix(fold(seed, trial)), so that key = mix(trial_key ^ node * GOLDEN)
+    trial_keys = np.arange(first_trial, first_trial + n_trials, dtype=np.uint64)
+    trial_keys ^= np.uint64(mix64(seed))
+    scratch = np.empty_like(trial_keys)
+    _mix64(_mix64(trial_keys, scratch), scratch)
+    out = np.empty((k, n_trials, rows), dtype=_narrowest_int(m))
+    span = min(rows, _CHUNK)  # nodes per chunk
+    per = max(1, min(n_trials, _CHUNK // rows))  # trials per chunk
+    bufs = np.empty((3, per * span), dtype=np.uint64)
+    for lo in range(0, rows, span):
+        hi = min(lo + span, rows)
+        for first in range(0, n_trials, per):
+            drawn = out[:, first : first + per, lo:hi]
+            keys, u, tmp = (b[: drawn[0].size].reshape(drawn.shape[1:]) for b in bufs)
+            # each (trial, node) pair's stream key, mix(trial_key ^ node * GOLDEN)
+            np.bitwise_xor(
+                trial_keys[first : first + per, None],
+                np.arange(lo, hi, dtype=np.uint64) * _U64_GOLDEN,
+                out=keys,
+            )
+            _mix64(keys, tmp)
+            for idx, j in enumerate(range(m - k, m)):
+                # word idx of each key's SplitMix64 stream
+                np.add(keys, np.uint64((idx + 1) * GOLDEN & MASK64), out=u)
+                _mix64(u, tmp)
+                # u % (j+1), as u - (u // d) * d (see the module docstring)
+                d = np.uint64(j + 1)
+                np.floor_divide(u, d, out=tmp)
+                np.multiply(tmp, d, out=tmp)
+                np.subtract(u, tmp, out=u)
+                t = drawn[idx]
+                t[...] = u
+                if idx:
+                    # j itself cannot have been kept yet: earlier draws are <= j-1
+                    np.copyto(t, j, where=(drawn[:idx] == t).any(axis=0))
+            # candidate c of node i names id c if c < i else c+1 (self skipped)
+            drawn += drawn >= np.arange(lo, hi, dtype=out.dtype)
+    if k * out.itemsize <= _NETWORK_MAX_ROW_BYTES:
+        _network_sort(out.reshape(k, -1))
     else:
-        cand.sort(axis=-1)
-    return cand
+        np.moveaxis(out, 0, -1).sort(axis=-1)
+    return np.moveaxis(out, 0, -1)

@@ -160,6 +160,24 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"pairdeploy: {message}\n"
 
+    @pytest.mark.parametrize(
+        "k,message",
+        [
+            ("0..5", "--k: need 1 <= k <= n-1, got k=0 with n=10"),
+            ("0,5", "--k: need 1 <= k <= n-1, got k=0 with n=10"),
+            ("5,10", "--k: need 1 <= k <= n-1, got k=10 with n=10"),
+            ("3,3", "--k: values must not repeat, got '3,3'"),
+            ("1,2,3,2", "--k: values must not repeat, got '1,2,3,2'"),
+        ],
+    )
+    def test_k_value_error_names_its_flag(self, capsys, k, message):
+        """A listed K is checked like a range end, and a repeat is named
+        as the flag's error."""
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "10", "--k", k, "--gamma", "0.5", "--trials", "5"
+        )
+        assert (code, out, err) == (2, "", f"pairdeploy: {message}\n")
+
 
 class TestPhased:
     def test_joint_row_then_phases(self, capsys):

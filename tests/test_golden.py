@@ -34,11 +34,19 @@ BLOCK_DIGESTS = {
     (31337, 4, 6, 40, 3): "0e81d3d1b2d7bfe3586dd157c627804d7a331d26fa85cbc637070f05599b2dc4",
     (2**40 + 3, 123, 2, 1000, 25): "80f8710731647a5363673bf1bd3c1fc5b13c399e8ce1fb22f47cbb4a38f5e859",
     (99, 0, 5, 2, 1): "cbea8128e418b1507b23c43c958adffb2657c041cc00f7672aebfa40f5921341",
-    # k = 32 is the last sorted by the comparator network, k = 33 the first by numpy
+    # int16 rows of 64 and 66 bytes, both sorted by the comparator network
     (2024, 0, 3, 200, 32): "7d1e2a43f7045d7e2282428cc2ecc0574d27a4701ea4a321babc696ce32629b5",
     (2024, 0, 3, 200, 33): "6aa80c03821eb6e021d8697a85a822592d3acf97687734c368c4723191b19cec",
     # an int32 block
     (2024, 0, 1, 40000, 4): "d9adad35fe57a0595450124b5f7ce652a42f841c741d8a77cd7bb2d018deadfe",
+    # rows of 96 bytes are the longest the network sorts, longer ones go to numpy:
+    # k = 96 and 97 for int8, 48 and 49 for int16, 24 and 25 for int32
+    (2024, 0, 3, 128, 96): "9558429a0b15beb94e5c3d7ef1c8400f3518fab908cc8f451255e9a522275b45",
+    (2024, 0, 3, 128, 97): "6238e7ace114d64510155cdcd0ea42bd27ab9cb99ddb439e9af2cb20f66f1cc8",
+    (2024, 0, 3, 200, 48): "225dba7508c1d18d571125b8ab8997e33e503ab516610186494498cb6e20d3fa",
+    (2024, 0, 3, 200, 49): "593c129cb6d257b4906304b7d5ca6394989fb9c39eea233a5634f3548919f002",
+    (2024, 0, 1, 40000, 24): "7db9737c94aaf8e896b7c5010920841cc2a7ee3c79de8a514fe5a31347c9dea3",
+    (2024, 0, 1, 40000, 25): "b70b69da9b738b7979fcedd943f3ee7b7b767c6867243d138f5436ec95ac7746",
 }
 
 

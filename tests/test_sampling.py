@@ -1,4 +1,4 @@
-"""Stream keying, Floyd subset sampling, and block reproducibility."""
+"""Stream keying, Floyd subset sampling, the row sort, and block reproducibility."""
 
 import tracemalloc
 
@@ -10,12 +10,10 @@ from pairdeploy.sampling import (
     GOLDEN,
     MASK64,
     _CHUNK,
-    _NETWORK_MAX_K,
+    _NETWORK_MAX_ROW_BYTES,
     _network_sort,
-    floyd_sample,
     fold,
     mix64,
-    node_stream_keys,
     sample_pairing_block,
 )
 
@@ -43,6 +41,30 @@ def floyd_oracle(keys, m, k):
             t = np.where((out[:idx] == t).any(axis=0), j, t)
         out[idx] = t
     return np.moveaxis(out, 0, -1)
+
+
+def stream_keys_oracle(seed, first_trial, n_trials, rows):
+    """Stream keys of the first `rows` nodes of each trial, shape
+    (n_trials, rows), by the scalar fold chain."""
+    keys = [
+        [fold(fold(seed, t), (i * GOLDEN) & MASK64) for i in range(rows)]
+        for t in range(first_trial, first_trial + n_trials)
+    ]
+    return np.array(keys, dtype=np.uint64).reshape(n_trials, rows)
+
+
+def block_oracle(seed, first_trial, n_trials, n, k, rows):
+    """sample_pairing_block's values, int64: the scalar keys, Floyd over the
+    whole key array, the shift of each candidate past the node's own id,
+    and numpy's sort."""
+    cand = floyd_oracle(stream_keys_oracle(seed, first_trial, n_trials, rows), n - 1, k)
+    cand += cand >= np.arange(rows)[:, None]
+    return np.sort(cand, axis=-1)
+
+
+def row_bytes_bound(dtype):
+    """Largest k whose rows of this type the comparator network sorts."""
+    return _NETWORK_MAX_ROW_BYTES // np.dtype(dtype).itemsize
 
 
 # Published SplitMix64 outputs for seed 0.  The reference generator advances
@@ -75,70 +97,77 @@ def test_stream_values_for_zero_key_are_splitmix64_seed0():
     assert got == SPLITMIX64_SEED0
 
 
-def test_node_stream_keys_equal_scalar_fold_chain():
-    seed, n = 987654321, 7
-    trials = np.arange(3, dtype=np.uint64)
-    keys = node_stream_keys(seed, trials, n)
-    assert keys.shape == (3, n)
-    for t in range(3):
-        for i in range(n):
-            expected = fold(fold(seed, t), (i * GOLDEN) & MASK64)
-            assert int(keys[t, i]) == expected
-
-
 def test_distinct_trials_and_nodes_get_distinct_keys():
-    keys = node_stream_keys(42, np.arange(50, dtype=np.uint64), 40)
+    keys = stream_keys_oracle(42, 0, 50, 40)
     assert len(set(keys.ravel().tolist())) == keys.size
 
 
 def test_floyd_sample_full_subset_is_forced():
-    keys = node_stream_keys(0, np.arange(10, dtype=np.uint64), 4).ravel()
-    out = floyd_sample(keys, 4, 4)
-    assert np.array_equal(np.sort(out, axis=-1), np.tile(np.arange(4), (40, 1)))
-
-
-def test_floyd_sample_entries_distinct_and_in_range():
-    keys = node_stream_keys(7, np.arange(200, dtype=np.uint64), 1).ravel()
-    out = floyd_sample(keys, 9, 4)
-    assert out.min() >= 0 and out.max() < 9
-    for row in out:
-        assert len(set(row.tolist())) == 4
+    """k = n-1 leaves each node no choice: every id but its own."""
+    block = sample_pairing_block(0, 0, 10, 5, 4)
+    expected = [[j for j in range(5) if j != i] for i in range(5)]
+    assert np.array_equal(block, np.broadcast_to(expected, (10, 5, 4)))
 
 
 def test_floyd_sample_rejects_bad_k():
-    keys = np.zeros(1, dtype=np.uint64)
-    with pytest.raises(ValueError):
-        floyd_sample(keys, 5, 0)
-    with pytest.raises(ValueError):
-        floyd_sample(keys, 5, 6)
+    for k in (0, 6):
+        with pytest.raises(ValueError, match="1 <= k <= n-1"):
+            sample_pairing_block(0, 0, 1, 6, k)
 
 
 @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
 @pytest.mark.parametrize(
-    "m, k, dtype",
-    [(9, 4, np.int8), (5, 5, np.int8), (1000, 7, np.int16), (40_000, 3, np.int32)],
+    "n, k, dtype",
+    [(10, 4, np.int8), (6, 5, np.int8), (1001, 7, np.int16), (40_001, 3, np.int32)],
     ids=["int8", "int8_full", "int16", "int32"],
 )
-def test_floyd_sample_chunks_match_whole_array_oracle(count, m, k, dtype):
-    """Chunk edges change no draw: the chunked sampler equals the one-pass
-    oracle bit for bit, just below, at and just above each boundary."""
-    keys = node_stream_keys(count, np.arange(1, dtype=np.uint64), count)
-    got = floyd_sample(keys, m, k)
-    assert got.shape == (1, count, k) and got.dtype == dtype
-    assert np.array_equal(got, floyd_oracle(keys, m, k))
+def test_floyd_sample_chunks_match_whole_array_oracle(count, n, k, dtype):
+    """Chunk edges change no draw: the block equals the oracle bit for bit.
+    It holds `count` rows where n allows, just below, at and above one and
+    two chunks, and otherwise all n rows over enough trials to draw
+    `count` of them, so the last group of trials in a chunk is uneven."""
+    rows = min(count, n)
+    trials = count // rows + 1
+    got = sample_pairing_block(count, 3, trials, n, k, rows)
+    assert got.shape == (trials, rows, k) and got.dtype == dtype
+    assert np.array_equal(got, block_oracle(count, 3, trials, n, k, rows))
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (100, 3),
+        (128, row_bytes_bound(np.int8)),
+        (128, row_bytes_bound(np.int8) + 1),
+        (200, row_bytes_bound(np.int16)),
+        (200, row_bytes_bound(np.int16) + 1),
+        (40_000, row_bytes_bound(np.int32)),
+        (40_000, row_bytes_bound(np.int32) + 1),
+    ],
+)
+def test_pairing_block_matches_oracle_across_small_chunks(n, k, monkeypatch):
+    """With seven (trial, node) pairs per chunk, rows below, at and above
+    one chunk and 2*7+7 rows split into node spans, and 1 to 10 trials
+    leave uneven last groups; k sits on both sides of the network's bound
+    for int8, int16 and int32 blocks."""
+    monkeypatch.setattr(sampling, "_CHUNK", 7)
+    for rows in (1, 2, 3, 6, 7, 8, 21):
+        for trials in (1, 3, 10):
+            got = sample_pairing_block(n + rows, 5, trials, n, k, rows)
+            assert np.array_equal(got, block_oracle(n + rows, 5, trials, n, k, rows))
 
 
 def test_floyd_sample_uniform_over_all_subsets():
-    """Chi-square goodness of fit over the 6 subsets of size 2 from 4 items.
+    """Chi-square goodness of fit over the 6 partner pairs node 0 can pick
+    from the other 4 nodes of n = 5.
 
     30000 draws against the 0.001-level critical value 20.52 for 5 degrees
     of freedom; deterministic under the fixed seed.
     """
     draws = 30_000
-    keys = node_stream_keys(20240901, np.arange(draws, dtype=np.uint64), 1).ravel()
-    out = np.sort(floyd_sample(keys, 4, 2), axis=-1)
-    packed = out[:, 0] * 4 + out[:, 1]
-    counts = np.bincount(packed, minlength=16)
+    out = sample_pairing_block(20240901, 0, draws, 5, 2, rows=1)[:, 0].astype(np.int64)
+    packed = out[:, 0] * 5 + out[:, 1]
+    counts = np.bincount(packed, minlength=25)
     observed = counts[counts > 0]
     assert len(observed) == 6
     expected = draws / 6
@@ -156,13 +185,20 @@ def test_network_sorts_every_zero_one_column(k):
     assert np.array_equal(cols, expected)
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
-@pytest.mark.parametrize("k", range(1, _NETWORK_MAX_K + 3))
+@pytest.mark.parametrize(
+    "k, dtype",
+    [
+        (k, dtype)
+        for dtype in (np.int8, np.int16, np.int32)
+        for k in range(1, max(35, row_bytes_bound(dtype) + 2))
+    ],
+    ids=lambda v: np.dtype(v).name if isinstance(v, type) else str(v),
+)
 def test_network_sort_matches_numpy_with_ties(k, dtype, monkeypatch):
     """Random columns drawn from five values, the type's extremes among
-    them, so most columns hold ties; a 1000-byte chunk budget puts several
-    uneven chunk edges into 1001 columns."""
-    monkeypatch.setattr(sampling, "_NETWORK_CHUNK_BYTES", 1000)
+    them, so most columns hold ties; a budget of 97 columns a chunk puts
+    ten chunk edges and a 31-column last chunk into 1001 columns."""
+    monkeypatch.setattr(sampling, "_NETWORK_CHUNK_BYTES", 97 * k * np.dtype(dtype).itemsize)
     info = np.iinfo(dtype)
     values = np.array([info.min, -1, 0, 1, info.max], dtype=dtype)
     cols = np.random.default_rng(k).choice(values, size=(k, 1001))
@@ -189,9 +225,10 @@ class TestPairingBlock:
         self_ids = np.arange(25)[None, :, None]
         assert not (block == self_ids).any()
 
-    @pytest.mark.parametrize("k", [_NETWORK_MAX_K, _NETWORK_MAX_K + 1])
+    @pytest.mark.parametrize("k", [row_bytes_bound(np.int16), row_bytes_bound(np.int16) + 1])
     def test_rows_ascending_on_both_sides_of_the_network_threshold(self, k):
-        """The comparator network sorts up to _NETWORK_MAX_K, numpy above."""
+        """The comparator network sorts rows up to _NETWORK_MAX_ROW_BYTES
+        bytes, numpy longer ones."""
         block = sample_pairing_block(11, 0, 3, 200, k)
         assert (block[:, :, 1:] > block[:, :, :-1]).all()
 
@@ -256,6 +293,19 @@ class TestPairingBlock:
             tracemalloc.stop()
         assert block.dtype == np.int32
         assert peak <= 1.2 * block.nbytes
+
+    def test_peak_memory_near_the_block_at_small_k(self):
+        """No array of stream keys spans the block: a one-table int32 block
+        at n=2e5, K=2 (1.6 MB) peaks within 1.6x of its own size, the draw
+        loop's three 128 KiB buffers and the network's scratch included."""
+        tracemalloc.start()
+        try:
+            block = sample_pairing_block(3, 0, 1, 200_000, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.dtype == np.int32
+        assert peak <= 1.6 * block.nbytes
 
     def test_different_trials_differ(self):
         block = sample_pairing_block(1, 0, 2, 40, 3)
