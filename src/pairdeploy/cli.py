@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from typing import IO, Callable, Sequence
+from typing import IO, Any, Callable, Sequence
 
 from . import montecarlo, theory
 from .scheme import SchemeParams
@@ -86,7 +86,7 @@ def parse_gamma_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _parse_flag(flag: str, parse: Callable[..., tuple], text: str, *args: int) -> tuple:
+def _parse_flag(flag: str, parse: Callable[..., Any], text: str, *args: int) -> Any:
     """parse(text, *args), with a ValueError's message prefixed by the flag."""
     try:
         return parse(text, *args)
@@ -107,30 +107,28 @@ _INT = (int, int)
 _GAMMA = (_finite, _gamma_str)
 _REAL = (_finite, _num)
 
-# theory flag -> (quantity, evaluation, argument kinds, help text or, for a tuple flag,
-# metavar).  A flag with no argument kinds is a switch.  Evaluations look their function
-# up on `theory` as they run, so a wrapper installed there (perfbench's tracer) sees them.
+# theory flag -> (quantity, theory function, argument kinds, help text or, for a tuple
+# flag, metavar).  A flag with no argument kinds is a switch.
 _THEORY_QUERIES = {
-    "--r-gamma": ("r_gamma", lambda g: theory.isolation_threshold(g),
+    "--r-gamma": ("r_gamma", theory.isolation_threshold,
                   [_GAMMA], "isolation thresholds for these fractions"),
-    "--lambda-star": ("lambda_star", lambda: theory.maxring_critical_scale(),
+    "--lambda-star": ("lambda_star", theory.maxring_critical_scale,
                       [], "critical max-ring scale"),
-    "--c-of-lambda": ("c_of_lambda", lambda lam: theory.upper_tail_root(lam),
+    "--c-of-lambda": ("c_of_lambda", theory.upper_tail_root,
                       [_REAL], "deviation roots c for these scales"),
-    "--h-exponent": ("h_exponent", lambda lam, c: theory.decay_exponent(lam, c),
+    "--h-exponent": ("h_exponent", theory.decay_exponent,
                      [_REAL, _REAL], "LAM,C"),
-    "--isolation": ("isolation_prob", lambda *a: theory.isolation_prob_exact(*a),
+    "--isolation": ("isolation_prob", theory.isolation_prob_exact,
                     [_INT, _INT, _GAMMA], "N,K,GAMMA"),
-    "--expected-isolated": ("expected_isolated", lambda *a: theory.expected_isolated(*a),
+    "--expected-isolated": ("expected_isolated", theory.expected_isolated,
                             [_INT, _INT, _GAMMA], "N,K,GAMMA"),
-    "--isolation-event": ("isolation_event", lambda *a: theory.isolation_event_prob(*a),
+    "--isolation-event": ("isolation_event", theory.isolation_event_prob,
                           [_INT, _INT, _GAMMA, _INT], "N,K,GAMMA,R"),
-    "--union-bound": ("union_bound", lambda *a: theory.connectivity_union_bound(*a),
+    "--union-bound": ("union_bound", theory.connectivity_union_bound,
                       [_INT, _INT, _GAMMA], "N,K,GAMMA"),
-    "--connectivity-bound": ("connectivity_lower_bound",
-                             lambda n: theory.connectivity_lower_bound_full(n),
+    "--connectivity-bound": ("connectivity_lower_bound", theory.connectivity_lower_bound_full,
                              [_INT], "full-deployment bounds for these n"),
-    "--maxring-bound": ("maxring_bound", lambda *a: theory.maxring_tail_bound(*a),
+    "--maxring-bound": ("maxring_bound", theory.maxring_tail_bound,
                         [_INT, _INT, _REAL], "N,K,T"),
 }
 
@@ -276,16 +274,15 @@ def _theory(args: argparse.Namespace) -> _Output:
                 raise ValueError(
                     f"{flag} expects {len(kinds)} comma-separated values, got {spec!r}"
                 )
-            try:
-                values = [parse(tok) for (parse, _), tok in zip(kinds, toks)]
-            except ValueError as exc:
-                raise ValueError(f"{flag}: {exc}") from None
+            values = [_parse_flag(flag, parse, tok) for (parse, _), tok in zip(kinds, toks)]
             shown = [show(x) for (_, show), x in zip(kinds, values)]
             queries.append((evaluate, values, [quantity, *shown, *[""] * (4 - len(shown))]))
     if not queries:
         raise ValueError("theory: no quantities requested (see pairdeploy theory --help)")
     rows = [
-        dict(zip(_THEORY_FIELDS, [*cells, _num(evaluate(*values))]))
+        # looked up on `theory` as it runs, not taken from the table, so a wrapper
+        # installed there (perfbench's tracer, a test's monkeypatch) sees the call
+        dict(zip(_THEORY_FIELDS, [*cells, _num(getattr(theory, evaluate.__name__)(*values))]))
         for evaluate, values, cells in queries
     ]
     return rows, None, {"command": "theory", "rows": rows}

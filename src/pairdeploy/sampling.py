@@ -37,16 +37,16 @@ u - (u // d) * d, because numpy divides uint64 by a scalar several times
 faster than it takes the remainder; for unsigned integers the two are
 exactly equal.  Chunking and rows change no draw.
 
-The sort pass then orders each row ascending.  Up to rows of
-_NETWORK_MAX_ROW_BYTES bytes (k = 96, 48 and 24 selections for int8, int16
-and int32 blocks), a comparator network sorts the block: Batcher's
-odd-even merge sort network for the next power of two, less every
-comparator that touches a padded input (padding acts as +infinity, so
-those never swap).  Each comparator is one np.minimum and one np.maximum
-across every (trial, node) of a chunk at once, over the block's contiguous
-selection columns, so the cost is a few passes per comparator rather than
-a sort call per row.  Longer rows take numpy's row-by-row sort, the faster
-of the two there for int16 and int32; both give the same ascending rows.
+The sort pass then orders each row ascending.  Every int8 block, and
+int16 and int32 rows up to _NETWORK_MAX_ROW_BYTES bytes (k = 48 and 24
+selections), is sorted by a comparator network: Batcher's odd-even merge
+sort network for the next power of two, less every comparator that
+touches a padded input (padding acts as +infinity, so those never swap).
+Each comparator is one np.minimum and one np.maximum across every (trial,
+node) of a chunk at once, over the block's contiguous selection columns,
+so the cost is two passes per comparator rather than a sort call per row.
+Longer int16 and int32 rows take numpy's row-by-row sort, the faster of
+the two there; both give the same ascending rows.
 
 A block may hold only the first `rows` nodes of each table, the rows a
 deployment view reads: node i's row depends on its own stream alone, so
@@ -78,9 +78,9 @@ _S31 = np.uint64(31)
 # take 128 KiB each
 _CHUNK = 16384
 
-# largest row, k * itemsize bytes, that the comparator network sorts; on 4M-entry
-# blocks it ties numpy's row sort near 100-112 bytes for int16 and int32, and
-# beats it at every k for int8
+# largest int16 or int32 row, k * itemsize bytes, that the comparator network
+# sorts; on 4M-entry blocks it ties numpy's row sort near 100-112 bytes for
+# those types, and beats it at every k for int8, whose rows it always sorts
 _NETWORK_MAX_ROW_BYTES = 96
 # block bytes the network sorts at a time, so a chunk's k columns stay in cache
 _NETWORK_CHUNK_BYTES = 1 << 20
@@ -118,7 +118,8 @@ def _narrowest_int(top: int) -> type:
     return np.int64
 
 
-def _merge_pairs(k: int) -> list[tuple[int, int]]:
+@cache
+def _merge_pairs(k: int) -> tuple[tuple[int, int], ...]:
     """Comparators (i, j), i < j, of Batcher's odd-even merge sort network
     on the smallest power of two >= k, keeping those with j < k."""
     size = 1 << (k - 1).bit_length()
@@ -133,55 +134,43 @@ def _merge_pairs(k: int) -> list[tuple[int, int]]:
                         pairs.append((i, i + q))
             q //= 2
         p *= 2
-    return pairs
-
-
-@cache
-def _network(k: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]]:
-    """The k-column sorting network as buffer operations.
-
-    Buffers 0..k-1 hold the columns and buffer k is scratch.  Each step
-    (a, b, f) writes min(a, b) into the free buffer f and max(a, b) into b,
-    after which a is free; the moves (src, dst) then copy every column back
-    into its own buffer.  Built once per k, on first use.
-    """
-    slot = list(range(k))  # slot[c]: the buffer holding column c
-    free = k
-    steps = []
-    for a, b in _merge_pairs(k):
-        steps.append((slot[a], slot[b], free))
-        slot[a], free = free, slot[a]  # column a moves to the free buffer
-    moves = []
-    home = list(range(k))
-    while slot != home:
-        if free == k:
-            # a cycle that misses the scratch: park the column held in the
-            # first wrong buffer there
-            c = next(c for c in home if slot[c] != c)
-            moves.append((c, k))
-            slot[slot.index(c)] = k
-            free = c
-        else:
-            src = slot[free]
-            moves.append((src, free))
-            slot[free] = free
-            free = src
-    return tuple(steps), tuple(moves)
+    return tuple(pairs)
 
 
 def _network_sort(cols: np.ndarray) -> None:
-    """Sort each column of the (k, N) array cols along axis 0, in place."""
+    """Sort each column of the (k, N) array cols along axis 0, in place.
+
+    Each chunk of columns is sorted in k + 1 buffers: its k rows of cols
+    and one scratch, buffer k.  A comparator (a, b) writes min into the
+    free buffer and max over b's buffer, two passes, so row a moves to the
+    free buffer and frees its old one; at[c] names the buffer holding row
+    c.  Last, every row is copied home: the free buffer takes its own row,
+    whose old buffer is then free, until the scratch is free again; a cycle
+    of rows that misses the scratch is opened by parking one row there.
+    """
     k, size = cols.shape
-    steps, moves = _network(k)
     chunk = max(1, _NETWORK_CHUNK_BYTES // (k * cols.itemsize))
     scratch = np.empty(min(chunk, size), dtype=cols.dtype)
     for lo in range(0, size, chunk):
         bufs = [*cols[:, lo : lo + chunk], scratch[: min(chunk, size - lo)]]
-        for a, b, f in steps:
-            np.minimum(bufs[a], bufs[b], out=bufs[f])
-            np.maximum(bufs[a], bufs[b], out=bufs[b])
-        for src, dst in moves:
-            bufs[dst][...] = bufs[src]
+        at = list(range(k))
+        free = k
+        for a, b in _merge_pairs(k):
+            x, y = bufs[at[a]], bufs[at[b]]
+            np.minimum(x, y, out=bufs[free])
+            np.maximum(x, y, out=y)
+            at[a], free = free, at[a]
+        while True:
+            if free == k:
+                away = next((c for c in range(k) if at[c] != c), None)
+                if away is None:
+                    break
+                # buffer `away` holds another row: park it in the scratch
+                bufs[k][...] = bufs[away]
+                at[at.index(away)], free = k, away
+            src = at[free]
+            bufs[free][...] = bufs[src]
+            at[free], free = free, src
 
 
 def sample_pairing_block(
@@ -199,9 +188,9 @@ def sample_pairing_block(
     up to n=128, int16 up to 32768, int32 up to 2^31).  The array is stored
     selection-major, so each column [:, :, c] is contiguous for the
     column-by-column graph kernel.  Rows are sorted by the comparator
-    network over those columns up to rows of _NETWORK_MAX_ROW_BYTES bytes
-    and by numpy's sort above (see the module docstring); the rows are the
-    same either way.
+    network over those columns for int8 blocks and up to rows of
+    _NETWORK_MAX_ROW_BYTES bytes, and by numpy's sort above (see the
+    module docstring); the rows are the same either way.
     """
     rows = n if rows is None else rows
     if not 1 <= rows <= n:
@@ -246,7 +235,7 @@ def sample_pairing_block(
                     np.copyto(t, j, where=(drawn[:idx] == t).any(axis=0))
             # candidate c of node i names id c if c < i else c+1 (self skipped)
             drawn += drawn >= np.arange(lo, hi, dtype=out.dtype)
-    if k * out.itemsize <= _NETWORK_MAX_ROW_BYTES:
+    if out.itemsize == 1 or k * out.itemsize <= _NETWORK_MAX_ROW_BYTES:
         _network_sort(out.reshape(k, -1))
     else:
         np.moveaxis(out, 0, -1).sort(axis=-1)

@@ -16,6 +16,9 @@ makes such a rename fail here instead.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pairdeploy
@@ -106,3 +109,17 @@ def test_every_exported_name_has_a_caller():
         module = importlib.import_module(f"pairdeploy.{mod}")
         uncalled += [f"{mod}.{name}" for name in getattr(module, "__all__", ()) if name not in referenced]
     assert uncalled == []
+
+
+def test_library_imports_no_test_only_package():
+    """The test extras (pytest, scipy, mpmath) serve the suite alone: a fresh
+    interpreter that imports the CLI, and with it every module, loads none."""
+    code = (
+        "import sys, pairdeploy.cli; "
+        "print(sorted(m for m in ('scipy', 'mpmath', 'pytest') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout == "[]\n"

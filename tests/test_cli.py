@@ -443,6 +443,22 @@ class TestTheory:
         assert out == ""
         assert calls == []
 
+    @pytest.mark.parametrize("flag", list(cli._THEORY_QUERIES))
+    def test_each_query_names_a_public_theory_function(self, flag):
+        fn = cli._THEORY_QUERIES[flag][1]
+        assert fn.__name__ in theory.__all__
+        assert getattr(theory, fn.__name__) is fn
+
+    def test_queries_call_the_function_bound_on_theory(self, capsys, monkeypatch):
+        """A wrapper installed on `theory` after import, as the benchmark's
+        tracer installs one, is the function a query calls."""
+        calls = []
+        monkeypatch.setattr(theory, "isolation_threshold", lambda g: calls.append(g) or 0.25)
+        code, out, _ = run_cli(capsys, "theory", "--r-gamma", "0.5")
+        assert code == 0
+        assert calls == [0.5]
+        assert out.splitlines()[1] == "r_gamma,0.5,,,,0.25"
+
     def test_vacuous_union_bound_past_double_range_prints_inf(self, capsys):
         code, out, err = run_cli(capsys, "theory", "--union-bound", "100000,2,0.5")
         assert code == 0

@@ -190,7 +190,7 @@ def test_network_sorts_every_zero_one_column(k):
     [
         (k, dtype)
         for dtype in (np.int8, np.int16, np.int32)
-        for k in range(1, max(35, row_bytes_bound(dtype) + 2))
+        for k in range(1, 128 if dtype is np.int8 else max(35, row_bytes_bound(dtype) + 2))
     ],
     ids=lambda v: np.dtype(v).name if isinstance(v, type) else str(v),
 )
@@ -230,6 +230,21 @@ class TestPairingBlock:
         """The comparator network sorts rows up to _NETWORK_MAX_ROW_BYTES
         bytes, numpy longer ones."""
         block = sample_pairing_block(11, 0, 3, 200, k)
+        assert (block[:, :, 1:] > block[:, :, :-1]).all()
+
+    def test_every_int8_block_is_sorted_by_the_network(self, monkeypatch):
+        """Numpy's row sort never beats the network on int8, so int8 rows
+        longer than _NETWORK_MAX_ROW_BYTES bytes are sorted by it too."""
+        calls = []
+
+        def counted(cols):
+            calls.append(cols.shape)
+            _network_sort(cols)
+
+        monkeypatch.setattr(sampling, "_network_sort", counted)
+        block = sample_pairing_block(11, 0, 3, 128, 112)
+        assert 112 > _NETWORK_MAX_ROW_BYTES
+        assert calls == [(112, 3 * 128)]
         assert (block[:, :, 1:] > block[:, :, :-1]).all()
 
     def test_deterministic_rerun(self):
