@@ -10,9 +10,12 @@ network actually grows.  Table seeds derive from (base_seed, k, trial)
 through the sampling module's stream keying, so any execution order,
 chunking, or worker count reproduces identical results.  Deployment runs
 and censuses draw their tables through one block loop, and fold each block
-into counts before drawing the next.  This module returns counts; the
-command line turns them into estimates with wilson_interval, and into
-census summaries.
+into counts before drawing the next.  Each caller gives the loop its draw
+and block size: deployment runs draw sorted blocks under _BLOCK_BUDGET, for
+the graph kernel; the census, whose ring sizes ignore row order, draws
+unsorted blocks of one sampler draw chunk, small enough to bin while they
+are in cache.  This module returns counts; the command line turns them into
+estimates with wilson_interval, and into census summaries.
 
 Default trial counts: 200 for sweeps, 1000 for censuses.
 """
@@ -21,8 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,11 +47,12 @@ __all__ = [
 SWEEP_TRIALS_DEFAULT = 200
 CENSUS_TRIALS_DEFAULT = 1000
 
-# generated tables per block are capped around this many entries of the
-# sampler's type (int16 at n=1000, so a block there is about 8 MB).  Loops
-# over blocks drop each block before drawing the next: holding two blocks at
-# once left freed holes in the malloc heap, and peak RSS then swung by
-# ~25 MB from one process to the next.
+# the deployment runs' tables per block are capped around this many entries
+# of the sampler's type (int16 at n=1000, so a block there is about 8 MB);
+# the census draws smaller blocks, one sampler chunk each.  Loops over blocks
+# drop each block before drawing the next: holding two blocks at once left
+# freed holes in the malloc heap, and peak RSS then swung by ~25 MB from one
+# process to the next.
 _BLOCK_BUDGET = 4_000_000
 
 _Z95 = 1.96  # two-sided 95% normal quantile of the Wilson intervals
@@ -110,9 +113,12 @@ def _check_run(n: int, ks: tuple[int, ...], trials: int, base_seed: int) -> None
         raise ValueError(f"seed must be in [0, 2**64), got {base_seed}")
 
 
-def _blocks(n: int, k: int, trials: int, base_seed: int, rows: int) -> Iterator[np.ndarray]:
+def _blocks(
+    draw: Callable[..., np.ndarray], per: int, n: int, k: int, trials: int, base_seed: int, rows: int
+) -> Iterator[np.ndarray]:
     """The (base_seed, k) tables of trials 0..trials-1, first `rows` nodes
-    each, in order, drawn lazily in blocks of about _BLOCK_BUDGET entries.
+    each, in order, drawn lazily by draw (a sampling block function) in
+    blocks of `per` trials, the last one shorter.
 
     (n, k), trials and the seed are checked at the call, before the caller
     allocates; block starts are stepped, not listed, and no yielded block is
@@ -121,11 +127,7 @@ def _blocks(n: int, k: int, trials: int, base_seed: int, rows: int) -> Iterator[
     """
     _check_run(n, (k,), trials, base_seed)
     seed = sampling.fold(base_seed, k)
-    per = max(1, _BLOCK_BUDGET // (rows * k))
-    return (
-        sampling.sample_pairing_block(seed, start, min(per, trials - start), n, k, rows)
-        for start in range(0, trials, per)
-    )
+    return (draw(seed, start, min(per, trials - start), n, k, rows) for start in range(0, trials, per))
 
 
 def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -142,7 +144,8 @@ def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.n
     ms = [phase_size(plan.n, g) for g in plan.gammas]
     connected, no_isolated = np.zeros((2, len(ms)), dtype=np.int64)
     joint = 0
-    for block in _blocks(plan.n, k, plan.trials, plan.base_seed, ms[-1]):
+    per = max(1, _BLOCK_BUDGET // (ms[-1] * max(k, 1)))  # k is checked by _blocks
+    for block in _blocks(sampling.sample_pairing_block, per, plan.n, k, plan.trials, plan.base_seed, ms[-1]):
         conn, iso = connected_at(block, ms)
         del block
         connected += conn.sum(axis=1)
@@ -163,6 +166,9 @@ def run_sweep(plan: ExperimentPlan) -> dict[int, tuple[np.ndarray, np.ndarray, i
     evaluate = partial(evaluate_deployments, plan)
     size = _pool_size(plan.workers, len(plan.k_values))
     if size > 1:
+        # imported here, so a run without a pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=size) as pool:
             return dict(zip(plan.k_values, pool.map(evaluate, plan.k_values)))
     return dict(zip(plan.k_values, map(evaluate, plan.k_values)))
@@ -176,8 +182,13 @@ def run_keyring_census(
     Returns (histogram, max_histogram), int64 arrays indexed by ring size:
     the first sums to trials * n, the second to trials.  A ring holds
     k..k+n-1 keys.
+
+    Ring sizes ignore the order of a row, so the tables are drawn unsorted,
+    in blocks of one sampler draw chunk (whole trials, at least one), which
+    ring_sizes bins while they are still in cache.
     """
-    blocks = _blocks(n, k, trials, base_seed, n)
+    per = max(1, sampling._CHUNK // max(n, 1))  # n is checked by _blocks
+    blocks = _blocks(sampling.draw_pairing_block, per, n, k, trials, base_seed, n)
     hist, max_hist = np.zeros((2, n + k), dtype=np.int64)
     for block in blocks:
         sizes = ring_sizes(block)

@@ -24,18 +24,20 @@ vectorizes across nodes.  The bounded draw reduces a 64-bit word modulo
 (j+1); the resulting bias is at most (j+1)/2^64 < 2^-44 in total variation
 for any supported table size, far below statistical detectability.
 
-A block is built by one draw loop, then one sort pass.  The loop walks
-the block in chunks of about _CHUNK (trial, node) pairs: whole trials, or
-a span of one trial's nodes when a trial has more rows.  Per chunk it
-XORs the trial keys (mixed once per trial) with node * GOLDEN and mixes
-them into stream keys; each of the K Floyd steps then adds, mixes and
-reduces its words in place in preallocated uint64 buffers, so every pass
-stays in cache, and casts them into the output, where the duplicate test
-runs; last, each candidate is shifted past the node's own id.  No array
-of keys or words outgrows a chunk.  The modulo is computed as
-u - (u // d) * d, because numpy divides uint64 by a scalar several times
-faster than it takes the remainder; for unsigned integers the two are
-exactly equal.  Chunking and rows change no draw.
+A block is built by one draw loop, draw_pairing_block, then one sort
+pass, which sample_pairing_block adds; a caller that ignores the order
+of a row (the ring-size census) takes the drawn block as it is.  The
+loop walks the block in chunks of about _CHUNK (trial, node) pairs:
+whole trials, or a span of one trial's nodes when a trial has more rows.
+Per chunk it XORs the trial keys (mixed once per trial) with node *
+GOLDEN and mixes them into stream keys; each of the K Floyd steps then
+adds, mixes and reduces its words in place in preallocated uint64
+buffers, so every pass stays in cache, and casts them into the output,
+where the duplicate test runs; last, each candidate is shifted past the
+node's own id.  No array of keys or words outgrows a chunk.  The modulo
+is computed as u - (u // d) * d, because numpy divides uint64 by a
+scalar several times faster than it takes the remainder; for unsigned
+integers the two are exactly equal.  Chunking and rows change no draw.
 
 The sort pass then orders each row ascending.  Every int8 block, and
 int16 and int32 rows up to _NETWORK_MAX_ROW_BYTES bytes (k = 48 and 24
@@ -62,7 +64,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["MASK64", "GOLDEN", "mix64", "fold", "sample_pairing_block"]
+__all__ = ["MASK64", "GOLDEN", "mix64", "fold", "draw_pairing_block", "sample_pairing_block"]
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -75,7 +77,7 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
 # (trial, node) pairs per chunk of the draw loop: its three uint64 buffers
-# take 128 KiB each
+# take 128 KiB each.  The census draws blocks of one chunk of whole trials
 _CHUNK = 16384
 
 # largest int16 or int32 row, k * itemsize bytes, that the comparator network
@@ -173,24 +175,13 @@ def _network_sort(cols: np.ndarray) -> None:
             at[free], free = free, src
 
 
-def sample_pairing_block(
+def draw_pairing_block(
     seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None
 ) -> np.ndarray:
-    """Pairing selections of the first `rows` nodes (all n by default) for
-    a block of trials, shape (n_trials, rows, k).
-
-    Entry [t, i, :] is node i's k chosen partners (0-based ids below n,
-    sorted ascending, never i itself) in trial first_trial + t.  Every
-    (trial, node) pair draws from its own stream, so the block is bitwise
-    reproducible for any block partitioning of the same trial range, and
-    a block of `rows` rows equals the first `rows` rows of the full block.
-    The dtype is the narrowest signed integer type that holds n-1 (int8
-    up to n=128, int16 up to 32768, int32 up to 2^31).  The array is stored
-    selection-major, so each column [:, :, c] is contiguous for the
-    column-by-column graph kernel.  Rows are sorted by the comparator
-    network over those columns for int8 blocks and up to rows of
-    _NETWORK_MAX_ROW_BYTES bytes, and by numpy's sort above (see the
-    module docstring); the rows are the same either way.
+    """The block sample_pairing_block returns, with each row left in
+    Floyd's draw order instead of sorted: shape (n_trials, rows, k),
+    stored selection-major, the same k partners per row.  For a caller
+    that ignores the order of a row, such as a ring-size count.
     """
     rows = n if rows is None else rows
     if not 1 <= rows <= n:
@@ -235,8 +226,32 @@ def sample_pairing_block(
                     np.copyto(t, j, where=(drawn[:idx] == t).any(axis=0))
             # candidate c of node i names id c if c < i else c+1 (self skipped)
             drawn += drawn >= np.arange(lo, hi, dtype=out.dtype)
-    if out.itemsize == 1 or k * out.itemsize <= _NETWORK_MAX_ROW_BYTES:
-        _network_sort(out.reshape(k, -1))
-    else:
-        np.moveaxis(out, 0, -1).sort(axis=-1)
     return np.moveaxis(out, 0, -1)
+
+
+def sample_pairing_block(
+    seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None
+) -> np.ndarray:
+    """Pairing selections of the first `rows` nodes (all n by default) for
+    a block of trials, shape (n_trials, rows, k).
+
+    Entry [t, i, :] is node i's k chosen partners (0-based ids below n,
+    sorted ascending, never i itself) in trial first_trial + t.  Every
+    (trial, node) pair draws from its own stream, so the block is bitwise
+    reproducible for any block partitioning of the same trial range, and
+    a block of `rows` rows equals the first `rows` rows of the full block.
+    The dtype is the narrowest signed integer type that holds n-1 (int8
+    up to n=128, int16 up to 32768, int32 up to 2^31).  The array is stored
+    selection-major, so each column [:, :, c] is contiguous for the
+    column-by-column graph kernel.  It is draw_pairing_block's block with
+    its rows sorted, by the comparator network over those columns for
+    int8 blocks and up to rows of _NETWORK_MAX_ROW_BYTES bytes, and by
+    numpy's sort above (see the module docstring); the rows are the same
+    either way.
+    """
+    block = draw_pairing_block(seed, first_trial, n_trials, n, k, rows)
+    if block.itemsize == 1 or k * block.itemsize <= _NETWORK_MAX_ROW_BYTES:
+        _network_sort(np.moveaxis(block, -1, 0).reshape(k, -1))
+    else:
+        block.sort(axis=-1)
+    return block

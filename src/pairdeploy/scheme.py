@@ -5,7 +5,8 @@ chosen uniformly at random; selections of different nodes are mutually
 independent.  Every pairing (i -> j) installs one pairwise key, so node i
 finally holds one key per node it selected plus one per node that selected
 it: ring size = k + reverse degree of i, and ring sizes over a table always
-sum to 2*n*k.
+sum to 2*n*k.  ring_sizes counts them for a block of tables whose rows may
+come in any order, as the census draws them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ __all__ = [
     "gamma_n_exact",
     "phase_size",
 ]
+
+# partner ids binned per np.bincount call in ring_sizes: its int64 copy of
+# them, 256 KiB, stays in cache
+_BIN_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,30 @@ def generate_pairing(params: SchemeParams, seed: int, trial: int = 0) -> Pairing
 def ring_sizes(block: np.ndarray) -> np.ndarray:
     """Key ring sizes for a (trials, n, k) block of partner arrays: k plus
     the reverse degree of every node of every table, a (trials, n) int64
-    array."""
-    _, n, k = block.shape
-    return k + np.array([np.bincount(table.ravel(), minlength=n) for table in block])
+    array.  Rows may come in any order.
+
+    Each np.bincount call bins about _BIN_ENTRIES partner ids, read from
+    each table's (k, n) column slice, contiguous column by column in the
+    sampler's selection-major blocks.  Tables that small go several to a
+    call, their ids offset by n per table; a larger table is binned a
+    group of columns per call, so no whole table is copied or widened.
+    """
+    trials, n, k = block.shape
+    cols = np.moveaxis(block, -1, 0)  # (k, trials, n)
+    sizes = np.zeros((trials, n), dtype=np.int64)
+    per = _BIN_ENTRIES // (n * k)  # tables per call
+    if per:
+        for lo in range(0, trials, per):
+            group = cols[:, lo : lo + per]
+            ids = group + np.arange(0, group.shape[1] * n, n)[:, None]
+            sizes[lo : lo + per] = np.bincount(ids.ravel(), minlength=ids.shape[1] * n).reshape(-1, n)
+    else:
+        step = max(1, _BIN_ENTRIES // n)  # columns per call
+        for t in range(trials):
+            for c in range(0, k, step):
+                sizes[t] += np.bincount(cols[c : c + step, t].ravel(), minlength=n)
+    sizes += k
+    return sizes
 
 
 def gamma_n_exact(n: int, gamma: float) -> Fraction:

@@ -113,10 +113,12 @@ def test_every_exported_name_has_a_caller():
 
 def test_library_imports_no_test_only_package():
     """The test extras (pytest, scipy, mpmath) serve the suite alone: a fresh
-    interpreter that imports the CLI, and with it every module, loads none."""
+    interpreter that imports the CLI, and with it every module, loads none.
+    Nor does it load the process pool, which only a sweep with more than
+    one worker starts."""
     code = (
-        "import sys, pairdeploy.cli; "
-        "print(sorted(m for m in ('scipy', 'mpmath', 'pytest') if m in sys.modules))"
+        "import sys, pairdeploy.cli; print(sorted(m for m in ('scipy', 'mpmath', 'pytest', "
+        "'multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},

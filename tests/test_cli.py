@@ -542,7 +542,8 @@ class TestSeedRange:
             raise AssertionError("work started before the seed was checked")
 
         monkeypatch.setattr(montecarlo.sampling, "sample_pairing_block", no_work)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(montecarlo.sampling, "draw_pairing_block", no_work)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_work)
         code, out, err = run_cli(capsys, *SEEDED_RUNS[command], "--seed", str(seed))
         assert (code, out) == (2, "")
         assert err == f"pairdeploy: seed must be in [0, 2**64), got {seed}\n"

@@ -383,13 +383,12 @@ def test_views_the_block_does_not_hold_are_rejected(ms):
         connected_at(block, ms)
 
 
-def test_block_kernels_ignore_block_partitioning(monkeypatch):
-    """One-table blocks and the blocks the Monte Carlo block loop cuts under
-    a small budget give the same answers as the whole trial range at once."""
+def test_block_kernels_ignore_block_partitioning():
+    """One-table blocks and the blocks the Monte Carlo block loop cuts at
+    seven trials give the same answers as the whole trial range at once."""
     n, k, trials, seed = 60, 3, 45, 77
     whole = sample_pairing_block(sampling.fold(seed, k), 0, trials, n, k)
-    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 7 * n * k)
-    blocks = list(montecarlo._blocks(n, k, trials, seed, n))
+    blocks = list(montecarlo._blocks(sample_pairing_block, 7, n, k, trials, seed, n))
     assert len(blocks) == 7 and sum(len(block) for block in blocks) == trials
     ms = (1, 2, 20, 31, n)
     conn, iso = connected_at(whole, ms)

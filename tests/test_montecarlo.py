@@ -289,14 +289,29 @@ def test_fractions_that_floor_to_one_view_get_equal_rows():
     assert joint == two[2]
 
 
+def count_calls(monkeypatch, name):
+    """Replace sampling.<name> by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    draw = getattr(sampling, name)
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(sampling, name, counted)
+    return calls
+
+
 def test_counts_are_sums_of_per_trial_outcomes(monkeypatch):
     """Over blocks that split the trials, and with two fractions of one view
     size, the counts are the sums of the per-trial outcomes drawn here."""
     plan = ExperimentPlan(100, (4,), (0.3, 0.5, 0.505, 1.0), 40, base_seed=8)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 100 * 4)
-    assert len(list(montecarlo._blocks(100, 4, 40, 8, 100))) == 7
     connected, isolated = per_trial_outcomes(plan, 4)
+    calls = count_calls(monkeypatch, "sample_pairing_block")
     conn, no_iso, joint = evaluate_deployments(plan, 4)
+    assert len(calls) == 7
     assert conn.tolist() == connected.sum(axis=1).tolist()
     assert no_iso.tolist() == (isolated == 0).sum(axis=1).tolist()
     assert joint == connected.all(axis=0).sum()
@@ -348,19 +363,28 @@ def test_only_the_deployed_rows_are_drawn(monkeypatch):
 def test_one_block_alive_at_a_time(monkeypatch):
     """Block loops drop each block before drawing the next.  Two live
     ~32 MB blocks fragmented the malloc heap, and peak RSS of the same
-    census swung by ~25 MB from one process to the next."""
+    census swung by ~25 MB from one process to the next.  The sweep
+    draws sorted blocks of two trials under its budget, the census
+    unsorted blocks of one two-trial draw chunk."""
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2 * 10 * 3)
+    monkeypatch.setattr(sampling, "_CHUNK", 2 * 10)
     drawn = []
-    draw = sampling.sample_pairing_block
 
-    def tracked(*args):
-        assert all(ref() is None for ref in drawn), "previous block still alive"
-        block = draw(*args)
-        drawn.append(weakref.ref(block))
-        return block
+    def track(name):
+        draw = getattr(sampling, name)
 
-    monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
+        def tracked(*args):
+            assert all(ref() is None for ref in drawn), "previous block still alive"
+            block = draw(*args)
+            drawn.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(sampling, name, tracked)
+
+    track("sample_pairing_block")
     evaluate_deployments(ExperimentPlan(10, (3,), (0.5, 1.0), 7, base_seed=2), 3)
+    # tracked only now, as sample_pairing_block draws through it
+    track("draw_pairing_block")
     run_keyring_census(10, 3, trials=7, base_seed=2)
     assert len(drawn) == 8
 
@@ -378,9 +402,9 @@ def test_blocks_are_sized_lazily(monkeypatch):
     without listing them: a census of 10**12 trials reaches its first draw
     having allocated almost nothing."""
     with pytest.raises(ValueError, match="trials"):
-        montecarlo._blocks(10, 1, 0, 0, 10)  # not iterated: checked at the call
+        montecarlo._blocks(sampling.draw_pairing_block, 1, 10, 1, 0, 0, 10)  # not iterated: checked at the call
 
-    monkeypatch.setattr(sampling, "sample_pairing_block", first_draw)
+    monkeypatch.setattr(sampling, "draw_pairing_block", first_draw)
     tracemalloc.start()
     try:
         with pytest.raises(FirstDraw):
@@ -465,12 +489,57 @@ def test_census_min_size_at_least_k():
 
 
 def test_census_block_partition_does_not_change_census(monkeypatch):
-    """A census binned over several blocks equals the one-block census."""
+    """A census binned over several blocks equals the one-block census:
+    with a draw chunk of four 40-node trials, 25 trials take 7 blocks."""
     whole = run_keyring_census(40, 3, trials=25, base_seed=7)
-    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 4 * 40 * 3)
-    assert len(list(montecarlo._blocks(40, 3, 25, 7, 40))) == 7
+    monkeypatch.setattr(sampling, "_CHUNK", 4 * 40)
+    calls = count_calls(monkeypatch, "draw_pairing_block")
     split = run_keyring_census(40, 3, trials=25, base_seed=7)
+    assert [args[2] for args in calls] == [4] * 6 + [1]
     assert all(np.array_equal(a, b) for a, b in zip(whole, split))
+
+
+@pytest.mark.parametrize("n, k, trials", [(128, 5, 300), (129, 5, 300), (40_000, 3, 3)])
+def test_census_matches_bincount_oracle_over_sorted_blocks(n, k, trials):
+    """The census bins unsorted one-chunk blocks; it equals one np.bincount
+    per table of the sorted sampler block.  At n=128 (int8) and 129
+    (int16) a census block holds 128 and 127 trials, so 300 trials end in
+    a short block; at n=40000 each trial's rows span three draw chunks."""
+    seed = 13
+    block = sampling.sample_pairing_block(sampling.fold(seed, k), 0, trials, n, k)
+    sizes = k + np.array([np.bincount(table.ravel(), minlength=n) for table in block])
+    hist, max_hist = run_keyring_census(n, k, trials, seed)
+    assert hist.tolist() == np.bincount(sizes.ravel(), minlength=n + k).tolist()
+    assert max_hist.tolist() == np.bincount(sizes.max(axis=1), minlength=n + k).tolist()
+
+
+def test_census_peak_memory_near_the_sampler_block():
+    """ring_sizes bins a table larger than one call a column group at a
+    time, so the census holds one block plus call-sized temporaries: at
+    n=2e5, K=40, two trials, its traced peak is within 1.5x of the
+    sampler's one-table block's (binning whole tables, copied and widened
+    to int64, read 4.06x)."""
+    peaks = []
+    for run in (
+        lambda: sampling.sample_pairing_block(sampling.fold(0, 40), 0, 1, 200_000, 40),
+        lambda: run_keyring_census(200_000, 40, 2),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_sizes_are_checked_before_blocks_are_sized():
+    """The census's and the sweep's block sizes divide by n and k; a zero
+    is still refused by the run's own check."""
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        run_keyring_census(0, 1)
+    with pytest.raises(ValueError, match="1 <= k <= n-1"):
+        evaluate_deployments(ExperimentPlan(10, (3,), (1.0,), 5), 0)
 
 
 def test_census_two_node_rings_fill_the_last_bin():

@@ -12,6 +12,7 @@ from pairdeploy.sampling import (
     _CHUNK,
     _NETWORK_MAX_ROW_BYTES,
     _network_sort,
+    draw_pairing_block,
     fold,
     mix64,
     sample_pairing_block,
@@ -53,13 +54,17 @@ def stream_keys_oracle(seed, first_trial, n_trials, rows):
     return np.array(keys, dtype=np.uint64).reshape(n_trials, rows)
 
 
-def block_oracle(seed, first_trial, n_trials, n, k, rows):
-    """sample_pairing_block's values, int64: the scalar keys, Floyd over the
-    whole key array, the shift of each candidate past the node's own id,
-    and numpy's sort."""
+def draw_oracle(seed, first_trial, n_trials, n, k, rows):
+    """draw_pairing_block's values, int64: the scalar keys, Floyd over the
+    whole key array, and the shift of each candidate past the node's own id."""
     cand = floyd_oracle(stream_keys_oracle(seed, first_trial, n_trials, rows), n - 1, k)
     cand += cand >= np.arange(rows)[:, None]
-    return np.sort(cand, axis=-1)
+    return cand
+
+
+def block_oracle(seed, first_trial, n_trials, n, k, rows):
+    """sample_pairing_block's values: draw_oracle's rows, by numpy's sort."""
+    return np.sort(draw_oracle(seed, first_trial, n_trials, n, k, rows), axis=-1)
 
 
 def row_bytes_bound(dtype):
@@ -155,6 +160,42 @@ def test_pairing_block_matches_oracle_across_small_chunks(n, k, monkeypatch):
         for trials in (1, 3, 10):
             got = sample_pairing_block(n + rows, 5, trials, n, k, rows)
             assert np.array_equal(got, block_oracle(n + rows, 5, trials, n, k, rows))
+
+
+@pytest.mark.parametrize(
+    "n, k, rows",
+    [
+        (100, 3, 100),
+        (128, 112, 128),
+        (129, 5, 7),
+        (1000, 24, 1000),
+        (1000, row_bytes_bound(np.int16) + 1, 300),
+        (40_000, 3, 40_000),
+        (40_000, row_bytes_bound(np.int32) + 1, 2000),
+    ],
+)
+def test_draw_pairing_block_is_the_block_before_its_sort(n, k, rows):
+    """draw_pairing_block leaves each row in Floyd's draw order, and sorting
+    its rows gives sample_pairing_block's block, for int8, int16 and int32
+    blocks on both sort paths, at rows = n and rows < n.  Both blocks are
+    stored selection-major."""
+    drawn = draw_pairing_block(n + k, 2, 3, n, k, rows)
+    block = sample_pairing_block(n + k, 2, 3, n, k, rows)
+    assert drawn.shape == block.shape == (3, rows, k)
+    assert drawn.dtype == block.dtype and drawn.strides == block.strides
+    assert drawn.strides[2] == drawn.itemsize * 3 * rows
+    assert np.array_equal(np.sort(drawn, axis=-1), block)
+    assert not np.array_equal(drawn, block)
+
+
+@pytest.mark.parametrize("n, k, rows", [(10, 4, 10), (6, 5, 6), (1001, 7, 30), (40_001, 3, 20)])
+def test_draw_pairing_block_matches_draw_order_oracle(n, k, rows, monkeypatch):
+    """The unsorted rows are Floyd's draws in order, shifted past the
+    node's own id, bit for bit, also over chunks of seven pairs."""
+    expected = draw_oracle(n, 4, 5, n, k, rows)
+    assert np.array_equal(draw_pairing_block(n, 4, 5, n, k, rows), expected)
+    monkeypatch.setattr(sampling, "_CHUNK", 7)
+    assert np.array_equal(draw_pairing_block(n, 4, 5, n, k, rows), expected)
 
 
 def test_floyd_sample_uniform_over_all_subsets():

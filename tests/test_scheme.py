@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from pairdeploy import scheme
 from pairdeploy.scheme import (
     PairingTable,
     SchemeParams,
@@ -17,7 +18,7 @@ from pairdeploy.scheme import (
     phase_size,
     ring_sizes,
 )
-from pairdeploy.sampling import sample_pairing_block
+from pairdeploy.sampling import draw_pairing_block, sample_pairing_block
 from pairing_fixtures import table_from_lists
 
 
@@ -156,6 +157,32 @@ def test_block_ring_sizes_match_derived_rings(n, k, trials, dtype):
     for t in range(trials):
         rings = derive_key_rings(PairingTable(SchemeParams(n, k), block[t]))
         assert sizes[t].tolist() == [ring.size for ring in rings]
+
+
+def bincount_oracle(block):
+    """k plus each node's reverse degree, one np.bincount per table."""
+    _, n, k = block.shape
+    return k + np.array([np.bincount(table.ravel(), minlength=n) for table in block])
+
+
+@pytest.mark.parametrize(
+    "n, k, trials", [(10, 3, 7), (129, 5, 4), (2, 1, 5), (300, 20, 3)], ids=["int8", "int16", "two_nodes", "wide"]
+)
+@pytest.mark.parametrize("entries", ["one", "table_less_one", "table", "three_tables_and_one"])
+def test_ring_sizes_match_bincount_oracle_for_any_call_size(n, k, trials, entries, monkeypatch):
+    """Whatever the entries per np.bincount call, ring_sizes bins the same
+    rings: one entry (a column per call), one short of a table (two
+    column groups), one table, and three tables plus one (calls of three
+    tables, ids offset by table, and a shorter last call).  Sorted and
+    unsorted sampler blocks, and a row-major int64 copy, agree."""
+    size = {"one": 1, "table_less_one": n * k - 1, "table": n * k, "three_tables_and_one": 3 * n * k + 1}
+    monkeypatch.setattr(scheme, "_BIN_ENTRIES", size[entries])
+    block = sample_pairing_block(n + 7, 0, trials, n, k)
+    expected = bincount_oracle(block)
+    for form in (block, draw_pairing_block(n + 7, 0, trials, n, k), np.ascontiguousarray(block, dtype=np.int64)):
+        sizes = ring_sizes(form)
+        assert sizes.dtype == np.int64 and sizes.shape == (trials, n)
+        assert np.array_equal(sizes, expected)
 
 
 def test_all_key_ids_distinct():
