@@ -305,8 +305,43 @@ def _write_csv(fp: IO[str], fields: list[str], rows: list[dict], trailer: str | 
         fp.write(trailer + "\n")
 
 
+# (mallopt parameter, value) the Monte Carlo commands set: glibc's
+# M_MMAP_THRESHOLD (-3) to 32 MiB, then its M_TRIM_THRESHOLD (-1) to 64 MiB
+_MALLOPT_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed memory for reuse, where it has mallopt.
+
+    The graph kernel allocates and frees megabytes column by column.  Under
+    glibc's adaptive defaults, which start at 128 KiB, such arrays are mapped
+    afresh, or trimmed off the heap top when freed, so the columns keep
+    faulting in zero-filled pages.  Fixed thresholds keep them on the heap:
+    the mmap threshold stops them being mapped, and the trim threshold stops
+    the heap top being returned.
+    Both are set, because setting either stops glibc adjusting the other.
+    Where the C library has no mallopt (macOS, musl) or cannot be loaded so
+    (Windows, where CDLL(None) raises TypeError), this does nothing.  Only
+    the Monte Carlo commands call it, so importing pairdeploy leaves the
+    allocator alone; setting the values again is harmless.
+    """
+    # imported here, so that importing the CLI loads no ctypes of its own
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOPT_SETTINGS:
+        mallopt(param, value)
+
+
 def _run(args: argparse.Namespace, fp: IO[str]) -> None:
     fields, produce = _COMMANDS[args.command]
+    if args.command != "theory":  # the Monte Carlo commands
+        _keep_freed_memory()
     rows, trailer, doc = produce(args)
     if args.format == "csv":
         _write_csv(fp, fields, rows, trailer)

@@ -47,9 +47,13 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
     ms[s] and one end at or past ms[s-1].  Selection columns are added in
     order; column c holds each node's (c+1)-th smallest partner, so once a
     table has no deployed partner in a column it gains no edge later.  Each
-    column is merged by rounds of min-label hooking and pointer jumping
-    until no edge joins two roots, which leaves every label pointing
-    straight at its root.  A table leaves the stage at one point, after its
+    column is merged by rounds of min-label hooking and pointer jumping.  A
+    round hooks the larger root of each edge that joins two roots onto the
+    smaller (where several edges hook one root, the smallest target wins),
+    then points every label straight at its root.  An edge whose hook won
+    now lies inside one component; one whose hook lost to a smaller root
+    may still join two, so the next round re-checks the lost edges alone,
+    until none is left.  A table leaves the stage at one point, after its
     column is hooked: when it has one root (joined), or when it is stuck:
     its column has no deployed partner, or the column is the last.  No later
     column can give a stuck table an edge, so its labels are final and its
@@ -57,7 +61,8 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
     more nodes has none, and a one-node view, joined and stuck at once, has
     its one node.  Either way the labels it leaves are the components of its
     view: the edges a joined table skipped lie inside its one component, and
-    a stuck table has none left.  So every table enters the next stage.
+    a stuck table has none left.  So every table enters the next stage; the
+    last stage, which none follows, keeps no labels.
 
     A repeated size needs no special case: its stage has no new node and no
     new edge, so it starts from labels that already are its view's
@@ -78,7 +83,8 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
         open_ = np.arange(trials)
         parent = (labels[:, :m] + np.arange(0, trials * m, m)[:, None]).ravel()
         for c in range(last + 1):
-            col = block[open_, :m, c]
+            # a view while every table is open, a copy of the open rows after
+            col = block[:, :m, c] if len(open_) == trials else block[open_, :m, c]
             live = col < m
             stuck = ~live.any(axis=1) | (c == last)
             # the edges among the first prev nodes are already hooked
@@ -89,13 +95,16 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
             while len(u):
                 ru, rv = parent[u], parent[v]
                 split = ru != rv
-                if not split.any():
-                    break
                 u, v, ru, rv = u[split], v[split], ru[split], rv[split]
-                hooked = np.maximum(ru, rv)
-                np.minimum.at(parent, hooked, np.minimum(ru, rv))
-                # jump the hooked roots to final roots, then every node to its root
+                if not len(u):
+                    break
+                hooked, low = np.maximum(ru, rv), np.minimum(ru, rv)
+                np.minimum.at(parent, hooked, low)
+                # an edge whose hook lost to a smaller root may still join two roots
                 top = parent[hooked]
+                lost = top != low
+                u, v = u[lost], v[lost]
+                # jump the hooked roots to final roots, then every node to its root
                 while True:
                     up = parent[top]
                     if np.array_equal(up, top):
@@ -107,7 +116,8 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
             done = joined | stuck
             if done.any():
                 rows = np.flatnonzero(done)
-                labels[open_[rows], :m] = parent.reshape(-1, m)[rows] - base[rows, None]
+                if s < len(ms) - 1:
+                    labels[open_[rows], :m] = parent.reshape(-1, m)[rows] - base[rows, None]
                 connected[s, open_[joined]] = True
                 left, kept = _keep_open(stuck, open_, parent, m)
                 isolated[s, left] = _singletons(kept, m)

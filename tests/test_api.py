@@ -125,3 +125,31 @@ def test_library_imports_no_test_only_package():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert result.stdout == "[]\n"
+
+
+def test_library_leaves_the_allocator_alone():
+    """Importing pairdeploy, running the library's Monte Carlo calls and the
+    CLI's theory command load no C library: only the CLI's Monte Carlo
+    commands set allocator thresholds, so a library caller keeps glibc's.
+    numpy 2 imports ctypes itself, so the check watches ctypes.CDLL, not
+    sys.modules."""
+    code = (
+        "import contextlib, ctypes, io, numpy\n"
+        "calls = []\n"
+        "ctypes.CDLL = lambda *args, **kwargs: calls.append(args)\n"
+        "from pairdeploy import cli, montecarlo\n"
+        "montecarlo.run_sweep(montecarlo.ExperimentPlan(n=50, k_values=(1, 2), gammas=(0.5, 1.0), trials=5))\n"
+        "montecarlo.run_keyring_census(50, 2, 5)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['theory', '--r-gamma', '0.5']) == 0\n"
+        "print(calls)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['sweep', '--n', '50', '--k', '1', '--gamma', '1.0', '--trials', '5']) == 0\n"
+        "print(calls)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    # the CLI sweep shows that the watch sees a call when one is made
+    assert result.stdout == "[]\n[(None,)]\n"

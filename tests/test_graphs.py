@@ -257,6 +257,17 @@ def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
     assert kernels(table, m) == expected
 
 
+def test_lost_hook_is_checked_again():
+    """Two edges of one column hook the same root with different targets,
+    and the losing edge alone joins two components.  Node 3 selects node 1
+    and node 2 selects node 3, so both edges hook root 3, onto 1 and onto 2;
+    1 wins, and only a second round over the edge 2-3 brings node 2 in.  A
+    kernel that stops after one round says (False, 1)."""
+    table = table_from_lists(3, 1, [[3], [3], [1]])
+    assert (uf_connected(table, 3), bfs_connected(table, 3), mask_isolated(table, 3)) == (True, True, 0)
+    assert kernels(table, 3) == (True, 0)
+
+
 def test_block_kernels_on_hand_built_tables():
     pairs = table_from_lists(4, 1, [[2], [1], [4], [3]]).partners
     star = table_from_lists(4, 1, [[2], [1], [1], [1]]).partners
