@@ -24,9 +24,11 @@ __all__ = ["connected_at"]
 # -- block kernel -------------------------------------------------------------
 #
 # The Monte Carlo harness evaluates thousands of tables; connected_at takes a
-# whole (trials, n, k) block of partner arrays (rows sorted ascending, as
-# every table in this package is) and answers for every table at once,
-# straight from the selection columns, with no edge list built.  Each
+# whole (trials, n, k) block of partner arrays and answers for every table
+# at once, straight from the selection columns, with no edge list built.
+# Its rows must be sorted ascending, as the deployment runs draw them: a
+# table is retired as stuck at its first column with no deployed partner.
+# (The census draws unsorted blocks, and never passes them here.)  Each
 # stage lays the m-node views of the block's open tables out table by table
 # in one flat label array: node i of table t is label t*m + i.
 

@@ -87,27 +87,24 @@ def ring_sizes(block: np.ndarray) -> np.ndarray:
     the reverse degree of every node of every table, a (trials, n) int64
     array.  Rows may come in any order.
 
-    Each np.bincount call bins about _BIN_ENTRIES partner ids, read from
-    each table's (k, n) column slice, contiguous column by column in the
-    sampler's selection-major blocks.  Tables that small go several to a
-    call, their ids offset by n per table; a larger table is binned a
-    group of columns per call, so no whole table is copied or widened.
+    One loop bins about _BIN_ENTRIES partner ids per np.bincount call,
+    read from the (k, n) column slices of a group of tables, contiguous in
+    the sampler's selection-major blocks, with ids offset by n per table.
+    Tables with n*k <= _BIN_ENTRIES go several to a call, all columns at
+    once; a larger one goes alone, a group of at least one column per
+    call, so no whole table is copied or widened.
     """
     trials, n, k = block.shape
     cols = np.moveaxis(block, -1, 0)  # (k, trials, n)
-    sizes = np.zeros((trials, n), dtype=np.int64)
-    per = _BIN_ENTRIES // (n * k)  # tables per call
-    if per:
-        for lo in range(0, trials, per):
-            group = cols[:, lo : lo + per]
-            ids = group + np.arange(0, group.shape[1] * n, n)[:, None]
-            sizes[lo : lo + per] = np.bincount(ids.ravel(), minlength=ids.shape[1] * n).reshape(-1, n)
-    else:
-        step = max(1, _BIN_ENTRIES // n)  # columns per call
-        for t in range(trials):
-            for c in range(0, k, step):
-                sizes[t] += np.bincount(cols[c : c + step, t].ravel(), minlength=n)
-    sizes += k
+    sizes = np.full((trials, n), k, dtype=np.int64)
+    per = max(1, _BIN_ENTRIES // (n * k))  # tables per call
+    step = max(1, _BIN_ENTRIES // (n * per))  # columns per call
+    for lo in range(0, trials, per):
+        group = sizes[lo : lo + per]
+        offsets = np.arange(0, group.size, n)[:, None]
+        for c in range(0, k, step):
+            ids = cols[c : c + step, lo : lo + per] + offsets
+            group += np.bincount(ids.ravel(), minlength=group.size).reshape(-1, n)
     return sizes
 
 

@@ -64,11 +64,22 @@ def maxring_critical_scale() -> float:
 
 
 def _log_binom_ratio(x: int, y: int, k: int) -> float:
-    """log of C(x,k)/C(y,k) for x <= y; -inf when C(x,k) = 0."""
+    """log of C(x,k)/C(y,k) for k <= y, x above or below y; -inf when
+    C(x,k) = 0."""
     if x < k:
         return -math.inf
     # log((x-i)/(y-i)) = log1p((x-y)/(y-i)): no cancellation between two logs
     return math.fsum(math.log1p((x - y) / (y - i)) for i in range(k))
+
+
+def _log_choose(m: int, r: int) -> float:
+    """log C(m, r) for r <= m.  Up to r = 64 it is the fsum of r log1p
+    terms; the lgamma difference cancels two values near m*ln(m), whose ulp
+    is about 2e-9 at m = 1e6, and is kept only where the sum's r steps
+    would cost too much."""
+    if r <= 64:
+        return _log_binom_ratio(m, r, r)
+    return math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
 
 
 def _group_log_terms(n: int, k: int, m: int, r: int) -> tuple[float, float]:
@@ -176,9 +187,13 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
     most lgamma(m+1) in size, plus the sums of k log1p terms, scaled by
     r <= m/2 or m - r <= m; an argument of log1p carries relative error
     2^-53, which moves its value by at most n/2 units of 2^-53, since
-    1 + z >= 2/n there.  Where no R qualifies, near the vacuous regime
-    (k*gamma small), every term is summed.  At gamma = 1 B falls slowly: at
-    (1e6, 3, 1.0) the stop comes only past R of about n/13, after 0.5 s.
+    1 + z >= 2/n there.  For r <= 64, log C(m, r) is instead the fsum of r
+    positive log1p terms totalling at most lgamma(m+1): each is off by an
+    ulp of itself, and by at most 2^-53 from its argument, as 1 + z >= 1
+    there, so at most 3 units in all, r being below k*m*n.  Where no R
+    qualifies, near the vacuous regime (k*gamma small), every term is
+    summed.  At gamma = 1 B falls slowly: at (1e6, 3, 1.0) the stop comes
+    only past R of about n/13, after 0.5 s.
     """
     m = _group_phase_size(n, k, gamma)
     half = m // 2
@@ -191,8 +206,7 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
         if b < 0 and r * b - math.log(-math.expm1(b)) < top - _NEGLIGIBLE - margin:
             break
         grp, rest = _group_log_terms(n, k, m, r)
-        choose = math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
-        log_terms.append(choose + r * grp + (m - r) * rest)
+        log_terms.append(_log_choose(m, r) + r * grp + (m - r) * rest)
         top = max(top, log_terms[-1])
     # Plain left-to-right addition, which the stop above is proven against:
     # from Python 3.12 the builtin sum() of floats is compensated, and its

@@ -141,10 +141,11 @@ THEORY_VALUES = {
     ("isolation_event_prob", (1000000, 60, 0.9, 5)): 0.0,
     ("isolation_event_prob", (20, 2, 0.15, 3)): 1.0,
     ("isolation_event_prob", (20, 8, 0.8, 1)): 0.0,
-    ("connectivity_union_bound", (1000, 21, 0.5)): 4.890462578005304e-09,
-    ("connectivity_union_bound", (30, 2, 0.5)): 7.2638667096073375,
-    ("connectivity_union_bound", (100000, 30, 0.2)): 0.06320132046456921,
-    ("connectivity_union_bound", (20000, 12, 0.7)): 1.6573220120211572e-06,
+    # the union bound beside its 50-digit mpmath value
+    ("connectivity_union_bound", (1000, 21, 0.5)): 4.890462578005721e-09,  # 4.8904625780057326303e-9
+    ("connectivity_union_bound", (30, 2, 0.5)): 7.263866709607341,  # 7.2638667096073389219
+    ("connectivity_union_bound", (100000, 30, 0.2)): 0.06320132046432902,  # 0.06320132046432909026
+    ("connectivity_union_bound", (20000, 12, 0.7)): 1.6573220120563732e-06,  # 1.6573220120563730417e-6
 }
 
 

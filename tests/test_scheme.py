@@ -185,6 +185,38 @@ def test_ring_sizes_match_bincount_oracle_for_any_call_size(n, k, trials, entrie
         assert np.array_equal(sizes, expected)
 
 
+@pytest.mark.parametrize(
+    "n, k, trials, entries",
+    [(1057, 31, 3, None), (1024, 32, 3, None), (3641, 9, 3, None), (40000, 2, 2, None),
+     (10, 3, 7, 100), (10, 3, 7, 29), (129, 5, 3, 100)],
+    ids=["table_less_one", "table", "table_and_one", "column_over_budget",
+         "small_three_tables", "small_table_and_one", "small_column_over_budget"],
+)
+def test_ring_sizes_bins_within_budget(n, k, trials, entries, monkeypatch):
+    """Every np.bincount call of ring_sizes takes at most _BIN_ENTRIES ids,
+    or one column of one table where n alone is more, and the calls take
+    every id once: n*k one short of, equal to and one over the budget, a
+    column over it, and a small budget patched in."""
+    if entries is not None:
+        monkeypatch.setattr(scheme, "_BIN_ENTRIES", entries)
+    budget = scheme._BIN_ENTRIES
+    block = draw_pairing_block(n + 3, 0, trials, n, k)
+    expected = bincount_oracle(block)
+    calls = []
+    bincount = np.bincount
+
+    def recorded(ids, *args, **kwargs):
+        calls.append(np.size(ids))
+        return bincount(ids, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", recorded)
+    sizes = ring_sizes(block)
+    monkeypatch.undo()
+    assert np.array_equal(sizes, expected)
+    assert sum(calls) == trials * n * k
+    assert all(size <= budget or size == n > budget for size in calls)
+
+
 def test_all_key_ids_distinct():
     table = generate_pairing(SchemeParams(30, 4), seed=15)
     all_keys = set()

@@ -327,8 +327,7 @@ def full_sum_log_terms(n, k, m, rs=None):
     log_terms = []
     for r in rs or range(1, m // 2 + 1):
         grp, rest = theory._group_log_terms(n, k, m, r)
-        choose = math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
-        log_terms.append(choose + r * grp + (m - r) * rest)
+        log_terms.append(theory._log_choose(m, r) + r * grp + (m - r) * rest)
     return log_terms
 
 
@@ -414,6 +413,54 @@ def test_union_bound_margin_covers_term_rounding(n, k, g):
     for r, t in zip(rs, full_sum_log_terms(n, k, m, rs)):
         exact = mp.log(mp.binomial(m, r) * oracle_event(n, k, m, r))
         assert abs(mpf(t) - exact) < 32 * unit
+
+
+def oracle_union_bound_bracket(n, k, m):
+    """The union bound's terms r < R summed to 50 digits, and a bound on
+    the terms r >= R: exp(R*B(R)) / (1 - exp(B(R))), with B the bound of
+    connectivity_union_bound's docstring.  R is the first r where that
+    tail is below 1e-20 of the sum, or below 2^-1100 while the sum is 0."""
+    half = m // 2
+    slope = 1 + mp.log(oracle_binom_ratio(n - m + half - 1, n - 1, k)) - mpf(k) * (m - half) / (n - 1)
+    total = mpf(0)
+    for r in range(1, half + 1):
+        b = slope + mp.log(mpf(m) / r)
+        if b < 0:
+            tail = mp.exp(r * b) / (1 - mp.exp(b))
+            if tail < mpf(10) ** -20 * total or tail < mpf(2) ** -1100:
+                return total, tail
+        total += mp.binomial(m, r) * oracle_event(n, k, m, r)
+    return total, mpf(0)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+@pytest.mark.parametrize("k", [20, 30, 40, 60, 80])
+@pytest.mark.parametrize("g", [0.3, 0.5, 0.7, 0.9, 1.0])
+def test_union_bound_precise_at_large_n(n, k, g):
+    """Within 1e-13 of mpmath from near the threshold (0.81 at n = 1e6,
+    K = 20, gamma = 0.3) up; a 0.0 only where mpmath's value, tail
+    included, rounds to 0 as a double."""
+    want, tail = oracle_union_bound_bracket(n, k, phase_size(n, g))
+    got = theory.connectivity_union_bound(n, k, g)
+    if got == 0:
+        assert want + tail < mpf(2) ** -1075
+    else:
+        assert rel_err(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("n,k,g,printed", [
+    (1000000, 40, 0.5, "9.36254919e-16"),
+    (100000, 40, 0.7, "5.74893263e-29"),
+    (1000000, 40, 0.7, "5.87072377e-28"),
+    (1000000, 60, 0.7, "1.69706288e-44"),
+    (1000000, 80, 0.9, "4.69323455e-106"),
+])
+def test_union_bound_prints_mpmath_digits(n, k, g, printed):
+    """Nine significant digits where the lgamma form of log C(m, r) printed
+    a wrong last digit (e.g. 9.36254918e-16 for the first)."""
+    want, _ = oracle_union_bound_bracket(n, k, phase_size(n, g))
+    assert mp.nstr(want, 9) == printed
+    assert f"{theory.connectivity_union_bound(n, k, g):.9g}" == printed
 
 
 @pytest.mark.parametrize("n,k,g", [(100000, 2, 0.5), (20000, 2, 0.1), (20000, 5, 0.1), (100000, 10, 0.1)])
