@@ -16,6 +16,12 @@ inclusive grammar "a..b"; lists are comma-separated.  A theory flag of
 one argument takes a comma list, one query per value (--r-gamma 0.2,0.5);
 a flag of more takes a comma tuple and repeats, one query per use.
 
+The Monte Carlo commands (sweep, phased, census) take --workers, the widest
+pool of worker processes a run may use.  Unset, it is one per CPU this
+process may use, at most 2, where multiprocessing's default start method is
+fork (Linux up to Python 3.13), else 1.  A run within one serial block
+starts no pool.  Output does not depend on the worker count.
+
 Exit codes: 0 success, 1 runtime/output failure, 2 usage error.  Past
 argument parsing, a failure prints one "pairdeploy: ..." line to stderr,
 never a traceback.
@@ -145,13 +151,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
+    def add_workers(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes, at most (default: one per usable CPU, at most 2, "
+            "where processes start by fork, else 1); the output does not depend on it",
+        )
+
     p_sweep = sub.add_parser("sweep", help="connectivity / no-isolated curves")
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--k", required=True, help='single "7", range "1..20", or list "1,5,9"')
     p_sweep.add_argument("--gamma", required=True, help='fractions, e.g. "0.2,0.4,0.6,0.8"')
     p_sweep.add_argument("--trials", type=int, default=montecarlo.SWEEP_TRIALS_DEFAULT)
     p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sweep.add_argument("--workers", type=int, default=None)
+    add_workers(p_sweep)
     add_io(p_sweep)
 
     p_phased = sub.add_parser("phased", help="joint connectivity through a schedule")
@@ -160,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phased.add_argument("--schedule", required=True, help='increasing fractions, e.g. "0.25,0.5,1.0"')
     p_phased.add_argument("--trials", type=int, default=montecarlo.SWEEP_TRIALS_DEFAULT)
     p_phased.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_workers(p_phased)
     add_io(p_phased)
 
     p_census = sub.add_parser("census", help="key-ring size census")
@@ -167,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--k", type=int, required=True)
     p_census.add_argument("--trials", type=int, default=montecarlo.CENSUS_TRIALS_DEFAULT)
     p_census.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_workers(p_census)
     add_io(p_census)
 
     p_theory = sub.add_parser("theory", help="closed-form calculators")
@@ -193,6 +208,10 @@ def _estimate_fields(successes: int, trials: int) -> dict:
     }
 
 
+def _workers(args: argparse.Namespace) -> int:
+    return montecarlo.default_workers() if args.workers is None else args.workers
+
+
 def _sweep(args: argparse.Namespace) -> _Output:
     plan = montecarlo.ExperimentPlan(
         n=args.n,
@@ -200,7 +219,7 @@ def _sweep(args: argparse.Namespace) -> _Output:
         gammas=_parse_flag("--gamma", parse_gamma_list, args.gamma),
         trials=args.trials,
         base_seed=args.seed,
-        workers=args.workers,
+        workers=_workers(args),
     )
     counts = montecarlo.run_sweep(plan)  # k -> (connected, no_isolated, joint)
     rows = [
@@ -220,8 +239,9 @@ def _phased(args: argparse.Namespace) -> _Output:
         gammas=_parse_flag("--schedule", parse_gamma_list, args.schedule),
         trials=args.trials,
         base_seed=args.seed,
+        workers=_workers(args),
     )
-    connected, _, joint = montecarlo.run_sweep(plan)[args.k]
+    connected, _, joint = montecarlo.evaluate_deployments(plan, args.k)
     labelled = [(",".join(_gamma_str(g) for g in plan.gammas), joint)]
     labelled += zip(map(_gamma_str, plan.gammas), connected.tolist())
     rows = [
@@ -232,7 +252,7 @@ def _phased(args: argparse.Namespace) -> _Output:
 
 
 def _census(args: argparse.Namespace) -> _Output:
-    counts = montecarlo.run_keyring_census(args.n, args.k, args.trials, args.seed)
+    counts = montecarlo.run_keyring_census(args.n, args.k, args.trials, args.seed, _workers(args))
     # [size, count] of every size seen, for all rings and for each trial's largest
     histogram, max_histogram = ([[s, c] for s, c in enumerate(h.tolist()) if c] for h in counts)
     rows = [{"size": s, "count": c, "is_max_histogram": 0} for s, c in histogram]

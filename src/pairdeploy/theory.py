@@ -7,8 +7,9 @@ bound on the probability the deployed key graph is disconnected, and the
 exponent algebra bounding the largest key ring.  All logarithms are natural.
 
 Binomial-coefficient ratios C(x,K)/C(y,K) are evaluated as exactly rounded
-log-space sums of log1p((x-y)/(y-l)), which stay finite and accurate to
-below 1e-13 relative error for n up to 1e6; C(a,b) = 0 when a < b, so
+log-space sums, of log((x-l)/(y-l)) where 2x <= y and of log1p((x-y)/(y-l))
+elsewhere, which stay finite and accurate to below 1e-13 relative error for
+n up to 1e6, deployment fraction 1 included; C(a,b) = 0 when a < b, so
 degenerate configurations yield probability 0 instead of errors.  A
 probability below the smallest positive double (about 4.9e-324) underflows
 to 0.0 as well: at n = 1e6 that already happens to isolation events of a
@@ -42,6 +43,12 @@ __all__ = [
 # term stays below 2^-53 (e^-36.7), half an ulp of 1, after its own rounding
 _NEGLIGIBLE = 37.5
 
+# a log below which exp gives 0.0: ln(2^-1075) - 1, about -746.13.  The
+# exact exp there is below 2^-1075/e, under 0.19 of the smallest subnormal
+# 2^-1074, so an exp that errs by less than 0.8 of that subnormal, as
+# math.exp does, rounds it to 0.0
+_EXP_ZERO = -1075 * math.log(2) - 1
+
 
 def isolation_threshold(gamma: float) -> float:
     """Critical scale r(gamma) = (1 - ln(1-gamma)/gamma)^-1 for isolated nodes.
@@ -65,9 +72,13 @@ def maxring_critical_scale() -> float:
 
 def _log_binom_ratio(x: int, y: int, k: int) -> float:
     """log of C(x,k)/C(y,k) for k <= y, x above or below y; -inf when
-    C(x,k) = 0."""
+    C(x,k) = 0.  The fsum of k logs of the ratios (x-i)/(y-i), i < k."""
     if x < k:
         return -math.inf
+    if 2 * x <= y:
+        # each ratio is at most 1/2, and rounding it moves its log by 2^-53 at
+        # most; log1p would amplify that by (y-i)/(x-i), its argument near -1
+        return math.fsum(math.log((x - i) / (y - i)) for i in range(k))
     # log((x-i)/(y-i)) = log1p((x-y)/(y-i)): no cancellation between two logs
     return math.fsum(math.log1p((x - y) / (y - i)) for i in range(k))
 
@@ -90,12 +101,30 @@ def _group_log_terms(n: int, k: int, m: int, r: int) -> tuple[float, float]:
     return _log_binom_ratio(n - m + r - 1, n - 1, k), _log_binom_ratio(n - r - 1, n - 1, k)
 
 
+def _split(x: float) -> tuple[float, float]:
+    """x as hi + lo exactly, hi holding its leading 26 bits and lo the other
+    27 (Veltkamp's split), so an integer below 2^26 times either is exact."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
 def _event_prob(n: int, k: int, m: int, r: int) -> float:
     """(C(n-m+r-1, k)/C(n-1, k))^r * (C(n-r-1, k)/C(n-1, k))^(m-r), from the
-    two log factors; a zero binomial, or underflow, gives 0.0."""
+    two log factors; a zero binomial, or underflow, gives 0.0.
+
+    The log, r*grp + (m-r)*rest, is the fsum of exact products, carried as
+    hi + lo: one double would round it by up to 2^-44 past 512 in size, and
+    exp would turn that into a relative error of 5.7e-14.  exp(hi)*exp(lo)
+    keeps those bits.  Products are exact for r and m below 2^26.
+    """
     grp, rest = _group_log_terms(n, k, m, r)
-    log_p = r * grp + (0 if m == r else (m - r) * rest)
-    return 0.0 if log_p == -math.inf else math.exp(log_p)
+    if m > r and rest == -math.inf or grp == -math.inf:
+        return 0.0
+    parts = [r * h for h in _split(grp)] + ([(m - r) * h for h in _split(rest)] if m > r else [])
+    hi = math.fsum(parts)
+    p = math.exp(hi)
+    return p + p * math.fsum([*parts, -hi])
 
 
 def _group_phase_size(n: int, k: int, gamma: float) -> int:
@@ -157,7 +186,10 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
     summed in log space.  A valid upper bound whenever 2(k+1) < n and
     gamma*n > 2, full deployment included: a zero group binomial (small r
     with k+1 > n - m) gives a -inf log term, which adds 0.  It may exceed 1
-    (vacuous but returned); past the double range it is math.inf.
+    (vacuous but returned); past the double range it is math.inf.  A vacuous
+    bound is less precise: its largest terms, near r = m/2, are sums of log
+    parts of size about m that cancel, each rounded to an ulp of its size,
+    so at n = 1e5 it can be off by about 1e-10.
 
     Only the terms that can change the returned double are evaluated.  With
     t_r the computed log of term r and top the largest t_r, the value is
@@ -184,9 +216,11 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
     margin = 2^-44 * (lgamma(m+1) + k*m*n) bounds the rounding error of t_s
     and of the stop test, 512 units of 2^-53 against about 32 needed: each
     is a few operations of at most 8 ulps (lgamma, log, log1p) on values at
-    most lgamma(m+1) in size, plus the sums of k log1p terms, scaled by
-    r <= m/2 or m - r <= m; an argument of log1p carries relative error
-    2^-53, which moves its value by at most n/2 units of 2^-53, since
+    most lgamma(m+1) in size, plus the sums of k log-ratio terms, scaled by
+    r <= m/2 or m - r <= m.  A ratio term is log((x-i)/(y-i)) where
+    2x <= y: the rounded quotient moves it by at most 2^-53, an ulp of 1.
+    Elsewhere it is log1p((x-y)/(y-i)), whose argument carries relative
+    error 2^-53, which moves its value by at most n/2 units of 2^-53, since
     1 + z >= 2/n there.  For r <= 64, log C(m, r) is instead the fsum of r
     positive log1p terms totalling at most lgamma(m+1): each is off by an
     ulp of itself, and by at most 2^-53 from its argument, as 1 + z >= 1
@@ -194,6 +228,15 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
     qualifies, near the vacuous regime (k*gamma small), every term is
     summed.  At gamma = 1 B falls slowly: at (1e6, 3, 1.0) the stop comes
     only past R of about n/13, after 0.5 s.
+
+    The loop also stops before term R, and returns 0.0, when both top and
+    the log of the tail bound lie below _EXP_ZERO (ln 2^-1075 - 1, about
+    -746.13), the tail's by margin as well.  Every t_s, before R or after,
+    is then below _EXP_ZERO, so the full sum's own top is, and its exp is
+    0.0; the full sum, exp(top) * S with 1 <= S <= m, is 0.0 too.  Near
+    gamma = 1 the first stop waits for the tail to fall 37.5 below a top
+    that is itself far below the double range: (1e6, 80, 1.0) summed 835
+    terms that way, and stops after 9 this way.
     """
     m = _group_phase_size(n, k, gamma)
     half = m // 2
@@ -203,8 +246,12 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
     top = -math.inf
     for r in range(1, half + 1):
         b = slope + math.log(m / r)
-        if b < 0 and r * b - math.log(-math.expm1(b)) < top - _NEGLIGIBLE - margin:
-            break
+        if b < 0:
+            tail = r * b - math.log(-math.expm1(b))
+            if tail < top - _NEGLIGIBLE - margin:
+                break
+            if tail < _EXP_ZERO - margin and top < _EXP_ZERO:
+                return 0.0
         grp, rest = _group_log_terms(n, k, m, r)
         log_terms.append(_log_choose(m, r) + r * grp + (m - r) * rest)
         top = max(top, log_terms[-1])

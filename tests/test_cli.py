@@ -5,6 +5,7 @@ import ctypes
 import importlib
 import io
 import json
+import multiprocessing
 import os
 import platform
 import re
@@ -84,11 +85,12 @@ class TestSweep:
         _, b, _ = run_cli(capsys, *base, "--seed", "99")
         assert a != b
 
-    def test_workers_flag_is_invisible_in_output(self, capsys):
+    def test_workers_flag_is_invisible_in_output(self, capsys, pools):
         base = ("sweep", "--n", "50", "--k", "2,3", "--gamma", "0.5", "--trials", "20")
-        _, serial, _ = run_cli(capsys, *base)
+        _, serial, _ = run_cli(capsys, *base, "--workers", "1")
         _, parallel, _ = run_cli(capsys, *base, "--workers", "2")
         assert serial == parallel
+        assert [size for size, _ in pools] == [2]
 
     def test_full_deployment_two_selections_connects(self, capsys):
         code, out, _ = run_cli(
@@ -523,7 +525,7 @@ class TestTheory:
         assert len(err.splitlines()) == 1
 
 
-# one small run of each command that takes --seed; sweep also through its pool
+# one small run of each command that takes --seed; sweep also with --workers
 SEEDED_RUNS = {
     "sweep": ["sweep", "--n", "30", "--k", "2,3", "--gamma", "0.5,1.0", "--trials", "4"],
     "sweep_workers": [
@@ -606,6 +608,131 @@ class TestOutputFile:
         assert repr(str(target)) in err
         assert ".tmp" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["results"]
+
+
+# -- the worker pool ----------------------------------------------------------
+
+# one run of each Monte Carlo command, split into units once the block budget
+# is shrunk (the golden digests pin their serial output)
+POOL_RUNS = {
+    "sweep": "sweep --n 60 --k 1..6 --gamma 0.3,0.6,1.0 --trials 40 --seed 5",
+    "phased": "phased --n 120 --k 4 --schedule 0.25,0.5,1.0 --trials 50 --seed 11",
+    "census": "census --n 80 --k 3 --trials 60 --seed 2",
+}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Runs above a 1000-entry block budget, which still holds two of
+    their tables, on two CPUs: the list of (width, shutdown keywords) of
+    every pool started."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    started = []
+
+    class Recorded(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append((max_workers, []))
+            super().__init__(max_workers, **kwargs)
+
+        def shutdown(self, wait=True, **kwargs):
+            started[-1][1].append(kwargs)
+            super().shutdown(wait, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", POOL_RUNS)
+def test_pool_output_is_byte_identical(capsys, pools, command, fmt):
+    """--workers 1, --workers 2 and the default print the same bytes, and
+    the last two really start a pool (the default only where processes fork),
+    which leaves no process behind."""
+    argv = [*POOL_RUNS[command].split(), "--format", fmt]
+    outs = []
+    for extra in (["--workers", "1"], ["--workers", "2"], []):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0 and multiprocessing.active_children() == []
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    forks = multiprocessing.get_start_method() == "fork"
+    assert [size for size, _ in pools] == [2] * (2 if forks else 1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers see the patch only if forked")
+def test_failing_worker_cancels_the_rest_and_leaves_no_process(capsys, pools, monkeypatch):
+    """A unit that raises fails the run with one stderr line and exit 1;
+    the units not yet started are cancelled, and no worker outlives main."""
+
+    def broken(*args):
+        raise RuntimeError("broken draw")
+
+    monkeypatch.setattr(montecarlo.sampling, "sample_pairing_block", broken)
+    code, out, err = run_cli(capsys, *POOL_RUNS["sweep"].split(), "--workers", "2")
+    assert (code, out, err) == (1, "", "pairdeploy: broken draw\n")
+    assert multiprocessing.active_children() == []
+    assert len(pools) == 1 and {"cancel_futures": True} in pools[0][1]
+
+
+def test_pool_runs_its_units_under_spawn():
+    """Spawned workers (macOS's default) import the program afresh, so the
+    units must pickle: an explicit pool of two prints what one process
+    prints, for both kinds of unit, and the default there is one worker."""
+    code = (
+        "import contextlib, io, multiprocessing, os\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from pairdeploy import cli, montecarlo\n"
+        "montecarlo._BLOCK_BUDGET = 1000\n"
+        "os.cpu_count = lambda: 2\n"
+        "started = []\n"
+        "class Recorded(ProcessPoolExecutor):\n"
+        "    def __init__(self, max_workers=None, **kwargs):\n"
+        "        started.append(max_workers)\n"
+        "        super().__init__(max_workers, **kwargs)\n"
+        "import concurrent.futures\n"
+        "concurrent.futures.ProcessPoolExecutor = Recorded\n"
+        "for argv in (%r, %r):\n"
+        "    outs = []\n"
+        "    for extra in (['--workers', '1'], ['--workers', '2'], []):\n"
+        "        buf = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(buf):\n"
+        "            assert cli.main(argv.split() + extra) == 0\n"
+        "        outs.append(buf.getvalue())\n"
+        "    print(len(set(outs)), outs[0].count(chr(10)) > 1)\n"
+        "print(started, montecarlo.default_workers(), multiprocessing.active_children())\n"
+    ) % (POOL_RUNS["sweep"], POOL_RUNS["census"])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=checkout_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 True\n1 True\n[2, 2] 1 []\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+        (["--trials", "0"], "need trials >= 1, got 0"),
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+    ],
+    ids=["seed", "trials", "workers"],
+)
+@pytest.mark.parametrize("command", POOL_RUNS)
+def test_run_refused_before_any_process_starts(capsys, monkeypatch, command, argv, message):
+    """Runs big enough for a pool are checked before one is made."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started before the run was checked")
+
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, *POOL_RUNS[command].split(), *argv)
+    assert (code, out, err) == (2, "", f"pairdeploy: {message}\n")
 
 
 def checkout_env():

