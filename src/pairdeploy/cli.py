@@ -16,11 +16,12 @@ inclusive grammar "a..b"; lists are comma-separated.  A theory flag of
 one argument takes a comma list, one query per value (--r-gamma 0.2,0.5);
 a flag of more takes a comma tuple and repeats, one query per use.
 
-The Monte Carlo commands (sweep, phased, census) take --workers, the widest
-pool of worker processes a run may use.  Unset, it is one per CPU this
-process may use, at most 2, where multiprocessing's default start method is
-fork (Linux up to Python 3.13), else 1.  A run within one serial block
-starts no pool.  Output does not depend on the worker count.
+The Monte Carlo commands (sweep, phased, census) take --workers, the most
+processes a run may use: this one, which runs a share of the trials itself,
+and a child forked for each other share.  Unset, it is one per CPU this
+process may use, at most 2.  Runs fork only on Linux, and are serial
+elsewhere, whatever --workers says.  A run within one serial block forks
+nothing.  Output does not depend on the worker count.
 
 Exit codes: 0 success, 1 runtime/output failure, 2 usage error.  Past
 argument parsing, a failure prints one "pairdeploy: ..." line to stderr,
@@ -154,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_workers(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--workers", type=int, default=None,
-            help="worker processes, at most (default: one per usable CPU, at most 2, "
-            "where processes start by fork, else 1); the output does not depend on it",
+            help="processes, this one included, at most (default: one per usable CPU, "
+            "at most 2; 1 off Linux, where runs are serial); the output does not depend on it",
         )
 
     p_sweep = sub.add_parser("sweep", help="connectivity / no-isolated curves")

@@ -17,19 +17,17 @@ unsorted blocks of one sampler draw chunk, small enough to bin while they
 are in cache.  This module returns counts; the command line turns them into
 estimates with wilson_interval, and into census summaries.
 
-A run is split into units, each a contiguous trial range of one k that
-walks its own blocks, and its counts are the sums of the units' integer
-counts, so they do not depend on the split.  The units run in this process
-or over a pool of worker processes of the width the caller asks for
-(default_workers is the command line's default; the library runs serially
-unless asked).  A run within one serial block, trials * rows * (sum of its
-k) <= _BLOCK_BUDGET, is one unit and starts no pool.  A wider run splits
-each k into one trial range per worker, so it has O(workers * k values)
-units whatever its trials.  Its blocks shrink by the width, down to one
-trial, and no pool is wider than the budget holds one of the run's widest
-tables per worker, so the blocks in flight across the pool stay within the
-budget, as a serial run's do; a run whose one table passes the budget is
-serial.  Each worker adds its own interpreter state beyond its blocks.
+A run of width w is split into w shares: share i is trial range i of
+every k, each range walking its own blocks, and the run's counts are the
+sums of the shares' integer counts, so they do not depend on the split.
+The calling process runs share 0 and forks a child for each other share.
+The width is at most what the caller asks for (default_workers is the
+command line's default; the library runs serially unless asked), and 1 off
+Linux, where no run forks.  A run within one serial block, trials * rows *
+(sum of its k) <= _BLOCK_BUDGET, is one share.  A wider run's blocks shrink
+by the width, down to one trial, and no run is so wide that one of its
+widest tables per process passes the budget, so its blocks in flight stay
+within the budget, as a serial run's do.
 
 Default trial counts: 200 for sweeps, 1000 for censuses.
 """
@@ -38,10 +36,12 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from itertools import islice
+from typing import NoReturn
 
 import numpy as np
 
@@ -71,8 +71,8 @@ CENSUS_TRIALS_DEFAULT = 1000
 # 53.5 MB; a sweep at n=1e6, K=40: 239 to 395 MB).
 _BLOCK_BUDGET = 4_000_000
 
-# the command line's default pool is no wider than this, the widest at which
-# the pool's speed and memory were measured (2 vCPUs); --workers asks for more
+# the command line's default width is no more than this, the widest at which
+# a run's speed and memory were measured (2 vCPUs); --workers asks for more
 _DEFAULT_WORKERS_MAX = 2
 
 _Z95 = 1.96  # two-sided 95% normal quantile of the Wilson intervals
@@ -95,8 +95,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 class ExperimentPlan:
     """A deployment run: all (k, gamma) cells share n, trials, and seeding;
     the gammas, strictly increasing in (0, 1], are its schedule.  workers
-    is the widest process pool the run may use; None or 1 runs it in this
-    process."""
+    is the most processes the run may use, this one included; None or 1
+    runs it in this process alone."""
 
     n: int
     k_values: tuple[int, ...]
@@ -164,7 +164,7 @@ def _blocks(
 
 def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Count the outcomes of every gamma view of the plan's tables for k,
-    over a pool of up to plan.workers processes (see the module docstring).
+    over up to plan.workers processes (see the module docstring).
 
     Returns (connected, no_isolated, joint): the trials connected and with
     no isolated node per fraction, as int64 arrays in the order of
@@ -176,8 +176,8 @@ def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.n
 def _count_deployments(
     plan: ExperimentPlan, k: int, start: int, stop: int, width: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """evaluate_deployments over trials start..stop-1 alone, one unit of a
-    run of `width` workers.
+    """evaluate_deployments over trials start..stop-1 alone, one k of a
+    share of a run of width `width`.
 
     The one evaluation pass: each block of tables is drawn with the rows
     its largest view reads, answered for every view by one connected_at
@@ -198,105 +198,145 @@ def _count_deployments(
     return connected, no_isolated, joint
 
 
+def _pool_cpus() -> int:
+    """The CPUs a run may spread over: those this process may use, on
+    Linux, where runs fork; 1 elsewhere, where every run is serial."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
 def default_workers() -> int:
-    """The pool width of a command-line run that names none: one worker per
-    CPU this process may use, up to _DEFAULT_WORKERS_MAX, where
-    multiprocessing's default start method is fork, else 1.  A forked
-    worker starts with numpy already imported; a spawned or forkserver one
-    imports it again, which cost more than it gained on the commands' own
-    workloads."""
-    # imported here, so that importing the CLI loads no multiprocessing
-    import multiprocessing
-
-    if multiprocessing.get_start_method() != "fork":
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, _DEFAULT_WORKERS_MAX)
+    """The width of a command-line run that names none: one process per
+    CPU this process may use, up to _DEFAULT_WORKERS_MAX, the calling
+    process being worker 0, on Linux; 1 elsewhere.  A forked child starts
+    with numpy already imported, where a spawned one would import it again,
+    which cost more than it gained on the commands' own workloads."""
+    return min(_pool_cpus(), _DEFAULT_WORKERS_MAX)
 
 
-def _pool_size(workers: int | None, units: int) -> int:
-    """Worker processes to start: at most one per unit and per CPU."""
-    return max(1, min(workers or 1, units, os.cpu_count() or 1))
+def _pool_size(workers: int | None, trials: int) -> int:
+    """Processes to run on: at most one per trial and per usable CPU."""
+    return max(1, min(workers or 1, trials, _pool_cpus()))
 
 
-def _width(workers: int | None, trials: int, cells: int, entries: int, table: int) -> int:
-    """The pool width of a run of `cells` cells of `trials` trials that
-    draws `entries` table entries, `table` at most per trial: 1 when the
-    run fits one serial block, and never so wide that one table per worker
-    passes the budget, as the workers' blocks shrink only to one trial."""
+def _width(workers: int | None, trials: int, entries: int, table: int) -> int:
+    """The width of a run of `trials` trials that draws `entries` table
+    entries, `table` at most per trial: 1 when the run fits one serial
+    block, and never so wide that one table per process passes the budget,
+    as the shares' blocks shrink only to one trial."""
     if entries <= _BLOCK_BUDGET:
         return 1
-    return _pool_size(min(workers or 1, max(1, _BLOCK_BUDGET // table)), cells * trials)
+    return _pool_size(min(workers or 1, max(1, _BLOCK_BUDGET // table)), trials)
 
 
 def _trial_ranges(trials: int, width: int) -> list[tuple[int, int]]:
-    """(start, stop) of min(width, trials) contiguous trial ranges, one per
-    unit of a cell, as equal as can be."""
-    parts = min(width, trials)
-    return [(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]
+    """(start, stop) of `width` (at most `trials`) contiguous trial ranges,
+    one per share of a run, as equal as can be."""
+    return [(trials * i // width, trials * (i + 1) // width) for i in range(width)]
 
 
 def _add(a: tuple, b: tuple) -> tuple:
-    """Two units' counts, summed field by field."""
+    """Two shares' counts, summed field by field."""
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _run_units(units: list[Callable[[], tuple]], width: int) -> Iterator[tuple]:
-    """Every unit's counts, in the order of units, from a pool of `width`
-    worker processes; a pool of 1 is this process.  When a unit raises, the
-    units not started are cancelled, and the workers are gone by the time
-    the error propagates."""
-    if width == 1:
-        return (unit() for unit in units)
-    # imported here, so a run without a pool never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _run_shares(shares: list[list[Callable[[], tuple]]]) -> list[tuple]:
+    """The counts of each position of the shares' calls, summed over the
+    shares: share 0 runs here, each other one in a child forked for it (see
+    _send), whose exception is raised here.  Every child is reaped before
+    this returns or raises, and killed first if this raises."""
+    counts, pids, reads = [], [], []  # pids: the children not yet reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                # from Python 3.12 a fork from a process with threads (numpy's BLAS
+                # starts some) warns: default filters hide it, and where warnings
+                # are errors CPython drops it rather than fail the fork.  Shares
+                # call no BLAS routine.
+                pid = os.fork()
+                if pid == 0:
+                    _send(share, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        counts.append([call() for call in shares[0]])
+        for read, pid in zip(reads, pids[:]):
+            payload = b"".join(iter(partial(os.read, read, 1 << 20), b""))
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            if status or not payload:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"a worker process ended without its counts (exit code {code})")
+            done, result = pickle.loads(payload)
+            if not done:
+                raise result
+            counts.append(result)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [reduce(_add, column) for column in zip(*counts)]
 
-    # From Python 3.12, a fork from a process with several threads (numpy's
-    # BLAS starts some at import) warns with a DeprecationWarning.  Default
-    # filters hide it; where warnings are errors, CPython drops it rather
-    # than fail the fork.  The units call no BLAS routine.
-    with ProcessPoolExecutor(max_workers=width) as pool:
+
+def _send(share: list[Callable[[], tuple]], write: int) -> NoReturn:
+    """In a forked child: pickle the counts of the share's calls, or the
+    exception one raised, into the pipe, and end the child, exiting 0 once
+    the whole result is written, without returning into the caller's frames
+    or flushing the stdio it inherited."""
+    code = 1
+    try:
         try:
-            return iter([future.result() for future in [pool.submit(unit) for unit in units]])
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+            result = (True, [call() for call in share])
+        except BaseException as exc:
+            result = (False, exc)
+        with open(write, "wb") as fp:
+            pickle.dump(result, fp)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_sweep(plan: ExperimentPlan) -> dict[int, tuple[np.ndarray, np.ndarray, int]]:
     """evaluate_deployments(plan, k) for every k of the plan, in the order
-    of plan.k_values, over one pool of up to plan.workers processes (see
-    the module docstring)."""
+    of plan.k_values, over up to plan.workers processes (see the module
+    docstring)."""
     rows = phase_size(plan.n, plan.gammas[-1])
     entries = plan.trials * rows * sum(plan.k_values)
-    width = _width(plan.workers, plan.trials, len(plan.k_values), entries, rows * max(plan.k_values))
-    ranges = _trial_ranges(plan.trials, width)
-    units = [partial(_count_deployments, plan, k, *span, width) for k in plan.k_values for span in ranges]
-    counts = _run_units(units, width)
-    return {k: reduce(_add, islice(counts, len(ranges))) for k in plan.k_values}
+    width = _width(plan.workers, plan.trials, entries, rows * max(plan.k_values))
+    shares = [
+        [partial(_count_deployments, plan, k, *span, width) for k in plan.k_values]
+        for span in _trial_ranges(plan.trials, width)
+    ]
+    return dict(zip(plan.k_values, _run_shares(shares)))
 
 
 def run_keyring_census(
     n: int, k: int, trials: int = CENSUS_TRIALS_DEFAULT, base_seed: int = 0, workers: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Count all trials * n ring sizes and the per-trial largest rings,
-    over a pool of up to `workers` processes (see the module docstring).
+    over up to `workers` processes (see the module docstring).
 
     Returns (histogram, max_histogram), int64 arrays indexed by ring size:
     the first sums to trials * n, the second to trials.  A ring holds
     k..k+n-1 keys.
     """
     _check_run(n, (k,), trials, base_seed, workers)
-    width = _width(workers, trials, 1, trials * n * k, n * k)
-    units = [partial(_count_rings, n, k, trials, base_seed, *span, width) for span in _trial_ranges(trials, width)]
-    return reduce(_add, _run_units(units, width))
+    width = _width(workers, trials, trials * n * k, n * k)
+    shares = [[partial(_count_rings, n, k, trials, base_seed, *span, width)] for span in _trial_ranges(trials, width)]
+    return _run_shares(shares)[0]
 
 
 def _count_rings(
     n: int, k: int, trials: int, base_seed: int, start: int, stop: int, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The census counts of trials start..stop-1 alone, one unit of a run
-    of `width` workers.
+    """The census counts of trials start..stop-1 alone, the share of a run
+    of width `width`.
 
     Ring sizes ignore the order of a row, so the tables are drawn unsorted,
     in blocks of one sampler draw chunk (whole trials, at least one), which

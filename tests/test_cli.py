@@ -5,7 +5,6 @@ import ctypes
 import importlib
 import io
 import json
-import multiprocessing
 import os
 import platform
 import re
@@ -13,6 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -90,7 +90,7 @@ class TestSweep:
         _, serial, _ = run_cli(capsys, *base, "--workers", "1")
         _, parallel, _ = run_cli(capsys, *base, "--workers", "2")
         assert serial == parallel
-        assert [size for size, _ in pools] == [2]
+        assert len(pools) == 1
 
     def test_full_deployment_two_selections_connects(self, capsys):
         code, out, _ = run_cli(
@@ -548,7 +548,7 @@ class TestSeedRange:
 
         monkeypatch.setattr(montecarlo.sampling, "sample_pairing_block", no_work)
         monkeypatch.setattr(montecarlo.sampling, "draw_pairing_block", no_work)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(os, "fork", no_work)
         code, out, err = run_cli(capsys, *SEEDED_RUNS[command], "--seed", str(seed))
         assert (code, out) == (2, "")
         assert err == f"pairdeploy: seed must be in [0, 2**64), got {seed}\n"
@@ -610,9 +610,9 @@ class TestOutputFile:
         assert [p.name for p in tmp_path.iterdir()] == ["results"]
 
 
-# -- the worker pool ----------------------------------------------------------
+# -- the worker processes -----------------------------------------------------
 
-# one run of each Monte Carlo command, split into units once the block budget
+# one run of each Monte Carlo command, split into shares once the block budget
 # is shrunk (the golden digests pin their serial output)
 POOL_RUNS = {
     "sweep": "sweep --n 60 --k 1..6 --gamma 0.3,0.6,1.0 --trials 40 --seed 5",
@@ -621,96 +621,149 @@ POOL_RUNS = {
 }
 
 
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Runs above a 1000-entry block budget, which still holds two of
-    their tables, on two CPUs: the list of (width, shutdown keywords) of
-    every pool started."""
-    from concurrent.futures import ProcessPoolExecutor
+    their tables, on two usable CPUs: the list of the pids of every child
+    forked."""
+    forked = []
+    fork = os.fork
 
-    started = []
-
-    class Recorded(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append((max_workers, []))
-            super().__init__(max_workers, **kwargs)
-
-        def shutdown(self, wait=True, **kwargs):
-            started[-1][1].append(kwargs)
-            super().shutdown(wait, **kwargs)
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorded)
-    return started
+    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", recorded)
+    return forked
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", POOL_RUNS)
 def test_pool_output_is_byte_identical(capsys, pools, command, fmt):
-    """--workers 1, --workers 2 and the default print the same bytes, and
-    the last two really start a pool (the default only where processes fork),
-    which leaves no process behind."""
+    """--workers 1, --workers 2 and the default print the same bytes; the
+    last two fork one child each, which is reaped by the end of the run."""
     argv = [*POOL_RUNS[command].split(), "--format", fmt]
-    outs = []
+    outs, forks = [], []
     for extra in (["--workers", "1"], ["--workers", "2"], []):
         code, out, _ = run_cli(capsys, *argv, *extra)
-        assert code == 0 and multiprocessing.active_children() == []
+        assert code == 0
+        assert_no_child_left()
         outs.append(out)
+        forks.append(len(pools))
     assert outs[0] == outs[1] == outs[2]
-    forks = multiprocessing.get_start_method() == "fork"
-    assert [size for size, _ in pools] == [2] * (2 if forks else 1)
+    assert forks == [0, 1, 2]
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers see the patch only if forked")
+def test_run_within_one_block_forks_nothing(capsys, pools, monkeypatch):
+    """At the real block budget the pool runs fit one serial block, and
+    run in this process whatever --workers says."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 4_000_000)
+    for argv in POOL_RUNS.values():
+        assert run_cli(capsys, *argv.split(), "--workers", "2")[0] == 0
+    assert pools == []
+
+
+SLEEP_S = 30
+
+
+def failing_draw(monkeypatch, actions):
+    """Make the census's draw act by the first trial of its block: actions
+    is a list of (first trials up to, action), where the action is None for
+    a real draw, "raise", "sleep" (for SLEEP_S, far longer than the runs,
+    then end the process) or "exit" (at once, with status 3)."""
+    draw = montecarlo.sampling.draw_pairing_block
+
+    def acting(seed, first, *args):
+        action = next(act for upto, act in actions if first < upto)
+        if action == "raise":
+            raise RuntimeError("broken draw")
+        if action == "sleep":
+            time.sleep(SLEEP_S)
+            os._exit(4)
+        if action == "exit":
+            os._exit(3)
+        return draw(seed, first, *args)
+
+    monkeypatch.setattr(montecarlo.sampling, "draw_pairing_block", acting)
+
+
 def test_failing_worker_cancels_the_rest_and_leaves_no_process(capsys, pools, monkeypatch):
-    """A unit that raises fails the run with one stderr line and exit 1;
-    the units not yet started are cancelled, and no worker outlives main."""
-
-    def broken(*args):
-        raise RuntimeError("broken draw")
-
-    monkeypatch.setattr(montecarlo.sampling, "sample_pairing_block", broken)
-    code, out, err = run_cli(capsys, *POOL_RUNS["sweep"].split(), "--workers", "2")
+    """A share that raises in a child fails the run with its message on one
+    stderr line and exit 1: the calling process raises the child's error,
+    kills the children still running, and reaps every one.  The census of
+    60 trials at width 3 has shares of trials 0-19, 20-39 and 40-59."""
+    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 3)
+    failing_draw(monkeypatch, [(20, None), (40, "raise"), (60, "sleep")])
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *POOL_RUNS["census"].split(), "--workers", "3")
+    assert time.monotonic() - start < SLEEP_S / 2  # the sleeping child was killed
     assert (code, out, err) == (1, "", "pairdeploy: broken draw\n")
-    assert multiprocessing.active_children() == []
-    assert len(pools) == 1 and {"cancel_futures": True} in pools[0][1]
+    assert len(pools) == 2
+    assert_no_child_left()
 
 
-def test_pool_runs_its_units_under_spawn():
-    """Spawned workers (macOS's default) import the program afresh, so the
-    units must pickle: an explicit pool of two prints what one process
-    prints, for both kinds of unit, and the default there is one worker."""
+@pytest.mark.parametrize(
+    "actions,message",
+    [
+        ([(30, "raise"), (60, "sleep")], "broken draw"),
+        ([(30, None), (60, "exit")], "a worker process ended without its counts (exit code 3)"),
+    ],
+    ids=["raise_in_parent", "child_exits"],
+)
+def test_failed_share_leaves_no_process(capsys, pools, monkeypatch, tmp_path, actions, message):
+    """A share that raises in the calling process kills and reaps the
+    child; a child that ends without sending its counts fails the run with
+    a one-line message and exit 1.  Either way an existing --out file is
+    left as it was, and no child is left.  At width 2 the census's shares
+    are trials 0-29 and 30-59."""
+    target = tmp_path / "census.csv"
+    target.write_text("previous results\n")
+    failing_draw(monkeypatch, actions)
+    argv = [*POOL_RUNS["census"].split(), "--workers", "2", "--out", str(target)]
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < SLEEP_S / 2  # a sleeping child was killed
+    assert (code, out, err) == (1, "", f"pairdeploy: {message}\n")
+    assert len(pools) == 1
+    assert_no_child_left()
+    assert target.read_text() == "previous results\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["census.csv"]
+
+
+def test_pooled_runs_load_no_process_pool():
+    """Runs that fork load neither multiprocessing nor concurrent.futures,
+    whose imports cost more than the fork itself, and their children end
+    without flushing the stdio they inherit: text buffered before the runs
+    is printed once."""
     code = (
-        "import contextlib, io, multiprocessing, os\n"
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "multiprocessing.set_start_method('spawn')\n"
+        "import contextlib, io, os, sys\n"
+        "print('buffered', end=' ')\n"
         "from pairdeploy import cli, montecarlo\n"
         "montecarlo._BLOCK_BUDGET = 1000\n"
-        "os.cpu_count = lambda: 2\n"
-        "started = []\n"
-        "class Recorded(ProcessPoolExecutor):\n"
-        "    def __init__(self, max_workers=None, **kwargs):\n"
-        "        started.append(max_workers)\n"
-        "        super().__init__(max_workers, **kwargs)\n"
-        "import concurrent.futures\n"
-        "concurrent.futures.ProcessPoolExecutor = Recorded\n"
-        "for argv in (%r, %r):\n"
-        "    outs = []\n"
-        "    for extra in (['--workers', '1'], ['--workers', '2'], []):\n"
-        "        buf = io.StringIO()\n"
-        "        with contextlib.redirect_stdout(buf):\n"
-        "            assert cli.main(argv.split() + extra) == 0\n"
-        "        outs.append(buf.getvalue())\n"
-        "    print(len(set(outs)), outs[0].count(chr(10)) > 1)\n"
-        "print(started, montecarlo.default_workers(), multiprocessing.active_children())\n"
-    ) % (POOL_RUNS["sweep"], POOL_RUNS["census"])
+        "montecarlo._pool_cpus = lambda: 2\n"
+        "forked = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forked.append(1) or fork()\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv.split() + ['--workers', '2']) == 0\n"
+        "print(len(forked), [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+    ) % (list(POOL_RUNS.values()),)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=checkout_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 True\n1 True\n[2, 2] 1 []\n"
+    assert proc.stdout == "buffered 3 []\n"
 
 
 @pytest.mark.parametrize(
@@ -724,13 +777,14 @@ def test_pool_runs_its_units_under_spawn():
 )
 @pytest.mark.parametrize("command", POOL_RUNS)
 def test_run_refused_before_any_process_starts(capsys, monkeypatch, command, argv, message):
-    """Runs big enough for a pool are checked before one is made."""
+    """Runs big enough to fork are checked before one does."""
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started before the run was checked")
+    def no_fork():
+        raise AssertionError("a process was forked before the run was checked")
 
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
     code, out, err = run_cli(capsys, *POOL_RUNS[command].split(), *argv)
     assert (code, out, err) == (2, "", f"pairdeploy: {message}\n")
 

@@ -9,6 +9,8 @@ shares no code with the library.  Monte Carlo estimates must land within
 
 import itertools
 import math
+import os
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -240,77 +242,81 @@ def test_reruns_identically(plan):
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
-    """Above a shrunk block budget two workers split each k's trials, and
+    """Above a shrunk block budget two processes split each k's trials, and
     the counts, sweep and census alike, equal the serial run's."""
     serial = run_sweep(small_plan(workers=None))
     census = run_keyring_census(40, 3, trials=25, base_seed=7)
+    forked = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
     assert as_lists(run_sweep(small_plan(workers=2))) == as_lists(serial)
     pooled = run_keyring_census(40, 3, trials=25, base_seed=7, workers=2)
     assert all(np.array_equal(a, b) for a, b in zip(pooled, census))
+    assert len(forked) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def fake_units(monkeypatch):
-    """Replace the unit runner by one that records (units, width) and
-    returns zero counts, so no unit runs and no pool starts."""
+def fake_shares(monkeypatch, cpus):
+    """Replace the share runner by one that records the shares and returns
+    zero counts, so no share runs and nothing forks, on `cpus` usable CPUs."""
     runs = []
 
-    def record(units, width):
-        runs.append((units, width))
-        return iter([(np.zeros(2, dtype=np.int64),) * 2 + (0,)] * len(units))
+    def record(shares):
+        runs.append(shares)
+        return [(np.zeros(2, dtype=np.int64),) * 2 + (0,)] * len(shares[0])
 
-    monkeypatch.setattr(montecarlo, "_run_units", record)
+    monkeypatch.setattr(montecarlo, "_run_shares", record)
+    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: cpus)
     return runs
 
 
 def test_units_are_trial_ranges_per_worker(monkeypatch):
-    """A wide run splits each k into one contiguous trial range per worker:
-    the unit list follows workers and k values, not trials."""
-    runs = fake_units(monkeypatch)
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    """A wide run has one share per process, each one contiguous trial
+    range of every k: the share list follows the width and the k values,
+    not the trials."""
+    runs = fake_shares(monkeypatch, 8)
     run_sweep(ExperimentPlan(1000, (3, 5), (0.5, 1.0), 10**12, workers=4))
-    units, width = runs[-1]
-    assert width == 4
     quarter = 10**12 // 4
-    assert [u.args[1:] for u in units] == [
-        (k, i * quarter, (i + 1) * quarter, 4) for k in (3, 5) for i in range(4)
+    assert [[u.args[1:] for u in share] for share in runs[-1]] == [
+        [(k, i * quarter, (i + 1) * quarter, 4) for k in (3, 5)] for i in range(4)
     ]
     run_keyring_census(1000, 24, 10**12, workers=3)
-    units, width = runs[-1]
-    assert width == 3 and [u.args[-3:-1] for u in units] == [(0, 333333333333), (333333333333, 666666666666), (666666666666, 10**12)]
+    assert [[u.args[-3:] for u in share] for share in runs[-1]] == [
+        [(0, 333333333333, 3)], [(333333333333, 666666666666, 3)], [(666666666666, 10**12, 3)]
+    ]
 
 
 def test_run_within_one_block_starts_no_pool(monkeypatch):
-    """trials * rows * sum(k) at the budget is one unit per k, in this
-    process; one more trial's worth of entries makes it a pool run."""
-    runs = fake_units(monkeypatch)
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    """trials * rows * sum(k) at the budget is one share, run in this
+    process; one more trial's worth of entries makes it a run of width 4."""
+    runs = fake_shares(monkeypatch, 8)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 40 * 50 * 5)
     run_sweep(ExperimentPlan(100, (2, 3), (0.25, 0.5), 40, workers=4))
     run_sweep(ExperimentPlan(100, (2, 3), (0.25, 0.5), 41, workers=4))
     run_keyring_census(50, 5, 40, workers=4)
     run_keyring_census(50, 5, 41, workers=4)
-    assert [(len(units), width) for units, width in runs] == [(2, 1), (8, 4), (1, 1), (4, 4)]
+    assert [(len(shares), len(shares[0])) for shares in runs] == [(1, 2), (4, 2), (1, 1), (4, 1)]
 
 
 def test_pool_is_no_wider_than_the_budget_splits(monkeypatch):
-    """A pool holds at most one widest table per worker within the budget,
+    """A run holds at most one widest table per process within the budget,
     as blocks shrink only to one trial, so the blocks in flight never pass
     it: at n = 1e6 and K = 40 one trial's table is past the budget, and the
     run is serial whatever the workers and CPUs."""
-    runs = fake_units(monkeypatch)
-    monkeypatch.setattr("os.cpu_count", lambda: 16)
+    runs = fake_shares(monkeypatch, 16)
     run_sweep(ExperimentPlan(10**6, (40,), (0.5, 1.0), 4, workers=16))
     run_keyring_census(10**6, 40, 4, workers=16)
-    assert [(len(units), width) for units, width in runs] == [(1, 1), (1, 1)]
+    assert [len(shares) for shares in runs] == [1, 1]
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
     for k_values, width in (((2, 3), 3), ((3, 2), 3), ((2, 4), 2), ((2, 6), 1)):
         run_sweep(ExperimentPlan(100, k_values, (0.5, 1.0), 10**6, workers=16))
-        assert runs[-1][1] == width
+        assert len(runs[-1]) == width
     for k, width in ((3, 3), (5, 2), (9, 1)):
         run_keyring_census(100, k, 10**6, workers=16)
-        assert runs[-1][1] == width
+        assert len(runs[-1]) == width
 
 
 def test_pool_census_blocks_shrink_by_the_width(monkeypatch):
@@ -351,40 +357,52 @@ def test_pool_blocks_shrink_by_the_width(monkeypatch):
     assert shapes == [(12, 30, 3), (2, 30, 3), (4, 30, 3), (3, 30, 3)]
 
 
-def test_default_workers_follow_the_cpu_set_and_start_method(monkeypatch):
-    """One worker per CPU this process may use, up to the measured width of
-    2, where processes fork; one elsewhere.  Nothing is started."""
-    import multiprocessing
+def usable_cpus(monkeypatch, platform, cpus):
+    """Pretend to run on `platform`, on the CPU set `cpus` of a 16-CPU host."""
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
-    monkeypatch.setattr("os.cpu_count", lambda: 16)
-    for cpus, method, workers in (
-        ({0, 2, 5}, "fork", 2),
-        ({3}, "fork", 1),
-        ({0, 2, 5}, "spawn", 1),
-        ({0, 2, 5}, "forkserver", 1),
+
+def test_default_workers_follow_the_cpu_set_and_platform(monkeypatch):
+    """One process per CPU this process may use, up to the measured width
+    of 2, on Linux; one elsewhere.  Nothing is started."""
+    for platform, cpus, workers in (
+        ("linux", {0, 2, 5}, 2),
+        ("linux", {3}, 1),
+        ("darwin", {0, 2, 5}, 1),
+        ("win32", {0, 2, 5}, 1),
     ):
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: method)
+        usable_cpus(monkeypatch, platform, cpus)
         assert montecarlo.default_workers() == workers
-    monkeypatch.delattr("os.sched_getaffinity", raising=False)  # macOS, Windows
-    monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "fork")
-    assert montecarlo.default_workers() == 2
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert montecarlo.default_workers() == 1
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pool_size_is_clamped(monkeypatch):
-    """The pool never outgrows the units or the CPUs; nothing is started."""
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    """The width never outgrows the trials or the usable CPUs; nothing is
+    started."""
+    usable_cpus(monkeypatch, "linux", {0, 1, 2, 3})
     assert _pool_size(None, 25) == 1
     assert _pool_size(1, 25) == 1
     assert _pool_size(3, 25) == 3
     assert _pool_size(10_000, 25) == 4
     assert _pool_size(10_000, 2) == 2
     assert _pool_size(8, 1) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
+    usable_cpus(monkeypatch, "darwin", {0, 1, 2, 3})
     assert _pool_size(10_000, 25) == 1
+
+
+def test_both_clamps_count_the_cpus_this_process_may_use(monkeypatch):
+    """An explicit --workers is clamped by the same CPU set as the default:
+    8 asked for under a 2-CPU affinity mask on a 16-CPU host run as 2, and
+    as 1 off Linux.  Nothing is started."""
+    usable_cpus(monkeypatch, "linux", {4, 9})
+    assert montecarlo.default_workers() == _pool_size(8, 10**6) == 2
+    usable_cpus(monkeypatch, "darwin", {4, 9})
+    assert montecarlo.default_workers() == _pool_size(8, 10**6) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_different_seed_changes_something():
