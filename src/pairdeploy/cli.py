@@ -19,8 +19,8 @@ a flag of more takes a comma tuple and repeats, one query per use.
 The Monte Carlo commands (sweep, phased, census) take --workers, the most
 processes a run may use: this one, which runs a share of the trials itself,
 and a child forked for each other share.  Unset, it is one per CPU this
-process may use, at most 2.  Runs fork only on Linux, and are serial
-elsewhere, whatever --workers says.  A run within one serial block forks
+process may use within its cgroup CPU quota, at most 2.  Runs fork only on
+Linux, and are serial elsewhere, whatever --workers says.  A run within one serial block forks
 nothing.  Output does not depend on the worker count.
 
 Exit codes: 0 success, 1 runtime/output failure, 2 usage error.  Past
@@ -140,61 +140,82 @@ _THEORY_QUERIES = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_run_options(p: argparse.ArgumentParser, trials: int) -> None:
+    """The options every Monte Carlo command ends with."""
+    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="processes, this one included, at most (default: one per usable CPU, "
+        "at most 2; 1 off Linux, where runs are serial); the output does not depend on it",
+    )
+    _add_io(p)
+
+
+def _add_io(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="output file (default stdout)")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", required=True, help='single "7", range "1..20", or list "1,5,9"')
+    p.add_argument("--gamma", required=True, help='fractions, e.g. "0.2,0.4,0.6,0.8"')
+    _add_run_options(p, montecarlo.SWEEP_TRIALS_DEFAULT)
+
+
+def _phased_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--schedule", required=True, help='increasing fractions, e.g. "0.25,0.5,1.0"')
+    _add_run_options(p, montecarlo.SWEEP_TRIALS_DEFAULT)
+
+
+def _census_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    _add_run_options(p, montecarlo.CENSUS_TRIALS_DEFAULT)
+
+
+def _theory_args(p: argparse.ArgumentParser) -> None:
+    for flag, (_, _, kinds, text) in _THEORY_QUERIES.items():
+        if not kinds:
+            p.add_argument(flag, action="store_true", help=text)
+        elif len(kinds) == 1:
+            p.add_argument(flag, help=text)
+        else:
+            p.add_argument(flag, action="append", default=[], metavar=text)
+    _add_io(p)
+
+
+# subcommand -> (its line in the top-level help, the function adding its arguments)
+_SUBPARSERS = {
+    "sweep": ("connectivity / no-isolated curves", _sweep_args),
+    "phased": ("joint connectivity through a schedule", _phased_args),
+    "census": ("key-ring size census", _census_args),
+    "theory": ("closed-form calculators", _theory_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given a subcommand's name, it holds that
+    subcommand's parser alone, which parses an argument list starting with
+    the name exactly as the full parser does: everything after the name goes
+    to the subcommand, and the top-level usage names every subcommand.  Any
+    other command builds them all, for the top-level help and errors."""
     parser = argparse.ArgumentParser(
         prog="pairdeploy",
         description="Pairwise key predistribution under gradual deployment: "
         "Monte Carlo experiments and exact calculators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    def add_workers(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="processes, this one included, at most (default: one per usable CPU, "
-            "at most 2; 1 off Linux, where runs are serial); the output does not depend on it",
-        )
-
-    p_sweep = sub.add_parser("sweep", help="connectivity / no-isolated curves")
-    p_sweep.add_argument("--n", type=int, required=True)
-    p_sweep.add_argument("--k", required=True, help='single "7", range "1..20", or list "1,5,9"')
-    p_sweep.add_argument("--gamma", required=True, help='fractions, e.g. "0.2,0.4,0.6,0.8"')
-    p_sweep.add_argument("--trials", type=int, default=montecarlo.SWEEP_TRIALS_DEFAULT)
-    p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_workers(p_sweep)
-    add_io(p_sweep)
-
-    p_phased = sub.add_parser("phased", help="joint connectivity through a schedule")
-    p_phased.add_argument("--n", type=int, required=True)
-    p_phased.add_argument("--k", type=int, required=True)
-    p_phased.add_argument("--schedule", required=True, help='increasing fractions, e.g. "0.25,0.5,1.0"')
-    p_phased.add_argument("--trials", type=int, default=montecarlo.SWEEP_TRIALS_DEFAULT)
-    p_phased.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_workers(p_phased)
-    add_io(p_phased)
-
-    p_census = sub.add_parser("census", help="key-ring size census")
-    p_census.add_argument("--n", type=int, required=True)
-    p_census.add_argument("--k", type=int, required=True)
-    p_census.add_argument("--trials", type=int, default=montecarlo.CENSUS_TRIALS_DEFAULT)
-    p_census.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_workers(p_census)
-    add_io(p_census)
-
-    p_theory = sub.add_parser("theory", help="closed-form calculators")
-    for flag, (_, _, kinds, text) in _THEORY_QUERIES.items():
-        if not kinds:
-            p_theory.add_argument(flag, action="store_true", help=text)
-        elif len(kinds) == 1:
-            p_theory.add_argument(flag, help=text)
-        else:
-            p_theory.add_argument(flag, action="append", default=[], metavar=text)
-    add_io(p_theory)
-
+    names = [command] if command in _SUBPARSERS else list(_SUBPARSERS)
+    # one subcommand alone is given the usage the full parser shows; the full
+    # parser keeps the default metavar, "command", which its errors name
+    metavar = "{" + ",".join(_SUBPARSERS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        text, add_args = _SUBPARSERS[name]
+        add_args(sub.add_parser(name, help=text))
     return parser
 
 
@@ -392,8 +413,8 @@ def _run_to_file(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.out:
             _run_to_file(args)

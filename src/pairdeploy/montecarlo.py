@@ -17,17 +17,29 @@ unsorted blocks of one sampler draw chunk, small enough to bin while they
 are in cache.  This module returns counts; the command line turns them into
 estimates with wilson_interval, and into census summaries.
 
+Where K is well above the connectivity threshold, a deployment run draws
+each block twice at most: first the first c Floyd steps of each row, a
+subset of its K partners, which decides exactly every table joined at all
+its views, and then whole rows for the others alone, as one block of
+their trial ids (see _count_deployments).  c is chosen per K, before any
+process forks, by a cost model priced from theory's first moment
+(_prefix_steps); it is K, one pass as before, where a prefix would not
+pay.  The counts do not depend on c.
+
 A run of width w is split into w shares: share i is trial range i of
 every k, each range walking its own blocks, and the run's counts are the
 sums of the shares' integer counts, so they do not depend on the split.
 The calling process runs share 0 and forks a child for each other share.
 The width is at most what the caller asks for (default_workers is the
-command line's default; the library runs serially unless asked), and 1 off
+command line's default; the library runs serially unless asked), no more
+than the CPUs this process may use within its cgroup CPU quota, and 1 off
 Linux, where no run forks.  A run within one serial block, trials * rows *
 (sum of its k) <= _BLOCK_BUDGET, is one share.  A wider run's blocks shrink
 by the width, down to one trial, and no run is so wide that one of its
 widest tables per process passes the budget, so its blocks in flight stay
-within the budget, as a serial run's do.
+within the budget, as a serial run's do.  A run whose one table (with the
+graph kernel's int64 label per row) would not fit in physical memory is
+refused before it draws.
 
 Default trial counts: 200 for sweeps, 1000 for censuses.
 """
@@ -45,7 +57,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import sampling
+from . import sampling, theory
 from .graphs import connected_at
 from .scheme import SchemeParams, phase_size, ring_sizes
 
@@ -71,9 +83,27 @@ CENSUS_TRIALS_DEFAULT = 1000
 # 53.5 MB; a sweep at n=1e6, K=40: 239 to 395 MB).
 _BLOCK_BUDGET = 4_000_000
 
+# the cgroup v2 CPU quota of this process, "QUOTA PERIOD" or "max PERIOD" (in
+# microseconds), as the cgroup namespace of a container shows it
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
 # the command line's default width is no more than this, the widest at which
 # a run's speed and memory were measured (2 vCPUs); --workers asks for more
 _DEFAULT_WORKERS_MAX = 2
+
+# the prefix policy's cost model (see _prefix_steps), per table row, in units
+# of one Floyd step of the draw loop with its share of the sort, as measured
+# at n = 2000 (2 vCPUs): step s also compares its draw with the s earlier
+# ones, _DUP_COST each; one connected_at pass costs _KERNEL_COST on the whole
+# rows, and _PREFIX_KERNEL_COST on a prefix, whose sparser views take more
+# columns and rounds to join
+_DUP_COST = 0.022
+_KERNEL_COST = 6.4
+_PREFIX_KERNEL_COST = 10.9
+# a prefix is drawn only where its expected cost is below this share of the
+# whole draw's: on the README sweep, prefixes of K = 20..25 priced at about
+# 0.8 of it by this model, and measured as no gain
+_PREFIX_GAIN = 0.7
 
 _Z95 = 1.96  # two-sided 95% normal quantile of the Wilson intervals
 
@@ -119,6 +149,7 @@ class ExperimentPlan:
             raise ValueError(f"deployment fractions must be strictly increasing, got {gs}")
         for g in gs:
             phase_size(self.n, g)  # validates 0 < gamma <= 1 and floor(gamma*n) >= 1
+        _check_table(self.n, max(ks), phase_size(self.n, gs[-1]))
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "gammas", gs)
 
@@ -133,6 +164,26 @@ def _check_run(n: int, ks: tuple[int, ...], trials: int, base_seed: int, workers
         raise ValueError(f"seed must be in [0, 2**64), got {base_seed}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, where the platform reports them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_table(n: int, k: int, rows: int) -> None:
+    """Refuse a run whose one table of `rows` rows of k partners, with the
+    graph kernel's int64 label per row, would not fit in physical memory;
+    blocks hold at least one table, so no smaller block could run it."""
+    size = rows * (k * np.dtype(sampling._narrowest_int(n - 1)).itemsize + 8)
+    memory = _physical_memory()
+    if memory is not None and size > memory:
+        raise ValueError(
+            f"one table at n={n}, K={k} takes {size} bytes, more than the {memory} bytes of physical memory"
+        )
 
 
 def _blocks(
@@ -174,7 +225,7 @@ def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.n
 
 
 def _count_deployments(
-    plan: ExperimentPlan, k: int, start: int, stop: int, width: int
+    plan: ExperimentPlan, k: int, start: int, stop: int, width: int, steps: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """evaluate_deployments over trials start..stop-1 alone, one k of a
     share of a run of width `width`.
@@ -183,25 +234,103 @@ def _count_deployments(
     its largest view reads, answered for every view by one connected_at
     call, and added to the counts before the next is drawn.  Blocks take
     1/width of the budget, down to one trial.
+
+    With steps < k, a block is drawn with the first `steps` Floyd draws of
+    each row only.  Floyd adds to its set and never takes from it, so these
+    partners are some of the row's k, and each view of the prefix is a
+    subgraph of the table's view: a table whose prefix joins at every view
+    is joined at every view, with no isolated node (one, in a one-node
+    view), as the whole rows would answer.  The other tables are drawn
+    whole, as one block of their trial ids, and answered by connected_at
+    again, after the prefix block is dropped.
     """
     ms = [phase_size(plan.n, g) for g in plan.gammas]
+    steps = k if steps is None else steps
     connected, no_isolated = np.zeros((2, len(ms)), dtype=np.int64)
     joint = 0
     per = max(1, _BLOCK_BUDGET // (ms[-1] * k * width))
     draw = sampling.sample_pairing_block
-    for block in _blocks(draw, per, plan.n, k, plan.trials, plan.base_seed, ms[-1], start, stop):
+    seed = sampling.fold(plan.base_seed, k)
+
+    def prefix(seed: int, first: int, count: int, n: int, k: int, rows: int) -> np.ndarray:
+        return draw(seed, first, count, n, k, rows, steps)
+
+    first = start
+    for block in _blocks(prefix, per, plan.n, k, plan.trials, plan.base_seed, ms[-1], start, stop):
         conn, iso = connected_at(block, ms)
         del block
+        undecided = np.flatnonzero(~conn.all(axis=0)) if steps < k else ()
+        if len(undecided):
+            ids = first + undecided
+            whole = draw(seed, int(ids[0]), len(ids), plan.n, k, ms[-1], k, ids)
+            conn[:, undecided], iso[:, undecided] = connected_at(whole, ms)
+            del whole
+        first += conn.shape[1]
         connected += conn.sum(axis=1)
         no_isolated += (iso == 0).sum(axis=1)
         joint += int(conn.all(axis=0).sum())
     return connected, no_isolated, joint
 
 
+def _prefix_steps(n: int, k: int, gammas: tuple[float, ...]) -> int:
+    """How many of each row's k Floyd steps a run's first pass draws: k, for
+    no prefix pass, unless a shorter prefix is expected to cost less than
+    _PREFIX_GAIN of the whole draw (see _count_deployments).
+
+    A prefix of c >= 2 steps (one step gives a 1-out graph, never connected)
+    costs its draw, sort and kernel, plus, for the share of its tables that
+    some view leaves unjoined, the whole draw again.  That share is priced
+    from the first moment: theory.expected_isolated(n, c, gamma) summed over
+    the views of 2 to n-1 nodes, as the chance 1 - exp(-sum) that an
+    isolated node, the usual reason a view is split, appears in any.  A
+    prefix draws from fewer candidates, the lowest ones, which raises the
+    chance that a partner is deployed, so this errs towards the whole draw.
+    The candidates c are tried from the costliest affordable one down, and
+    the search stops once the cheapest prefix, of two steps, with the
+    refills of this c would cost more than the best found: a shorter prefix
+    leaves more tables unjoined.  Only speed depends on the answer, never
+    the counts.
+    """
+    def cost(steps: int) -> float:
+        return steps * (1 + _DUP_COST * (steps - 1) / 2) + (_KERNEL_COST if steps == k else _PREFIX_KERNEL_COST)
+
+    whole = cost(k)
+    best, bound = k, _PREFIX_GAIN * whole
+    views = [g for m, g in {phase_size(n, g): g for g in gammas}.items() if 2 <= m < n]
+    for c in range(k - 1, 1, -1):
+        if cost(c) >= bound:
+            continue
+        refill = -math.expm1(-sum(theory.expected_isolated(n, c, g) for g in views)) * whole
+        if cost(c) + refill < bound:
+            best, bound = c, cost(c) + refill
+        elif cost(2) + refill >= bound:
+            break
+    return best
+
+
 def _pool_cpus() -> int:
     """The CPUs a run may spread over: those this process may use, on
-    Linux, where runs fork; 1 elsewhere, where every run is serial."""
-    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    Linux, where runs fork, and no more than its cgroup's CPU quota allows;
+    1 elsewhere, where every run is serial."""
+    if sys.platform != "linux":
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _cpu_quota() -> int | None:
+    """The CPUs the cgroup v2 quota of this process allows, its quota over
+    its period rounded up, from _CPU_MAX; None where the file is missing or
+    malformed, or says "max", no quota."""
+    try:
+        with open(_CPU_MAX) as fp:
+            quota, period = fp.read().split()
+        if quota == "max":
+            return None
+        return max(1, -(-int(quota) // int(period)))
+    except (OSError, ValueError, ZeroDivisionError):
+        return None
 
 
 def default_workers() -> int:
@@ -309,8 +438,9 @@ def run_sweep(plan: ExperimentPlan) -> dict[int, tuple[np.ndarray, np.ndarray, i
     rows = phase_size(plan.n, plan.gammas[-1])
     entries = plan.trials * rows * sum(plan.k_values)
     width = _width(plan.workers, plan.trials, entries, rows * max(plan.k_values))
+    steps = {k: _prefix_steps(plan.n, k, plan.gammas) for k in plan.k_values}
     shares = [
-        [partial(_count_deployments, plan, k, *span, width) for k in plan.k_values]
+        [partial(_count_deployments, plan, k, *span, width, steps=steps[k]) for k in plan.k_values]
         for span in _trial_ranges(plan.trials, width)
     ]
     return dict(zip(plan.k_values, _run_shares(shares)))
@@ -327,6 +457,7 @@ def run_keyring_census(
     k..k+n-1 keys.
     """
     _check_run(n, (k,), trials, base_seed, workers)
+    _check_table(n, k, n)
     width = _width(workers, trials, trials * n * k, n * k)
     shares = [[partial(_count_rings, n, k, trials, base_seed, *span, width)] for span in _trial_ranges(trials, width)]
     return _run_shares(shares)[0]

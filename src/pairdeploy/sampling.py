@@ -53,6 +53,11 @@ the two there; both give the same ascending rows.
 A block may hold only the first `rows` nodes of each table, the rows a
 deployment view reads: node i's row depends on its own stream alone, so
 the prefix equals the first `rows` rows of the full block, bit for bit.
+Likewise a block may hold any listed trials (`trial_ids`), each table
+equal to its table in a contiguous block, and only the first `steps`
+Floyd steps of each row: Floyd only adds to its set, so those partners
+are some of the row's k, the same draws as the whole block's first
+`steps` columns before the sort.  steps = k is the whole block.
 
 Pairing blocks keep the narrowest signed integer type that holds every node
 id (int8, int16 or int32, by n); PairingTable widens one table to int64.
@@ -176,12 +181,17 @@ def _network_sort(cols: np.ndarray) -> None:
 
 
 def draw_pairing_block(
-    seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None
+    seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None,
+    steps: int | None = None, trial_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """The block sample_pairing_block returns, with each row left in
-    Floyd's draw order instead of sorted: shape (n_trials, rows, k),
-    stored selection-major, the same k partners per row.  For a caller
+    Floyd's draw order instead of sorted: shape (n_trials, rows, steps),
+    stored selection-major, the same partners per row.  For a caller
     that ignores the order of a row, such as a ring-size count.
+
+    steps (1..k, k by default) cuts each row to its first Floyd steps;
+    trial_ids, given, lists the block's n_trials trials, first_trial
+    first, in place of first_trial..first_trial+n_trials-1.
     """
     rows = n if rows is None else rows
     if not 1 <= rows <= n:
@@ -189,12 +199,20 @@ def draw_pairing_block(
     m = n - 1  # candidates per node: every id but its own
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    steps = k if steps is None else steps
+    if not 1 <= steps <= k:
+        raise ValueError(f"need 1 <= steps <= k, got steps={steps}, k={k}")
+    if trial_ids is None:
+        trial_keys = np.arange(first_trial, first_trial + n_trials, dtype=np.uint64)
+    else:
+        if len(trial_ids) != n_trials or (n_trials and trial_ids[0] != first_trial):
+            raise ValueError(f"trial_ids must hold n_trials={n_trials} ids from first_trial={first_trial} on")
+        trial_keys = np.array(trial_ids, dtype=np.uint64)
     # mix(fold(seed, trial)), so that key = mix(trial_key ^ node * GOLDEN)
-    trial_keys = np.arange(first_trial, first_trial + n_trials, dtype=np.uint64)
     trial_keys ^= np.uint64(mix64(seed))
     scratch = np.empty_like(trial_keys)
     _mix64(_mix64(trial_keys, scratch), scratch)
-    out = np.empty((k, n_trials, rows), dtype=_narrowest_int(m))
+    out = np.empty((steps, n_trials, rows), dtype=_narrowest_int(m))
     span = min(rows, _CHUNK)  # nodes per chunk
     per = max(1, min(n_trials, _CHUNK // rows))  # trials per chunk
     bufs = np.empty((3, per * span), dtype=np.uint64)
@@ -210,7 +228,7 @@ def draw_pairing_block(
                 out=keys,
             )
             _mix64(keys, tmp)
-            for idx, j in enumerate(range(m - k, m)):
+            for idx, j in enumerate(range(m - k, m - k + steps)):
                 # word idx of each key's SplitMix64 stream
                 np.add(keys, np.uint64((idx + 1) * GOLDEN & MASK64), out=u)
                 _mix64(u, tmp)
@@ -230,10 +248,14 @@ def draw_pairing_block(
 
 
 def sample_pairing_block(
-    seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None
+    seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None,
+    steps: int | None = None, trial_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairing selections of the first `rows` nodes (all n by default) for
-    a block of trials, shape (n_trials, rows, k).
+    a block of trials, shape (n_trials, rows, k), or (n_trials, rows,
+    steps) for the first `steps` Floyd draws of each row alone, a subset of
+    its k partners; trial_ids, given, lists the trials (see
+    draw_pairing_block).
 
     Entry [t, i, :] is node i's k chosen partners (0-based ids below n,
     sorted ascending, never i itself) in trial first_trial + t.  Every
@@ -249,9 +271,10 @@ def sample_pairing_block(
     numpy's sort above (see the module docstring); the rows are the same
     either way.
     """
-    block = draw_pairing_block(seed, first_trial, n_trials, n, k, rows)
-    if block.itemsize == 1 or k * block.itemsize <= _NETWORK_MAX_ROW_BYTES:
-        _network_sort(np.moveaxis(block, -1, 0).reshape(k, -1))
+    block = draw_pairing_block(seed, first_trial, n_trials, n, k, rows, steps, trial_ids)
+    width = block.shape[-1]
+    if block.itemsize == 1 or width * block.itemsize <= _NETWORK_MAX_ROW_BYTES:
+        _network_sort(np.moveaxis(block, -1, 0).reshape(width, -1))
     else:
         block.sort(axis=-1)
     return block

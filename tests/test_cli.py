@@ -1,7 +1,9 @@
 """Command-line surface: schemas, golden values, exit codes, determinism."""
 
+import contextlib
 import csv
 import ctypes
+import hashlib
 import importlib
 import io
 import json
@@ -943,3 +945,129 @@ def test_sweep_reuses_the_memory_it_frees():
     theory_faults = minor_faults("theory", "--r-gamma", "0.5")
     sweep_faults = minor_faults("sweep", "--n", "1000", "--k", "1..6", "--gamma", "0.2,0.4,0.6,0.8", "--trials", "200")
     assert sweep_faults - theory_faults < 8_000, (sweep_faults, theory_faults)
+
+
+def no_draw(*args):
+    raise AssertionError("a table was drawn before its size was checked")
+
+
+class TestTableMemory:
+    """One table, with the graph kernel's int64 label per row, must fit in
+    physical memory before anything is drawn; at n=2000 (int16 ids), K=300
+    a table of all rows takes 2000 * (300*2 + 8) = 1,216,000 bytes."""
+
+    @pytest.fixture(autouse=True)
+    def small_memory(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_physical_memory", lambda: 1_000_000)
+        monkeypatch.setattr(montecarlo.sampling, "sample_pairing_block", no_draw)
+        monkeypatch.setattr(montecarlo.sampling, "draw_pairing_block", no_draw)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sweep --n 2000 --k 3,300 --gamma 0.5,1.0",
+            "phased --n 2000 --k 300 --schedule 1.0",
+            "census --n 2000 --k 300",
+        ],
+        ids=["sweep", "phased", "census"],
+    )
+    def test_table_past_memory_is_a_usage_error(self, capsys, argv):
+        message = "one table at n=2000, K=300 takes 1216000 bytes, more than the 1000000 bytes of physical memory"
+        assert run_cli(capsys, *argv.split()) == (2, "", f"pairdeploy: {message}\n")
+
+    def test_only_the_deployed_rows_count(self):
+        """A run whose largest view is 800 nodes draws 800-row tables, which
+        fit: 800 * 608 bytes."""
+        montecarlo.ExperimentPlan(2000, (300,), (0.4,))
+        with pytest.raises(ValueError, match="takes 1216000 bytes"):
+            montecarlo.ExperimentPlan(2000, (300,), (0.4, 1.0))
+
+    def test_readme_scale_example_is_refused(self, capsys, monkeypatch):
+        """n = 1e8 (int32 ids) and K = 1e6: 364 TiB a table, refused against
+        this machine's own memory size, as against the small one."""
+        size = 10**8 * (10**6 * 4 + 8)
+        for memory in (montecarlo._physical_memory, lambda: 1_000_000):
+            monkeypatch.setattr(montecarlo, "_physical_memory", memory)
+            code, out, err = run_cli(capsys, *"sweep --n 100000000 --k 1000000 --gamma 1.0".split())
+            assert (code, out) == (2, "")
+            assert f"one table at n=100000000, K=1000000 takes {size} bytes" in err
+
+
+def test_physical_memory_is_known_on_linux():
+    if sys.platform == "linux":
+        assert montecarlo._physical_memory() > 0
+
+
+# every help text and argparse usage error, sha256 of "exit code\nstdout\0stderr"
+# at COLUMNS=80 under Python 3.11, as printed by the parser that built every
+# subcommand's arguments for every command
+HELP_AND_USAGE_DIGESTS = {
+    "": "fcfa11856da0cb10f898c03b8f7845341dc28f6f18c72be05fec202a2d39ad1a",
+    "-h": "771ad30e9de7db943d7a2069a5708f40c55462ab6ea504d102f6ed7a08bc0fd2",
+    "--help": "771ad30e9de7db943d7a2069a5708f40c55462ab6ea504d102f6ed7a08bc0fd2",
+    "--he": "771ad30e9de7db943d7a2069a5708f40c55462ab6ea504d102f6ed7a08bc0fd2",
+    "bogus": "5fb7b4c9a7e6bcf52ab673f4ce53b02f454efca7ec8bc2da6cb6d5f1645c9cea",
+    "-h sweep": "771ad30e9de7db943d7a2069a5708f40c55462ab6ea504d102f6ed7a08bc0fd2",
+    "--bogus sweep": "f3af8889e95005b7b655e6de1ec91c6bbb3801d41f9035b0a4e19dc447e7dce6",
+    "sweep -h": "93aa89ab36ac732c3a094110774504ffe67efe22c5aa4e255bf3c124adb45996",
+    "phased --help": "f7c282d54b363a47945e8f92e55c46c59a2df282009bc1e952d7e65f32862369",
+    "census -h": "255ab8382374dd7d4d92d30251a21400e13e80ea0084a6003fd715546c7cb29e",
+    "theory --help": "2f0a2af923248e4cdb3e5998df94af6a765a00ab8ace963cee49975aa0d87a66",
+    "sweep": "f3af8889e95005b7b655e6de1ec91c6bbb3801d41f9035b0a4e19dc447e7dce6",
+    "phased --n 10": "fe16bd7e2eb558c3621fc34a1c1ed265c3c70af4511ad4dd4371330fef1dcd96",
+    "census --n x --k 2": "5b056a55a94d1df11b5b548c20a3209b9d641cd027535cc842b13c462d7a1d5e",
+    "theory --isolation": "50fd30a75f54ae8191dd8465fe863afe1333d4d3d05a7e9d91b94f66a4e311e7",
+    "sweep --n 10 --k 2 --gamma 1 --format xml": "e63505ff8cdfaba92313e99c41cc911301436d5ed7596e9aec885127e49067fd",
+    "sweep --n 10 --k 2 --gamma 1 --bogus": "44d851287507abe36745d4a386821ec6e71f19a6176fe09220ec00b314d50ab0",
+    "census --n 10 --k 2 --workers": "09c5409e062d373bc265a3438157a596580d642d35e466dd53b90474ed413c21",
+    "sweep --n": "6a235583cce6ba5dbdd3be4549500d1713029b0615869c38cd2b68411d6cf800",
+    "-x": "fcfa11856da0cb10f898c03b8f7845341dc28f6f18c72be05fec202a2d39ad1a",
+    "theory --r-gamma": "fcc62ab185d8e15285a7a21d267648716bd23e5195803189064b84803a403165",
+}
+
+
+def parser_output(parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which may exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    """Parse as a parser holding every subcommand's arguments does."""
+    cli.build_parser().parse_args(argv)
+    return 0
+
+
+@pytest.mark.parametrize("case", sorted(HELP_AND_USAGE_DIGESTS))
+def test_help_and_usage_errors_match_the_full_parser(monkeypatch, case):
+    """main builds the parser of the named subcommand alone, and prints the
+    same help and usage errors, byte for byte, as the parser of every
+    subcommand, on any Python; on 3.11 the bytes are pinned as well."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = parser_output(main, case.split())
+    assert code in (0, 2)
+    assert (code, out, err) == parser_output(full_parse, case.split())
+    if sys.version_info[:2] == (3, 11):
+        blob = f"{code}\n{out}\0{err}".encode()
+        assert hashlib.sha256(blob).hexdigest() == HELP_AND_USAGE_DIGESTS[case]
+
+
+def test_a_command_builds_its_own_parser_alone(capsys, monkeypatch):
+    """A run adds the arguments of its own subcommand only; the top-level
+    help adds every subcommand's."""
+    built = []
+    for name, (text, add_args) in list(cli._SUBPARSERS.items()):
+        monkeypatch.setitem(
+            cli._SUBPARSERS, name, (text, lambda p, name=name, add_args=add_args: built.append(name) or add_args(p))
+        )
+    assert run_cli(capsys, "theory", "--r-gamma", "0.5")[0] == 0
+    assert built == ["theory"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert built == list(cli._SUBPARSERS)

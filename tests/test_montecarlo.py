@@ -13,6 +13,7 @@ import os
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -734,3 +735,169 @@ def test_maxring_deviation_frequency_below_analytic_bound(n, trials):
     bad = int(max_hist[np.abs(np.arange(len(max_hist)) - 2 * k) >= t].sum())
     bound = 2 * n ** -theory.decay_exponent(3.0, 2.9)
     assert bad / trials <= bound
+
+
+# a sweep shape; a phased shape with a one-node view and two fractions of one
+# view size; a full deployment alone, where a two-step prefix joins almost all
+PREFIX_PLANS = {
+    "sweep": ExperimentPlan(60, (2, 3, 5, 8), (0.3, 0.6, 1.0), 40, base_seed=3),
+    "phased": ExperimentPlan(200, (12,), (0.005, 0.25, 0.2525, 1.0), 40, base_seed=11),
+    "full": ExperimentPlan(100, (6,), (1.0,), 30, base_seed=2),
+}
+
+
+def fixed_steps(monkeypatch, steps):
+    """Make every run take steps(k) Floyd steps in its first pass."""
+    monkeypatch.setattr(montecarlo, "_prefix_steps", lambda n, k, gammas: steps(k))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
+    """With a first pass of 1, 2, K/2 or K Floyd steps, in one process or
+    two, every plan's counts equal those of the whole draw, K steps in one
+    process.  In one process the prefixes of fewer than K steps both leave
+    tables to the whole draw and decide others themselves."""
+    expected = {}
+    for name, plan in PREFIX_PLANS.items():
+        fixed_steps(monkeypatch, lambda k: k)
+        expected[name] = as_lists(run_sweep(plan))
+    if width == 2:
+        monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 24000)
+        monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
+    drawn = sampling.sample_pairing_block
+    tables = {"prefix": 0, "whole": 0}
+
+    def counted(*args):
+        tables["whole" if len(args) == 8 else "prefix"] += args[2]
+        return drawn(*args)
+
+    monkeypatch.setattr(sampling, "sample_pairing_block", counted)
+    for steps in (lambda k: 1, lambda k: min(2, k), lambda k: max(1, k // 2), lambda k: k):
+        fixed_steps(monkeypatch, steps)
+        for name, plan in PREFIX_PLANS.items():
+            assert as_lists(run_sweep(replace(plan, workers=width))) == expected[name], name
+    if width == 1:
+        assert 0 < tables["whole"] < tables["prefix"]
+    assert_no_child_left()
+
+
+def test_prefix_and_whole_blocks_are_alive_one_at_a_time(monkeypatch):
+    """A prefix block is dropped before its undecided tables are drawn
+    whole, and that block before the next prefix."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2 * 60 * 6)
+    fixed_steps(monkeypatch, lambda k: 3)
+    drawn, whole = [], []
+    draw = sampling.sample_pairing_block
+
+    def tracked(*args):
+        assert all(ref() is None for ref in drawn), "previous block still alive"
+        block = draw(*args)
+        drawn.append(weakref.ref(block))
+        whole.append(len(args) == 8)
+        return block
+
+    monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
+    evaluate_deployments(ExperimentPlan(60, (6,), (0.5, 1.0), 9, base_seed=2), 6)
+    assert whole.count(False) == 5 and whole.count(True) > 0
+
+
+def test_prefix_policy_is_asked_once_per_k_in_the_calling_process(monkeypatch):
+    """The policy runs here, once per k in the plan's order, before any
+    share forks: a call in a child would fail the run."""
+    caller, asked = os.getpid(), []
+
+    def policy(n, k, gammas):
+        assert os.getpid() == caller
+        asked.append(k)
+        return max(2, k // 2)
+
+    monkeypatch.setattr(montecarlo, "_prefix_steps", policy)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2000)
+    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
+    forked = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    run_sweep(small_plan(k_values=(5, 3, 4), workers=2))
+    assert asked == [5, 3, 4] and forked == [1]
+    assert_no_child_left()
+
+
+def test_prefix_policy_never_raises_on_small_networks():
+    """For n = 2..30, every k and schedules from one-node views up to full
+    deployment, the policy answers k or a prefix of 2..k-1 steps."""
+    for n in range(2, 31):
+        for gammas in ((1.0,), (0.5,), (1 / n, 1.0), (1 / n, 2 / n, 0.5), (0.1, 0.3, 0.7, 1.0), (0.9,)):
+            try:
+                ExperimentPlan(n, (1,), gammas)
+            except ValueError:
+                continue  # a fraction of no node at this n
+            for k in range(1, n):
+                steps = montecarlo._prefix_steps(n, k, gammas)
+                assert steps == k or 2 <= steps < k, (n, k, gammas, steps)
+
+
+def test_prefix_policy_on_the_benchmarked_shapes():
+    """No prefix on the README sweep, or on the sweep of the same n at
+    0.2..0.8, where a prefix would not pay; a prefix at n=2000, K=37, for
+    the phased schedule 0.25, 0.5, 1.0 and for each of its fractions."""
+    for gammas in ((0.25, 0.5, 0.75, 1.0), (0.2, 0.4, 0.6, 0.8)):
+        assert [montecarlo._prefix_steps(1000, k, gammas) for k in range(1, 26)] == list(range(1, 26))
+    for gammas in ((0.25, 0.5, 1.0), (0.25,), (0.5,), (1.0,)):
+        assert 2 <= montecarlo._prefix_steps(2000, 37, gammas) < 37
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "text, quota",
+    [
+        ("max 100000\n", None),
+        ("100000 100000\n", 1),
+        ("150000 100000\n", 2),
+        ("50000 100000\n", 1),
+        ("800000 100000\n", 8),
+        ("", None),
+        ("max\n", None),
+        ("lots 100000\n", None),
+        ("100000 0\n", None),
+        (None, None),
+    ],
+    ids=[
+        "unlimited", "one", "one_and_a_half", "half", "eight",
+        "empty", "no_period", "not_a_number", "zero_period", "missing",
+    ],
+)
+def test_cgroup_quota_caps_the_cpus(monkeypatch, tmp_path, text, quota):
+    """The cgroup v2 quota, rounded up to whole CPUs, caps the CPU set of
+    this process; no quota, or a cpu.max that is missing or unreadable,
+    leaves the set as it is."""
+    path = tmp_path / "cpu.max"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setattr(montecarlo, "_CPU_MAX", str(path))
+    assert montecarlo._cpu_quota() == quota
+    usable_cpus(monkeypatch, "linux", set(range(4)))
+    assert montecarlo._pool_cpus() == min(4, quota or 4)
+    assert montecarlo.default_workers() == min(2, quota or 2)
+
+
+def test_cgroup_quota_narrows_the_pool(monkeypatch, tmp_path):
+    """On four usable CPUs, a quota of one CPU runs a run that asks for
+    four processes in this one, and a quota of two forks one child."""
+    path = tmp_path / "cpu.max"
+    monkeypatch.setattr(montecarlo, "_CPU_MAX", str(path))
+    usable_cpus(monkeypatch, "linux", set(range(4)))
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
+    forked = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    serial = as_lists(run_sweep(small_plan()))
+    for text, children in (("100000 100000", 0), ("200000 100000", 1)):
+        path.write_text(text)
+        forked.clear()
+        assert as_lists(run_sweep(small_plan(k_values=(2, 3), workers=4))) == serial
+        assert len(forked) == children
+    assert_no_child_left()

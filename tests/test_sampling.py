@@ -17,6 +17,7 @@ from pairdeploy.sampling import (
     mix64,
     sample_pairing_block,
 )
+from test_golden import BLOCK_DIGESTS, digest
 
 
 def mix64_array(z):
@@ -366,3 +367,58 @@ class TestPairingBlock:
     def test_different_trials_differ(self):
         block = sample_pairing_block(1, 0, 2, 40, 3)
         assert not np.array_equal(block[0], block[1])
+
+
+PREFIX_SHAPES = [(10, 4), (128, 96), (200, 33), (1000, 37), (40_000, 25)]
+
+
+@pytest.mark.parametrize("n, k", PREFIX_SHAPES, ids=lambda v: str(v))
+def test_prefix_rows_are_subsets_of_the_whole_rows(n, k):
+    """A block of the first `steps` Floyd steps holds each row's first
+    `steps` draws, in draw order, so every sorted prefix row is a subset of
+    the same sorted row at steps = k: for int8, int16 and int32 blocks, on
+    both sort paths."""
+    rows = min(n, 300)
+    drawn = draw_pairing_block(n, 3, 4, n, k, rows)
+    whole = sample_pairing_block(n, 3, 4, n, k, rows)
+    for steps in sorted({1, 2, k // 2, k - 1, k} - {0}):
+        assert np.array_equal(draw_pairing_block(n, 3, 4, n, k, rows, steps), drawn[..., :steps])
+        prefix = sample_pairing_block(n, 3, 4, n, k, rows, steps)
+        assert prefix.shape == (4, rows, steps) and prefix.dtype == whole.dtype
+        assert np.array_equal(np.sort(drawn[..., :steps], axis=-1), prefix)
+        for p, w in zip(prefix.reshape(-1, steps), whole.reshape(-1, k)):
+            assert np.isin(p, w).all()
+
+
+def test_all_steps_is_the_default_block():
+    """steps = k draws every pinned block bit for bit (the pins are the
+    golden digests, unedited), and steps = None is the same block."""
+    for spec, expected in BLOCK_DIGESTS.items():
+        block = sample_pairing_block(*spec, None, spec[4])
+        assert digest(block.astype(np.int64).tobytes()) == expected
+        assert np.array_equal(draw_pairing_block(*spec, None, spec[4]), draw_pairing_block(*spec))
+
+
+@pytest.mark.parametrize("n, k", PREFIX_SHAPES, ids=lambda v: str(v))
+def test_trial_id_block_equals_rows_of_the_contiguous_block(n, k, monkeypatch):
+    """A block of listed trial ids holds the matching tables of the
+    contiguous block, whole or as a prefix, sorted or in draw order, also
+    when the draw loop's chunks split its trials and rows."""
+    rows = min(n, 50)
+    ids = np.array([5, 6, 9, 17, 18, 30])
+    for chunk in (_CHUNK, 7):
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        for steps in (2, k):
+            for draw in (draw_pairing_block, sample_pairing_block):
+                contiguous = draw(n, 5, 26, n, k, rows, steps)
+                picked = draw(n, 5, len(ids), n, k, rows, steps, ids)
+                assert np.array_equal(picked, contiguous[ids - 5])
+
+
+def test_steps_and_trial_ids_outside_their_range_raise():
+    for steps in (0, -1, 5):
+        with pytest.raises(ValueError, match="1 <= steps <= k"):
+            sample_pairing_block(0, 0, 1, 10, 4, None, steps)
+    for first, count, ids in ((0, 2, [0, 1, 2]), (1, 2, [0, 1]), (0, 0, [0])):
+        with pytest.raises(ValueError, match="trial_ids"):
+            draw_pairing_block(0, first, count, 10, 4, None, None, np.array(ids))
