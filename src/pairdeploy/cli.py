@@ -263,7 +263,7 @@ def _phased(args: argparse.Namespace) -> _Output:
         base_seed=args.seed,
         workers=_workers(args),
     )
-    connected, _, joint = montecarlo.evaluate_deployments(plan, args.k)
+    connected, _, joint = montecarlo.run_sweep(plan)[args.k]
     labelled = [(",".join(_gamma_str(g) for g in plan.gammas), joint)]
     labelled += zip(map(_gamma_str, plan.gammas), connected.tolist())
     rows = [

@@ -18,13 +18,18 @@ are in cache.  This module returns counts; the command line turns them into
 estimates with wilson_interval, and into census summaries.
 
 Where K is well above the connectivity threshold, a deployment run draws
-each block twice at most: first the first c Floyd steps of each row, a
-subset of its K partners, which decides exactly every table joined at all
-its views, and then whole rows for the others alone, as one block of
-their trial ids (see _count_deployments).  c is chosen per K, before any
-process forks, by a cost model priced from theory's first moment
-(_prefix_steps); it is K, one pass as before, where a prefix would not
-pay.  The counts do not depend on c.
+each block twice at most.  A block's rows fall into bands, band r being
+the rows between the sizes of views r-1 and r, which views r and later
+read alone.  The first pass draws band r with the first c_r Floyd steps
+of each row, a subset of its K partners, so it answers exactly every view
+it joins and every view whose bands it draws whole; then each table with
+an undecided view is drawn again, whole rows below its largest undecided
+view only, in blocks of trial ids with the other tables of that view
+(see _count_deployments).  The c_r are chosen per K, before any process
+forks, by a cost model priced from theory's first moment over the views
+that read each band (_prefix_steps); c_r = K draws band r whole, and
+where every band is whole the run is one pass.  The counts do not depend
+on any c_r.
 
 A run of width w is split into w shares: share i is trial range i of
 every k, each range walking its own blocks, and the run's counts are the
@@ -51,8 +56,8 @@ import os
 import pickle
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
-from functools import partial, reduce
+from dataclasses import dataclass
+from functools import cache, partial, reduce
 from typing import NoReturn
 
 import numpy as np
@@ -67,7 +72,6 @@ __all__ = [
     "ExperimentPlan",
     "default_workers",
     "wilson_interval",
-    "evaluate_deployments",
     "run_sweep",
     "run_keyring_census",
 ]
@@ -213,99 +217,167 @@ def _blocks(
     return (draw(seed, first, min(per, stop - first), n, k, rows) for first in range(start, stop, per))
 
 
-def evaluate_deployments(plan: ExperimentPlan, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Count the outcomes of every gamma view of the plan's tables for k,
-    over up to plan.workers processes (see the module docstring).
-
-    Returns (connected, no_isolated, joint): the trials connected and with
-    no isolated node per fraction, as int64 arrays in the order of
-    plan.gammas, and the trials connected at every fraction.
-    """
-    return run_sweep(replace(plan, k_values=(k,)))[k]
-
-
 def _count_deployments(
-    plan: ExperimentPlan, k: int, start: int, stop: int, width: int, steps: int | None = None
+    plan: ExperimentPlan, k: int, start: int, stop: int, width: int, steps: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """evaluate_deployments over trials start..stop-1 alone, one k of a
-    share of a run of width `width`.
+    """run_sweep's counts for k over trials start..stop-1 alone, one k of a
+    share of a run of width `width`: (connected, no_isolated, joint), the
+    trials connected and with no isolated node per fraction, as int64
+    arrays in the order of plan.gammas, and the trials connected at every
+    fraction.
 
     The one evaluation pass: each block of tables is drawn with the rows
     its largest view reads, answered for every view by one connected_at
     call, and added to the counts before the next is drawn.  Blocks take
     1/width of the budget, down to one trial.
 
-    With steps < k, a block is drawn with the first `steps` Floyd draws of
-    each row only.  Floyd adds to its set and never takes from it, so these
-    partners are some of the row's k, and each view of the prefix is a
-    subgraph of the table's view: a table whose prefix joins at every view
-    is joined at every view, with no isolated node (one, in a one-node
-    view), as the whole rows would answer.  The other tables are drawn
-    whole, as one block of their trial ids, and answered by connected_at
-    again, after the prefix block is dropped.
+    steps[r] (k for each by default) is the number of Floyd draws of band
+    r, rows ms[r-1]..ms[r]-1 (from row 0 for band 0, none where ms[r-1] =
+    ms[r]), which views r and later read.  A band of fewer than k steps
+    holds some of each row's k partners, as Floyd adds to its set and
+    never takes from it, so each view of the block is a subgraph of the
+    table's view: a view the block joins is joined, with no isolated node
+    (one, in a one-node view), as the whole rows would answer, and so is
+    the answer of a view whose bands are all whole.  Runs of bands with
+    equal steps are drawn as one, and where they differ, each is sorted on
+    its own and placed in a block of their most steps, the columns past
+    its own filled with a repeat of its last, the row's largest partner: a
+    repeat adds no edge and keeps the row ascending.  A table that leaves
+    some view undecided waits, with its first answers, to be drawn again
+    with whole rows below its largest undecided view u, in a block of trial
+    ids with other tables of the same u: once they fill a block, and at
+    the end for the rest.  connected_at answers views 0..u of it, which
+    replace the first answers.  So refills draw few blocks, each after the
+    first-pass block before it is dropped, and a share holds the answers of
+    fewer than two blocks of waiting tables per view.
     """
     ms = [phase_size(plan.n, g) for g in plan.gammas]
-    steps = k if steps is None else steps
+    steps = (k,) * len(ms) if steps is None else steps
+    runs: list[tuple[int, int, int]] = []  # (first row, end row, steps) of the bands merged by steps
+    for lo, m, c in zip([0, *ms], ms, steps):
+        if lo == m:
+            continue  # an empty band, of a repeated view size
+        if runs and runs[-1][2] == c:
+            runs[-1] = (runs[-1][0], m, c)
+        else:
+            runs.append((lo, m, c))
+    # the views within the rows drawn whole, which the first pass answers as they stand
+    exact = np.array(ms) <= next((lo for lo, _, c in runs if c < k), ms[-1])
     connected, no_isolated = np.zeros((2, len(ms)), dtype=np.int64)
     joint = 0
     per = max(1, _BLOCK_BUDGET // (ms[-1] * k * width))
     draw = sampling.sample_pairing_block
     seed = sampling.fold(plan.base_seed, k)
 
-    def prefix(seed: int, first: int, count: int, n: int, k: int, rows: int) -> np.ndarray:
-        return draw(seed, first, count, n, k, rows, steps)
+    top = max(c for _, _, c in runs)
 
-    first = start
-    for block in _blocks(prefix, per, plan.n, k, plan.trials, plan.base_seed, ms[-1], start, stop):
-        conn, iso = connected_at(block, ms)
-        del block
-        undecided = np.flatnonzero(~conn.all(axis=0)) if steps < k else ()
-        if len(undecided):
-            ids = first + undecided
-            whole = draw(seed, int(ids[0]), len(ids), plan.n, k, ms[-1], k, ids)
-            conn[:, undecided], iso[:, undecided] = connected_at(whole, ms)
-            del whole
-        first += conn.shape[1]
+    def banded(seed: int, first: int, count: int, n: int, k: int, rows: int) -> np.ndarray:
+        if len(runs) == 1:
+            return draw(seed, first, count, n, k, rows, top)
+        block = np.moveaxis(np.empty((top, count, rows), dtype=sampling._narrowest_int(n - 1)), 0, -1)
+        for lo, hi, c in runs:
+            part = draw(seed, first, count, n, k, hi, c, None, lo)
+            block[:, lo:hi, :c] = part
+            block[:, lo:hi, c:] = part[..., -1:]
+        return block
+
+    def add(conn: np.ndarray, iso: np.ndarray) -> None:
+        nonlocal connected, no_isolated, joint
         connected += conn.sum(axis=1)
         no_isolated += (iso == 0).sum(axis=1)
         joint += int(conn.all(axis=0).sum())
+
+    # per largest undecided view u, the (trial ids, connected, isolated) of
+    # its tables, drawn again once they fill a block, and at the end
+    waiting: list[list[tuple[np.ndarray, ...]]] = [[] for _ in ms]
+
+    def refill(u: int) -> None:
+        ids, conn, iso = (np.concatenate(part, axis=-1) for part in zip(*waiting[u]))
+        waiting[u].clear()
+        for lo in range(0, len(ids), per):
+            some = ids[lo : lo + per]
+            whole = draw(seed, int(some[0]), len(some), plan.n, k, ms[u], k, some)
+            conn[: u + 1, lo : lo + per], iso[: u + 1, lo : lo + per] = connected_at(whole, ms[: u + 1])
+            del whole
+        add(conn, iso)
+
+    first = start
+    for block in _blocks(banded, per, plan.n, k, plan.trials, plan.base_seed, ms[-1], start, stop):
+        conn, iso = connected_at(block, ms)
+        del block
+        split = ~conn & ~exact[:, None]
+        last = np.where(split.any(axis=0), len(ms) - 1 - split[::-1].argmax(axis=0), -1)
+        add(conn[:, last < 0], iso[:, last < 0])
+        for u in range(len(ms)):
+            picked = last == u
+            if picked.any():
+                waiting[u].append((first + np.flatnonzero(picked), conn[:, picked], iso[:, picked]))
+                if sum(len(ids) for ids, _, _ in waiting[u]) >= per:
+                    refill(u)
+        first += len(last)
+    for u in range(len(ms)):
+        if waiting[u]:
+            refill(u)
     return connected, no_isolated, joint
 
 
-def _prefix_steps(n: int, k: int, gammas: tuple[float, ...]) -> int:
-    """How many of each row's k Floyd steps a run's first pass draws: k, for
-    no prefix pass, unless a shorter prefix is expected to cost less than
-    _PREFIX_GAIN of the whole draw (see _count_deployments).
+def _prefix_steps(
+    n: int, k: int, gammas: tuple[float, ...], isolated: Callable[[int, float], float] | None = None
+) -> tuple[int, ...]:
+    """How many of each row's k Floyd steps a run's first pass draws, per
+    band (see _count_deployments): for band r, k, drawn whole, unless a
+    shorter prefix is expected to cost less than _PREFIX_GAIN of the whole
+    draw, priced over the views that read the band, gammas[r:].
+    isolated(c, gamma) is theory.expected_isolated at this n, by default
+    memoized for this call alone; a run passes one memo for all its k.
 
     A prefix of c >= 2 steps (one step gives a 1-out graph, never connected)
     costs its draw, sort and kernel, plus, for the share of its tables that
     some view leaves unjoined, the whole draw again.  That share is priced
-    from the first moment: theory.expected_isolated(n, c, gamma) summed over
-    the views of 2 to n-1 nodes, as the chance 1 - exp(-sum) that an
-    isolated node, the usual reason a view is split, appears in any.  A
-    prefix draws from fewer candidates, the lowest ones, which raises the
-    chance that a partner is deployed, so this errs towards the whole draw.
-    The candidates c are tried from the costliest affordable one down, and
-    the search stops once the cheapest prefix, of two steps, with the
-    refills of this c would cost more than the best found: a shorter prefix
-    leaves more tables unjoined.  Only speed depends on the answer, never
-    the counts.
+    from the first moment: isolated(c, gamma) summed over the views of 2 to
+    n-1 nodes, as the chance 1 - exp(-sum) that an isolated node, the usual
+    reason a view is split, appears in any.  A prefix draws from fewer
+    candidates, the lowest ones, which raises the chance that a partner is
+    deployed, so this errs towards the whole draw.  Only speed depends on
+    the answer, never the counts.
+
+    The search looks for the cheapest c twice, from the costliest
+    affordable one down: first over every 4th c, which finds a near-best
+    cost, then over every c, which skips those whose draw alone costs more
+    than the best found without pricing them.  A sum is added up view by
+    view, smallest view first, the largest term as a rule, and stops once
+    its part already costs too much.  A pass stops once the cheapest
+    prefix, of two steps, with the refills of this c would cost more than
+    the best found: a shorter prefix leaves more tables unjoined.  On the
+    phased benchmark this prices 20 terms for three bands where one pass
+    over every c priced 22 for one band alone.
     """
+    isolated = isolated or cache(partial(theory.expected_isolated, n))
+
     def cost(steps: int) -> float:
         return steps * (1 + _DUP_COST * (steps - 1) / 2) + (_KERNEL_COST if steps == k else _PREFIX_KERNEL_COST)
 
     whole = cost(k)
-    best, bound = k, _PREFIX_GAIN * whole
-    views = [g for m, g in {phase_size(n, g): g for g in gammas}.items() if 2 <= m < n]
-    for c in range(k - 1, 1, -1):
-        if cost(c) >= bound:
-            continue
-        refill = -math.expm1(-sum(theory.expected_isolated(n, c, g) for g in views)) * whole
-        if cost(c) + refill < bound:
-            best, bound = c, cost(c) + refill
-        elif cost(2) + refill >= bound:
-            break
-    return best
+    bands = []
+    for r in range(len(gammas)):
+        views = [g for m, g in {phase_size(n, g): g for g in gammas[r:]}.items() if 2 <= m < n]
+        best, bound = k, _PREFIX_GAIN * whole
+        for stride in (4, 1):
+            for c in range(k - 1, 1, -stride):
+                if c == best or cost(c) >= bound:
+                    continue
+                total = refill = 0.0
+                for g in views:
+                    total += isolated(c, g)
+                    refill = -math.expm1(-total) * whole
+                    if cost(c) + refill >= bound:
+                        break
+                if cost(c) + refill < bound:
+                    best, bound = c, cost(c) + refill
+                elif cost(2) + refill >= bound:
+                    break
+        bands.append(best)
+    return tuple(bands)
 
 
 def _pool_cpus() -> int:
@@ -432,13 +504,19 @@ def _send(share: list[Callable[[], tuple]], write: int) -> NoReturn:
 
 
 def run_sweep(plan: ExperimentPlan) -> dict[int, tuple[np.ndarray, np.ndarray, int]]:
-    """evaluate_deployments(plan, k) for every k of the plan, in the order
-    of plan.k_values, over up to plan.workers processes (see the module
-    docstring)."""
+    """Count the outcomes of every gamma view of the plan's tables, per k
+    in the order of plan.k_values, over up to plan.workers processes (see
+    the module docstring).
+
+    Each k maps to (connected, no_isolated, joint): the trials connected
+    and with no isolated node per fraction, as int64 arrays in the order
+    of plan.gammas, and the trials connected at every fraction.
+    """
     rows = phase_size(plan.n, plan.gammas[-1])
     entries = plan.trials * rows * sum(plan.k_values)
     width = _width(plan.workers, plan.trials, entries, rows * max(plan.k_values))
-    steps = {k: _prefix_steps(plan.n, k, plan.gammas) for k in plan.k_values}
+    isolated = cache(partial(theory.expected_isolated, plan.n))
+    steps = {k: _prefix_steps(plan.n, k, plan.gammas, isolated) for k in plan.k_values}
     shares = [
         [partial(_count_deployments, plan, k, *span, width, steps=steps[k]) for k in plan.k_values]
         for span in _trial_ranges(plan.trials, width)

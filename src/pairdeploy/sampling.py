@@ -50,9 +50,10 @@ so the cost is two passes per comparator rather than a sort call per row.
 Longer int16 and int32 rows take numpy's row-by-row sort, the faster of
 the two there; both give the same ascending rows.
 
-A block may hold only the first `rows` nodes of each table, the rows a
-deployment view reads: node i's row depends on its own stream alone, so
-the prefix equals the first `rows` rows of the full block, bit for bit.
+A block may hold only the nodes first_row..rows-1 of each table: the
+first `rows`, the rows a deployment view reads, or one band of them, the
+rows between two view sizes.  Node i's row depends on its own stream
+alone, so the block equals those rows of the full block, bit for bit.
 Likewise a block may hold any listed trials (`trial_ids`), each table
 equal to its table in a contiguous block, and only the first `steps`
 Floyd steps of each row: Floyd only adds to its set, so those partners
@@ -182,20 +183,23 @@ def _network_sort(cols: np.ndarray) -> None:
 
 def draw_pairing_block(
     seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None,
-    steps: int | None = None, trial_ids: np.ndarray | None = None,
+    steps: int | None = None, trial_ids: np.ndarray | None = None, first_row: int = 0,
 ) -> np.ndarray:
     """The block sample_pairing_block returns, with each row left in
-    Floyd's draw order instead of sorted: shape (n_trials, rows, steps),
-    stored selection-major, the same partners per row.  For a caller
-    that ignores the order of a row, such as a ring-size count.
+    Floyd's draw order instead of sorted: shape (n_trials, rows -
+    first_row, steps), stored selection-major, the same partners per row.
+    For a caller that ignores the order of a row, such as a ring-size count.
 
     steps (1..k, k by default) cuts each row to its first Floyd steps;
     trial_ids, given, lists the block's n_trials trials, first_trial
-    first, in place of first_trial..first_trial+n_trials-1.
+    first, in place of first_trial..first_trial+n_trials-1; first_row
+    (0..rows-1) drops the rows of nodes below it.
     """
     rows = n if rows is None else rows
     if not 1 <= rows <= n:
         raise ValueError(f"need 1 <= rows <= n, got rows={rows}, n={n}")
+    if not 0 <= first_row < rows:
+        raise ValueError(f"need 0 <= first_row < rows, got first_row={first_row}, rows={rows}")
     m = n - 1  # candidates per node: every id but its own
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
@@ -212,14 +216,14 @@ def draw_pairing_block(
     trial_keys ^= np.uint64(mix64(seed))
     scratch = np.empty_like(trial_keys)
     _mix64(_mix64(trial_keys, scratch), scratch)
-    out = np.empty((steps, n_trials, rows), dtype=_narrowest_int(m))
-    span = min(rows, _CHUNK)  # nodes per chunk
-    per = max(1, min(n_trials, _CHUNK // rows))  # trials per chunk
+    out = np.empty((steps, n_trials, rows - first_row), dtype=_narrowest_int(m))
+    span = min(rows - first_row, _CHUNK)  # nodes per chunk
+    per = max(1, min(n_trials, _CHUNK // (rows - first_row)))  # trials per chunk
     bufs = np.empty((3, per * span), dtype=np.uint64)
-    for lo in range(0, rows, span):
+    for lo in range(first_row, rows, span):
         hi = min(lo + span, rows)
         for first in range(0, n_trials, per):
-            drawn = out[:, first : first + per, lo:hi]
+            drawn = out[:, first : first + per, lo - first_row : hi - first_row]
             keys, u, tmp = (b[: drawn[0].size].reshape(drawn.shape[1:]) for b in bufs)
             # each (trial, node) pair's stream key, mix(trial_key ^ node * GOLDEN)
             np.bitwise_xor(
@@ -249,19 +253,20 @@ def draw_pairing_block(
 
 def sample_pairing_block(
     seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None,
-    steps: int | None = None, trial_ids: np.ndarray | None = None,
+    steps: int | None = None, trial_ids: np.ndarray | None = None, first_row: int = 0,
 ) -> np.ndarray:
     """Pairing selections of the first `rows` nodes (all n by default) for
     a block of trials, shape (n_trials, rows, k), or (n_trials, rows,
     steps) for the first `steps` Floyd draws of each row alone, a subset of
-    its k partners; trial_ids, given, lists the trials (see
+    its k partners; trial_ids, given, lists the trials, and first_row
+    drops the rows below it, leaving rows first_row..rows-1 (see
     draw_pairing_block).
 
     Entry [t, i, :] is node i's k chosen partners (0-based ids below n,
     sorted ascending, never i itself) in trial first_trial + t.  Every
     (trial, node) pair draws from its own stream, so the block is bitwise
     reproducible for any block partitioning of the same trial range, and
-    a block of `rows` rows equals the first `rows` rows of the full block.
+    a block of rows first_row..rows-1 equals those rows of the full block.
     The dtype is the narrowest signed integer type that holds n-1 (int8
     up to n=128, int16 up to 32768, int32 up to 2^31).  The array is stored
     selection-major, so each column [:, :, c] is contiguous for the
@@ -271,7 +276,7 @@ def sample_pairing_block(
     numpy's sort above (see the module docstring); the rows are the same
     either way.
     """
-    block = draw_pairing_block(seed, first_trial, n_trials, n, k, rows, steps, trial_ids)
+    block = draw_pairing_block(seed, first_trial, n_trials, n, k, rows, steps, trial_ids, first_row)
     width = block.shape[-1]
     if block.itemsize == 1 or width * block.itemsize <= _NETWORK_MAX_ROW_BYTES:
         _network_sort(np.moveaxis(block, -1, 0).reshape(width, -1))

@@ -19,7 +19,7 @@ def table_from_lists(n, k, rows):
 
 def per_trial_outcomes(plan, k):
     """(connected, isolated) of every trial of the plan's tables for k, the
-    record that evaluate_deployments only counts: one row per fraction, in
+    record that run_sweep only counts: one row per fraction, in
     the order of plan.gammas.  The tables are drawn in one block, and each
     distinct view size is asked of the kernel on its own."""
     ms = [phase_size(plan.n, g) for g in plan.gammas]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pairdeploy import montecarlo, sampling, theory
-from pairdeploy.montecarlo import ExperimentPlan, evaluate_deployments
+from pairdeploy.montecarlo import ExperimentPlan, run_sweep
 from pairing_fixtures import per_trial_outcomes
 
 SEED = 1729
@@ -54,7 +54,7 @@ def threshold_curves():
     for k, gs in sorted(need.items()):
         gammas = tuple(sorted(gs))
         plan = ExperimentPlan(N, (k,), gammas, TRIALS, SEED)
-        connected, no_isolated, _ = evaluate_deployments(plan, k)
+        connected, no_isolated, _ = run_sweep(plan)[k]
         for g, conn_g, no_iso_g in zip(gammas, connected.tolist(), no_isolated.tolist()):
             conn[(g, k)] = conn_g / TRIALS
             noiso[(g, k)] = no_iso_g / TRIALS

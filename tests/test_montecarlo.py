@@ -26,7 +26,6 @@ from pairdeploy.montecarlo import (
     SWEEP_TRIALS_DEFAULT,
     ExperimentPlan,
     _pool_size,
-    evaluate_deployments,
     run_keyring_census,
     run_sweep,
     wilson_interval,
@@ -214,15 +213,15 @@ def as_lists(sweep):
 
 
 def test_sweep_keys_and_types():
-    """One entry per k, in the plan's order, each the counts that
-    evaluate_deployments returns for that k."""
+    """One entry per k, in the plan's order, each the counts that a run of
+    that k alone returns."""
     plan = small_plan(k_values=(3, 2))
     out = run_sweep(plan)
     assert list(out) == [3, 2]
     for k, (conn, no_iso, joint) in out.items():
         assert conn.dtype == no_iso.dtype == np.int64 and type(joint) is int
         assert conn.shape == no_iso.shape == (len(plan.gammas),)
-        expected = evaluate_deployments(plan, k)
+        expected = run_sweep(replace(plan, k_values=(k,)))[k]
         assert np.array_equal(conn, expected[0]) and np.array_equal(no_iso, expected[1])
         assert joint == expected[2]
 
@@ -353,7 +352,7 @@ def test_pool_blocks_shrink_by_the_width(monkeypatch):
 
     monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
     plan = ExperimentPlan(50, (3,), (0.2, 0.6), 14, base_seed=4)
-    evaluate_deployments(plan, 3)
+    run_sweep(plan)
     montecarlo._count_deployments(plan, 3, 0, 7, 3)
     assert shapes == [(12, 30, 3), (2, 30, 3), (4, 30, 3), (3, 30, 3)]
 
@@ -412,7 +411,7 @@ def test_different_seed_changes_something():
     (a, _), (b, _) = (per_trial_outcomes(plan, 1) for plan in plans)
     assert not np.array_equal(a, b)
     for plan, rows in zip(plans, (a, b)):
-        assert evaluate_deployments(plan, 1)[0].tolist() == rows.sum(axis=1).tolist()
+        assert run_sweep(plan)[1][0].tolist() == rows.sum(axis=1).tolist()
 
 
 def test_coupled_gammas_share_tables():
@@ -430,9 +429,9 @@ def test_fractions_that_floor_to_one_view_get_equal_rows():
     """0.5 and 0.505 of n=100 both deploy 50 nodes; their counts match each
     other and the single-fraction plan's, and the repeated view leaves the
     all-phases count as it was."""
-    conn, no_iso, joint = evaluate_deployments(ExperimentPlan(100, (2,), (0.5, 0.505, 1.0), 40, base_seed=5), 2)
-    one = evaluate_deployments(ExperimentPlan(100, (2,), (0.5,), 40, base_seed=5), 2)
-    two = evaluate_deployments(ExperimentPlan(100, (2,), (0.5, 1.0), 40, base_seed=5), 2)
+    conn, no_iso, joint = run_sweep(ExperimentPlan(100, (2,), (0.5, 0.505, 1.0), 40, base_seed=5))[2]
+    one = run_sweep(ExperimentPlan(100, (2,), (0.5,), 40, base_seed=5))[2]
+    two = run_sweep(ExperimentPlan(100, (2,), (0.5, 1.0), 40, base_seed=5))[2]
     assert conn[0] == conn[1] == one[0][0] and no_iso[0] == no_iso[1] == one[1][0]
     assert joint == two[2]
 
@@ -458,7 +457,7 @@ def test_counts_are_sums_of_per_trial_outcomes(monkeypatch):
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 100 * 4)
     connected, isolated = per_trial_outcomes(plan, 4)
     calls = count_calls(monkeypatch, "sample_pairing_block")
-    conn, no_iso, joint = evaluate_deployments(plan, 4)
+    conn, no_iso, joint = run_sweep(plan)[4]
     assert len(calls) == 7
     assert conn.tolist() == connected.sum(axis=1).tolist()
     assert no_iso.tolist() == (isolated == 0).sum(axis=1).tolist()
@@ -482,9 +481,9 @@ def test_block_partition_does_not_change_records(monkeypatch):
     single-block counts exactly, and both are the sums of the per-trial
     outcomes drawn here."""
     plan = ExperimentPlan(80, (3,), (0.2, 0.5, 1.0), 40, base_seed=8)
-    whole = evaluate_deployments(plan, 3)
+    whole = run_sweep(plan)[3]
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 80 * 3)
-    split = evaluate_deployments(plan, 3)
+    split = run_sweep(plan)[3]
     connected, isolated = per_trial_outcomes(plan, 3)
     sums = (connected.sum(axis=1), (isolated == 0).sum(axis=1), connected.all(axis=0).sum())
     for a, b, c in zip(whole, split, sums):
@@ -504,7 +503,7 @@ def test_only_the_deployed_rows_are_drawn(monkeypatch):
         return block
 
     monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
-    evaluate_deployments(ExperimentPlan(50, (3,), (0.2, 0.6), 9, base_seed=4), 3)
+    run_sweep(ExperimentPlan(50, (3,), (0.2, 0.6), 9, base_seed=4))
     assert shapes == [(4, 30, 3), (4, 30, 3), (1, 30, 3)]
 
 
@@ -530,7 +529,7 @@ def test_one_block_alive_at_a_time(monkeypatch):
         monkeypatch.setattr(sampling, name, tracked)
 
     track("sample_pairing_block")
-    evaluate_deployments(ExperimentPlan(10, (3,), (0.5, 1.0), 7, base_seed=2), 3)
+    run_sweep(ExperimentPlan(10, (3,), (0.5, 1.0), 7, base_seed=2))
     # tracked only now, as sample_pairing_block draws through it
     track("draw_pairing_block")
     run_keyring_census(10, 3, trials=7, base_seed=2)
@@ -583,11 +582,11 @@ def test_sweep_memory_does_not_grow_with_trials(monkeypatch):
 
 def test_counts_follow_the_fractions():
     """Counts: one entry per fraction, in the order given, and one joint."""
-    connected, no_isolated, joint = evaluate_deployments(ExperimentPlan(30, (2,), (0.5, 1.0), 25, base_seed=3), 2)
+    connected, no_isolated, joint = run_sweep(ExperimentPlan(30, (2,), (0.5, 1.0), 25, base_seed=3))[2]
     assert connected.shape == no_isolated.shape == (2,)
     assert connected.dtype == no_isolated.dtype == np.int64 and type(joint) is int
     assert no_isolated[1] == 25  # gamma = 1.0 never has isolated nodes
-    single = evaluate_deployments(ExperimentPlan(30, (2,), (0.5,), 25, base_seed=3), 2)
+    single = run_sweep(ExperimentPlan(30, (2,), (0.5,), 25, base_seed=3))[2]
     assert single[0][0] == connected[0] and single[1][0] == no_isolated[0]
 
 
@@ -687,7 +686,7 @@ def test_sizes_are_checked_before_blocks_are_sized():
     with pytest.raises(ValueError, match="at least 2 nodes"):
         run_keyring_census(0, 1)
     with pytest.raises(ValueError, match="1 <= k <= n-1"):
-        evaluate_deployments(ExperimentPlan(10, (3,), (1.0,), 5), 0)
+        ExperimentPlan(10, (0,), (1.0,), 5)
 
 
 def test_census_two_node_rings_fill_the_last_bin():
@@ -738,28 +737,43 @@ def test_maxring_deviation_frequency_below_analytic_bound(n, trials):
 
 
 # a sweep shape; a phased shape with a one-node view and two fractions of one
-# view size; a full deployment alone, where a two-step prefix joins almost all
+# view size, whose band between them is empty; two fractions of one view size
+# alone; a full deployment alone, where a two-step prefix joins almost all
 PREFIX_PLANS = {
     "sweep": ExperimentPlan(60, (2, 3, 5, 8), (0.3, 0.6, 1.0), 40, base_seed=3),
     "phased": ExperimentPlan(200, (12,), (0.005, 0.25, 0.2525, 1.0), 40, base_seed=11),
+    "repeated": ExperimentPlan(100, (2, 5), (0.5, 0.505), 40, base_seed=5),
     "full": ExperimentPlan(100, (6,), (1.0,), 30, base_seed=2),
+}
+
+# steps(k, bands) of each band of a first pass: one Floyd step each, two, k
+# then one, one step rising by two per band (the last band holds the most),
+# k/2, and k, the whole draw
+BAND_STEPS = {
+    "1": lambda k, bands: (1,) * bands,
+    "2": lambda k, bands: (min(2, k),) * bands,
+    "k,1": lambda k, bands: (k,) + (1,) * (bands - 1),
+    "rising": lambda k, bands: tuple(min(k, 1 + 2 * r) for r in range(bands)),
+    "k/2": lambda k, bands: (max(1, k // 2),) * bands,
+    "k": lambda k, bands: (k,) * bands,
 }
 
 
 def fixed_steps(monkeypatch, steps):
-    """Make every run take steps(k) Floyd steps in its first pass."""
-    monkeypatch.setattr(montecarlo, "_prefix_steps", lambda n, k, gammas: steps(k))
+    """Make every run draw its first pass with steps(k, bands) Floyd steps
+    per band."""
+    monkeypatch.setattr(montecarlo, "_prefix_steps", lambda n, k, gammas, isolated=None: steps(k, len(gammas)))
 
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
-    """With a first pass of 1, 2, K/2 or K Floyd steps, in one process or
-    two, every plan's counts equal those of the whole draw, K steps in one
-    process.  In one process the prefixes of fewer than K steps both leave
-    tables to the whole draw and decide others themselves."""
+    """With every band's steps of BAND_STEPS, in one process or two, every
+    plan's counts equal those of the whole draw, k steps in one process.
+    In one process the prefixes of fewer than k steps both leave tables to
+    the whole draw and decide others themselves."""
     expected = {}
     for name, plan in PREFIX_PLANS.items():
-        fixed_steps(monkeypatch, lambda k: k)
+        fixed_steps(monkeypatch, BAND_STEPS["k"])
         expected[name] = as_lists(run_sweep(plan))
     if width == 2:
         monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 24000)
@@ -772,7 +786,7 @@ def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
         return drawn(*args)
 
     monkeypatch.setattr(sampling, "sample_pairing_block", counted)
-    for steps in (lambda k: 1, lambda k: min(2, k), lambda k: max(1, k // 2), lambda k: k):
+    for steps in BAND_STEPS.values():
         fixed_steps(monkeypatch, steps)
         for name, plan in PREFIX_PLANS.items():
             assert as_lists(run_sweep(replace(plan, workers=width))) == expected[name], name
@@ -781,11 +795,82 @@ def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
     assert_no_child_left()
 
 
+def test_refills_read_the_rows_of_the_largest_undecided_view(monkeypatch):
+    """A table is drawn again with whole rows below its largest undecided
+    view alone, once, in one block with the other tables of that view: here
+    a one-step first band leaves the smaller views split in some tables
+    that the larger views join, so some refills read fewer rows than the
+    largest view."""
+    plan = ExperimentPlan(200, (6,), (0.1, 0.3, 1.0), 60, base_seed=5)
+    fixed_steps(monkeypatch, lambda k, bands: (1, k, 2))
+    calls = count_calls(monkeypatch, "sample_pairing_block")
+    counts = as_lists(run_sweep(plan))
+    refills = [args for args in calls if len(args) == 8]
+    rows = [args[5] for args in refills]
+    ids = [int(t) for args in refills for t in args[7]]
+    assert set(rows) <= {20, 60, 200} and min(rows) < 200 and len(rows) == len(set(rows))
+    assert len(ids) == len(set(ids))
+    fixed_steps(monkeypatch, BAND_STEPS["k"])
+    assert counts == as_lists(run_sweep(plan))
+
+
+def test_refills_are_drawn_once_they_fill_a_block(monkeypatch):
+    """Tables wait for their refill until a block of them is full, so a run
+    holds fewer than two blocks of their answers, whatever its trials: with
+    blocks of three tables, refills come between first-pass blocks, none
+    of more than three tables."""
+    plan = ExperimentPlan(200, (6,), (0.1, 0.3, 1.0), 60, base_seed=5)
+    fixed_steps(monkeypatch, lambda k, bands: (1, k, 2))
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 3 * 200 * 6)
+    calls = count_calls(monkeypatch, "sample_pairing_block")
+    counts = as_lists(run_sweep(plan))
+    refills = [len(args) == 8 for args in calls]
+    assert all(args[2] <= 3 for args in calls)
+    assert refills.index(True) < len(refills) - 1 - refills[::-1].index(False)
+    fixed_steps(monkeypatch, BAND_STEPS["k"])
+    assert counts == as_lists(run_sweep(plan))
+
+
+def banded_from_whole(whole):
+    """A stand-in for sampling.sample_pairing_block that serves the tables
+    of `whole`, its rows first_row..rows-1, each cut to its `steps`
+    smallest partners: a subset of its row, as Floyd's prefix is."""
+
+    def draw(seed, first, count, n, k, rows=None, steps=None, trial_ids=None, first_row=0):
+        picked = whole[first : first + count] if trial_ids is None else whole[trial_ids]
+        return np.ascontiguousarray(picked[:, first_row:rows, :steps].transpose(2, 0, 1)).transpose(1, 2, 0)
+
+    return draw
+
+
+@pytest.mark.parametrize("n", [128, 32768])
+def test_padded_columns_join_no_view(monkeypatch, n):
+    """At n = 128 (int8) and 32768 (int16) the type's largest value is node
+    n-1, which the full view deploys.  In these tables the first half of
+    the nodes and the second half each form a ring, so the full view is
+    split; a first band drawn with one step of two, padded with the largest
+    value, would join it through node n-1.  The run counts it split."""
+    half, trials = n // 2, 3
+    ring = np.arange(half)
+    rows = np.sort(np.stack([(ring - 1) % half, (ring + 1) % half], axis=1), axis=1)
+    table = np.concatenate([rows, rows + half]).astype(sampling._narrowest_int(n - 1))
+    whole = np.repeat(table[None], trials, axis=0)
+    assert np.iinfo(whole.dtype).max == n - 1
+    padded = whole.copy()
+    padded[:, :half, 1] = n - 1
+    assert connected_at(padded, (half, n))[0][:, 0].tolist() == [True, True]
+    assert connected_at(whole, (half, n))[0][:, 0].tolist() == [True, False]
+    monkeypatch.setattr(sampling, "sample_pairing_block", banded_from_whole(whole))
+    fixed_steps(monkeypatch, lambda k, bands: (1, 2))
+    conn, no_iso, joint = run_sweep(ExperimentPlan(n, (2,), (0.5, 1.0), trials))[2]
+    assert conn.tolist() == [trials, 0] and no_iso.tolist() == [trials, trials] and joint == 0
+
+
 def test_prefix_and_whole_blocks_are_alive_one_at_a_time(monkeypatch):
     """A prefix block is dropped before its undecided tables are drawn
     whole, and that block before the next prefix."""
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2 * 60 * 6)
-    fixed_steps(monkeypatch, lambda k: 3)
+    fixed_steps(monkeypatch, lambda k, bands: (3,) * bands)
     drawn, whole = [], []
     draw = sampling.sample_pairing_block
 
@@ -797,7 +882,7 @@ def test_prefix_and_whole_blocks_are_alive_one_at_a_time(monkeypatch):
         return block
 
     monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
-    evaluate_deployments(ExperimentPlan(60, (6,), (0.5, 1.0), 9, base_seed=2), 6)
+    run_sweep(ExperimentPlan(60, (6,), (0.5, 1.0), 9, base_seed=2))
     assert whole.count(False) == 5 and whole.count(True) > 0
 
 
@@ -806,10 +891,10 @@ def test_prefix_policy_is_asked_once_per_k_in_the_calling_process(monkeypatch):
     share forks: a call in a child would fail the run."""
     caller, asked = os.getpid(), []
 
-    def policy(n, k, gammas):
+    def policy(n, k, gammas, isolated):
         assert os.getpid() == caller
         asked.append(k)
-        return max(2, k // 2)
+        return (max(2, k // 2),) * len(gammas)
 
     monkeypatch.setattr(montecarlo, "_prefix_steps", policy)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2000)
@@ -824,7 +909,8 @@ def test_prefix_policy_is_asked_once_per_k_in_the_calling_process(monkeypatch):
 
 def test_prefix_policy_never_raises_on_small_networks():
     """For n = 2..30, every k and schedules from one-node views up to full
-    deployment, the policy answers k or a prefix of 2..k-1 steps."""
+    deployment, the policy answers, for each band, k or a prefix of
+    2..k-1 steps."""
     for n in range(2, 31):
         for gammas in ((1.0,), (0.5,), (1 / n, 1.0), (1 / n, 2 / n, 0.5), (0.1, 0.3, 0.7, 1.0), (0.9,)):
             try:
@@ -833,17 +919,52 @@ def test_prefix_policy_never_raises_on_small_networks():
                 continue  # a fraction of no node at this n
             for k in range(1, n):
                 steps = montecarlo._prefix_steps(n, k, gammas)
-                assert steps == k or 2 <= steps < k, (n, k, gammas, steps)
+                assert len(steps) == len(gammas), (n, k, gammas, steps)
+                assert all(c == k or 2 <= c < k for c in steps), (n, k, gammas, steps)
+
+
+# the README's sweep and phased run, which the benchmark runs, and the sweep
+# of the same n at fractions 0.25..1.0
+BENCH_SWEEP = (1000, range(1, 26), (0.2, 0.4, 0.6, 0.8))
+BENCH_PHASED = (2000, (37,), (0.25, 0.5, 1.0))
+QUARTER_SWEEP = (1000, range(1, 26), (0.25, 0.5, 0.75, 1.0))
 
 
 def test_prefix_policy_on_the_benchmarked_shapes():
-    """No prefix on the README sweep, or on the sweep of the same n at
-    0.2..0.8, where a prefix would not pay; a prefix at n=2000, K=37, for
-    the phased schedule 0.25, 0.5, 1.0 and for each of its fractions."""
-    for gammas in ((0.25, 0.5, 0.75, 1.0), (0.2, 0.4, 0.6, 0.8)):
-        assert [montecarlo._prefix_steps(1000, k, gammas) for k in range(1, 26)] == list(range(1, 26))
-    for gammas in ((0.25, 0.5, 1.0), (0.25,), (0.5,), (1.0,)):
-        assert 2 <= montecarlo._prefix_steps(2000, 37, gammas) < 37
+    """The first band takes k on every K of both sweeps of n=1000, where a
+    single prefix would not pay, and later bands take prefixes from K=15
+    on the benchmarked sweep and K=11 at fractions 0.25..1.0; at n=2000,
+    K=37, the phased schedule takes 17, 9 and 2 steps, and each of its
+    fractions alone a prefix."""
+    n, ks, gammas = BENCH_SWEEP
+    bands = [montecarlo._prefix_steps(n, k, gammas) for k in ks]
+    assert [b[0] for b in bands] == list(ks)
+    assert bands[:14] == [(k,) * 4 for k in range(1, 15)]
+    assert bands[14] == (15, 15, 15, 4) and bands[24] == (25, 10, 7, 5)
+    n, ks, gammas = QUARTER_SWEEP
+    bands = [montecarlo._prefix_steps(n, k, gammas) for k in ks]
+    assert [b[0] for b in bands] == list(ks)
+    assert bands[:10] == [(k,) * 4 for k in range(1, 11)] and bands[10] == (11, 11, 11, 2)
+    assert montecarlo._prefix_steps(2000, 37, (0.25, 0.5, 1.0)) == (17, 9, 2)
+    for gammas in ((0.25,), (0.5,), (1.0,)):
+        (steps,) = montecarlo._prefix_steps(2000, 37, gammas)
+        assert 2 <= steps < 37
+
+
+@pytest.mark.parametrize("shape, before", [(BENCH_SWEEP, 60), (BENCH_PHASED, 22)], ids=["sweep", "phased"])
+def test_prefix_policy_prices_no_more_terms_than_one_prefix(monkeypatch, shape, before):
+    """A run prices each (c, gamma) term once for all its k and bands, and
+    its two-pass search skips most of the costly steps: on the benchmarked
+    sweep and phased plans, the banded policy calls theory.expected_isolated
+    no more often than the single-prefix policy it replaced, whose one
+    pass over every step made `before` calls."""
+    calls = []
+    isolated = theory.expected_isolated
+    monkeypatch.setattr(theory, "expected_isolated", lambda *args: calls.append(args) or isolated(*args))
+    n, ks, gammas = shape
+    run_sweep(ExperimentPlan(n, tuple(ks), gammas, 1))
+    assert 0 < len(calls) <= before
+    assert len(set(calls)) == len(calls)
 
 
 def assert_no_child_left():

@@ -422,3 +422,46 @@ def test_steps_and_trial_ids_outside_their_range_raise():
     for first, count, ids in ((0, 2, [0, 1, 2]), (1, 2, [0, 1]), (0, 0, [0])):
         with pytest.raises(ValueError, match="trial_ids"):
             draw_pairing_block(0, first, count, 10, 4, None, None, np.array(ids))
+
+
+# an int8 block; int16 and int32 blocks whose k-step rows numpy sorts and
+# whose two-step rows the network sorts
+BAND_SHAPES = [(128, 96), (200, 60), (40_000, 30)]
+
+
+@pytest.mark.parametrize("n, k", BAND_SHAPES, ids=lambda v: str(v))
+def test_band_block_equals_its_rows_of_the_full_block(n, k, monkeypatch):
+    """A block of rows first_row..rows-1 holds those rows of the full
+    block, bit for bit: sorted or in draw order, whole or a prefix, of
+    contiguous or listed trials, also when the draw loop's chunks split
+    its trials and rows."""
+    rows = min(n, 120)
+    ids = np.array([3, 4, 9])
+    for chunk in (_CHUNK, 50):
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        for steps in (2, k):
+            for draw in (draw_pairing_block, sample_pairing_block):
+                full = draw(n, 3, 7, n, k, rows, steps)
+                for lo, hi in ((0, rows), (0, 1), (1, rows), (rows // 3, rows // 2), (rows - 1, rows)):
+                    band = draw(n, 3, 7, n, k, hi, steps, None, lo)
+                    assert band.dtype == full.dtype and np.array_equal(band, full[:, lo:hi])
+                    picked = draw(n, 3, len(ids), n, k, hi, steps, ids, lo)
+                    assert np.array_equal(picked, full[ids - 3, lo:hi])
+
+
+def test_two_bands_rebuild_every_pinned_block():
+    """first_row = 0 draws every pinned block bit for bit (the pins are the
+    golden digests, unedited), and so do its two halves side by side."""
+    for spec, expected in BLOCK_DIGESTS.items():
+        n, cut = spec[3], spec[3] // 2
+        block = sample_pairing_block(*spec, None, None, None, 0)
+        assert digest(block.astype(np.int64).tobytes()) == expected
+        halves = [sample_pairing_block(*spec, cut), sample_pairing_block(*spec, n, None, None, cut)]
+        assert digest(np.concatenate(halves, axis=1).astype(np.int64).tobytes()) == expected
+
+
+def test_row_ranges_outside_the_block_raise():
+    for rows, first_row in ((10, 10), (10, 11), (5, -1), (4, 6)):
+        for draw in (draw_pairing_block, sample_pairing_block):
+            with pytest.raises(ValueError, match="first_row"):
+                draw(0, 0, 1, 10, 4, rows, None, None, first_row)
