@@ -9,13 +9,13 @@ evaluated as a view of that same table, matching how a gradually deployed
 network actually grows.  Table seeds derive from (base_seed, k, trial)
 through the sampling module's stream keying, so any execution order,
 chunking, or worker count reproduces identical results.  Deployment runs
-and censuses draw their tables through one block loop, and fold each block
-into counts before drawing the next.  Each caller gives the loop its draw
-and block size: deployment runs draw sorted blocks under _BLOCK_BUDGET, for
-the graph kernel; the census, whose ring sizes ignore row order, draws
-unsorted blocks of one sampler draw chunk, small enough to bin while they
-are in cache.  This module returns counts; the command line turns them into
-estimates with wilson_interval, and into census summaries.
+and censuses step through their trials in blocks, and fold each block into
+counts before drawing the next.  Deployment runs draw every block, first
+pass and refill alike, through _band_block: sorted blocks under
+_BLOCK_BUDGET, for the graph kernel.  The census, whose ring sizes ignore
+row order, draws unsorted blocks of one sampler draw chunk, small enough to
+bin while they are in cache.  This module returns counts; the command line
+turns them into estimates with wilson_interval, and into census summaries.
 
 Where K is well above the connectivity threshold, a deployment run draws
 each block twice at most.  A block's rows fall into bands, band r being
@@ -55,7 +55,7 @@ import math
 import os
 import pickle
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from typing import NoReturn
@@ -190,35 +190,30 @@ def _check_table(n: int, k: int, rows: int) -> None:
         )
 
 
-def _blocks(
-    draw: Callable[..., np.ndarray],
-    per: int,
-    n: int,
-    k: int,
-    trials: int,
-    base_seed: int,
-    rows: int,
-    start: int = 0,
-    stop: int | None = None,
-) -> Iterator[np.ndarray]:
-    """The (base_seed, k) tables of trials start..stop-1 (by default all
-    `trials` of the run), first `rows` nodes each, in order, drawn lazily by
-    draw (a sampling block function) in blocks of `per` trials, the last one
-    shorter.
-
-    (n, k), trials and the seed are checked at the call, before the caller
-    allocates; block starts are stepped, not listed, and no yielded block is
-    held here, so a caller that drops its own reference frees it before the
-    next draw.
-    """
-    _check_run(n, (k,), trials, base_seed)
-    seed = sampling.fold(base_seed, k)
-    stop = trials if stop is None else stop
-    return (draw(seed, first, min(per, stop - first), n, k, rows) for first in range(start, stop, per))
+def _band_block(seed: int, n: int, k: int, ids: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
+    """The sorted block of tables `ids` (ascending trial ids) of the k-key
+    scheme keyed by `seed`, drawn run by run: runs lists (first row, end
+    row, steps) of consecutive row ranges from row 0, each drawn with its
+    first `steps` Floyd draws per row.  One run is the sampler's block as
+    it stands; where there are more, each run is sorted on its own and
+    placed in a block of their most steps, the columns past its own filled
+    with a repeat of its last, the row's largest partner, which adds no
+    edge and keeps the row ascending."""
+    draw = partial(sampling.sample_pairing_block, seed, int(ids[0]), len(ids), n, k)
+    if len(runs) == 1:
+        lo, hi, c = runs[0]
+        return draw(hi, c, ids, lo)
+    top = max(c for _, _, c in runs)
+    block = np.moveaxis(np.empty((top, len(ids), runs[-1][1]), dtype=sampling._narrowest_int(n - 1)), 0, -1)
+    for lo, hi, c in runs:
+        part = draw(hi, c, ids, lo)
+        block[:, lo:hi, :c] = part
+        block[:, lo:hi, c:] = part[..., -1:]
+    return block
 
 
 def _count_deployments(
-    plan: ExperimentPlan, k: int, start: int, stop: int, width: int, steps: tuple[int, ...] | None = None
+    plan: ExperimentPlan, k: int, start: int, stop: int, width: int, steps: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """run_sweep's counts for k over trials start..stop-1 alone, one k of a
     share of a run of width `width`: (connected, no_isolated, joint), the
@@ -226,33 +221,29 @@ def _count_deployments(
     arrays in the order of plan.gammas, and the trials connected at every
     fraction.
 
-    The one evaluation pass: each block of tables is drawn with the rows
-    its largest view reads, answered for every view by one connected_at
-    call, and added to the counts before the next is drawn.  Blocks take
-    1/width of the budget, down to one trial.
+    The one evaluation pass: each block of tables is drawn by _band_block
+    with the rows its largest view reads, answered for every view by one
+    connected_at call, and added to the counts before the next is drawn.
+    Blocks take 1/width of the budget, down to one trial.
 
-    steps[r] (k for each by default) is the number of Floyd draws of band
-    r, rows ms[r-1]..ms[r]-1 (from row 0 for band 0, none where ms[r-1] =
-    ms[r]), which views r and later read.  A band of fewer than k steps
-    holds some of each row's k partners, as Floyd adds to its set and
-    never takes from it, so each view of the block is a subgraph of the
-    table's view: a view the block joins is joined, with no isolated node
-    (one, in a one-node view), as the whole rows would answer, and so is
-    the answer of a view whose bands are all whole.  Runs of bands with
-    equal steps are drawn as one, and where they differ, each is sorted on
-    its own and placed in a block of their most steps, the columns past
-    its own filled with a repeat of its last, the row's largest partner: a
-    repeat adds no edge and keeps the row ascending.  A table that leaves
-    some view undecided waits, with its first answers, to be drawn again
-    with whole rows below its largest undecided view u, in a block of trial
-    ids with other tables of the same u: once they fill a block, and at
-    the end for the rest.  connected_at answers views 0..u of it, which
-    replace the first answers.  So refills draw few blocks, each after the
-    first-pass block before it is dropped, and a share holds the answers of
-    fewer than two blocks of waiting tables per view.
+    steps[r] is the number of Floyd draws of band r, rows ms[r-1]..ms[r]-1
+    (from row 0 for band 0, none where ms[r-1] = ms[r]), which views r and
+    later read; bands of equal steps merge into one run.  A band of fewer
+    than k steps holds some of each row's k partners, as Floyd adds to its
+    set and never takes from it, so each view of the block is a subgraph
+    of the table's view: a view the block joins is joined, with no
+    isolated node (one, in a one-node view), as the whole rows would
+    answer, and so is the answer of a view whose bands are all whole.  A
+    table that leaves some view undecided waits, with its first answers,
+    to be drawn again by _band_block with whole rows below its largest
+    undecided view u, one run of k steps, in a block of trial ids with
+    other tables of the same u: once they fill a block, and at the end for
+    the rest.  connected_at answers views 0..u of it, which replace the
+    first answers.  So refills draw few blocks, each after the first-pass
+    block before it is dropped, and a share holds the answers of fewer
+    than two blocks of waiting tables per view.
     """
     ms = [phase_size(plan.n, g) for g in plan.gammas]
-    steps = (k,) * len(ms) if steps is None else steps
     runs: list[tuple[int, int, int]] = []  # (first row, end row, steps) of the bands merged by steps
     for lo, m, c in zip([0, *ms], ms, steps):
         if lo == m:
@@ -266,20 +257,7 @@ def _count_deployments(
     connected, no_isolated = np.zeros((2, len(ms)), dtype=np.int64)
     joint = 0
     per = max(1, _BLOCK_BUDGET // (ms[-1] * k * width))
-    draw = sampling.sample_pairing_block
     seed = sampling.fold(plan.base_seed, k)
-
-    top = max(c for _, _, c in runs)
-
-    def banded(seed: int, first: int, count: int, n: int, k: int, rows: int) -> np.ndarray:
-        if len(runs) == 1:
-            return draw(seed, first, count, n, k, rows, top)
-        block = np.moveaxis(np.empty((top, count, rows), dtype=sampling._narrowest_int(n - 1)), 0, -1)
-        for lo, hi, c in runs:
-            part = draw(seed, first, count, n, k, hi, c, None, lo)
-            block[:, lo:hi, :c] = part
-            block[:, lo:hi, c:] = part[..., -1:]
-        return block
 
     def add(conn: np.ndarray, iso: np.ndarray) -> None:
         nonlocal connected, no_isolated, joint
@@ -295,16 +273,12 @@ def _count_deployments(
         ids, conn, iso = (np.concatenate(part, axis=-1) for part in zip(*waiting[u]))
         waiting[u].clear()
         for lo in range(0, len(ids), per):
-            some = ids[lo : lo + per]
-            whole = draw(seed, int(some[0]), len(some), plan.n, k, ms[u], k, some)
-            conn[: u + 1, lo : lo + per], iso[: u + 1, lo : lo + per] = connected_at(whole, ms[: u + 1])
-            del whole
+            answers = connected_at(_band_block(seed, plan.n, k, ids[lo : lo + per], [(0, ms[u], k)]), ms[: u + 1])
+            conn[: u + 1, lo : lo + per], iso[: u + 1, lo : lo + per] = answers
         add(conn, iso)
 
-    first = start
-    for block in _blocks(banded, per, plan.n, k, plan.trials, plan.base_seed, ms[-1], start, stop):
-        conn, iso = connected_at(block, ms)
-        del block
+    for first in range(start, stop, per):
+        conn, iso = connected_at(_band_block(seed, plan.n, k, np.arange(first, min(first + per, stop)), runs), ms)
         split = ~conn & ~exact[:, None]
         last = np.where(split.any(axis=0), len(ms) - 1 - split[::-1].argmax(axis=0), -1)
         add(conn[:, last < 0], iso[:, last < 0])
@@ -314,7 +288,6 @@ def _count_deployments(
                 waiting[u].append((first + np.flatnonzero(picked), conn[:, picked], iso[:, picked]))
                 if sum(len(ids) for ids, _, _ in waiting[u]) >= per:
                     refill(u)
-        first += len(last)
     for u in range(len(ms)):
         if waiting[u]:
             refill(u)
@@ -414,19 +387,15 @@ def default_workers() -> int:
     return min(_pool_cpus(), _DEFAULT_WORKERS_MAX)
 
 
-def _pool_size(workers: int | None, trials: int) -> int:
-    """Processes to run on: at most one per trial and per usable CPU."""
-    return max(1, min(workers or 1, trials, _pool_cpus()))
-
-
 def _width(workers: int | None, trials: int, entries: int, table: int) -> int:
     """The width of a run of `trials` trials that draws `entries` table
     entries, `table` at most per trial: 1 when the run fits one serial
-    block, and never so wide that one table per process passes the budget,
+    block, else at most `workers`, one process per trial and per usable
+    CPU, and never so wide that one table per process passes the budget,
     as the shares' blocks shrink only to one trial."""
     if entries <= _BLOCK_BUDGET:
         return 1
-    return _pool_size(min(workers or 1, max(1, _BLOCK_BUDGET // table)), trials)
+    return max(1, min(workers or 1, _BLOCK_BUDGET // table, trials, _pool_cpus()))
 
 
 def _trial_ranges(trials: int, width: int) -> list[tuple[int, int]]:
@@ -537,13 +506,11 @@ def run_keyring_census(
     _check_run(n, (k,), trials, base_seed, workers)
     _check_table(n, k, n)
     width = _width(workers, trials, trials * n * k, n * k)
-    shares = [[partial(_count_rings, n, k, trials, base_seed, *span, width)] for span in _trial_ranges(trials, width)]
+    shares = [[partial(_count_rings, n, k, base_seed, *span, width)] for span in _trial_ranges(trials, width)]
     return _run_shares(shares)[0]
 
 
-def _count_rings(
-    n: int, k: int, trials: int, base_seed: int, start: int, stop: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _count_rings(n: int, k: int, base_seed: int, start: int, stop: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The census counts of trials start..stop-1 alone, the share of a run
     of width `width`.
 
@@ -553,11 +520,10 @@ def _count_rings(
     than 1/width of the budget, unless one trial does.
     """
     per = max(1, min(sampling._CHUNK // n, _BLOCK_BUDGET // (n * k * width)))
-    blocks = _blocks(sampling.draw_pairing_block, per, n, k, trials, base_seed, n, start, stop)
+    seed = sampling.fold(base_seed, k)
     hist, max_hist = np.zeros((2, n + k), dtype=np.int64)
-    for block in blocks:
-        sizes = ring_sizes(block)
+    for first in range(start, stop, per):
+        sizes = ring_sizes(sampling.draw_pairing_block(seed, first, min(per, stop - first), n, k))
         hist += np.bincount(sizes.ravel(), minlength=n + k)
         max_hist += np.bincount(sizes.max(axis=1), minlength=n + k)
-        del block
     return hist, max_hist

@@ -72,6 +72,12 @@ CLI_COMMANDS = {
     "sweep_cut": "sweep --n 300 --k 2..6 --gamma 0.3,0.7 --trials 60 --seed 3",
     # six nested views, m = 1, 2, 20, 100, 180 and 200, in one kernel call per block
     "sweep_views": "sweep --n 200 --k 1..8 --gamma 0.005,0.01,0.1,0.5,0.9,1.0 --trials 60 --seed 9",
+    # first passes in bands of 13, 7 and 2 or 14, 8 and 2 Floyd steps at every K,
+    # and refills that draw the rows of the 75- or 150-node view alone
+    "sweep_bands": "sweep --n 300 --k 27..38 --gamma 0.25,0.5,1.0 --trials 40 --seed 4",
+    # int8 tables, whose largest value is node n-1, the full view's; from K = 11
+    # on, bands of unequal steps pad their short rows with their largest partner
+    "sweep_int8": "sweep --n 128 --k 8..40 --gamma 0.25,0.5,1.0 --trials 40",
     "phased": "phased --n 120 --k 4 --schedule 0.25,0.5,1.0 --trials 50 --seed 11",
     "census": "census --n 80 --k 3 --trials 60 --seed 2",
     # every theory flag; r = 1..5 and n = 1e5..1e6, zero binomials and an underflow
@@ -102,6 +108,10 @@ CLI_DIGESTS = {
     ("sweep_cut", "json"): "02101f383db80a4c9f726bec84a6ff95d693d7857becce6846d15812771be46e",
     ("sweep_views", "csv"): "e257e251f9a998f1805ba5987c35771c9a8f43e1bd81f337f6889fd01ad141a6",
     ("sweep_views", "json"): "506dd105f20822ec3b2186aab298a370c08e7b1c71ce794d68957c7b2124a512",
+    ("sweep_bands", "csv"): "5122dd25cdda655c6695453bcd25d27ce04f8979598c505b3415e4a9ecdf323f",
+    ("sweep_bands", "json"): "467eed53589e6a11cf8ee9fabf6c1d1b9793da18ff167e57e11afb445d48b753",
+    ("sweep_int8", "csv"): "dd731c43332d5b4b336106aa196a741c3272c1daf6e2545f988c844f069d51f9",
+    ("sweep_int8", "json"): "91db786695b63293698a21048502f414990c4328fcc15c42f2ace4a73de80829",
     ("phased", "csv"): "67e7ee87fe43307f08dccea3266265d400854e486c3c70227a1b1b537935d40d",
     ("phased", "json"): "99524cfa786e0aa92bd9330d5db6a43b8f82fbc5d4d1c9b6f46672bfcc11444e",
     ("census", "csv"): "6a5ba01bda085f1b37441535a1f801194ba6f27775663ec5639ef5f5a939a526",

@@ -14,7 +14,7 @@ all of them agree.
 import numpy as np
 import pytest
 
-from pairdeploy import montecarlo, sampling
+from pairdeploy import sampling
 from pairdeploy.graphs import connected_at
 from pairdeploy.scheme import PairingTable, SchemeParams, generate_pairing, phase_size
 from pairdeploy.sampling import sample_pairing_block
@@ -395,11 +395,14 @@ def test_views_the_block_does_not_hold_are_rejected(ms):
 
 
 def test_block_kernels_ignore_block_partitioning():
-    """One-table blocks and the blocks the Monte Carlo block loop cuts at
-    seven trials give the same answers as the whole trial range at once."""
+    """One-table blocks and blocks of seven trials, as the Monte Carlo runs
+    cut them, give the same answers as the whole trial range at once."""
     n, k, trials, seed = 60, 3, 45, 77
     whole = sample_pairing_block(sampling.fold(seed, k), 0, trials, n, k)
-    blocks = list(montecarlo._blocks(sample_pairing_block, 7, n, k, trials, seed, n))
+    blocks = [
+        sample_pairing_block(sampling.fold(seed, k), first, min(7, trials - first), n, k)
+        for first in range(0, trials, 7)
+    ]
     assert len(blocks) == 7 and sum(len(block) for block in blocks) == trials
     ms = (1, 2, 20, 31, n)
     conn, iso = connected_at(whole, ms)

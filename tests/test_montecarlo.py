@@ -25,7 +25,7 @@ from pairdeploy.montecarlo import (
     CENSUS_TRIALS_DEFAULT,
     SWEEP_TRIALS_DEFAULT,
     ExperimentPlan,
-    _pool_size,
+    _width,
     run_keyring_census,
     run_sweep,
     wilson_interval,
@@ -334,7 +334,7 @@ def test_pool_census_blocks_shrink_by_the_width(monkeypatch):
 
     monkeypatch.setattr(sampling, "draw_pairing_block", tracked)
     for width in (1, 2, 3, 7):
-        montecarlo._count_rings(20, 3, 9, 4, 0, 9, width)
+        montecarlo._count_rings(20, 3, 4, 0, 9, width)
     assert shapes == [(4, 20, 3)] * 2 + [(1, 20, 3)] + [(3, 20, 3)] * 3 + [(2, 20, 3)] * 4 + [(1, 20, 3)] + [(1, 20, 3)] * 9
 
 
@@ -353,7 +353,7 @@ def test_pool_blocks_shrink_by_the_width(monkeypatch):
     monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
     plan = ExperimentPlan(50, (3,), (0.2, 0.6), 14, base_seed=4)
     run_sweep(plan)
-    montecarlo._count_deployments(plan, 3, 0, 7, 3)
+    montecarlo._count_deployments(plan, 3, 0, 7, 3, (3, 3))
     assert shapes == [(12, 30, 3), (2, 30, 3), (4, 30, 3), (3, 30, 3)]
 
 
@@ -379,18 +379,23 @@ def test_default_workers_follow_the_cpu_set_and_platform(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+# table entries past one serial block, so that a run may be wider than 1
+PAST_ONE_BLOCK = montecarlo._BLOCK_BUDGET + 1
+
+
 def test_pool_size_is_clamped(monkeypatch):
-    """The width never outgrows the trials or the usable CPUs; nothing is
-    started."""
+    """The width of a run past one serial block, of one-entry tables, never
+    outgrows the workers asked for, the trials or the usable CPUs; nothing
+    is started."""
     usable_cpus(monkeypatch, "linux", {0, 1, 2, 3})
-    assert _pool_size(None, 25) == 1
-    assert _pool_size(1, 25) == 1
-    assert _pool_size(3, 25) == 3
-    assert _pool_size(10_000, 25) == 4
-    assert _pool_size(10_000, 2) == 2
-    assert _pool_size(8, 1) == 1
+    assert _width(None, 25, PAST_ONE_BLOCK, 1) == 1
+    assert _width(1, 25, PAST_ONE_BLOCK, 1) == 1
+    assert _width(3, 25, PAST_ONE_BLOCK, 1) == 3
+    assert _width(10_000, 25, PAST_ONE_BLOCK, 1) == 4
+    assert _width(10_000, 2, PAST_ONE_BLOCK, 1) == 2
+    assert _width(8, 1, PAST_ONE_BLOCK, 1) == 1
     usable_cpus(monkeypatch, "darwin", {0, 1, 2, 3})
-    assert _pool_size(10_000, 25) == 1
+    assert _width(10_000, 25, PAST_ONE_BLOCK, 1) == 1
 
 
 def test_both_clamps_count_the_cpus_this_process_may_use(monkeypatch):
@@ -398,9 +403,9 @@ def test_both_clamps_count_the_cpus_this_process_may_use(monkeypatch):
     8 asked for under a 2-CPU affinity mask on a 16-CPU host run as 2, and
     as 1 off Linux.  Nothing is started."""
     usable_cpus(monkeypatch, "linux", {4, 9})
-    assert montecarlo.default_workers() == _pool_size(8, 10**6) == 2
+    assert montecarlo.default_workers() == _width(8, 10**6, PAST_ONE_BLOCK, 1) == 2
     usable_cpus(monkeypatch, "darwin", {4, 9})
-    assert montecarlo.default_workers() == _pool_size(8, 10**6) == 1
+    assert montecarlo.default_workers() == _width(8, 10**6, PAST_ONE_BLOCK, 1) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -545,12 +550,9 @@ def first_draw(*args):
 
 
 def test_blocks_are_sized_lazily(monkeypatch):
-    """The block loop checks its sizes when called and steps block starts
-    without listing them: a census of 10**12 trials reaches its first draw
-    having allocated almost nothing."""
-    with pytest.raises(ValueError, match="trials"):
-        montecarlo._blocks(sampling.draw_pairing_block, 1, 10, 1, 0, 0, 10)  # not iterated: checked at the call
-
+    """A census steps its block starts without listing them: one of 10**12
+    trials reaches its first draw having allocated almost nothing.  (Its
+    trials are checked before any block is sized, see test_census_domain.)"""
     monkeypatch.setattr(sampling, "draw_pairing_block", first_draw)
     tracemalloc.start()
     try:
@@ -765,6 +767,33 @@ def fixed_steps(monkeypatch, steps):
     monkeypatch.setattr(montecarlo, "_prefix_steps", lambda n, k, gammas, isolated=None: steps(k, len(gammas)))
 
 
+def in_refill() -> bool:
+    """Whether this call comes from the refill path of _count_deployments,
+    which draws again the tables the first pass left undecided."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        code = frame.f_code
+        if code.co_name == "refill" and code.co_filename == montecarlo.__file__:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def count_draws(monkeypatch):
+    """Replace sampling.sample_pairing_block by a wrapper that records each
+    call as (its arguments, whether the refill path made it) in the
+    returned list."""
+    draws = []
+    draw = sampling.sample_pairing_block
+
+    def counted(*args):
+        draws.append((args, in_refill()))
+        return draw(*args)
+
+    monkeypatch.setattr(sampling, "sample_pairing_block", counted)
+    return draws
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
     """With every band's steps of BAND_STEPS, in one process or two, every
@@ -778,20 +807,14 @@ def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
     if width == 2:
         monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 24000)
         monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
-    drawn = sampling.sample_pairing_block
-    tables = {"prefix": 0, "whole": 0}
-
-    def counted(*args):
-        tables["whole" if len(args) == 8 else "prefix"] += args[2]
-        return drawn(*args)
-
-    monkeypatch.setattr(sampling, "sample_pairing_block", counted)
+    draws = count_draws(monkeypatch)
     for steps in BAND_STEPS.values():
         fixed_steps(monkeypatch, steps)
         for name, plan in PREFIX_PLANS.items():
             assert as_lists(run_sweep(replace(plan, workers=width))) == expected[name], name
     if width == 1:
-        assert 0 < tables["whole"] < tables["prefix"]
+        refilled = sum(args[2] for args, refill in draws if refill)
+        assert 0 < refilled < sum(args[2] for args, refill in draws if not refill)
     assert_no_child_left()
 
 
@@ -803,9 +826,9 @@ def test_refills_read_the_rows_of_the_largest_undecided_view(monkeypatch):
     largest view."""
     plan = ExperimentPlan(200, (6,), (0.1, 0.3, 1.0), 60, base_seed=5)
     fixed_steps(monkeypatch, lambda k, bands: (1, k, 2))
-    calls = count_calls(monkeypatch, "sample_pairing_block")
+    draws = count_draws(monkeypatch)
     counts = as_lists(run_sweep(plan))
-    refills = [args for args in calls if len(args) == 8]
+    refills = [args for args, refill in draws if refill]
     rows = [args[5] for args in refills]
     ids = [int(t) for args in refills for t in args[7]]
     assert set(rows) <= {20, 60, 200} and min(rows) < 200 and len(rows) == len(set(rows))
@@ -822,13 +845,32 @@ def test_refills_are_drawn_once_they_fill_a_block(monkeypatch):
     plan = ExperimentPlan(200, (6,), (0.1, 0.3, 1.0), 60, base_seed=5)
     fixed_steps(monkeypatch, lambda k, bands: (1, k, 2))
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 3 * 200 * 6)
-    calls = count_calls(monkeypatch, "sample_pairing_block")
+    draws = count_draws(monkeypatch)
     counts = as_lists(run_sweep(plan))
-    refills = [len(args) == 8 for args in calls]
-    assert all(args[2] <= 3 for args in calls)
+    refills = [refill for _, refill in draws]
+    assert all(args[2] <= 3 for args, _ in draws)
     assert refills.index(True) < len(refills) - 1 - refills[::-1].index(False)
     fixed_steps(monkeypatch, BAND_STEPS["k"])
     assert counts == as_lists(run_sweep(plan))
+
+
+def test_band_block_sorts_and_pads_each_run():
+    """Runs of k steps give the sampler's block of the trial ids, whether
+    one run or several; with runs of unequal steps, each band holds its
+    rows' sorted prefix of its own steps, then repeats of its last column
+    up to the block's most steps."""
+    n, k, seed, ids = 128, 6, sampling.fold(3, 6), np.array([2, 5, 6, 11])
+    whole = sampling.sample_pairing_block(seed, 0, 12, n, k, 90)[ids]
+    for runs in ([(0, 90, k)], [(0, 30, k), (30, 90, k)]):
+        block = montecarlo._band_block(seed, n, k, ids, runs)
+        assert block.dtype == whole.dtype and np.array_equal(block, whole)
+    runs = [(0, 30, 2), (30, 64, 5), (64, 90, 1)]
+    block = montecarlo._band_block(seed, n, k, ids, runs)
+    assert block.shape == (4, 90, 5)
+    for lo, hi, c in runs:
+        prefix = sampling.sample_pairing_block(seed, 0, 12, n, k, hi, c)[ids, lo:]
+        assert np.array_equal(block[:, lo:hi, :c], prefix)
+        assert (block[:, lo:hi, c:] == prefix[..., -1:]).all()
 
 
 def banded_from_whole(whole):
@@ -878,7 +920,7 @@ def test_prefix_and_whole_blocks_are_alive_one_at_a_time(monkeypatch):
         assert all(ref() is None for ref in drawn), "previous block still alive"
         block = draw(*args)
         drawn.append(weakref.ref(block))
-        whole.append(len(args) == 8)
+        whole.append(in_refill())
         return block
 
     monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
