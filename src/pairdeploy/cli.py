@@ -188,15 +188,6 @@ def _theory_args(p: argparse.ArgumentParser) -> None:
     _add_io(p)
 
 
-# subcommand -> (its line in the top-level help, the function adding its arguments)
-_SUBPARSERS = {
-    "sweep": ("connectivity / no-isolated curves", _sweep_args),
-    "phased": ("joint connectivity through a schedule", _phased_args),
-    "census": ("key-ring size census", _census_args),
-    "theory": ("closed-form calculators", _theory_args),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser.  Given a subcommand's name, it holds that
     subcommand's parser alone, which parses an argument list starting with
@@ -208,13 +199,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Pairwise key predistribution under gradual deployment: "
         "Monte Carlo experiments and exact calculators.",
     )
-    names = [command] if command in _SUBPARSERS else list(_SUBPARSERS)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
     # one subcommand alone is given the usage the full parser shows; the full
     # parser keeps the default metavar, "command", which its errors name
-    metavar = "{" + ",".join(_SUBPARSERS) + "}" if len(names) == 1 else None
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        text, add_args = _SUBPARSERS[name]
+        text, add_args, _, _ = _COMMANDS[name]
         add_args(sub.add_parser(name, help=text))
     return parser
 
@@ -330,12 +321,16 @@ def _theory(args: argparse.Namespace) -> _Output:
     return rows, None, {"command": "theory", "rows": rows}
 
 
-# command -> (CSV fields, function returning its rows, CSV trailer and JSON document)
+# command -> (its line in the top-level help, the function adding its
+# arguments, its CSV fields, the function returning its rows, CSV trailer
+# and JSON document)
 _COMMANDS = {
-    "sweep": (["kind", "gamma", "K", "n", *_ESTIMATE_FIELDS], _sweep),
-    "phased": (["n", "K", "schedule", *_ESTIMATE_FIELDS], _phased),
-    "census": (["size", "count", "is_max_histogram"], _census),
-    "theory": (_THEORY_FIELDS, _theory),
+    "sweep": ("connectivity / no-isolated curves", _sweep_args,
+              ["kind", "gamma", "K", "n", *_ESTIMATE_FIELDS], _sweep),
+    "phased": ("joint connectivity through a schedule", _phased_args,
+               ["n", "K", "schedule", *_ESTIMATE_FIELDS], _phased),
+    "census": ("key-ring size census", _census_args, ["size", "count", "is_max_histogram"], _census),
+    "theory": ("closed-form calculators", _theory_args, _THEORY_FIELDS, _theory),
 }
 
 
@@ -381,7 +376,7 @@ def _keep_freed_memory() -> None:
 
 
 def _run(args: argparse.Namespace, fp: IO[str]) -> None:
-    fields, produce = _COMMANDS[args.command]
+    _, _, fields, produce = _COMMANDS[args.command]
     if args.command != "theory":  # the Monte Carlo commands
         _keep_freed_memory()
     rows, trailer, doc = produce(args)

@@ -55,7 +55,7 @@ import math
 import os
 import pickle
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from typing import NoReturn
@@ -64,7 +64,7 @@ import numpy as np
 
 from . import sampling, theory
 from .graphs import connected_at
-from .scheme import SchemeParams, phase_size, ring_sizes
+from .scheme import SchemeParams, phase_size
 
 __all__ = [
     "SWEEP_TRIALS_DEFAULT",
@@ -86,6 +86,10 @@ CENSUS_TRIALS_DEFAULT = 1000
 # next draw raises peak RSS by about a block (phased at n=2000, K=37: 45.0 to
 # 53.5 MB; a sweep at n=1e6, K=40: 239 to 395 MB).
 _BLOCK_BUDGET = 4_000_000
+
+# partner ids binned per np.bincount call in _ring_sizes: its int64 copy of
+# them, 256 KiB, stays in cache
+_BIN_ENTRIES = 1 << 15
 
 # the cgroup v2 CPU quota of this process, "QUOTA PERIOD" or "max PERIOD" (in
 # microseconds), as the cgroup namespace of a container shows it
@@ -190,7 +194,7 @@ def _check_table(n: int, k: int, rows: int) -> None:
         )
 
 
-def _band_block(seed: int, n: int, k: int, ids: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
+def _band_block(seed: int, n: int, k: int, ids: Sequence[int], runs: list[tuple[int, int, int]]) -> np.ndarray:
     """The sorted block of tables `ids` (ascending trial ids) of the k-key
     scheme keyed by `seed`, drawn run by run: runs lists (first row, end
     row, steps) of consecutive row ranges from row 0, each drawn with its
@@ -199,14 +203,14 @@ def _band_block(seed: int, n: int, k: int, ids: np.ndarray, runs: list[tuple[int
     placed in a block of their most steps, the columns past its own filled
     with a repeat of its last, the row's largest partner, which adds no
     edge and keeps the row ascending."""
-    draw = partial(sampling.sample_pairing_block, seed, int(ids[0]), len(ids), n, k)
+    draw = partial(sampling.sample_pairing_block, seed, ids, n, k)
     if len(runs) == 1:
         lo, hi, c = runs[0]
-        return draw(hi, c, ids, lo)
+        return draw(range(lo, hi), c)
     top = max(c for _, _, c in runs)
     block = np.moveaxis(np.empty((top, len(ids), runs[-1][1]), dtype=sampling._narrowest_int(n - 1)), 0, -1)
     for lo, hi, c in runs:
-        part = draw(hi, c, ids, lo)
+        part = draw(range(lo, hi), c)
         block[:, lo:hi, :c] = part
         block[:, lo:hi, c:] = part[..., -1:]
     return block
@@ -278,7 +282,7 @@ def _count_deployments(
         add(conn, iso)
 
     for first in range(start, stop, per):
-        conn, iso = connected_at(_band_block(seed, plan.n, k, np.arange(first, min(first + per, stop)), runs), ms)
+        conn, iso = connected_at(_band_block(seed, plan.n, k, range(first, min(first + per, stop)), runs), ms)
         split = ~conn & ~exact[:, None]
         last = np.where(split.any(axis=0), len(ms) - 1 - split[::-1].argmax(axis=0), -1)
         add(conn[:, last < 0], iso[:, last < 0])
@@ -516,14 +520,40 @@ def _count_rings(n: int, k: int, base_seed: int, start: int, stop: int, width: i
 
     Ring sizes ignore the order of a row, so the tables are drawn unsorted,
     in blocks of one sampler draw chunk (whole trials, at least one), which
-    ring_sizes bins while they are still in cache; a block takes no more
+    _ring_sizes bins while they are still in cache; a block takes no more
     than 1/width of the budget, unless one trial does.
     """
     per = max(1, min(sampling._CHUNK // n, _BLOCK_BUDGET // (n * k * width)))
     seed = sampling.fold(base_seed, k)
     hist, max_hist = np.zeros((2, n + k), dtype=np.int64)
     for first in range(start, stop, per):
-        sizes = ring_sizes(sampling.draw_pairing_block(seed, first, min(per, stop - first), n, k))
+        sizes = _ring_sizes(sampling.draw_pairing_block(seed, range(first, min(first + per, stop)), n, k))
         hist += np.bincount(sizes.ravel(), minlength=n + k)
         max_hist += np.bincount(sizes.max(axis=1), minlength=n + k)
     return hist, max_hist
+
+
+def _ring_sizes(block: np.ndarray) -> np.ndarray:
+    """Key ring sizes for a (trials, n, k) block of partner arrays: k plus
+    the reverse degree of every node of every table, a (trials, n) int64
+    array.  Rows may come in any order.
+
+    One loop bins about _BIN_ENTRIES partner ids per np.bincount call,
+    read from the (k, n) column slices of a group of tables, contiguous in
+    the sampler's selection-major blocks, with ids offset by n per table.
+    Tables with n*k <= _BIN_ENTRIES go several to a call, all columns at
+    once; a larger one goes alone, a group of at least one column per
+    call, so no whole table is copied or widened.
+    """
+    trials, n, k = block.shape
+    cols = np.moveaxis(block, -1, 0)  # (k, trials, n)
+    sizes = np.full((trials, n), k, dtype=np.int64)
+    per = max(1, _BIN_ENTRIES // (n * k))  # tables per call
+    step = max(1, _BIN_ENTRIES // (n * per))  # columns per call
+    for lo in range(0, trials, per):
+        group = sizes[lo : lo + per]
+        offsets = np.arange(0, group.size, n)[:, None]
+        for c in range(0, k, step):
+            ids = cols[c : c + step, lo : lo + per] + offsets
+            group += np.bincount(ids.ravel(), minlength=group.size).reshape(-1, n)
+    return sizes

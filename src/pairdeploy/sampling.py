@@ -50,15 +50,14 @@ so the cost is two passes per comparator rather than a sort call per row.
 Longer int16 and int32 rows take numpy's row-by-row sort, the faster of
 the two there; both give the same ascending rows.
 
-A block may hold only the nodes first_row..rows-1 of each table: the
-first `rows`, the rows a deployment view reads, or one band of them, the
-rows between two view sizes.  Node i's row depends on its own stream
-alone, so the block equals those rows of the full block, bit for bit.
-Likewise a block may hold any listed trials (`trial_ids`), each table
-equal to its table in a contiguous block, and only the first `steps`
-Floyd steps of each row: Floyd only adds to its set, so those partners
-are some of the row's k, the same draws as the whole block's first
-`steps` columns before the sort.  steps = k is the whole block.
+A block names its tables by trial ids, any sequence of them (a range for
+consecutive ones), and its rows by a range of node ids: all n, the first
+rows a deployment view reads, or one band of them, the rows between two
+view sizes.  It may also keep only the first `steps` Floyd steps of each
+row.  Each (trial, node) row depends on its own stream alone, and Floyd
+only adds to its set, so the block equals, bit for bit, those tables and
+rows of the full block, and those first `steps` columns before the sort:
+some of each row's k partners.  steps = k is the whole block.
 
 Pairing blocks keep the narrowest signed integer type that holds every node
 id (int8, int16 or int32, by n); PairingTable widens one table to int64.
@@ -66,6 +65,7 @@ id (int8, int16 or int32, by n); PairingTable widens one table to int64.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
 
 import numpy as np
@@ -182,48 +182,34 @@ def _network_sort(cols: np.ndarray) -> None:
 
 
 def draw_pairing_block(
-    seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None,
-    steps: int | None = None, trial_ids: np.ndarray | None = None, first_row: int = 0,
+    seed: int, trials: Sequence[int], n: int, k: int, rows: range | None = None, steps: int | None = None
 ) -> np.ndarray:
-    """The block sample_pairing_block returns, with each row left in
-    Floyd's draw order instead of sorted: shape (n_trials, rows -
-    first_row, steps), stored selection-major, the same partners per row.
-    For a caller that ignores the order of a row, such as a ring-size count.
-
-    steps (1..k, k by default) cuts each row to its first Floyd steps;
-    trial_ids, given, lists the block's n_trials trials, first_trial
-    first, in place of first_trial..first_trial+n_trials-1; first_row
-    (0..rows-1) drops the rows of nodes below it.
-    """
-    rows = n if rows is None else rows
-    if not 1 <= rows <= n:
-        raise ValueError(f"need 1 <= rows <= n, got rows={rows}, n={n}")
-    if not 0 <= first_row < rows:
-        raise ValueError(f"need 0 <= first_row < rows, got first_row={first_row}, rows={rows}")
+    """The block sample_pairing_block returns for the same arguments, with
+    each row left in Floyd's draw order instead of sorted: the same
+    partners per row, stored selection-major.  For a caller that ignores
+    the order of a row, such as a ring-size count."""
+    rows = range(n) if rows is None else rows
+    if not (isinstance(rows, range) and rows and rows.step == 1 and rows.start >= 0 and rows.stop <= n):
+        raise ValueError(f"rows must be a nonempty step-1 range within range({n}), got {rows!r}")
     m = n - 1  # candidates per node: every id but its own
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     steps = k if steps is None else steps
     if not 1 <= steps <= k:
         raise ValueError(f"need 1 <= steps <= k, got steps={steps}, k={k}")
-    if trial_ids is None:
-        trial_keys = np.arange(first_trial, first_trial + n_trials, dtype=np.uint64)
-    else:
-        if len(trial_ids) != n_trials or (n_trials and trial_ids[0] != first_trial):
-            raise ValueError(f"trial_ids must hold n_trials={n_trials} ids from first_trial={first_trial} on")
-        trial_keys = np.array(trial_ids, dtype=np.uint64)
+    trial_keys = np.array(trials, dtype=np.uint64)
     # mix(fold(seed, trial)), so that key = mix(trial_key ^ node * GOLDEN)
     trial_keys ^= np.uint64(mix64(seed))
     scratch = np.empty_like(trial_keys)
     _mix64(_mix64(trial_keys, scratch), scratch)
-    out = np.empty((steps, n_trials, rows - first_row), dtype=_narrowest_int(m))
-    span = min(rows - first_row, _CHUNK)  # nodes per chunk
-    per = max(1, min(n_trials, _CHUNK // (rows - first_row)))  # trials per chunk
+    out = np.empty((steps, len(trial_keys), len(rows)), dtype=_narrowest_int(m))
+    span = min(len(rows), _CHUNK)  # nodes per chunk
+    per = max(1, min(len(trial_keys), _CHUNK // len(rows)))  # trials per chunk
     bufs = np.empty((3, per * span), dtype=np.uint64)
-    for lo in range(first_row, rows, span):
-        hi = min(lo + span, rows)
-        for first in range(0, n_trials, per):
-            drawn = out[:, first : first + per, lo - first_row : hi - first_row]
+    for lo in range(rows.start, rows.stop, span):
+        hi = min(lo + span, rows.stop)
+        for first in range(0, len(trial_keys), per):
+            drawn = out[:, first : first + per, lo - rows.start : hi - rows.start]
             keys, u, tmp = (b[: drawn[0].size].reshape(drawn.shape[1:]) for b in bufs)
             # each (trial, node) pair's stream key, mix(trial_key ^ node * GOLDEN)
             np.bitwise_xor(
@@ -252,21 +238,18 @@ def draw_pairing_block(
 
 
 def sample_pairing_block(
-    seed: int, first_trial: int, n_trials: int, n: int, k: int, rows: int | None = None,
-    steps: int | None = None, trial_ids: np.ndarray | None = None, first_row: int = 0,
+    seed: int, trials: Sequence[int], n: int, k: int, rows: range | None = None, steps: int | None = None
 ) -> np.ndarray:
-    """Pairing selections of the first `rows` nodes (all n by default) for
-    a block of trials, shape (n_trials, rows, k), or (n_trials, rows,
-    steps) for the first `steps` Floyd draws of each row alone, a subset of
-    its k partners; trial_ids, given, lists the trials, and first_row
-    drops the rows below it, leaving rows first_row..rows-1 (see
-    draw_pairing_block).
+    """Pairing selections of nodes `rows` (a nonempty step-1 range within
+    range(n), all n by default) in the tables of `trials` (any sequence of
+    trial ids), each row cut to its first `steps` Floyd draws (1..k, k by
+    default): shape (len(trials), len(rows), steps).
 
-    Entry [t, i, :] is node i's k chosen partners (0-based ids below n,
-    sorted ascending, never i itself) in trial first_trial + t.  Every
-    (trial, node) pair draws from its own stream, so the block is bitwise
-    reproducible for any block partitioning of the same trial range, and
-    a block of rows first_row..rows-1 equals those rows of the full block.
+    Entry [t, i, :] is node rows[i]'s partners (0-based ids below n,
+    sorted ascending, never the node itself) in trial trials[t]: all k of
+    them, or the first `steps` drawn, a subset.  Every (trial, node) pair
+    draws from its own stream, so the block equals, bit for bit, its
+    trials and rows of any other block, however the trials are split.
     The dtype is the narrowest signed integer type that holds n-1 (int8
     up to n=128, int16 up to 32768, int32 up to 2^31).  The array is stored
     selection-major, so each column [:, :, c] is contiguous for the
@@ -276,7 +259,7 @@ def sample_pairing_block(
     numpy's sort above (see the module docstring); the rows are the same
     either way.
     """
-    block = draw_pairing_block(seed, first_trial, n_trials, n, k, rows, steps, trial_ids, first_row)
+    block = draw_pairing_block(seed, trials, n, k, rows, steps)
     width = block.shape[-1]
     if block.itemsize == 1 or width * block.itemsize <= _NETWORK_MAX_ROW_BYTES:
         _network_sort(np.moveaxis(block, -1, 0).reshape(width, -1))

@@ -5,8 +5,7 @@ chosen uniformly at random; selections of different nodes are mutually
 independent.  Every pairing (i -> j) installs one pairwise key, so node i
 finally holds one key per node it selected plus one per node that selected
 it: ring size = k + reverse degree of i, and ring sizes over a table always
-sum to 2*n*k.  ring_sizes counts them for a block of tables whose rows may
-come in any order, as the census draws them.
+sum to 2*n*k.
 """
 
 from __future__ import annotations
@@ -22,15 +21,9 @@ __all__ = [
     "SchemeParams",
     "PairingTable",
     "generate_pairing",
-    "ring_sizes",
     "gamma_n_exact",
     "phase_size",
 ]
-
-# partner ids binned per np.bincount call in ring_sizes: its int64 copy of
-# them, 256 KiB, stays in cache
-_BIN_ENTRIES = 1 << 15
-
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -78,34 +71,8 @@ def generate_pairing(params: SchemeParams, seed: int, trial: int = 0) -> Pairing
     Deterministic in (params, seed, trial) on every platform; see the
     sampling module for the stream layout.
     """
-    block = sampling.sample_pairing_block(seed, trial, 1, params.n, params.k)
+    block = sampling.sample_pairing_block(seed, range(trial, trial + 1), params.n, params.k)
     return PairingTable(params, block[0])
-
-
-def ring_sizes(block: np.ndarray) -> np.ndarray:
-    """Key ring sizes for a (trials, n, k) block of partner arrays: k plus
-    the reverse degree of every node of every table, a (trials, n) int64
-    array.  Rows may come in any order.
-
-    One loop bins about _BIN_ENTRIES partner ids per np.bincount call,
-    read from the (k, n) column slices of a group of tables, contiguous in
-    the sampler's selection-major blocks, with ids offset by n per table.
-    Tables with n*k <= _BIN_ENTRIES go several to a call, all columns at
-    once; a larger one goes alone, a group of at least one column per
-    call, so no whole table is copied or widened.
-    """
-    trials, n, k = block.shape
-    cols = np.moveaxis(block, -1, 0)  # (k, trials, n)
-    sizes = np.full((trials, n), k, dtype=np.int64)
-    per = max(1, _BIN_ENTRIES // (n * k))  # tables per call
-    step = max(1, _BIN_ENTRIES // (n * per))  # columns per call
-    for lo in range(0, trials, per):
-        group = sizes[lo : lo + per]
-        offsets = np.arange(0, group.size, n)[:, None]
-        for c in range(0, k, step):
-            ids = cols[c : c + step, lo : lo + per] + offsets
-            group += np.bincount(ids.ravel(), minlength=group.size).reshape(-1, n)
-    return sizes
 
 
 def gamma_n_exact(n: int, gamma: float) -> Fraction:

@@ -23,6 +23,6 @@ def per_trial_outcomes(plan, k):
     the order of plan.gammas.  The tables are drawn in one block, and each
     distinct view size is asked of the kernel on its own."""
     ms = [phase_size(plan.n, g) for g in plan.gammas]
-    block = sample_pairing_block(fold(plan.base_seed, k), 0, plan.trials, plan.n, k, max(ms))
+    block = sample_pairing_block(fold(plan.base_seed, k), range(plan.trials), plan.n, k, range(max(ms)))
     answers = {m: connected_at(block, (m,)) for m in set(ms)}
     return tuple(np.stack([answers[m][i][0] for m in ms]) for i in (0, 1))

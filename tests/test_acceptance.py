@@ -171,7 +171,7 @@ def test_exhaustive_enumeration_matches_exact_formula():
     formula = theory.isolation_prob_exact(4, 1, 0.5)
 
     trials = 100_000
-    block = sampling.sample_pairing_block(sampling.fold(SEED, 1), 0, trials, 4, 1)
+    block = sampling.sample_pairing_block(sampling.fold(SEED, 1), range(trials), 4, 1)
     iso = (block[:, 0, 0] != 1) & (block[:, 1, 0] != 0)
     p_hat = float(iso.mean())
     se = math.sqrt(float(enum_p) * (1 - float(enum_p)) / trials)

@@ -685,8 +685,8 @@ def failing_draw(monkeypatch, actions):
     then end the process) or "exit" (at once, with status 3)."""
     draw = montecarlo.sampling.draw_pairing_block
 
-    def acting(seed, first, *args):
-        action = next(act for upto, act in actions if first < upto)
+    def acting(seed, trials, *args):
+        action = next(act for upto, act in actions if trials[0] < upto)
         if action == "raise":
             raise RuntimeError("broken draw")
         if action == "sleep":
@@ -694,7 +694,7 @@ def failing_draw(monkeypatch, actions):
             os._exit(4)
         if action == "exit":
             os._exit(3)
-        return draw(seed, first, *args)
+        return draw(seed, trials, *args)
 
     monkeypatch.setattr(montecarlo.sampling, "draw_pairing_block", acting)
 
@@ -1061,13 +1061,15 @@ def test_a_command_builds_its_own_parser_alone(capsys, monkeypatch):
     """A run adds the arguments of its own subcommand only; the top-level
     help adds every subcommand's."""
     built = []
-    for name, (text, add_args) in list(cli._SUBPARSERS.items()):
+    for name, (text, add_args, fields, produce) in list(cli._COMMANDS.items()):
         monkeypatch.setitem(
-            cli._SUBPARSERS, name, (text, lambda p, name=name, add_args=add_args: built.append(name) or add_args(p))
+            cli._COMMANDS,
+            name,
+            (text, lambda p, name=name, add_args=add_args: built.append(name) or add_args(p), fields, produce),
         )
     assert run_cli(capsys, "theory", "--r-gamma", "0.5")[0] == 0
     assert built == ["theory"]
     built.clear()
     with pytest.raises(SystemExit):
         main(["-h"])
-    assert built == list(cli._SUBPARSERS)
+    assert built == list(cli._COMMANDS)

@@ -52,14 +52,15 @@ BLOCK_DIGESTS = {
 
 @pytest.mark.parametrize("spec", sorted(BLOCK_DIGESTS), ids=lambda spec: "-".join(map(str, spec)))
 def test_pairing_block_digest(spec):
-    block = sample_pairing_block(*spec)
+    seed, first, count, n, k = spec
+    block = sample_pairing_block(seed, range(first, first + count), n, k)
     assert block.shape == spec[2:]
     assert digest(block.astype(np.int64).tobytes()) == BLOCK_DIGESTS[spec]
 
 
 def test_two_block_partition_digest():
     """Trials 0..9 drawn as 0..3 plus 4..9 hash like the single block."""
-    parts = [sample_pairing_block(31337, 0, 4, 40, 3), sample_pairing_block(31337, 4, 6, 40, 3)]
+    parts = [sample_pairing_block(31337, range(4), 40, 3), sample_pairing_block(31337, range(4, 10), 40, 3)]
     joined = b"".join(p.astype(np.int64).tobytes() for p in parts)
     assert digest(joined) == BLOCK_DIGESTS[(31337, 0, 10, 40, 3)]
 

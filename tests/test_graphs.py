@@ -210,7 +210,7 @@ def test_union_find_and_bfs_agree_on_random_instances():
     per_size = 250
     checked = 0
     for n, k in sizes:
-        block = sample_pairing_block(900 + n, 0, per_size, n, k)
+        block = sample_pairing_block(900 + n, range(per_size), n, k)
         ms = sorted({1, 2, n} | {max(1, n * tenths // 10) for tenths in (3, 5, 8)})
         conn, iso = connected_at(block, ms)
         assert conn.dtype == bool and conn.shape == (len(ms), per_size)
@@ -250,7 +250,7 @@ def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
     connected views (26, 46, ...) and (19, 20, ...), and counts a third
     isolated node on (5, 34, ...).  The oracles pin what each view is, so a
     case that stopped being connected would fail here, not pass unseen."""
-    block = sample_pairing_block(seed, trial, 1, n, k)
+    block = sample_pairing_block(seed, range(trial, trial + 1), n, k)
     table = PairingTable(SchemeParams(n, k), block[0])
     expected = DEEP_HOOK_CHAINS[seed, trial, n, k, m]
     assert (uf_connected(table, m), mask_isolated(table, m)) == expected
@@ -368,9 +368,9 @@ def test_repeated_view_sizes_answer_like_distinct_ones():
     random blocks and for random schedules with repeats.  So
     connected_at(block, (3, 3)) gives two equal rows."""
     handoffs = np.stack([table_from_lists(6, 2, rows).partners for _, rows, _ in HANDOFFS.values()])
-    small = [handoffs] + [sample_pairing_block(60 + k, 0, 40, 6, k) for k in (1, 2, 3)]
+    small = [handoffs] + [sample_pairing_block(60 + k, range(40), 6, k) for k in (1, 2, 3)]
     cases = [(block, (1, 1, 2, 3, 3, 6, 6)) for block in small]
-    n40 = sample_pairing_block(7, 0, 50, 40, 2)
+    n40 = sample_pairing_block(7, range(50), 40, 2)
     rng = np.random.default_rng(11)
     schedules = [(3, 3), (40, 40)] + [tuple(np.sort(rng.integers(1, 41, size=6)).tolist()) for _ in range(20)]
     cases += [(n40, ms) for ms in schedules]
@@ -389,7 +389,7 @@ def test_repeated_view_sizes_answer_like_distinct_ones():
 def test_views_the_block_does_not_hold_are_rejected(ms):
     """A view must be 1..rows nodes, and the views non-decreasing: a 5-row
     block once answered m=12 by counting 7 never-drawn nodes."""
-    block = sample_pairing_block(3, 0, 3, 40, 2, rows=5)
+    block = sample_pairing_block(3, range(3), 40, 2, rows=range(5))
     with pytest.raises(ValueError, match="non-decreasing"):
         connected_at(block, ms)
 
@@ -398,9 +398,9 @@ def test_block_kernels_ignore_block_partitioning():
     """One-table blocks and blocks of seven trials, as the Monte Carlo runs
     cut them, give the same answers as the whole trial range at once."""
     n, k, trials, seed = 60, 3, 45, 77
-    whole = sample_pairing_block(sampling.fold(seed, k), 0, trials, n, k)
+    whole = sample_pairing_block(sampling.fold(seed, k), range(trials), n, k)
     blocks = [
-        sample_pairing_block(sampling.fold(seed, k), first, min(7, trials - first), n, k)
+        sample_pairing_block(sampling.fold(seed, k), range(first, min(first + 7, trials)), n, k)
         for first in range(0, trials, 7)
     ]
     assert len(blocks) == 7 and sum(len(block) for block in blocks) == trials
@@ -419,7 +419,7 @@ def test_narrow_blocks_answer_like_int64_blocks(n):
     """The kernel answers the sampler's narrow block as it answers its int64
     copy, also where m (128, 32768) lies beyond the narrow type's range."""
     for k in (1, 2, 3):
-        block = sample_pairing_block(500 + n, 0, 3, n, k)
+        block = sample_pairing_block(500 + n, range(3), n, k)
         wide = block.astype(np.int64)
         ms = (1, 2, n // 2, n - 1, n)
         for narrow_out, wide_out in zip(connected_at(block, ms), connected_at(wide, ms)):

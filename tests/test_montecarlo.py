@@ -644,7 +644,7 @@ def test_census_block_partition_does_not_change_census(monkeypatch):
     monkeypatch.setattr(sampling, "_CHUNK", 4 * 40)
     calls = count_calls(monkeypatch, "draw_pairing_block")
     split = run_keyring_census(40, 3, trials=25, base_seed=7)
-    assert [args[2] for args in calls] == [4] * 6 + [1]
+    assert [len(args[1]) for args in calls] == [4] * 6 + [1]
     assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
 
@@ -655,7 +655,7 @@ def test_census_matches_bincount_oracle_over_sorted_blocks(n, k, trials):
     (int16) a census block holds 128 and 127 trials, so 300 trials end in
     a short block; at n=40000 each trial's rows span three draw chunks."""
     seed = 13
-    block = sampling.sample_pairing_block(sampling.fold(seed, k), 0, trials, n, k)
+    block = sampling.sample_pairing_block(sampling.fold(seed, k), range(trials), n, k)
     sizes = k + np.array([np.bincount(table.ravel(), minlength=n) for table in block])
     hist, max_hist = run_keyring_census(n, k, trials, seed)
     assert hist.tolist() == np.bincount(sizes.ravel(), minlength=n + k).tolist()
@@ -663,14 +663,14 @@ def test_census_matches_bincount_oracle_over_sorted_blocks(n, k, trials):
 
 
 def test_census_peak_memory_near_the_sampler_block():
-    """ring_sizes bins a table larger than one call a column group at a
+    """_ring_sizes bins a table larger than one call a column group at a
     time, so the census holds one block plus call-sized temporaries: at
     n=2e5, K=40, two trials, its traced peak is within 1.5x of the
     sampler's one-table block's (binning whole tables, copied and widened
     to int64, read 4.06x)."""
     peaks = []
     for run in (
-        lambda: sampling.sample_pairing_block(sampling.fold(0, 40), 0, 1, 200_000, 40),
+        lambda: sampling.sample_pairing_block(sampling.fold(0, 40), range(1), 200_000, 40),
         lambda: run_keyring_census(200_000, 40, 2),
     ):
         tracemalloc.start()
@@ -813,8 +813,8 @@ def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
         for name, plan in PREFIX_PLANS.items():
             assert as_lists(run_sweep(replace(plan, workers=width))) == expected[name], name
     if width == 1:
-        refilled = sum(args[2] for args, refill in draws if refill)
-        assert 0 < refilled < sum(args[2] for args, refill in draws if not refill)
+        refilled = sum(len(args[1]) for args, refill in draws if refill)
+        assert 0 < refilled < sum(len(args[1]) for args, refill in draws if not refill)
     assert_no_child_left()
 
 
@@ -829,8 +829,8 @@ def test_refills_read_the_rows_of_the_largest_undecided_view(monkeypatch):
     draws = count_draws(monkeypatch)
     counts = as_lists(run_sweep(plan))
     refills = [args for args, refill in draws if refill]
-    rows = [args[5] for args in refills]
-    ids = [int(t) for args in refills for t in args[7]]
+    rows = [args[4].stop for args in refills]
+    ids = [int(t) for args in refills for t in args[1]]
     assert set(rows) <= {20, 60, 200} and min(rows) < 200 and len(rows) == len(set(rows))
     assert len(ids) == len(set(ids))
     fixed_steps(monkeypatch, BAND_STEPS["k"])
@@ -848,7 +848,7 @@ def test_refills_are_drawn_once_they_fill_a_block(monkeypatch):
     draws = count_draws(monkeypatch)
     counts = as_lists(run_sweep(plan))
     refills = [refill for _, refill in draws]
-    assert all(args[2] <= 3 for args, _ in draws)
+    assert all(len(args[1]) <= 3 for args, _ in draws)
     assert refills.index(True) < len(refills) - 1 - refills[::-1].index(False)
     fixed_steps(monkeypatch, BAND_STEPS["k"])
     assert counts == as_lists(run_sweep(plan))
@@ -860,7 +860,7 @@ def test_band_block_sorts_and_pads_each_run():
     rows' sorted prefix of its own steps, then repeats of its last column
     up to the block's most steps."""
     n, k, seed, ids = 128, 6, sampling.fold(3, 6), np.array([2, 5, 6, 11])
-    whole = sampling.sample_pairing_block(seed, 0, 12, n, k, 90)[ids]
+    whole = sampling.sample_pairing_block(seed, range(12), n, k, range(90))[ids]
     for runs in ([(0, 90, k)], [(0, 30, k), (30, 90, k)]):
         block = montecarlo._band_block(seed, n, k, ids, runs)
         assert block.dtype == whole.dtype and np.array_equal(block, whole)
@@ -868,19 +868,20 @@ def test_band_block_sorts_and_pads_each_run():
     block = montecarlo._band_block(seed, n, k, ids, runs)
     assert block.shape == (4, 90, 5)
     for lo, hi, c in runs:
-        prefix = sampling.sample_pairing_block(seed, 0, 12, n, k, hi, c)[ids, lo:]
+        prefix = sampling.sample_pairing_block(seed, range(12), n, k, range(hi), c)[ids, lo:]
         assert np.array_equal(block[:, lo:hi, :c], prefix)
         assert (block[:, lo:hi, c:] == prefix[..., -1:]).all()
 
 
 def banded_from_whole(whole):
     """A stand-in for sampling.sample_pairing_block that serves the tables
-    of `whole`, its rows first_row..rows-1, each cut to its `steps`
-    smallest partners: a subset of its row, as Floyd's prefix is."""
+    of `whole`, its rows `rows`, each cut to its `steps` smallest
+    partners: a subset of its row, as Floyd's prefix is."""
 
-    def draw(seed, first, count, n, k, rows=None, steps=None, trial_ids=None, first_row=0):
-        picked = whole[first : first + count] if trial_ids is None else whole[trial_ids]
-        return np.ascontiguousarray(picked[:, first_row:rows, :steps].transpose(2, 0, 1)).transpose(1, 2, 0)
+    def draw(seed, trials, n, k, rows=None, steps=None):
+        rows = range(n) if rows is None else rows
+        picked = whole[list(trials), rows.start : rows.stop, :steps]
+        return np.ascontiguousarray(picked.transpose(2, 0, 1)).transpose(1, 2, 0)
 
     return draw
 

@@ -110,7 +110,7 @@ def test_distinct_trials_and_nodes_get_distinct_keys():
 
 def test_floyd_sample_full_subset_is_forced():
     """k = n-1 leaves each node no choice: every id but its own."""
-    block = sample_pairing_block(0, 0, 10, 5, 4)
+    block = sample_pairing_block(0, range(10), 5, 4)
     expected = [[j for j in range(5) if j != i] for i in range(5)]
     assert np.array_equal(block, np.broadcast_to(expected, (10, 5, 4)))
 
@@ -118,7 +118,7 @@ def test_floyd_sample_full_subset_is_forced():
 def test_floyd_sample_rejects_bad_k():
     for k in (0, 6):
         with pytest.raises(ValueError, match="1 <= k <= n-1"):
-            sample_pairing_block(0, 0, 1, 6, k)
+            sample_pairing_block(0, range(1), 6, k)
 
 
 @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
@@ -134,7 +134,7 @@ def test_floyd_sample_chunks_match_whole_array_oracle(count, n, k, dtype):
     `count` of them, so the last group of trials in a chunk is uneven."""
     rows = min(count, n)
     trials = count // rows + 1
-    got = sample_pairing_block(count, 3, trials, n, k, rows)
+    got = sample_pairing_block(count, range(3, 3 + trials), n, k, range(rows))
     assert got.shape == (trials, rows, k) and got.dtype == dtype
     assert np.array_equal(got, block_oracle(count, 3, trials, n, k, rows))
 
@@ -159,7 +159,7 @@ def test_pairing_block_matches_oracle_across_small_chunks(n, k, monkeypatch):
     monkeypatch.setattr(sampling, "_CHUNK", 7)
     for rows in (1, 2, 3, 6, 7, 8, 21):
         for trials in (1, 3, 10):
-            got = sample_pairing_block(n + rows, 5, trials, n, k, rows)
+            got = sample_pairing_block(n + rows, range(5, 5 + trials), n, k, range(rows))
             assert np.array_equal(got, block_oracle(n + rows, 5, trials, n, k, rows))
 
 
@@ -180,8 +180,8 @@ def test_draw_pairing_block_is_the_block_before_its_sort(n, k, rows):
     its rows gives sample_pairing_block's block, for int8, int16 and int32
     blocks on both sort paths, at rows = n and rows < n.  Both blocks are
     stored selection-major."""
-    drawn = draw_pairing_block(n + k, 2, 3, n, k, rows)
-    block = sample_pairing_block(n + k, 2, 3, n, k, rows)
+    drawn = draw_pairing_block(n + k, range(2, 5), n, k, range(rows))
+    block = sample_pairing_block(n + k, range(2, 5), n, k, range(rows))
     assert drawn.shape == block.shape == (3, rows, k)
     assert drawn.dtype == block.dtype and drawn.strides == block.strides
     assert drawn.strides[2] == drawn.itemsize * 3 * rows
@@ -194,9 +194,9 @@ def test_draw_pairing_block_matches_draw_order_oracle(n, k, rows, monkeypatch):
     """The unsorted rows are Floyd's draws in order, shifted past the
     node's own id, bit for bit, also over chunks of seven pairs."""
     expected = draw_oracle(n, 4, 5, n, k, rows)
-    assert np.array_equal(draw_pairing_block(n, 4, 5, n, k, rows), expected)
+    assert np.array_equal(draw_pairing_block(n, range(4, 9), n, k, range(rows)), expected)
     monkeypatch.setattr(sampling, "_CHUNK", 7)
-    assert np.array_equal(draw_pairing_block(n, 4, 5, n, k, rows), expected)
+    assert np.array_equal(draw_pairing_block(n, range(4, 9), n, k, range(rows)), expected)
 
 
 def test_floyd_sample_uniform_over_all_subsets():
@@ -207,7 +207,7 @@ def test_floyd_sample_uniform_over_all_subsets():
     of freedom; deterministic under the fixed seed.
     """
     draws = 30_000
-    out = sample_pairing_block(20240901, 0, draws, 5, 2, rows=1)[:, 0].astype(np.int64)
+    out = sample_pairing_block(20240901, range(draws), 5, 2, rows=range(1))[:, 0].astype(np.int64)
     packed = out[:, 0] * 5 + out[:, 1]
     counts = np.bincount(packed, minlength=25)
     observed = counts[counts > 0]
@@ -256,12 +256,12 @@ class TestPairingBlock:
     )
     def test_shape_and_dtype(self, n, dtype):
         """Blocks come in the narrowest signed type that holds node id n-1."""
-        block = sample_pairing_block(5, 0, 2, n, 3)
+        block = sample_pairing_block(5, range(2), n, 3)
         assert block.shape == (2, n, 3)
         assert block.dtype == np.dtype(dtype)
 
     def test_rows_sorted_distinct_and_never_self(self):
-        block = sample_pairing_block(5, 0, 20, 25, 4)
+        block = sample_pairing_block(5, range(20), 25, 4)
         assert (block[:, :, 1:] > block[:, :, :-1]).all()
         assert block.min() >= 0 and block.max() < 25
         self_ids = np.arange(25)[None, :, None]
@@ -271,7 +271,7 @@ class TestPairingBlock:
     def test_rows_ascending_on_both_sides_of_the_network_threshold(self, k):
         """The comparator network sorts rows up to _NETWORK_MAX_ROW_BYTES
         bytes, numpy longer ones."""
-        block = sample_pairing_block(11, 0, 3, 200, k)
+        block = sample_pairing_block(11, range(3), 200, k)
         assert (block[:, :, 1:] > block[:, :, :-1]).all()
 
     def test_every_int8_block_is_sorted_by_the_network(self, monkeypatch):
@@ -284,47 +284,47 @@ class TestPairingBlock:
             _network_sort(cols)
 
         monkeypatch.setattr(sampling, "_network_sort", counted)
-        block = sample_pairing_block(11, 0, 3, 128, 112)
+        block = sample_pairing_block(11, range(3), 128, 112)
         assert 112 > _NETWORK_MAX_ROW_BYTES
         assert calls == [(112, 3 * 128)]
         assert (block[:, :, 1:] > block[:, :, :-1]).all()
 
     def test_deterministic_rerun(self):
-        a = sample_pairing_block(99, 0, 10, 50, 2)
-        b = sample_pairing_block(99, 0, 10, 50, 2)
+        a = sample_pairing_block(99, range(10), 50, 2)
+        b = sample_pairing_block(99, range(10), 50, 2)
         assert np.array_equal(a, b)
 
     def test_block_partition_invariance(self):
         """Any chunking of the trial range reproduces the same tables."""
-        whole = sample_pairing_block(31337, 0, 10, 40, 3)
+        whole = sample_pairing_block(31337, range(10), 40, 3)
         parts = np.concatenate(
             [
-                sample_pairing_block(31337, 0, 3, 40, 3),
-                sample_pairing_block(31337, 3, 4, 40, 3),
-                sample_pairing_block(31337, 7, 3, 40, 3),
+                sample_pairing_block(31337, range(3), 40, 3),
+                sample_pairing_block(31337, range(3, 7), 40, 3),
+                sample_pairing_block(31337, range(7, 10), 40, 3),
             ]
         )
         assert np.array_equal(whole, parts)
 
     def test_different_seeds_differ(self):
-        a = sample_pairing_block(1, 0, 5, 40, 3)
-        b = sample_pairing_block(2, 0, 5, 40, 3)
+        a = sample_pairing_block(1, range(5), 40, 3)
+        b = sample_pairing_block(2, range(5), 40, 3)
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("n, k", [(40, 3), (129, 5), (1000, 25)])
     def test_rows_are_a_prefix_of_the_full_block(self, n, k):
         """Each (trial, node) pair owns its stream, so drawing the first
         `rows` nodes gives the full block's first `rows` rows."""
-        whole = sample_pairing_block(8, 3, 4, n, k)
+        whole = sample_pairing_block(8, range(3, 7), n, k)
         for rows in (1, n // 2, n):
-            part = sample_pairing_block(8, 3, 4, n, k, rows=rows)
+            part = sample_pairing_block(8, range(3, 7), n, k, rows=range(rows))
             assert part.dtype == whole.dtype
             assert np.array_equal(part, whole[:, :rows])
 
     @pytest.mark.parametrize("rows", [0, 41])
     def test_rows_out_of_range_rejected(self, rows):
         with pytest.raises(ValueError, match="rows"):
-            sample_pairing_block(8, 0, 2, 40, 3, rows=rows)
+            sample_pairing_block(8, range(2), 40, 3, rows=range(rows))
 
     def test_peak_memory_near_the_block(self):
         """The sampler's temporaries are a column or a chunk, not a block:
@@ -332,7 +332,7 @@ class TestPairingBlock:
         1.15x of its own size."""
         tracemalloc.start()
         try:
-            block = sample_pairing_block(3, 0, 1, 200_000, 40)
+            block = sample_pairing_block(3, range(1), 200_000, 40)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -344,7 +344,7 @@ class TestPairingBlock:
         own size."""
         tracemalloc.start()
         try:
-            block = sample_pairing_block(3, 0, 1, 200_000, 16)
+            block = sample_pairing_block(3, range(1), 200_000, 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -357,7 +357,7 @@ class TestPairingBlock:
         loop's three 128 KiB buffers and the network's scratch included."""
         tracemalloc.start()
         try:
-            block = sample_pairing_block(3, 0, 1, 200_000, 2)
+            block = sample_pairing_block(3, range(1), 200_000, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -365,7 +365,7 @@ class TestPairingBlock:
         assert peak <= 1.6 * block.nbytes
 
     def test_different_trials_differ(self):
-        block = sample_pairing_block(1, 0, 2, 40, 3)
+        block = sample_pairing_block(1, range(2), 40, 3)
         assert not np.array_equal(block[0], block[1])
 
 
@@ -379,11 +379,11 @@ def test_prefix_rows_are_subsets_of_the_whole_rows(n, k):
     the same sorted row at steps = k: for int8, int16 and int32 blocks, on
     both sort paths."""
     rows = min(n, 300)
-    drawn = draw_pairing_block(n, 3, 4, n, k, rows)
-    whole = sample_pairing_block(n, 3, 4, n, k, rows)
+    drawn = draw_pairing_block(n, range(3, 7), n, k, range(rows))
+    whole = sample_pairing_block(n, range(3, 7), n, k, range(rows))
     for steps in sorted({1, 2, k // 2, k - 1, k} - {0}):
-        assert np.array_equal(draw_pairing_block(n, 3, 4, n, k, rows, steps), drawn[..., :steps])
-        prefix = sample_pairing_block(n, 3, 4, n, k, rows, steps)
+        assert np.array_equal(draw_pairing_block(n, range(3, 7), n, k, range(rows), steps), drawn[..., :steps])
+        prefix = sample_pairing_block(n, range(3, 7), n, k, range(rows), steps)
         assert prefix.shape == (4, rows, steps) and prefix.dtype == whole.dtype
         assert np.array_equal(np.sort(drawn[..., :steps], axis=-1), prefix)
         for p, w in zip(prefix.reshape(-1, steps), whole.reshape(-1, k)):
@@ -393,35 +393,37 @@ def test_prefix_rows_are_subsets_of_the_whole_rows(n, k):
 def test_all_steps_is_the_default_block():
     """steps = k draws every pinned block bit for bit (the pins are the
     golden digests, unedited), and steps = None is the same block."""
-    for spec, expected in BLOCK_DIGESTS.items():
-        block = sample_pairing_block(*spec, None, spec[4])
+    for (seed, first, count, n, k), expected in BLOCK_DIGESTS.items():
+        trials = range(first, first + count)
+        block = sample_pairing_block(seed, trials, n, k, None, k)
         assert digest(block.astype(np.int64).tobytes()) == expected
-        assert np.array_equal(draw_pairing_block(*spec, None, spec[4]), draw_pairing_block(*spec))
+        assert np.array_equal(draw_pairing_block(seed, trials, n, k, None, k), draw_pairing_block(seed, trials, n, k))
 
 
 @pytest.mark.parametrize("n, k", PREFIX_SHAPES, ids=lambda v: str(v))
 def test_trial_id_block_equals_rows_of_the_contiguous_block(n, k, monkeypatch):
-    """A block of listed trial ids holds the matching tables of the
-    contiguous block, whole or as a prefix, sorted or in draw order, also
-    when the draw loop's chunks split its trials and rows."""
+    """A block of trial ids, as an int64 array, a list or a range of any
+    step, holds the matching tables of the contiguous block, whole or as a
+    prefix, sorted or in draw order, also when the draw loop's chunks
+    split its trials and rows; the contiguous ids as a range or an int64
+    array give the same block."""
     rows = min(n, 50)
     ids = np.array([5, 6, 9, 17, 18, 30])
     for chunk in (_CHUNK, 7):
         monkeypatch.setattr(sampling, "_CHUNK", chunk)
         for steps in (2, k):
             for draw in (draw_pairing_block, sample_pairing_block):
-                contiguous = draw(n, 5, 26, n, k, rows, steps)
-                picked = draw(n, 5, len(ids), n, k, rows, steps, ids)
-                assert np.array_equal(picked, contiguous[ids - 5])
+                contiguous = draw(n, range(5, 31), n, k, range(rows), steps)
+                assert np.array_equal(draw(n, np.arange(5, 31), n, k, range(rows), steps), contiguous)
+                for picked in (ids, ids.tolist(), range(30, 4, -4)):
+                    got = draw(n, picked, n, k, range(rows), steps)
+                    assert np.array_equal(got, contiguous[np.array(picked) - 5])
 
 
-def test_steps_and_trial_ids_outside_their_range_raise():
+def test_steps_outside_their_range_raise():
     for steps in (0, -1, 5):
         with pytest.raises(ValueError, match="1 <= steps <= k"):
-            sample_pairing_block(0, 0, 1, 10, 4, None, steps)
-    for first, count, ids in ((0, 2, [0, 1, 2]), (1, 2, [0, 1]), (0, 0, [0])):
-        with pytest.raises(ValueError, match="trial_ids"):
-            draw_pairing_block(0, first, count, 10, 4, None, None, np.array(ids))
+            sample_pairing_block(0, range(1), 10, 4, None, steps)
 
 
 # an int8 block; int16 and int32 blocks whose k-step rows numpy sorts and
@@ -431,37 +433,47 @@ BAND_SHAPES = [(128, 96), (200, 60), (40_000, 30)]
 
 @pytest.mark.parametrize("n, k", BAND_SHAPES, ids=lambda v: str(v))
 def test_band_block_equals_its_rows_of_the_full_block(n, k, monkeypatch):
-    """A block of rows first_row..rows-1 holds those rows of the full
-    block, bit for bit: sorted or in draw order, whole or a prefix, of
-    contiguous or listed trials, also when the draw loop's chunks split
-    its trials and rows."""
+    """A block of rows range(lo, hi) holds those rows of the full block,
+    bit for bit: sorted or in draw order, whole or a prefix, of contiguous
+    or listed trials, also when the draw loop's chunks split its trials
+    and rows."""
     rows = min(n, 120)
     ids = np.array([3, 4, 9])
     for chunk in (_CHUNK, 50):
         monkeypatch.setattr(sampling, "_CHUNK", chunk)
         for steps in (2, k):
             for draw in (draw_pairing_block, sample_pairing_block):
-                full = draw(n, 3, 7, n, k, rows, steps)
+                full = draw(n, range(3, 10), n, k, range(rows), steps)
                 for lo, hi in ((0, rows), (0, 1), (1, rows), (rows // 3, rows // 2), (rows - 1, rows)):
-                    band = draw(n, 3, 7, n, k, hi, steps, None, lo)
+                    band = draw(n, range(3, 10), n, k, range(lo, hi), steps)
                     assert band.dtype == full.dtype and np.array_equal(band, full[:, lo:hi])
-                    picked = draw(n, 3, len(ids), n, k, hi, steps, ids, lo)
+                    picked = draw(n, ids, n, k, range(lo, hi), steps)
                     assert np.array_equal(picked, full[ids - 3, lo:hi])
 
 
 def test_two_bands_rebuild_every_pinned_block():
-    """first_row = 0 draws every pinned block bit for bit (the pins are the
-    golden digests, unedited), and so do its two halves side by side."""
-    for spec, expected in BLOCK_DIGESTS.items():
-        n, cut = spec[3], spec[3] // 2
-        block = sample_pairing_block(*spec, None, None, None, 0)
+    """rows = range(n) draws every pinned block bit for bit (the pins are
+    the golden digests, unedited), and so do its two halves side by side."""
+    for (seed, first, count, n, k), expected in BLOCK_DIGESTS.items():
+        trials, cut = range(first, first + count), n // 2
+        block = sample_pairing_block(seed, trials, n, k, range(n))
         assert digest(block.astype(np.int64).tobytes()) == expected
-        halves = [sample_pairing_block(*spec, cut), sample_pairing_block(*spec, n, None, None, cut)]
+        halves = [sample_pairing_block(seed, trials, n, k, rows) for rows in (range(0, cut), range(cut, n))]
         assert digest(np.concatenate(halves, axis=1).astype(np.int64).tobytes()) == expected
 
 
 def test_row_ranges_outside_the_block_raise():
-    for rows, first_row in ((10, 10), (10, 11), (5, -1), (4, 6)):
+    """rows must be a nonempty step-1 range within range(n): an empty one,
+    one of another step, one that leaves range(n), or a row count, raises
+    before anything is allocated, not even the keys of a million trials."""
+    bad = [range(10, 10), range(11, 10), range(-1, 5), range(6, 4), range(0, 10, 2), range(9, -1, -1), range(11), 10]
+    for rows in bad:
         for draw in (draw_pairing_block, sample_pairing_block):
-            with pytest.raises(ValueError, match="first_row"):
-                draw(0, 0, 1, 10, 4, rows, None, None, first_row)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="rows must be a nonempty step-1 range"):
+                    draw(0, range(10**6), 10, 4, rows)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000, rows

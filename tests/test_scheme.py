@@ -1,8 +1,8 @@
 """Pairing generation, key rings, and the ring-size conservation law.
 
-The library counts ring sizes with one formula, scheme.ring_sizes.  The
-oracle here materializes every key of every ring instead, one pairing at a
-time, and shares no code with it.
+The library counts ring sizes with one formula, montecarlo._ring_sizes,
+the census's binning.  The oracle here materializes every key of every
+ring instead, one pairing at a time, and shares no code with it.
 """
 
 from dataclasses import dataclass
@@ -10,13 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pairdeploy import scheme
+from pairdeploy import montecarlo
+from pairdeploy.montecarlo import _ring_sizes
 from pairdeploy.scheme import (
     PairingTable,
     SchemeParams,
     generate_pairing,
     phase_size,
-    ring_sizes,
 )
 from pairdeploy.sampling import draw_pairing_block, sample_pairing_block
 from pairing_fixtures import table_from_lists
@@ -63,8 +63,8 @@ def derive_key_rings(table):
 
 
 def table_ring_sizes(table):
-    """ring_sizes of a one-table block."""
-    return ring_sizes(table.partners[None])[0]
+    """_ring_sizes of a one-table block."""
+    return _ring_sizes(table.partners[None])[0]
 
 
 def test_params_validation():
@@ -147,12 +147,12 @@ def test_derived_rings_match_size_formula():
     ids=["int8", "int16", "two_nodes", "k_is_n_minus_1"],
 )
 def test_block_ring_sizes_match_derived_rings(n, k, trials, dtype):
-    """ring_sizes on a sampler block, which is stored selection-major (each
+    """_ring_sizes on a sampler block, which is stored selection-major (each
     column contiguous), agrees table by table with the materialized rings."""
-    block = sample_pairing_block(31 + n, 0, trials, n, k)
+    block = sample_pairing_block(31 + n, range(trials), n, k)
     assert block.dtype == dtype
     assert block.strides[2] == block.itemsize * trials * n
-    sizes = ring_sizes(block)
+    sizes = _ring_sizes(block)
     assert sizes.dtype == np.int64 and sizes.shape == (trials, n)
     for t in range(trials):
         rings = derive_key_rings(PairingTable(SchemeParams(n, k), block[t]))
@@ -170,17 +170,17 @@ def bincount_oracle(block):
 )
 @pytest.mark.parametrize("entries", ["one", "table_less_one", "table", "three_tables_and_one"])
 def test_ring_sizes_match_bincount_oracle_for_any_call_size(n, k, trials, entries, monkeypatch):
-    """Whatever the entries per np.bincount call, ring_sizes bins the same
+    """Whatever the entries per np.bincount call, _ring_sizes bins the same
     rings: one entry (a column per call), one short of a table (two
     column groups), one table, and three tables plus one (calls of three
     tables, ids offset by table, and a shorter last call).  Sorted and
     unsorted sampler blocks, and a row-major int64 copy, agree."""
     size = {"one": 1, "table_less_one": n * k - 1, "table": n * k, "three_tables_and_one": 3 * n * k + 1}
-    monkeypatch.setattr(scheme, "_BIN_ENTRIES", size[entries])
-    block = sample_pairing_block(n + 7, 0, trials, n, k)
+    monkeypatch.setattr(montecarlo, "_BIN_ENTRIES", size[entries])
+    block = sample_pairing_block(n + 7, range(trials), n, k)
     expected = bincount_oracle(block)
-    for form in (block, draw_pairing_block(n + 7, 0, trials, n, k), np.ascontiguousarray(block, dtype=np.int64)):
-        sizes = ring_sizes(form)
+    for form in (block, draw_pairing_block(n + 7, range(trials), n, k), np.ascontiguousarray(block, dtype=np.int64)):
+        sizes = _ring_sizes(form)
         assert sizes.dtype == np.int64 and sizes.shape == (trials, n)
         assert np.array_equal(sizes, expected)
 
@@ -193,14 +193,14 @@ def test_ring_sizes_match_bincount_oracle_for_any_call_size(n, k, trials, entrie
          "small_three_tables", "small_table_and_one", "small_column_over_budget"],
 )
 def test_ring_sizes_bins_within_budget(n, k, trials, entries, monkeypatch):
-    """Every np.bincount call of ring_sizes takes at most _BIN_ENTRIES ids,
+    """Every np.bincount call of _ring_sizes takes at most _BIN_ENTRIES ids,
     or one column of one table where n alone is more, and the calls take
     every id once: n*k one short of, equal to and one over the budget, a
     column over it, and a small budget patched in."""
     if entries is not None:
-        monkeypatch.setattr(scheme, "_BIN_ENTRIES", entries)
-    budget = scheme._BIN_ENTRIES
-    block = draw_pairing_block(n + 3, 0, trials, n, k)
+        monkeypatch.setattr(montecarlo, "_BIN_ENTRIES", entries)
+    budget = montecarlo._BIN_ENTRIES
+    block = draw_pairing_block(n + 3, range(trials), n, k)
     expected = bincount_oracle(block)
     calls = []
     bincount = np.bincount
@@ -210,7 +210,7 @@ def test_ring_sizes_bins_within_budget(n, k, trials, entries, monkeypatch):
         return bincount(ids, *args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", recorded)
-    sizes = ring_sizes(block)
+    sizes = _ring_sizes(block)
     monkeypatch.undo()
     assert np.array_equal(sizes, expected)
     assert sum(calls) == trials * n * k
@@ -228,7 +228,7 @@ def test_all_key_ids_distinct():
 def test_selection_marginals_are_uniform():
     """Each of the 3 possible partners of each node appears 1/3 +- 0.01 of
     the time over 30000 tables at n=4, k=1."""
-    block = sample_pairing_block(2024, 0, 30_000, 4, 1)
+    block = sample_pairing_block(2024, range(30_000), 4, 1)
     for i in range(4):
         counts = np.bincount(block[:, i, 0], minlength=4)
         assert counts[i] == 0
@@ -241,7 +241,7 @@ def test_subset_distribution_is_uniform():
     # chi-square over all 6 possible 2-subsets for every node at n=5;
     # 0.001-level critical value for 5 degrees of freedom is 20.52
     draws = 120_000
-    block = sample_pairing_block(77, 0, draws, 5, 2)
+    block = sample_pairing_block(77, range(draws), 5, 2)
     for i in range(5):
         packed = block[:, i, 0] * 5 + block[:, i, 1]
         counts = np.bincount(packed, minlength=25)
@@ -255,8 +255,8 @@ def test_reverse_degree_moments():
     """Pooled reverse degrees at n=1000, k=10: mean exactly k by
     conservation, variance near k*(1 - k/(n-1))."""
     n, k, trials = 1000, 10, 100
-    block = sample_pairing_block(5150, 0, trials, n, k)
-    degs = ring_sizes(block) - k
+    block = sample_pairing_block(5150, range(trials), n, k)
+    degs = _ring_sizes(block) - k
     pooled = degs.ravel().astype(np.float64)
     assert abs(pooled.mean() - k) < 0.1  # exact up to float summation
     expected_var = k * (1 - k / (n - 1))
@@ -265,8 +265,8 @@ def test_reverse_degree_moments():
 
 def test_mean_ring_size_is_twice_k():
     n, k, trials = 500, 21, 200
-    block = sample_pairing_block(61, 0, trials, n, k)
-    sizes = ring_sizes(block)
+    block = sample_pairing_block(61, range(trials), n, k)
+    sizes = _ring_sizes(block)
     assert abs(float(sizes.mean()) - 2 * k) < 0.2
 
 

@@ -275,7 +275,7 @@ def test_event_prob_against_simulation():
     p = theory.isolation_event_prob(n, k, 0.5, 3)
     hits = 0
     for start in range(0, trials, 100_000):
-        block = sample_pairing_block(424242, start, 100_000, n, k)
+        block = sample_pairing_block(424242, range(start, start + 100_000), n, k)
         group, others = block[:, :3], block[:, 3:10]
         outgoing = ((group >= 3) & (group <= 9)).any(axis=(1, 2))
         incoming = (others <= 2).any(axis=(1, 2))
