@@ -30,7 +30,9 @@ __all__ = ["connected_at"]
 # table is retired as stuck at its first column with no deployed partner.
 # (The census draws unsorted blocks, and never passes them here.)  Each
 # stage lays the m-node views of the block's open tables out table by table
-# in one flat label array: node i of table t is label t*m + i.
+# in one flat label array: node i of table t is label t*m + i.  Each column
+# is read as a copy of the open tables' rows, whatever the block's layout,
+# which the column's hooking rounds read faster than a strided view.
 
 def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Both deployment questions for the nested views of each table, the
@@ -49,22 +51,24 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
     ms[s] and one end at or past ms[s-1].  Selection columns are added in
     order; column c holds each node's (c+1)-th smallest partner, so once a
     table has no deployed partner in a column it gains no edge later.  Each
-    column is merged by rounds of min-label hooking and pointer jumping.  A
-    round hooks the larger root of each edge that joins two roots onto the
-    smaller (where several edges hook one root, the smallest target wins),
-    then points every label straight at its root.  An edge whose hook won
-    now lies inside one component; one whose hook lost to a smaller root
-    may still join two, so the next round re-checks the lost edges alone,
-    until none is left.  A table leaves the stage at one point, after its
-    column is hooked: when it has one root (joined), or when it is stuck:
-    its column has no deployed partner, or the column is the last.  No later
-    column can give a stuck table an edge, so its labels are final and its
-    isolated nodes are its singleton components; a joined view of two or
-    more nodes has none, and a one-node view, joined and stuck at once, has
-    its one node.  Either way the labels it leaves are the components of its
-    view: the edges a joined table skipped lie inside its one component, and
-    a stuck table has none left.  So every table enters the next stage; the
-    last stage, which none follows, keeps no labels.
+    column is read as a copy of the open tables' rows, and merged by rounds
+    of min-label hooking and pointer jumping.  A round hooks the larger root
+    of each edge that joins two roots onto the smaller (where several edges
+    hook one root, the smallest target wins), then points every label
+    straight at its root.  An edge whose hook won now lies inside one
+    component; one whose hook lost to a smaller root may still join two, so
+    the next round re-checks the lost edges alone, until none is left.  A
+    table leaves the stage at one point, after its column is hooked: when it
+    has one root (joined), or when it is stuck: its column has no deployed
+    partner, or the column is the last.  No later column can give a stuck
+    table an edge, so its labels are final and its isolated nodes are its
+    singleton components, counted at that retirement point on the open
+    tables' labels: the roots no other label points at.  A joined view of
+    two or more nodes has none, and a one-node view, joined and stuck at
+    once, has its one node.  Either way the labels it leaves are the
+    components of its view: the edges a joined table skipped lie inside its
+    one component, and a stuck table has none left.  So every table enters
+    the next stage; the last stage, which none follows, keeps no labels.
 
     A repeated size needs no special case: its stage has no new node and no
     new edge, so it starts from labels that already are its view's
@@ -85,8 +89,7 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
         open_ = np.arange(trials)
         parent = (labels[:, :m] + np.arange(0, trials * m, m)[:, None]).ravel()
         for c in range(last + 1):
-            # a view while every table is open, a copy of the open rows after
-            col = block[:, :m, c] if len(open_) == trials else block[open_, :m, c]
+            col = block[open_, :m, c]
             live = col < m
             stuck = ~live.any(axis=1) | (c == last)
             # the edges among the first prev nodes are already hooked
@@ -114,32 +117,22 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
                     parent[hooked] = top = up
                 parent = parent[parent]
             # min-label hooking leaves each component rooted at its smallest label
-            joined = parent.reshape(-1, m).max(axis=1) == base
+            roots = parent.reshape(-1, m)
+            joined = roots.max(axis=1) == base
             done = joined | stuck
             if done.any():
-                rows = np.flatnonzero(done)
                 if s < len(ms) - 1:
-                    labels[open_[rows], :m] = parent.reshape(-1, m)[rows] - base[rows, None]
+                    labels[open_[done], :m] = roots[done] - base[done, None]
                 connected[s, open_[joined]] = True
-                left, kept = _keep_open(stuck, open_, parent, m)
-                isolated[s, left] = _singletons(kept, m)
-                open_, parent = _keep_open(~done, open_, parent, m)
+                if stuck.any():
+                    sizes = np.bincount(parent, minlength=len(parent)).reshape(-1, m)
+                    isolated[s, open_[stuck]] = (sizes[stuck] == 1).sum(axis=1)
+                # the open tables left, relabelled to stay contiguous
+                rows = np.flatnonzero(~done)
+                open_ = open_[rows]
+                parent = (roots[rows] + ((np.arange(len(rows)) - rows) * m)[:, None]).ravel()
                 if not len(open_):
                     break
         prev = m
     return connected, isolated
 
-
-def _keep_open(keep, open_, parent, m):
-    """Keep the open tables flagged in `keep`, relabelled to stay contiguous."""
-    rows = np.flatnonzero(keep)
-    parent = parent.reshape(-1, m)[rows]
-    parent += ((np.arange(len(rows)) - rows) * m)[:, None]
-    return open_[rows], parent.ravel()
-
-
-def _singletons(parent, m):
-    """Singleton components per table of a contiguous label array in which
-    every label points straight at its root: a root no other label points at."""
-    sizes = np.bincount(parent, minlength=len(parent))
-    return (sizes == 1).reshape(-1, m).sum(axis=1)

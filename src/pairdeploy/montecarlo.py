@@ -419,6 +419,7 @@ def _run_shares(shares: list[list[Callable[[], tuple]]]) -> list[tuple]:
     _send), whose exception is raised here.  Every child is reaped before
     this returns or raises, and killed first if this raises."""
     counts, pids, reads = [], [], []  # pids: the children not yet reaped
+    caller = os.getpid()
     try:
         for share in shares[1:]:
             read, write = os.pipe()
@@ -430,7 +431,7 @@ def _run_shares(shares: list[list[Callable[[], tuple]]]) -> list[tuple]:
                 # call no BLAS routine.
                 pid = os.fork()
                 if pid == 0:
-                    _send(share, write)
+                    _send(share, write, caller)
             finally:
                 os.close(write)
             pids.append(pid)
@@ -458,13 +459,24 @@ def _run_shares(shares: list[list[Callable[[], tuple]]]) -> list[tuple]:
     return [reduce(_add, column) for column in zip(*counts)]
 
 
-def _send(share: list[Callable[[], tuple]], write: int) -> NoReturn:
-    """In a forked child: pickle the counts of the share's calls, or the
-    exception one raised, into the pipe, and end the child, exiting 0 once
-    the whole result is written, without returning into the caller's frames
-    or flushing the stdio it inherited."""
+def _send(share: list[Callable[[], tuple]], write: int, caller: int) -> NoReturn:
+    """In a child forked by process `caller`: pickle the counts of the
+    share's calls, or the exception one raised, into the pipe, and end the
+    child, exiting 0 once the whole result is written, without returning
+    into the caller's frames or flushing the stdio it inherited.
+
+    A caller killed by a signal reaps nothing, so the child first asks for
+    SIGKILL when the caller's forking thread, which waits for it, ends, and
+    exits at once if the caller ended before that."""
     code = 1
     try:
+        import ctypes  # the command line has loaded it already
+        try:
+            ctypes.CDLL(None).prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
+        except (OSError, TypeError, AttributeError):
+            pass
+        if os.getppid() != caller:
+            os._exit(1)
         try:
             result = (True, [call() for call in share])
         except BaseException as exc:

@@ -12,6 +12,7 @@ import platform
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -740,6 +741,56 @@ def test_failed_share_leaves_no_process(capsys, pools, monkeypatch, tmp_path, ac
     assert_no_child_left()
     assert target.read_text() == "previous results\n"
     assert [p.name for p in tmp_path.iterdir()] == ["census.csv"]
+
+
+def running(pid):
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fp:
+            return fp.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs Linux's list of a thread's children (runs fork only on Linux)",
+)
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["kill", "term"])
+def test_children_die_with_a_killed_caller(sig):
+    """A caller ended by SIGKILL, or by SIGTERM, whose default action Python
+    keeps, reaps no child, so each child must end with it.  Here a census
+    that would run for hours forks one child; once the caller is killed,
+    the child is gone or a zombie within 2 s.  Without the death signal
+    the child was re-parented and kept computing."""
+    code = (
+        "from pairdeploy import cli, montecarlo\n"
+        "montecarlo._pool_cpus = lambda: 2\n"
+        "cli.main(['census', '--n', '100', '--k', '3', '--trials', '3000000000', '--workers', '2'])\n"
+    )
+    caller = subprocess.Popen(
+        [sys.executable, "-c", code], env=checkout_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    children = []
+    try:
+        deadline = time.monotonic() + 60
+        while not children:
+            assert caller.poll() is None and time.monotonic() < deadline, "the census forked no child"
+            time.sleep(0.02)
+            with open(f"/proc/{caller.pid}/task/{caller.pid}/children") as fp:
+                children = [int(pid) for pid in fp.read().split()]
+        caller.send_signal(sig)
+        assert caller.wait(timeout=10) == -sig
+        deadline = time.monotonic() + 2
+        while any(running(pid) for pid in children):
+            assert time.monotonic() < deadline, "a child outlived its caller"
+            time.sleep(0.02)
+    finally:
+        caller.kill()
+        caller.wait()
+        for pid in children:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_pooled_runs_load_no_process_pool():

@@ -14,7 +14,7 @@ all of them agree.
 import numpy as np
 import pytest
 
-from pairdeploy import sampling
+from pairdeploy import montecarlo, sampling
 from pairdeploy.graphs import connected_at
 from pairdeploy.scheme import PairingTable, SchemeParams, generate_pairing, phase_size
 from pairdeploy.sampling import sample_pairing_block
@@ -417,12 +417,19 @@ def test_block_kernels_ignore_block_partitioning():
 @pytest.mark.parametrize("n", [10, 128, 129, 32768, 32769])
 def test_narrow_blocks_answer_like_int64_blocks(n):
     """The kernel answers the sampler's narrow block as it answers its int64
-    copy, also where m (128, 32768) lies beyond the narrow type's range."""
+    copy, also where m (128, 32768) lies beyond the narrow type's range,
+    and as it answers same-type copies in C and in Fortran order: the
+    sampler lays a block out column by column, and no answer may depend on
+    the layout.  So too for a block of the deployment runs' first pass,
+    whose lower half of rows holds one step, padded to k columns."""
     for k in (1, 2, 3):
-        block = sample_pairing_block(500 + n, range(3), n, k)
-        wide = block.astype(np.int64)
         ms = (1, 2, n // 2, n - 1, n)
-        for narrow_out, wide_out in zip(connected_at(block, ms), connected_at(wide, ms)):
-            assert narrow_out.dtype == wide_out.dtype
-            assert np.array_equal(narrow_out, wide_out), k
+        block = sample_pairing_block(500 + n, range(3), n, k)
+        padded = montecarlo._band_block(500 + n, n, k, range(3), [(0, n // 2, 1), (n // 2, n, k)])
+        for drawn in (block, padded):
+            want = connected_at(drawn, ms)
+            for copy in (drawn.astype(np.int64), np.ascontiguousarray(drawn), np.asfortranarray(drawn)):
+                for got, wanted in zip(connected_at(copy, ms), want):
+                    assert got.dtype == wanted.dtype
+                    assert np.array_equal(got, wanted), (k, copy.dtype, copy.flags.f_contiguous)
 
