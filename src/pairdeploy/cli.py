@@ -145,7 +145,7 @@ def _add_run_options(p: argparse.ArgumentParser, trials: int) -> None:
     p.add_argument("--trials", type=int, default=trials)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=int, default=montecarlo.WORKERS_DEFAULT,
         help="processes, this one included, at most (default: one per usable CPU, "
         "at most 2; 1 off Linux, where runs are serial); the output does not depend on it",
     )
@@ -221,10 +221,6 @@ def _estimate_fields(successes: int, trials: int) -> dict:
     }
 
 
-def _workers(args: argparse.Namespace) -> int:
-    return montecarlo.default_workers() if args.workers is None else args.workers
-
-
 def _sweep(args: argparse.Namespace) -> _Output:
     plan = montecarlo.ExperimentPlan(
         n=args.n,
@@ -232,7 +228,7 @@ def _sweep(args: argparse.Namespace) -> _Output:
         gammas=_parse_flag("--gamma", parse_gamma_list, args.gamma),
         trials=args.trials,
         base_seed=args.seed,
-        workers=_workers(args),
+        workers=args.workers,
     )
     counts = montecarlo.run_sweep(plan)  # k -> (connected, no_isolated, joint)
     rows = [
@@ -252,7 +248,7 @@ def _phased(args: argparse.Namespace) -> _Output:
         gammas=_parse_flag("--schedule", parse_gamma_list, args.schedule),
         trials=args.trials,
         base_seed=args.seed,
-        workers=_workers(args),
+        workers=args.workers,
     )
     connected, _, joint = montecarlo.run_sweep(plan)[args.k]
     labelled = [(",".join(_gamma_str(g) for g in plan.gammas), joint)]
@@ -265,7 +261,7 @@ def _phased(args: argparse.Namespace) -> _Output:
 
 
 def _census(args: argparse.Namespace) -> _Output:
-    counts = montecarlo.run_keyring_census(args.n, args.k, args.trials, args.seed, _workers(args))
+    counts = montecarlo.run_keyring_census(args.n, args.k, args.trials, args.seed, args.workers)
     # [size, count] of every size seen, for all rings and for each trial's largest
     histogram, max_histogram = ([[s, c] for s, c in enumerate(h.tolist()) if c] for h in counts)
     rows = [{"size": s, "count": c, "is_max_histogram": 0} for s, c in histogram]
@@ -390,6 +386,8 @@ def _run(args: argparse.Namespace, fp: IO[str]) -> None:
 def _run_to_file(args: argparse.Namespace) -> None:
     """Run into a temporary file beside args.out, then rename it onto args.out.
     An error on the temporary file is reported against args.out."""
+    if not args.out:
+        raise ValueError("--out: empty file name")
     folder, name = os.path.split(os.path.abspath(args.out))
     tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
     try:
@@ -411,10 +409,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        if args.out:
-            _run_to_file(args)
-        else:
+        if args.out is None:
             _run(args, sys.stdout)
+        else:
+            _run_to_file(args)
     except ValueError as exc:
         print(f"pairdeploy: {exc}", file=sys.stderr)
         return 2

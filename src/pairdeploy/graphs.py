@@ -53,22 +53,23 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
     table has no deployed partner in a column it gains no edge later.  Each
     column is read as a copy of the open tables' rows, and merged by rounds
     of min-label hooking and pointer jumping.  A round hooks the larger root
-    of each edge that joins two roots onto the smaller (where several edges
-    hook one root, the smallest target wins), then points every label
-    straight at its root.  An edge whose hook won now lies inside one
-    component; one whose hook lost to a smaller root may still join two, so
-    the next round re-checks the lost edges alone, until none is left.  A
-    table leaves the stage at one point, after its column is hooked: when it
-    has one root (joined), or when it is stuck: its column has no deployed
-    partner, or the column is the last.  No later column can give a stuck
-    table an edge, so its labels are final and its isolated nodes are its
-    singleton components, counted at that retirement point on the open
-    tables' labels: the roots no other label points at.  A joined view of
-    two or more nodes has none, and a one-node view, joined and stuck at
-    once, has its one node.  Either way the labels it leaves are the
-    components of its view: the edges a joined table skipped lie inside its
-    one component, and a stuck table has none left.  So every table enters
-    the next stage; the last stage, which none follows, keeps no labels.
+    of every edge onto the smaller (the smallest target wins; an edge inside
+    one component hooks its root onto itself), then points every label
+    straight at its root.  An edge whose larger root now points at its
+    smaller one lies inside one component and is dropped; the rest, whose
+    root another edge hooked lower, are re-checked alone next round, until
+    none is left.  A table leaves the stage at one point, after its column
+    is hooked: when it has one root (joined), or when it is stuck: its
+    column has no deployed partner, or the column is the last.  No later
+    column can give a stuck table an edge, so its labels are final and its
+    isolated nodes are its singleton components, counted at that retirement
+    point on the open tables' labels: the roots no other label points at.  A
+    joined view of two or more nodes has none, and a one-node view, joined
+    and stuck at once, has its one node.  Either way the labels it leaves
+    are the components of its view: the edges a joined table skipped lie
+    inside its one component, and a stuck table has none left.  So every
+    table enters the next stage; the last stage, which none follows, keeps
+    no labels.
 
     A repeated size needs no special case: its stage has no new node and no
     new edge, so it starts from labels that already are its view's
@@ -99,15 +100,11 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
             v = (col + base[:, None]).ravel()[u]
             while len(u):
                 ru, rv = parent[u], parent[v]
-                split = ru != rv
-                u, v, ru, rv = u[split], v[split], ru[split], rv[split]
-                if not len(u):
-                    break
                 hooked, low = np.maximum(ru, rv), np.minimum(ru, rv)
                 np.minimum.at(parent, hooked, low)
-                # an edge whose hook lost to a smaller root may still join two roots
+                # an edge whose root another edge hooked lower may join two roots
                 top = parent[hooked]
-                lost = top != low
+                lost = np.flatnonzero(top != low)
                 u, v = u[lost], v[lost]
                 # jump the hooked roots to final roots, then every node to its root
                 while True:

@@ -35,7 +35,7 @@ A run of width w is split into w shares: share i is trial range i of
 every k, each range walking its own blocks, and the run's counts are the
 sums of the shares' integer counts, so they do not depend on the split.
 The calling process runs share 0 and forks a child for each other share.
-The width is at most what the caller asks for (default_workers is the
+The width is at most what the caller asks for (WORKERS_DEFAULT is the
 command line's default; the library runs serially unless asked), no more
 than the CPUs this process may use within its cgroup CPU quota, and 1 off
 Linux, where no run forks.  A run within one serial block, trials * rows *
@@ -69,8 +69,8 @@ from .scheme import SchemeParams, phase_size
 __all__ = [
     "SWEEP_TRIALS_DEFAULT",
     "CENSUS_TRIALS_DEFAULT",
+    "WORKERS_DEFAULT",
     "ExperimentPlan",
-    "default_workers",
     "wilson_interval",
     "run_sweep",
     "run_keyring_census",
@@ -78,6 +78,13 @@ __all__ = [
 
 SWEEP_TRIALS_DEFAULT = 200
 CENSUS_TRIALS_DEFAULT = 1000
+
+# the command line's default width, the widest at which a run's speed and
+# memory were measured (2 vCPUs); --workers asks for more.  A run is never
+# wider than the CPUs it may use (see _width), and a forked child starts
+# with numpy already imported, where a spawned one would import it again,
+# which cost more than it gained on the commands' own workloads
+WORKERS_DEFAULT = 2
 
 # the deployment runs' tables per block are capped around this many entries
 # of the sampler's type (int16 at n=1000, so a block there is about 8 MB);
@@ -94,10 +101,6 @@ _BIN_ENTRIES = 1 << 15
 # the cgroup v2 CPU quota of this process, "QUOTA PERIOD" or "max PERIOD" (in
 # microseconds), as the cgroup namespace of a container shows it
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"
-
-# the command line's default width is no more than this, the widest at which
-# a run's speed and memory were measured (2 vCPUs); --workers asks for more
-_DEFAULT_WORKERS_MAX = 2
 
 # the prefix policy's cost model (see _prefix_steps), per table row, in units
 # of one Floyd step of the draw loop with its share of the sort, as measured
@@ -380,15 +383,6 @@ def _cpu_quota() -> int | None:
         return max(1, -(-int(quota) // int(period)))
     except (OSError, ValueError, ZeroDivisionError):
         return None
-
-
-def default_workers() -> int:
-    """The width of a command-line run that names none: one process per
-    CPU this process may use, up to _DEFAULT_WORKERS_MAX, the calling
-    process being worker 0, on Linux; 1 elsewhere.  A forked child starts
-    with numpy already imported, where a spawned one would import it again,
-    which cost more than it gained on the commands' own workloads."""
-    return min(_pool_cpus(), _DEFAULT_WORKERS_MAX)
 
 
 def _width(workers: int | None, trials: int, entries: int, table: int) -> int:

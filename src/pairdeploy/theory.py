@@ -270,9 +270,12 @@ def connectivity_union_bound(n: int, k: int, gamma: float) -> float:
 def connectivity_lower_bound_full(n: int) -> float:
     """Lower bound 1 - 27/(2 n^2) on P[full graph connected] for k >= 2.
 
-    Asymptotic: it holds for n sufficiently large (here exercised for
-    n >= 100, where it is comfortably nontrivial); at tiny n it can go
-    negative, which is vacuous but still returned.
+    The union bound certifies it where the two were checked against each
+    other: connectivity_union_bound(n, k, 1.0) <= 27/(2 n^2) for k in
+    {2, 3, 5, 10} at every n from 2(k+1) + 1 (n = 7 at k = 2) to 1000, and
+    at k = 2 for n = 1e4, 1e5 and 1e6.  The check does not apply below
+    n = 7, where the union bound needs 2(k+1) < n; there the value is
+    returned unchecked, and at n <= 3 it is negative, which is vacuous.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

@@ -612,6 +612,20 @@ class TestOutputFile:
         assert ".tmp" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["results"]
 
+    @pytest.mark.parametrize("argv", [
+        ("census", "--n", "30", "--k", "2", "--trials", "10"),
+        ("theory", "--lambda-star"),
+    ])
+    def test_empty_out_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        """An empty --out names no file: the run stops before it draws, with
+        one line on stderr, nothing on stdout and no file made."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(montecarlo, "run_keyring_census", lambda *a: pytest.fail("drew"))
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("pairdeploy: --out") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 # -- the worker processes -----------------------------------------------------
 

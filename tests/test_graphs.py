@@ -268,6 +268,21 @@ def test_lost_hook_is_checked_again():
     assert kernels(table, 3) == (True, 0)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+def test_edges_inside_one_component_hook_their_root_onto_itself(dtype):
+    """Edges inside one component go through the hooking step with the
+    rest.  In the view of 6 nodes, column 0 leaves two components, {0, 4}
+    and {1, 2, 3, 5} (0-based).  In column 1 the edges 1-3 and 3-5 lie
+    inside root 1's component, so each hooks root 1 onto itself, while the
+    edge 5-4 hooks root 1 onto root 0 in the same round: the two inner
+    edges see their root hooked lower, are checked again, and drop out in
+    the next round."""
+    table = table_from_lists(7, 2, [[5, 7], [3, 4], [2, 7], [3, 6], [1, 7], [4, 5], [1, 2]])
+    assert (uf_connected(table, 6), bfs_connected(table, 6), mask_isolated(table, 6)) == (True, True, 0)
+    connected, isolated = connected_at(table.partners[None].astype(dtype), (6,))
+    assert (bool(connected[0, 0]), int(isolated[0, 0])) == (True, 0)
+
+
 def test_block_kernels_on_hand_built_tables():
     pairs = table_from_lists(4, 1, [[2], [1], [4], [3]]).partners
     star = table_from_lists(4, 1, [[2], [1], [1], [1]]).partners

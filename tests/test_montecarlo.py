@@ -364,9 +364,15 @@ def usable_cpus(monkeypatch, platform, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
 
+# table entries past one serial block, so that a run may be wider than 1
+PAST_ONE_BLOCK = montecarlo._BLOCK_BUDGET + 1
+
+
 def test_default_workers_follow_the_cpu_set_and_platform(monkeypatch):
-    """One process per CPU this process may use, up to the measured width
-    of 2, on Linux; one elsewhere.  Nothing is started."""
+    """A run past one serial block at the command line's default width is
+    one process per CPU this process may use, up to the measured width of
+    2, on Linux; one elsewhere.  Nothing is started."""
+    assert montecarlo.WORKERS_DEFAULT == 2
     for platform, cpus, workers in (
         ("linux", {0, 2, 5}, 2),
         ("linux", {3}, 1),
@@ -374,13 +380,9 @@ def test_default_workers_follow_the_cpu_set_and_platform(monkeypatch):
         ("win32", {0, 2, 5}, 1),
     ):
         usable_cpus(monkeypatch, platform, cpus)
-        assert montecarlo.default_workers() == workers
+        assert _width(montecarlo.WORKERS_DEFAULT, 10**6, PAST_ONE_BLOCK, 1) == workers
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-# table entries past one serial block, so that a run may be wider than 1
-PAST_ONE_BLOCK = montecarlo._BLOCK_BUDGET + 1
 
 
 def test_pool_size_is_clamped(monkeypatch):
@@ -403,9 +405,10 @@ def test_both_clamps_count_the_cpus_this_process_may_use(monkeypatch):
     8 asked for under a 2-CPU affinity mask on a 16-CPU host run as 2, and
     as 1 off Linux.  Nothing is started."""
     usable_cpus(monkeypatch, "linux", {4, 9})
-    assert montecarlo.default_workers() == _width(8, 10**6, PAST_ONE_BLOCK, 1) == 2
+    default = montecarlo.WORKERS_DEFAULT
+    assert _width(default, 10**6, PAST_ONE_BLOCK, 1) == _width(8, 10**6, PAST_ONE_BLOCK, 1) == 2
     usable_cpus(monkeypatch, "darwin", {4, 9})
-    assert montecarlo.default_workers() == _width(8, 10**6, PAST_ONE_BLOCK, 1) == 1
+    assert _width(default, 10**6, PAST_ONE_BLOCK, 1) == _width(8, 10**6, PAST_ONE_BLOCK, 1) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1045,7 +1048,7 @@ def test_cgroup_quota_caps_the_cpus(monkeypatch, tmp_path, text, quota):
     assert montecarlo._cpu_quota() == quota
     usable_cpus(monkeypatch, "linux", set(range(4)))
     assert montecarlo._pool_cpus() == min(4, quota or 4)
-    assert montecarlo.default_workers() == min(2, quota or 2)
+    assert _width(montecarlo.WORKERS_DEFAULT, 10**6, PAST_ONE_BLOCK, 1) == min(2, quota or 2)
 
 
 def test_cgroup_quota_narrows_the_pool(monkeypatch, tmp_path):

@@ -497,6 +497,16 @@ def test_full_connectivity_bound():
         theory.connectivity_lower_bound_full(1)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def test_union_bound_certifies_the_full_connectivity_bound(k):
+    """The range the docstring states: the union bound at full deployment
+    is within 27/(2 n^2) at every n from the first with 2(k+1) < n (7 at
+    k = 2) to 1000, and at k = 2 for n = 1e4, 1e5 and 1e6."""
+    ns = list(range(2 * (k + 1) + 1, 1001)) + ([10**4, 10**5, 10**6] if k == 2 else [])
+    over = [n for n in ns if theory.connectivity_union_bound(n, k, 1.0) > 27 / (2 * n * n)]
+    assert over == []
+
+
 # -- tail coefficient algebra ---------------------------------------------------
 
 @pytest.mark.parametrize("lam", [2.7, 3.0, 5.0, 10.0])
