@@ -51,25 +51,27 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
     ms[s] and one end at or past ms[s-1].  Selection columns are added in
     order; column c holds each node's (c+1)-th smallest partner, so once a
     table has no deployed partner in a column it gains no edge later.  Each
-    column is read as a copy of the open tables' rows, and merged by rounds
-    of min-label hooking and pointer jumping.  A round hooks the larger root
-    of every edge onto the smaller (the smallest target wins; an edge inside
-    one component hooks its root onto itself), then points every label
-    straight at its root.  An edge whose larger root now points at its
-    smaller one lies inside one component and is dropped; the rest, whose
-    root another edge hooked lower, are re-checked alone next round, until
-    none is left.  A table leaves the stage at one point, after its column
-    is hooked: when it has one root (joined), or when it is stuck: its
-    column has no deployed partner, or the column is the last.  No later
-    column can give a stuck table an edge, so its labels are final and its
-    isolated nodes are its singleton components, counted at that retirement
-    point on the open tables' labels: the roots no other label points at.  A
-    joined view of two or more nodes has none, and a one-node view, joined
-    and stuck at once, has its one node.  Either way the labels it leaves
-    are the components of its view: the edges a joined table skipped lie
-    inside its one component, and a stuck table has none left.  So every
-    table enters the next stage; the last stage, which none follows, keeps
-    no labels.
+    column is merged by rounds of hooking and pointer jumping.  A round
+    writes the smaller root of every edge into the parent of the larger (an
+    edge inside one component writes its root into itself), then points
+    every label straight at its root.  Any of a root's writes may land: each
+    is a root no larger in its component, so pointers only decrease, and a
+    component's smallest label is never hooked and stays its root.  An edge
+    whose larger root now points at its smaller one lies inside one
+    component and is dropped; the rest, whose root took another write, are
+    re-checked alone next round, until none is left, so a self-write that
+    lands over a hook delays it by one round.  A table leaves the stage at
+    one point, after its column is hooked: when it has one root (joined), or
+    when it is stuck: its column has no deployed partner, or the column is
+    the last.  No later column can give a stuck table an edge, so its labels
+    are final and its isolated nodes are its singleton components, counted
+    at that retirement point on the open tables' labels: the roots no other
+    label points at.  A joined view of two or more nodes has none, and a
+    one-node view, joined and stuck at once, has its one node.  Either way
+    the labels it leaves are the components of its view: the edges a joined
+    table skipped lie inside its one component, and a stuck table has none
+    left.  So every table enters the next stage; the last stage, which none
+    follows, keeps no labels.
 
     A repeated size needs no special case: its stage has no new node and no
     new edge, so it starts from labels that already are its view's
@@ -101,8 +103,8 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
             while len(u):
                 ru, rv = parent[u], parent[v]
                 hooked, low = np.maximum(ru, rv), np.minimum(ru, rv)
-                np.minimum.at(parent, hooked, low)
-                # an edge whose root another edge hooked lower may join two roots
+                parent[hooked] = low
+                # an edge whose root took another edge's write may join two roots
                 top = parent[hooked]
                 lost = np.flatnonzero(top != low)
                 u, v = u[lost], v[lost]
@@ -113,7 +115,7 @@ def connected_at(block: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.n
                         break
                     parent[hooked] = top = up
                 parent = parent[parent]
-            # min-label hooking leaves each component rooted at its smallest label
+            # pointers only decrease, so each component is rooted at its smallest label
             roots = parent.reshape(-1, m)
             joined = roots.max(axis=1) == base
             done = joined | stuck

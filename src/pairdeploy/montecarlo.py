@@ -57,7 +57,7 @@ import pickle
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, partial
 from typing import NoReturn
 
 import numpy as np
@@ -136,15 +136,15 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 class ExperimentPlan:
     """A deployment run: all (k, gamma) cells share n, trials, and seeding;
     the gammas, strictly increasing in (0, 1], are its schedule.  workers
-    is the most processes the run may use, this one included; None or 1
-    runs it in this process alone."""
+    is the most processes the run may use, this one included; 1 runs it
+    in this process alone."""
 
     n: int
     k_values: tuple[int, ...]
     gammas: tuple[float, ...]
     trials: int = SWEEP_TRIALS_DEFAULT
     base_seed: int = 0
-    workers: int | None = None
+    workers: int = 1
 
     def __post_init__(self) -> None:
         ks = tuple(int(k) for k in self.k_values)
@@ -165,7 +165,7 @@ class ExperimentPlan:
         object.__setattr__(self, "gammas", gs)
 
 
-def _check_run(n: int, ks: tuple[int, ...], trials: int, base_seed: int, workers: int | None = None) -> None:
+def _check_run(n: int, ks: tuple[int, ...], trials: int, base_seed: int, workers: int) -> None:
     """The checks every run makes before it allocates or starts a process."""
     for k in ks:
         SchemeParams(n, k)
@@ -173,7 +173,7 @@ def _check_run(n: int, ks: tuple[int, ...], trials: int, base_seed: int, workers
         raise ValueError(f"need trials >= 1, got {trials}")
     if not 0 <= base_seed <= sampling.MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {base_seed}")
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
@@ -385,7 +385,7 @@ def _cpu_quota() -> int | None:
         return None
 
 
-def _width(workers: int | None, trials: int, entries: int, table: int) -> int:
+def _width(workers: int, trials: int, entries: int, table: int) -> int:
     """The width of a run of `trials` trials that draws `entries` table
     entries, `table` at most per trial: 1 when the run fits one serial
     block, else at most `workers`, one process per trial and per usable
@@ -393,18 +393,13 @@ def _width(workers: int | None, trials: int, entries: int, table: int) -> int:
     as the shares' blocks shrink only to one trial."""
     if entries <= _BLOCK_BUDGET:
         return 1
-    return max(1, min(workers or 1, _BLOCK_BUDGET // table, trials, _pool_cpus()))
+    return max(1, min(workers, _BLOCK_BUDGET // table, trials, _pool_cpus()))
 
 
 def _trial_ranges(trials: int, width: int) -> list[tuple[int, int]]:
     """(start, stop) of `width` (at most `trials`) contiguous trial ranges,
     one per share of a run, as equal as can be."""
     return [(trials * i // width, trials * (i + 1) // width) for i in range(width)]
-
-
-def _add(a: tuple, b: tuple) -> tuple:
-    """Two shares' counts, summed field by field."""
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _run_shares(shares: list[list[Callable[[], tuple]]]) -> list[tuple]:
@@ -450,7 +445,7 @@ def _run_shares(shares: list[list[Callable[[], tuple]]]) -> list[tuple]:
             os.close(read)
         for pid in pids:
             os.waitpid(pid, 0)
-    return [reduce(_add, column) for column in zip(*counts)]
+    return [tuple(sum(field) for field in zip(*column)) for column in zip(*counts)]
 
 
 def _send(share: list[Callable[[], tuple]], write: int, caller: int) -> NoReturn:
@@ -504,7 +499,7 @@ def run_sweep(plan: ExperimentPlan) -> dict[int, tuple[np.ndarray, np.ndarray, i
 
 
 def run_keyring_census(
-    n: int, k: int, trials: int = CENSUS_TRIALS_DEFAULT, base_seed: int = 0, workers: int | None = None
+    n: int, k: int, trials: int = CENSUS_TRIALS_DEFAULT, base_seed: int = 0, workers: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Count all trials * n ring sizes and the per-trial largest rings,
     over up to `workers` processes (see the module docstring).

@@ -326,11 +326,13 @@ def upper_tail_root(lam: float) -> float:
     Solves poisson_rate(x) = 1/lam on [0, 1] by bisection (the bracket is
     guaranteed because poisson_rate(1) = 1/maxring_critical_scale > 1/lam)
     and returns c = lam * x.  Since a(lam, lam*x) = 1 - lam*poisson_rate(x),
-    the returned c satisfies |a(lam, c)| below 1e-7 and c < lam.  Defined
-    only for lam above maxring_critical_scale().
+    the returned c satisfies |a(lam, c)| below 1e-7 and c < lam, for lam
+    above maxring_critical_scale() and up to 1e12; any other lam raises
+    ValueError.  poisson_rate errs by about 2^-52*sqrt(lam/2) relative near
+    the root, so |a| is about 1e-10 at 1e12 (1e-6 at 1e20).
     """
-    if not lam > maxring_critical_scale():
-        raise ValueError(f"scale must exceed {maxring_critical_scale():.6f}, got {lam}")
+    if not maxring_critical_scale() < lam <= 1e12:
+        raise ValueError(f"scale must be in ({maxring_critical_scale():.6f}, 1e12], got {lam}")
     target = 1.0 / lam
     lo, hi = 0.0, 1.0
     for _ in range(60):  # interval ~1e-18: root residual far below 1e-12

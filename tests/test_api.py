@@ -11,6 +11,9 @@ perfbench/spans.py wraps each layer's entry points by name and skips a
 name that no longer exists without an error, so a rename would silently
 drop that layer from the benchmark's per-layer numbers.  The first test
 makes such a rename fail here instead.
+
+A source scan also keeps the library off numpy's ufunc.at, whose speed
+depends on the numpy version.
 """
 
 import ast
@@ -109,6 +112,21 @@ def test_every_exported_name_has_a_caller():
         module = importlib.import_module(f"pairdeploy.{mod}")
         uncalled += [f"{mod}.{name}" for name in getattr(module, "__all__", ()) if name not in referenced]
     assert uncalled == []
+
+
+def test_library_calls_no_ufunc_at():
+    """No module calls a ufunc's unbuffered `.at` method, np.minimum.at for
+    one: the package accepts numpy 1.24, where it is many times slower than
+    from numpy 1.25 on, so a kernel that leans on it would be fast only on
+    the newer numpy.  The kernels use gathers, assignments and plain ufuncs
+    instead, which do not lean on that speedup."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src/pairdeploy").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "at"
+    ]
+    assert calls == []
 
 
 def test_library_imports_no_test_only_package():

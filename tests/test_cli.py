@@ -377,6 +377,14 @@ class TestTheory:
         assert code == 2
         assert "gamma" in err
 
+    def test_scale_past_the_root_bound_is_usage_error(self, capsys):
+        """A finite scale past the one where upper_tail_root keeps its 1e-7
+        promise exits 2, where it printed a root of residual -5.5e276."""
+        code, out, err = run_cli(capsys, "theory", "--c-of-lambda", "1e308")
+        assert code == 2
+        assert out == ""
+        assert err == "pairdeploy: scale must be in (2.588699, 1e12], got 1e+308\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -261,8 +261,8 @@ def test_lost_hook_is_checked_again():
     """Two edges of one column hook the same root with different targets,
     and the losing edge alone joins two components.  Node 3 selects node 1
     and node 2 selects node 3, so both edges hook root 3, onto 1 and onto 2;
-    1 wins, and only a second round over the edge 2-3 brings node 2 in.  A
-    kernel that stops after one round says (False, 1)."""
+    one target wins, and the other edge is checked again.  A kernel that
+    stops after one round says (False, 1)."""
     table = table_from_lists(3, 1, [[3], [3], [1]])
     assert (uf_connected(table, 3), bfs_connected(table, 3), mask_isolated(table, 3)) == (True, True, 0)
     assert kernels(table, 3) == (True, 0)
@@ -271,16 +271,24 @@ def test_lost_hook_is_checked_again():
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
 def test_edges_inside_one_component_hook_their_root_onto_itself(dtype):
     """Edges inside one component go through the hooking step with the
-    rest.  In the view of 6 nodes, column 0 leaves two components, {0, 4}
-    and {1, 2, 3, 5} (0-based).  In column 1 the edges 1-3 and 3-5 lie
-    inside root 1's component, so each hooks root 1 onto itself, while the
-    edge 5-4 hooks root 1 onto root 0 in the same round: the two inner
-    edges see their root hooked lower, are checked again, and drop out in
-    the next round."""
-    table = table_from_lists(7, 2, [[5, 7], [3, 4], [2, 7], [3, 6], [1, 7], [4, 5], [1, 2]])
-    assert (uf_connected(table, 6), bfs_connected(table, 6), mask_isolated(table, 6)) == (True, True, 0)
-    connected, isolated = connected_at(table.partners[None].astype(dtype), (6,))
-    assert (bool(connected[0, 0]), int(isolated[0, 0])) == (True, 0)
+    rest, and which of one root's writes lands does not change the answer.
+    In the view of 6 nodes of both tables, column 0 leaves two components,
+    {0, 4} and {1, 2, 3, 5} (0-based).  In column 1 two edges lie inside
+    root 1's component, so each writes root 1 into itself, while a third
+    edge writes root 0 into it in the same round.  In flat order (by source
+    node) the first table's cross edge 5-4 comes after its inner edges 1-3
+    and 3-5; the mirror's cross edge 1-4 comes before 3-5 and 5-3, so there
+    a self-edge's write lands last where the last write wins.  Whichever
+    lands, an edge that sees its root hooked elsewhere is checked again
+    next round."""
+    for rows in (
+        [[5, 7], [3, 4], [2, 7], [3, 6], [1, 7], [4, 5], [1, 2]],
+        [[5, 7], [3, 5], [2, 7], [3, 6], [1, 7], [2, 4], [1, 2]],
+    ):
+        table = table_from_lists(7, 2, rows)
+        assert (uf_connected(table, 6), bfs_connected(table, 6), mask_isolated(table, 6)) == (True, True, 0)
+        connected, isolated = connected_at(table.partners[None].astype(dtype), (6,))
+        assert (bool(connected[0, 0]), int(isolated[0, 0])) == (True, 0)
 
 
 def test_block_kernels_on_hand_built_tables():

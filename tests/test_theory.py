@@ -574,11 +574,25 @@ def test_root_approaches_scale_at_critical_point():
     assert abs(theory.upper_tail_root(lam) / lam - 1.0) < 1e-6
 
 
+def test_root_kills_coefficient_up_to_its_bound():
+    """|a(lam, c)| < 1e-7 at the returned root, evaluated in 50 digits, over
+    scales from just past the critical point to the bound 1e12, four per
+    decade.  Past about 1e19 the rounding of poisson_rate breaks it (-1.0e-6
+    at 1e20), and it grows as sqrt(lam): the root stops at 1e12."""
+    scales = [theory.maxring_critical_scale() * (1 + 1e-9), 2.6, *(10 ** (e / 4) for e in range(2, 49))]
+    assert scales[-1] == 1e12
+    worst = max(abs(oracle_a(lam, theory.upper_tail_root(lam))) for lam in scales)
+    assert worst < 1e-7
+
+
 def test_root_domain():
     with pytest.raises(ValueError):
         theory.upper_tail_root(theory.maxring_critical_scale())
     with pytest.raises(ValueError):
         theory.upper_tail_root(1.0)
+    for lam in (math.nextafter(1e12, math.inf), 1e16, 1e308):
+        with pytest.raises(ValueError, match="1e12]"):
+            theory.upper_tail_root(lam)
 
 
 # -- largest-ring tail bounds ----------------------------------------------------
