@@ -64,12 +64,13 @@ def _gamma_str(g: float) -> str:
     return short if float(short) == g else repr(g)
 
 
-def parse_k_values(text: str, n: int) -> tuple[int, ...]:
-    """Parse "7", "1..20" (inclusive), or "1,5,9" (no value twice).
+def parse_k_values(text: str, n: int) -> Sequence[int]:
+    """Parse "7", "1..20" (inclusive), or "1,5,9" (no value twice): a
+    tuple, or a range for a range.
 
     Every listed value and both ends of a range are checked against
-    1..n-1; a range's ends are checked before it is built, so a huge range
-    fails without allocating.
+    1..n-1.  A range stays a range, so ExperimentPlan refuses one whose
+    widest table would not fit in memory before it lists its values.
     """
     text = text.strip()
     if ".." in text:
@@ -79,7 +80,7 @@ def parse_k_values(text: str, n: int) -> tuple[int, ...]:
             raise ValueError(f"empty k range {text!r}")
         SchemeParams(n, lo)
         SchemeParams(n, hi)
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)
     ks = tuple(int(tok) for tok in text.split(","))
     for k in ks:
         SchemeParams(n, k)
@@ -188,24 +189,15 @@ def _theory_args(p: argparse.ArgumentParser) -> None:
     _add_io(p)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Given a subcommand's name, it holds that
-    subcommand's parser alone, which parses an argument list starting with
-    the name exactly as the full parser does: everything after the name goes
-    to the subcommand, and the top-level usage names every subcommand.  Any
-    other command builds them all, for the top-level help and errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand's arguments."""
     parser = argparse.ArgumentParser(
         prog="pairdeploy",
         description="Pairwise key predistribution under gradual deployment: "
         "Monte Carlo experiments and exact calculators.",
     )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # one subcommand alone is given the usage the full parser shows; the full
-    # parser keeps the default metavar, "command", which its errors name
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        text, add_args, _, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_args, _, _) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=text))
     return parser
 
@@ -406,8 +398,7 @@ def _run_to_file(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.out is None:
             _run(args, sys.stdout)

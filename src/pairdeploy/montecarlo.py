@@ -137,21 +137,25 @@ class ExperimentPlan:
     """A deployment run: all (k, gamma) cells share n, trials, and seeding;
     the gammas, strictly increasing in (0, 1], are its schedule.  workers
     is the most processes the run may use, this one included; 1 runs it
-    in this process alone."""
+    in this process alone.  k_values is kept as a tuple; a range is listed
+    only once its widest table is known to fit, so a huge one is refused
+    without allocating."""
 
     n: int
-    k_values: tuple[int, ...]
+    k_values: Sequence[int]
     gammas: tuple[float, ...]
     trials: int = SWEEP_TRIALS_DEFAULT
     base_seed: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
-        ks = tuple(int(k) for k in self.k_values)
+        ks = self.k_values
+        if not isinstance(ks, range):  # a range never repeats
+            ks = tuple(int(k) for k in ks)
+            if len(set(ks)) != len(ks):
+                raise ValueError(f"k_values must not repeat, got {ks}")
         if not ks:
             raise ValueError("k_values must be nonempty")
-        if len(set(ks)) != len(ks):
-            raise ValueError(f"k_values must not repeat, got {ks}")
         _check_run(self.n, ks, self.trials, self.base_seed, self.workers)
         gs = tuple(float(g) for g in self.gammas)
         if not gs:
@@ -161,14 +165,16 @@ class ExperimentPlan:
         for g in gs:
             phase_size(self.n, g)  # validates 0 < gamma <= 1 and floor(gamma*n) >= 1
         _check_table(self.n, max(ks), phase_size(self.n, gs[-1]))
-        object.__setattr__(self, "k_values", ks)
+        object.__setattr__(self, "k_values", tuple(ks))
         object.__setattr__(self, "gammas", gs)
 
 
-def _check_run(n: int, ks: tuple[int, ...], trials: int, base_seed: int, workers: int) -> None:
-    """The checks every run makes before it allocates or starts a process."""
-    for k in ks:
-        SchemeParams(n, k)
+def _check_run(n: int, ks: Sequence[int], trials: int, base_seed: int, workers: int) -> None:
+    """The checks every run makes before it allocates or starts a process.
+    SchemeParams takes an interval of k, so the least and greatest of ks
+    stand for them all."""
+    SchemeParams(n, min(ks))
+    SchemeParams(n, max(ks))
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not 0 <= base_seed <= sampling.MASK64:
@@ -302,14 +308,14 @@ def _count_deployments(
 
 
 def _prefix_steps(
-    n: int, k: int, gammas: tuple[float, ...], isolated: Callable[[int, float], float] | None = None
+    n: int, k: int, gammas: tuple[float, ...], isolated: Callable[[int, float], float]
 ) -> tuple[int, ...]:
     """How many of each row's k Floyd steps a run's first pass draws, per
     band (see _count_deployments): for band r, k, drawn whole, unless a
     shorter prefix is expected to cost less than _PREFIX_GAIN of the whole
     draw, priced over the views that read the band, gammas[r:].
-    isolated(c, gamma) is theory.expected_isolated at this n, by default
-    memoized for this call alone; a run passes one memo for all its k.
+    isolated(c, gamma) is theory.expected_isolated at this n; a run passes
+    one memo for all its k.
 
     A prefix of c >= 2 steps (one step gives a 1-out graph, never connected)
     costs its draw, sort and kernel, plus, for the share of its tables that
@@ -332,8 +338,6 @@ def _prefix_steps(
     phased benchmark this prices 20 terms for three bands where one pass
     over every c priced 22 for one band alone.
     """
-    isolated = isolated or cache(partial(theory.expected_isolated, n))
-
     def cost(steps: int) -> float:
         return steps * (1 + _DUP_COST * (steps - 1) / 2) + (_KERNEL_COST if steps == k else _PREFIX_KERNEL_COST)
 

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -46,7 +47,7 @@ class TestArgumentGrammar:
         assert parse_k_values("7", 100) == (7,)
 
     def test_k_range_inclusive(self):
-        assert parse_k_values("1..20", 100) == tuple(range(1, 21))
+        assert parse_k_values("1..20", 100) == range(1, 21)
 
     def test_k_list(self):
         assert parse_k_values("1,5,9", 100) == (1, 5, 9)
@@ -59,7 +60,7 @@ class TestArgumentGrammar:
         assert parse_gamma_list("0.2,0.4") == (0.2, 0.4)
 
     def test_k_range_ends_checked_against_n(self):
-        assert parse_k_values("1..99", 100) == tuple(range(1, 100))
+        assert parse_k_values("1..99", 100) == range(1, 100)
         for text in ("0..5", "1..100", "1..1000"):
             with pytest.raises(ValueError, match="1 <= k <= n-1"):
                 parse_k_values(text, 100)
@@ -1065,6 +1066,22 @@ class TestTableMemory:
             assert (code, out) == (2, "")
             assert f"one table at n=100000000, K=1000000 takes {size} bytes" in err
 
+    @pytest.mark.parametrize("n, k", [(2_000_000, 1_000_000), (6_000_000, 3_000_000)])
+    def test_long_k_range_is_refused_before_it_is_listed(self, capsys, n, k):
+        """A K range is refused by its widest table before its values are
+        listed: a tuple of this range's values alone would take 8 bytes a
+        value, and its ints 28 more."""
+        size = n // 2 * (k * 4 + 8)  # int32 ids
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, *f"sweep --n {n} --k 1..{k} --gamma 0.5".split())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message = f"one table at n={n}, K={k} takes {size} bytes, more than the 1000000 bytes of physical memory"
+        assert result == (2, "", f"pairdeploy: {message}\n")
+        assert peak < 5_000_000
+
 
 def test_physical_memory_is_known_on_linux():
     if sys.platform == "linux":
@@ -1118,9 +1135,9 @@ def full_parse(argv):
 
 @pytest.mark.parametrize("case", sorted(HELP_AND_USAGE_DIGESTS))
 def test_help_and_usage_errors_match_the_full_parser(monkeypatch, case):
-    """main builds the parser of the named subcommand alone, and prints the
-    same help and usage errors, byte for byte, as the parser of every
-    subcommand, on any Python; on 3.11 the bytes are pinned as well."""
+    """main prints the same help and usage errors, byte for byte, as the
+    parser of every subcommand, on any Python; on 3.11 the bytes are
+    pinned as well."""
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = parser_output(main, case.split())
     assert code in (0, 2)
@@ -1128,21 +1145,3 @@ def test_help_and_usage_errors_match_the_full_parser(monkeypatch, case):
     if sys.version_info[:2] == (3, 11):
         blob = f"{code}\n{out}\0{err}".encode()
         assert hashlib.sha256(blob).hexdigest() == HELP_AND_USAGE_DIGESTS[case]
-
-
-def test_a_command_builds_its_own_parser_alone(capsys, monkeypatch):
-    """A run adds the arguments of its own subcommand only; the top-level
-    help adds every subcommand's."""
-    built = []
-    for name, (text, add_args, fields, produce) in list(cli._COMMANDS.items()):
-        monkeypatch.setitem(
-            cli._COMMANDS,
-            name,
-            (text, lambda p, name=name, add_args=add_args: built.append(name) or add_args(p), fields, produce),
-        )
-    assert run_cli(capsys, "theory", "--r-gamma", "0.5")[0] == 0
-    assert built == ["theory"]
-    built.clear()
-    with pytest.raises(SystemExit):
-        main(["-h"])
-    assert built == list(cli._COMMANDS)

@@ -15,6 +15,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -952,6 +953,12 @@ def test_prefix_policy_is_asked_once_per_k_in_the_calling_process(monkeypatch):
     assert_no_child_left()
 
 
+def isolated_memo(n):
+    """theory.expected_isolated at n, memoized, as run_sweep passes it to
+    the prefix policy for all its k."""
+    return cache(partial(theory.expected_isolated, n))
+
+
 def test_prefix_policy_never_raises_on_small_networks():
     """For n = 2..30, every k and schedules from one-node views up to full
     deployment, the policy answers, for each band, k or a prefix of
@@ -962,8 +969,9 @@ def test_prefix_policy_never_raises_on_small_networks():
                 ExperimentPlan(n, (1,), gammas)
             except ValueError:
                 continue  # a fraction of no node at this n
+            isolated = isolated_memo(n)
             for k in range(1, n):
-                steps = montecarlo._prefix_steps(n, k, gammas)
+                steps = montecarlo._prefix_steps(n, k, gammas, isolated)
                 assert len(steps) == len(gammas), (n, k, gammas, steps)
                 assert all(c == k or 2 <= c < k for c in steps), (n, k, gammas, steps)
 
@@ -982,17 +990,20 @@ def test_prefix_policy_on_the_benchmarked_shapes():
     K=37, the phased schedule takes 17, 9 and 2 steps, and each of its
     fractions alone a prefix."""
     n, ks, gammas = BENCH_SWEEP
-    bands = [montecarlo._prefix_steps(n, k, gammas) for k in ks]
+    isolated = isolated_memo(n)
+    bands = [montecarlo._prefix_steps(n, k, gammas, isolated) for k in ks]
     assert [b[0] for b in bands] == list(ks)
     assert bands[:14] == [(k,) * 4 for k in range(1, 15)]
     assert bands[14] == (15, 15, 15, 4) and bands[24] == (25, 10, 7, 5)
     n, ks, gammas = QUARTER_SWEEP
-    bands = [montecarlo._prefix_steps(n, k, gammas) for k in ks]
+    isolated = isolated_memo(n)
+    bands = [montecarlo._prefix_steps(n, k, gammas, isolated) for k in ks]
     assert [b[0] for b in bands] == list(ks)
     assert bands[:10] == [(k,) * 4 for k in range(1, 11)] and bands[10] == (11, 11, 11, 2)
-    assert montecarlo._prefix_steps(2000, 37, (0.25, 0.5, 1.0)) == (17, 9, 2)
+    isolated = isolated_memo(2000)
+    assert montecarlo._prefix_steps(2000, 37, (0.25, 0.5, 1.0), isolated) == (17, 9, 2)
     for gammas in ((0.25,), (0.5,), (1.0,)):
-        (steps,) = montecarlo._prefix_steps(2000, 37, gammas)
+        (steps,) = montecarlo._prefix_steps(2000, 37, gammas, isolated)
         assert 2 <= steps < 37
 
 
