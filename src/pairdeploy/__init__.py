@@ -7,11 +7,11 @@ behavior of the induced key graph when only a fraction of the nodes is
 deployed, and cross-checks every formula with Monte Carlo experiments.
 
 Layout: the package exposes its modules, and each module's __all__ is its
-API: scheme (pairing tables and key rings), graphs (key graphs and the
-block kernel for connectivity and isolation), theory (closed-form
-calculators), montecarlo (repeat-trial harness), sampling (deterministic
-PRNG).  cli (command-line front end) is not imported here, so importing
-the package loads no argparse, csv or json.
+API: scheme (scheme sizes, pairing tables and deployed view sizes),
+graphs (the block kernel for connectivity and isolation), theory
+(closed-form calculators), montecarlo (repeat-trial harness), sampling
+(deterministic PRNG).  cli (command-line front end) is not imported
+here, so importing the package loads no argparse, csv or json.
 """
 
 from . import graphs, montecarlo, sampling, scheme, theory

@@ -213,15 +213,15 @@ def _estimate_fields(successes: int, trials: int) -> dict:
     }
 
 
+def _plan(args: argparse.Namespace, k_values: Sequence[int], flag: str) -> montecarlo.ExperimentPlan:
+    """The deployment run args ask for over k_values, at the fractions of
+    `flag`; they are parsed here, after the K values, whose errors win."""
+    fractions = _parse_flag(flag, parse_gamma_list, getattr(args, flag[2:]))
+    return montecarlo.ExperimentPlan(args.n, k_values, fractions, args.trials, args.seed, args.workers)
+
+
 def _sweep(args: argparse.Namespace) -> _Output:
-    plan = montecarlo.ExperimentPlan(
-        n=args.n,
-        k_values=_parse_flag("--k", parse_k_values, args.k, args.n),
-        gammas=_parse_flag("--gamma", parse_gamma_list, args.gamma),
-        trials=args.trials,
-        base_seed=args.seed,
-        workers=args.workers,
-    )
+    plan = _plan(args, _parse_flag("--k", parse_k_values, args.k, args.n), "--gamma")
     counts = montecarlo.run_sweep(plan)  # k -> (connected, no_isolated, joint)
     rows = [
         {"kind": kind, "gamma": _gamma_str(g), "K": k, "n": plan.n,
@@ -234,14 +234,7 @@ def _sweep(args: argparse.Namespace) -> _Output:
 
 
 def _phased(args: argparse.Namespace) -> _Output:
-    plan = montecarlo.ExperimentPlan(
-        n=args.n,
-        k_values=(args.k,),
-        gammas=_parse_flag("--schedule", parse_gamma_list, args.schedule),
-        trials=args.trials,
-        base_seed=args.seed,
-        workers=args.workers,
-    )
+    plan = _plan(args, (args.k,), "--schedule")
     connected, _, joint = montecarlo.run_sweep(plan)[args.k]
     labelled = [(",".join(_gamma_str(g) for g in plan.gammas), joint)]
     labelled += zip(map(_gamma_str, plan.gammas), connected.tolist())

@@ -243,18 +243,20 @@ def _count_deployments(
     (from row 0 for band 0, none where ms[r-1] = ms[r]), which views r and
     later read; bands of equal steps merge into one run.  A band of fewer
     than k steps holds some of each row's k partners, as Floyd adds to its
-    set and never takes from it, so each view of the block is a subgraph
-    of the table's view: a view the block joins is joined, with no
-    isolated node (one, in a one-node view), as the whole rows would
-    answer, and so is the answer of a view whose bands are all whole.  A
-    table that leaves some view undecided waits, with its first answers,
-    to be drawn again by _band_block with whole rows below its largest
-    undecided view u, one run of k steps, in a block of trial ids with
-    other tables of the same u: once they fill a block, and at the end for
-    the rest.  connected_at answers views 0..u of it, which replace the
-    first answers.  So refills draw few blocks, each after the first-pass
-    block before it is dropped, and a share holds the answers of fewer
-    than two blocks of waiting tables per view.
+    set and never takes from it, so each view of the block is a subgraph of
+    the table's view: a view the block joins is joined, with no isolated
+    node (one, in a one-node view), as the whole rows would answer, and so
+    is the answer of a view whose bands are all whole.  A table that leaves
+    some view undecided waits, as its trial id, to be drawn again by
+    _band_block with whole rows below its largest undecided view u, one run
+    of k steps, in a block with other tables of the same u: once they fill a
+    block, and at the end for the rest.  connected_at answers views 0..u,
+    and each view past u counts as connected with no isolated node: it is
+    not split (u is the largest undecided view) nor exact (or view u, no
+    larger, would be), so the first pass joined it, and it has two nodes or
+    more, as a one-node view u is joined.  So refills draw few blocks, each
+    after the first-pass block before it is dropped, and a share holds the
+    ids of fewer than two blocks of waiting tables per view.
     """
     ms = [phase_size(plan.n, g) for g in plan.gammas]
     runs: list[tuple[int, int, int]] = []  # (first row, end row, steps) of the bands merged by steps
@@ -267,28 +269,26 @@ def _count_deployments(
             runs.append((lo, m, c))
     # the views within the rows drawn whole, which the first pass answers as they stand
     exact = np.array(ms) <= next((lo for lo, _, c in runs if c < k), ms[-1])
-    connected, no_isolated = np.zeros((2, len(ms)), dtype=np.int64)
+    counts = np.zeros((2, len(ms)), dtype=np.int64)  # connected, no_isolated
     joint = 0
     per = max(1, _BLOCK_BUDGET // (ms[-1] * k * width))
     seed = sampling.fold(plan.base_seed, k)
 
     def add(conn: np.ndarray, iso: np.ndarray) -> None:
-        nonlocal connected, no_isolated, joint
-        connected += conn.sum(axis=1)
-        no_isolated += (iso == 0).sum(axis=1)
+        # the answers of views 0..len(conn)-1; every view past them is connected with no isolated node
+        nonlocal joint
+        counts[:, : len(conn)] += conn.sum(axis=1), (iso == 0).sum(axis=1)
+        counts[:, len(conn) :] += conn.shape[1]
         joint += int(conn.all(axis=0).sum())
 
-    # per largest undecided view u, the (trial ids, connected, isolated) of
-    # its tables, drawn again once they fill a block, and at the end
-    waiting: list[list[tuple[np.ndarray, ...]]] = [[] for _ in ms]
+    # per largest undecided view u, the trial ids of its tables that wait for a refill
+    waiting: list[list[np.ndarray]] = [[] for _ in ms]
 
     def refill(u: int) -> None:
-        ids, conn, iso = (np.concatenate(part, axis=-1) for part in zip(*waiting[u]))
+        ids = np.concatenate(waiting[u])
         waiting[u].clear()
         for lo in range(0, len(ids), per):
-            answers = connected_at(_band_block(seed, plan.n, k, ids[lo : lo + per], [(0, ms[u], k)]), ms[: u + 1])
-            conn[: u + 1, lo : lo + per], iso[: u + 1, lo : lo + per] = answers
-        add(conn, iso)
+            add(*connected_at(_band_block(seed, plan.n, k, ids[lo : lo + per], [(0, ms[u], k)]), ms[: u + 1]))
 
     for first in range(start, stop, per):
         conn, iso = connected_at(_band_block(seed, plan.n, k, range(first, min(first + per, stop)), runs), ms)
@@ -298,13 +298,13 @@ def _count_deployments(
         for u in range(len(ms)):
             picked = last == u
             if picked.any():
-                waiting[u].append((first + np.flatnonzero(picked), conn[:, picked], iso[:, picked]))
-                if sum(len(ids) for ids, _, _ in waiting[u]) >= per:
+                waiting[u].append(first + np.flatnonzero(picked))
+                if sum(map(len, waiting[u])) >= per:
                     refill(u)
     for u in range(len(ms)):
         if waiting[u]:
             refill(u)
-    return connected, no_isolated, joint
+    return counts[0], counts[1], joint
 
 
 def _prefix_steps(

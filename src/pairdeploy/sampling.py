@@ -13,8 +13,8 @@ can be generated per trial, per node, in any order or degree of
 parallelism, without changing a single draw.  GOLDEN is odd, so node *
 GOLDEN is a bijection on uint64, and fold is bijective in its second word:
 the nodes of a trial get distinct keys.  Everything is uint64 with
-wraparound, which numpy and the Python-int fallback both define exactly,
-so results are platform independent.
+wraparound, which numpy and mix64, the Python-int reference that fold
+uses, both define exactly, so results are platform independent.
 
 Subsets are drawn with Floyd's algorithm: to pick K of {0..m-1}, for
 j = m-K .. m-1 draw t uniform on [0, j] and keep t unless it was already

@@ -1,7 +1,10 @@
-"""Hand-built pairing tables and per-trial deployment outcomes shared by
-the test modules."""
+"""Hand-built pairing tables, per-trial deployment outcomes and the
+no-child check shared by the test modules."""
+
+import os
 
 import numpy as np
+import pytest
 
 from pairdeploy.graphs import connected_at
 from pairdeploy.sampling import fold, sample_pairing_block
@@ -26,3 +29,9 @@ def per_trial_outcomes(plan, k):
     block = sample_pairing_block(fold(plan.base_seed, k), range(plan.trials), plan.n, k, range(max(ms)))
     answers = {m: connected_at(block, (m,)) for m in set(ms)}
     return tuple(np.stack([answers[m][i][0] for m in ms]) for i in (0, 1))
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,6 +1,5 @@
 """Command-line surface: schemas, golden values, exit codes, determinism."""
 
-import contextlib
 import csv
 import ctypes
 import hashlib
@@ -24,6 +23,7 @@ import pytest
 
 from pairdeploy import cli, montecarlo, theory
 from pairdeploy.cli import main, parse_gamma_list, parse_k_values
+from pairing_fixtures import assert_no_child_left
 
 SWEEP_HEADER = "kind,gamma,K,n,trials,successes,p_hat,ci_low,ci_high"
 PHASED_HEADER = "n,K,schedule,trials,successes,p_hat,ci_low,ci_high"
@@ -647,12 +647,6 @@ POOL_RUNS = {
 }
 
 
-def assert_no_child_left():
-    """This process has no child, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def pools(monkeypatch):
     """Runs above a 1000-entry block budget, which still holds two of
@@ -1116,32 +1110,22 @@ HELP_AND_USAGE_DIGESTS = {
 }
 
 
-def parser_output(parse, argv):
-    """(exit code, stdout, stderr) of parse(argv), which may exit."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = parse(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def full_parse(argv):
-    """Parse as a parser holding every subcommand's arguments does."""
-    cli.build_parser().parse_args(argv)
-    return 0
-
-
 @pytest.mark.parametrize("case", sorted(HELP_AND_USAGE_DIGESTS))
-def test_help_and_usage_errors_match_the_full_parser(monkeypatch, case):
-    """main prints the same help and usage errors, byte for byte, as the
-    parser of every subcommand, on any Python; on 3.11 the bytes are
-    pinned as well."""
+def test_help_and_usage_errors_match_the_full_parser(monkeypatch, capsys, case):
+    """A help request exits 0 and prints its usage on stdout alone; a usage
+    error exits 2 and prints on stderr alone the usage and one error line
+    of the program or its subcommand, on any Python.  On 3.11 the bytes
+    are pinned as well, as the full parser printed them."""
     monkeypatch.setenv("COLUMNS", "80")
-    code, out, err = parser_output(main, case.split())
-    assert code in (0, 2)
-    assert (code, out, err) == parser_output(full_parse, case.split())
+    with pytest.raises(SystemExit) as done:
+        main(case.split())
+    code = done.value.code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and out.startswith("usage: pairdeploy")
+    else:
+        assert code == 2 and out == "" and err.startswith("usage: pairdeploy")
+        assert re.fullmatch(r"pairdeploy( \w+)?: error: .+", err.splitlines()[-1])
     if sys.version_info[:2] == (3, 11):
         blob = f"{code}\n{out}\0{err}".encode()
         assert hashlib.sha256(blob).hexdigest() == HELP_AND_USAGE_DIGESTS[case]

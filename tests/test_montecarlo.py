@@ -31,7 +31,7 @@ from pairdeploy.montecarlo import (
     run_sweep,
     wilson_interval,
 )
-from pairing_fixtures import per_trial_outcomes
+from pairing_fixtures import assert_no_child_left, per_trial_outcomes
 
 
 class TestWilson:
@@ -256,8 +256,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
     pooled = run_keyring_census(40, 3, trials=25, base_seed=7, workers=2)
     assert all(np.array_equal(a, b) for a, b in zip(pooled, census))
     assert len(forked) == 2
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 def fake_shares(monkeypatch, cpus):
@@ -382,8 +381,7 @@ def test_default_workers_follow_the_cpu_set_and_platform(monkeypatch):
     ):
         usable_cpus(monkeypatch, platform, cpus)
         assert _width(montecarlo.WORKERS_DEFAULT, 10**6, PAST_ONE_BLOCK, 1) == workers
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 def test_pool_size_is_clamped(monkeypatch):
@@ -409,8 +407,7 @@ def test_both_clamps_count_the_cpus_this_process_may_use(monkeypatch):
     assert _width(default, 10**6, PAST_ONE_BLOCK, 1) == _width(8, 10**6, PAST_ONE_BLOCK, 1) == 2
     usable_cpus(monkeypatch, "darwin", {4, 9})
     assert _width(default, 10**6, PAST_ONE_BLOCK, 1) == _width(8, 10**6, PAST_ONE_BLOCK, 1) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 def test_different_seed_changes_something():
@@ -770,16 +767,12 @@ def fixed_steps(monkeypatch, steps):
     monkeypatch.setattr(montecarlo, "_prefix_steps", lambda n, k, gammas, isolated=None: steps(k, len(gammas)))
 
 
-def in_refill() -> bool:
-    """Whether this call comes from the refill path of _count_deployments,
-    which draws again the tables the first pass left undecided."""
-    frame = sys._getframe(1)
-    while frame is not None:
-        code = frame.f_code
-        if code.co_name == "refill" and code.co_filename == montecarlo.__file__:
-            return True
-        frame = frame.f_back
-    return False
+def is_refill(trials) -> bool:
+    """Whether a sampler call draws for the refill path of
+    _count_deployments, which draws again the tables the first pass left
+    undecided: it names them by an array of trial ids, where a first pass
+    names its consecutive tables by a range."""
+    return not isinstance(trials, range)
 
 
 def count_draws(monkeypatch):
@@ -790,7 +783,7 @@ def count_draws(monkeypatch):
     draw = sampling.sample_pairing_block
 
     def counted(*args):
-        draws.append((args, in_refill()))
+        draws.append((args, is_refill(args[1])))
         return draw(*args)
 
     monkeypatch.setattr(sampling, "sample_pairing_block", counted)
@@ -924,7 +917,7 @@ def test_prefix_and_whole_blocks_are_alive_one_at_a_time(monkeypatch):
         assert all(ref() is None for ref in drawn), "previous block still alive"
         block = draw(*args)
         drawn.append(weakref.ref(block))
-        whole.append(in_refill())
+        whole.append(is_refill(args[1]))
         return block
 
     monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
@@ -1021,11 +1014,6 @@ def test_prefix_policy_prices_no_more_terms_than_one_prefix(monkeypatch, shape, 
     run_sweep(ExperimentPlan(n, tuple(ks), gammas, 1))
     assert 0 < len(calls) <= before
     assert len(set(calls)) == len(calls)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
