@@ -221,6 +221,7 @@ def _plan(args: argparse.Namespace, k_values: Sequence[int], flag: str) -> monte
 
 
 def _sweep(args: argparse.Namespace) -> _Output:
+    SchemeParams(args.n, 1)  # n alone first, so n < 2 is not reported as a --k error
     plan = _plan(args, _parse_flag("--k", parse_k_values, args.k, args.n), "--gamma")
     counts = montecarlo.run_sweep(plan)  # k -> (connected, no_isolated, joint)
     rows = [
@@ -407,7 +408,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"pairdeploy: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -327,40 +327,26 @@ def _prefix_steps(
     deployed, so this errs towards the whole draw.  Only speed depends on
     the answer, never the counts.
 
-    The search looks for the cheapest c twice, from the costliest
-    affordable one down: first over every 4th c, which finds a near-best
-    cost, then over every c, which skips those whose draw alone costs more
-    than the best found without pricing them.  A sum is added up view by
-    view, smallest view first, the largest term as a rule, and stops once
-    its part already costs too much.  A pass stops once the cheapest
-    prefix, of two steps, with the refills of this c would cost more than
-    the best found: a shorter prefix leaves more tables unjoined.  On the
-    phased benchmark this prices 20 terms for three bands where one pass
-    over every c priced 22 for one band alone.
+    Every c whose draw alone costs less than _PREFIX_GAIN of the whole
+    draw is priced, its terms summed by math.fsum, so the choice does not
+    depend on whether the interpreter's sum compensates; the cheapest
+    priced below that bound wins, the largest of equals, and k where none
+    is.
     """
     def cost(steps: int) -> float:
         return steps * (1 + _DUP_COST * (steps - 1) / 2) + (_KERNEL_COST if steps == k else _PREFIX_KERNEL_COST)
 
     whole = cost(k)
+    bound = _PREFIX_GAIN * whole
     bands = []
     for r in range(len(gammas)):
         views = [g for m, g in {phase_size(n, g): g for g in gammas[r:]}.items() if 2 <= m < n]
-        best, bound = k, _PREFIX_GAIN * whole
-        for stride in (4, 1):
-            for c in range(k - 1, 1, -stride):
-                if c == best or cost(c) >= bound:
-                    continue
-                total = refill = 0.0
-                for g in views:
-                    total += isolated(c, g)
-                    refill = -math.expm1(-total) * whole
-                    if cost(c) + refill >= bound:
-                        break
-                if cost(c) + refill < bound:
-                    best, bound = c, cost(c) + refill
-                elif cost(2) + refill >= bound:
-                    break
-        bands.append(best)
+        price = {
+            c: cost(c) - math.expm1(-math.fsum(isolated(c, g) for g in views)) * whole
+            for c in range(k - 1, 1, -1)
+            if cost(c) < bound
+        }
+        bands.append(min((c for c in price if price[c] < bound), key=price.get, default=k))
     return tuple(bands)
 
 

@@ -161,10 +161,14 @@ class TestSweep:
         [
             (("--k", "1..", "--gamma", "0.5"), "--k: invalid literal for int() with base 10: ''"),
             (("--k", "2", "--gamma", "0.2,x"), "--gamma: could not convert string to float: 'x'"),
+            (("--n", "1", "--k", "3", "--gamma", "0.5"), "need at least 2 nodes, got n=1"),
         ],
-        ids=["k", "gamma"],
+        ids=["k", "gamma", "n"],
     )
     def test_list_parse_error_names_its_flag(self, capsys, argv, message):
+        """A malformed list's error names its flag; a network of one node
+        is no K's error, and its message names no flag, as in phased and
+        census."""
         code, out, err = run_cli(capsys, "sweep", "--n", "50", *argv, "--trials", "5")
         assert (code, out) == (2, "")
         assert err == f"pairdeploy: {message}\n"

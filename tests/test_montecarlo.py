@@ -1000,19 +1000,71 @@ def test_prefix_policy_on_the_benchmarked_shapes():
         assert 2 <= steps < 37
 
 
-@pytest.mark.parametrize("shape, before", [(BENCH_SWEEP, 60), (BENCH_PHASED, 22)], ids=["sweep", "phased"])
-def test_prefix_policy_prices_no_more_terms_than_one_prefix(monkeypatch, shape, before):
-    """A run prices each (c, gamma) term once for all its k and bands, and
-    its two-pass search skips most of the costly steps: on the benchmarked
-    sweep and phased plans, the banded policy calls theory.expected_isolated
-    no more often than the single-prefix policy it replaced, whose one
-    pass over every step made `before` calls."""
+# "K" stands for a band drawn whole
+K = "K"
+
+# (n, schedule, [(first K, last K, steps per band)]) of the benchmarked runs and
+# of the deployment runs of CI's cmp loop, as the policy chose them before it
+# priced every affordable c; the steps decide only speed, so a change to them is
+# seen here or nowhere
+PINNED_STEPS = {
+    "bench_sweep": (1000, (0.2, 0.4, 0.6, 0.8), [
+        (1, 14, (K, K, K, K)),
+        (15, 15, (K, K, K, 4)),
+        (16, 17, (K, K, K, 5)),
+        (18, 21, (K, K, 7, 5)),
+        (22, 25, (K, 10, 7, 5)),
+    ]),
+    "quarter_sweep": (1000, (0.25, 0.5, 0.75, 1.0), [
+        (1, 10, (K, K, K, K)),
+        (11, 14, (K, K, K, 2)),
+        (15, 19, (K, K, 5, 2)),
+        (20, 25, (K, 8, 5, 2)),
+    ]),
+    "bench_phased": (2000, (0.25, 0.5, 1.0), [
+        (37, 37, (17, 9, 2)),
+    ]),
+    "ci_128": (128, (0.25, 0.5, 1.0), [
+        (8, 10, (K, K, K)),
+        (11, 16, (K, K, 2)),
+        (17, 24, (K, 6, 2)),
+        (25, 25, (11, 7, 2)),
+        (26, 40, (12, 7, 2)),
+    ]),
+    "ci_300": (300, (0.25, 0.5, 1.0), [
+        (15, 17, (K, K, 2)),
+        (18, 26, (K, 7, 2)),
+        (27, 32, (13, 7, 2)),
+        (33, 40, (14, 8, 2)),
+    ]),
+    "ci_5000": (5000, (0.1, 0.3, 0.6, 1.0), [
+        (40, 40, (K, 16, 8, 2)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STEPS))
+def test_prefix_policy_keeps_its_pinned_steps(name):
+    """Every K of each pinned run takes its pinned steps per band."""
+    n, gammas, rows = PINNED_STEPS[name]
+    isolated = isolated_memo(n)
+    for first, last, steps in rows:
+        for k in range(first, last + 1):
+            expected = tuple(k if c == K else c for c in steps)
+            assert montecarlo._prefix_steps(n, k, gammas, isolated) == expected, (name, k)
+
+
+@pytest.mark.parametrize("shape", [BENCH_SWEEP, BENCH_PHASED], ids=["sweep", "phased"])
+def test_prefix_policy_prices_each_term_once_per_run(monkeypatch, shape):
+    """A run prices each (c, gamma) term once for all its k and bands:
+    on the benchmarked sweep and phased plans, theory.expected_isolated
+    is called, and never twice with the same arguments."""
     calls = []
     isolated = theory.expected_isolated
     monkeypatch.setattr(theory, "expected_isolated", lambda *args: calls.append(args) or isolated(*args))
     n, ks, gammas = shape
     run_sweep(ExperimentPlan(n, tuple(ks), gammas, 1))
-    assert 0 < len(calls) <= before
+    assert 0 < len(calls)
     assert len(set(calls)) == len(calls)
 
 
