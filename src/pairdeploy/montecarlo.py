@@ -137,9 +137,9 @@ class ExperimentPlan:
     """A deployment run: all (k, gamma) cells share n, trials, and seeding;
     the gammas, strictly increasing in (0, 1], are its schedule.  workers
     is the most processes the run may use, this one included; 1 runs it
-    in this process alone.  k_values is kept as a tuple; a range is listed
-    only once its widest table is known to fit, so a huge one is refused
-    without allocating."""
+    in this process alone.  k_values is kept as a tuple; a range is checked
+    by its ends and listed only once its widest table is known to fit, so
+    a huge one is refused at once, without allocating."""
 
     n: int
     k_values: Sequence[int]
@@ -156,7 +156,9 @@ class ExperimentPlan:
                 raise ValueError(f"k_values must not repeat, got {ks}")
         if not ks:
             raise ValueError("k_values must be nonempty")
-        _check_run(self.n, ks, self.trials, self.base_seed, self.workers)
+        ends = (ks[0], ks[-1]) if isinstance(ks, range) else ks
+        low, high = min(ends), max(ends)
+        _check_run(self.n, low, high, self.trials, self.base_seed, self.workers)
         gs = tuple(float(g) for g in self.gammas)
         if not gs:
             raise ValueError("schedule needs at least one deployment fraction")
@@ -164,17 +166,17 @@ class ExperimentPlan:
             raise ValueError(f"deployment fractions must be strictly increasing, got {gs}")
         for g in gs:
             phase_size(self.n, g)  # validates 0 < gamma <= 1 and floor(gamma*n) >= 1
-        _check_table(self.n, max(ks), phase_size(self.n, gs[-1]))
+        _check_table(self.n, high, phase_size(self.n, gs[-1]))
         object.__setattr__(self, "k_values", tuple(ks))
         object.__setattr__(self, "gammas", gs)
 
 
-def _check_run(n: int, ks: Sequence[int], trials: int, base_seed: int, workers: int) -> None:
+def _check_run(n: int, low: int, high: int, trials: int, base_seed: int, workers: int) -> None:
     """The checks every run makes before it allocates or starts a process.
-    SchemeParams takes an interval of k, so the least and greatest of ks
-    stand for them all."""
-    SchemeParams(n, min(ks))
-    SchemeParams(n, max(ks))
+    SchemeParams takes an interval of k, so the run's least and greatest
+    k stand for all of its ks."""
+    SchemeParams(n, low)
+    SchemeParams(n, high)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not 0 <= base_seed <= sampling.MASK64:
@@ -498,7 +500,7 @@ def run_keyring_census(
     the first sums to trials * n, the second to trials.  A ring holds
     k..k+n-1 keys.
     """
-    _check_run(n, (k,), trials, base_seed, workers)
+    _check_run(n, k, k, trials, base_seed, workers)
     _check_table(n, k, n)
     width = _width(workers, trials, trials * n * k, n * k)
     shares = [[partial(_count_rings, n, k, base_seed, *span, width)] for span in _trial_ranges(trials, width)]

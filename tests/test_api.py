@@ -13,7 +13,8 @@ drop that layer from the benchmark's per-layer numbers.  The first test
 makes such a rename fail here instead.
 
 A source scan also keeps the library off numpy's ufunc.at, whose speed
-depends on the numpy version.
+depends on the numpy version, and another keeps the tests' reference
+answers, tests/reference.py, apart from the library.
 """
 
 import ast
@@ -143,6 +144,22 @@ def test_library_imports_no_test_only_package():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert result.stdout == "[]\n"
+
+
+def test_reference_imports_no_library_code_and_no_pytest():
+    """tests/reference.py imports the standard library, numpy and mpmath
+    alone: no pairdeploy module, no pytest, and no test module that could
+    bring either in.  So the answers the library is checked against share
+    no code with it, and the benchmark, which has numpy and mpmath but not
+    pytest, can import them."""
+    imported = set()
+    for node in ast.walk(ast.parse((ROOT / "tests/reference.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").partition(".")[0])
+    assert "numpy" in imported  # the scan sees the imports that are there
+    assert imported - set(sys.stdlib_module_names) - {"numpy", "mpmath"} == set()
 
 
 def test_library_leaves_the_allocator_alone():

@@ -3,12 +3,12 @@
 The library answers both deployment questions with one kernel,
 connected_at, which returns (connected, isolated) for each table of a
 block and each of its nested views, in stages that hand their labels on
-from one view to the next.  This module holds independent oracles that
-work on the selection pairs (i, partners[i, c]) of a table instead:
-union-find, breadth-first search and an edge-mask isolated count.  A mutual pair is listed twice,
-which changes none of their answers.  They share no traversal code with
-the kernel or with each other, and a large randomized sweep checks that
-all of them agree.
+from one view to the next.  The tests here check it against the
+independent oracles of reference.py, which work on the selection pairs
+(i, partners[i, c]) of a table instead: union-find, breadth-first search
+and an edge-mask isolated count.  They share no traversal code with the
+kernel or with each other, and a large randomized sweep checks that all
+of them agree.
 """
 
 import numpy as np
@@ -19,80 +19,7 @@ from pairdeploy.graphs import connected_at
 from pairdeploy.scheme import PairingTable, SchemeParams, generate_pairing, phase_size
 from pairdeploy.sampling import sample_pairing_block
 from pairing_fixtures import table_from_lists
-
-
-# -- oracles on the selection pairs -------------------------------------------
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with union by size and path halving."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        """Merge the sets of a and b; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
-
-
-def deployed_edges(table, m):
-    """Selection pairs (i, partners[i, c]) with both ends among the first m
-    nodes, as two lists; a mutual pair appears once from each end."""
-    rows = table.partners[:m]
-    keep = rows < m
-    return np.nonzero(keep)[0].tolist(), rows[keep].tolist()
-
-
-def uf_connected(table, m):
-    uf = UnionFind(m)
-    for a, b in zip(*deployed_edges(table, m)):
-        uf.union(a, b)
-    return uf.components == 1
-
-
-def bfs_connected(table, m):
-    adj = [[] for _ in range(m)]
-    for a, b in zip(*deployed_edges(table, m)):
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * m
-    seen[0] = True
-    frontier = [0]
-    reached = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    reached += 1
-                    nxt.append(y)
-        frontier = nxt
-    return reached == m
-
-
-def mask_isolated(table, m):
-    u, v = deployed_edges(table, m)
-    touched = np.zeros(m, dtype=bool)
-    touched[u] = True
-    touched[v] = True
-    return int(m - touched.sum())
+from reference import UnionFind, bfs_connected, deployed_edges, mask_isolated, uf_connected
 
 
 def kernels(table, m):
@@ -132,7 +59,7 @@ class TestRestrict:
         table = generate_pairing(SchemeParams(20, 2), seed=1)
         m = phase_size(20, 1.0)
         assert m == 20
-        u, v = deployed_edges(table, m)
+        u, v = deployed_edges(table.partners, m)
         assert len(u) == table.partners.size
 
     def test_floor_of_quarter(self):
@@ -140,8 +67,8 @@ class TestRestrict:
 
     def test_views_nest(self):
         table = generate_pairing(SchemeParams(100, 3), seed=2)
-        small = set(zip(*deployed_edges(table, phase_size(100, 0.3))))
-        big = set(zip(*deployed_edges(table, phase_size(100, 0.7))))
+        small = set(zip(*deployed_edges(table.partners, phase_size(100, 0.3))))
+        big = set(zip(*deployed_edges(table.partners, phase_size(100, 0.7))))
         assert small <= big
 
     def test_gamma_domain(self):
@@ -155,23 +82,23 @@ class TestConnectivity:
     def test_two_disjoint_pairs_not_connected(self):
         table = table_from_lists(4, 1, [[2], [1], [4], [3]])
         assert kernels(table, 4) == (False, 0)
-        assert not uf_connected(table, 4)
-        assert not bfs_connected(table, 4)
+        assert not uf_connected(table.partners, 4)
+        assert not bfs_connected(table.partners, 4)
 
     def test_star_is_connected(self):
         table = star_table()
         assert kernels(table, 3) == (True, 0)
-        assert uf_connected(table, 3)
-        assert bfs_connected(table, 3)
+        assert uf_connected(table.partners, 3)
+        assert bfs_connected(table.partners, 3)
 
     def test_single_node_view_is_connected(self):
         table = star_table()
         m = phase_size(3, 0.34)
         assert m == 1
         assert kernels(table, m) == (True, 1)  # deployed alone, no neighbor yet
-        assert uf_connected(table, m)
-        assert bfs_connected(table, m)
-        assert mask_isolated(table, m) == 1
+        assert uf_connected(table.partners, m)
+        assert bfs_connected(table.partners, m)
+        assert mask_isolated(table.partners, m) == 1
 
 
 class TestCountIsolated:
@@ -179,7 +106,7 @@ class TestCountIsolated:
         for seed in range(5):
             table = generate_pairing(SchemeParams(40, 2), seed=seed)
             assert kernels(table, 40)[1] == 0
-            assert mask_isolated(table, 40) == 0
+            assert mask_isolated(table.partners, 40) == 0
 
     def test_hand_built_isolated_node(self):
         # nodes 1..3 all select into {4,5,6} and nobody deployed selects
@@ -187,7 +114,7 @@ class TestCountIsolated:
         table = table_from_lists(6, 1, [[4], [5], [6], [5], [6], [4]])
         m = phase_size(6, 0.5)
         assert kernels(table, m)[1] == 3
-        assert mask_isolated(table, m) == 3
+        assert mask_isolated(table.partners, m) == 3
 
     def test_connected_implies_no_isolated(self):
         tables = [generate_pairing(SchemeParams(30, 2), seed=seed) for seed in range(40)]
@@ -224,10 +151,10 @@ def test_union_find_and_bfs_agree_on_random_instances():
             one = connected_at(block[t : t + 1], ms)
             assert np.array_equal(one[0][:, 0], conn[:, t]) and np.array_equal(one[1][:, 0], iso[:, t])
             for s, m in enumerate(ms):
-                uf_answer = uf_connected(table, m)
-                assert uf_answer == bfs_connected(table, m)
+                uf_answer = uf_connected(table.partners, m)
+                assert uf_answer == bfs_connected(table.partners, m)
                 assert conn[s, t] == uf_answer
-                assert iso[s, t] == mask_isolated(table, m)
+                assert iso[s, t] == mask_isolated(table.partners, m)
                 checked += 1
     assert checked >= 10_000
 
@@ -253,7 +180,7 @@ def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
     block = sample_pairing_block(seed, range(trial, trial + 1), n, k)
     table = PairingTable(SchemeParams(n, k), block[0])
     expected = DEEP_HOOK_CHAINS[seed, trial, n, k, m]
-    assert (uf_connected(table, m), mask_isolated(table, m)) == expected
+    assert (uf_connected(table.partners, m), mask_isolated(table.partners, m)) == expected
     assert kernels(table, m) == expected
 
 
@@ -264,7 +191,7 @@ def test_lost_hook_is_checked_again():
     one target wins, and the other edge is checked again.  A kernel that
     stops after one round says (False, 1)."""
     table = table_from_lists(3, 1, [[3], [3], [1]])
-    assert (uf_connected(table, 3), bfs_connected(table, 3), mask_isolated(table, 3)) == (True, True, 0)
+    assert (uf_connected(table.partners, 3), bfs_connected(table.partners, 3), mask_isolated(table.partners, 3)) == (True, True, 0)
     assert kernels(table, 3) == (True, 0)
 
 
@@ -286,7 +213,7 @@ def test_edges_inside_one_component_hook_their_root_onto_itself(dtype):
         [[5, 7], [3, 5], [2, 7], [3, 6], [1, 7], [2, 4], [1, 2]],
     ):
         table = table_from_lists(7, 2, rows)
-        assert (uf_connected(table, 6), bfs_connected(table, 6), mask_isolated(table, 6)) == (True, True, 0)
+        assert (uf_connected(table.partners, 6), bfs_connected(table.partners, 6), mask_isolated(table.partners, 6)) == (True, True, 0)
         connected, isolated = connected_at(table.partners[None].astype(dtype), (6,))
         assert (bool(connected[0, 0]), int(isolated[0, 0])) == (True, 0)
 
@@ -325,7 +252,7 @@ def test_isolated_counted_at_every_retirement_point():
     built = {name: table_from_lists(6, 2, rows) for name, rows in tables.items()}
     for name, table in built.items():
         assert kernels(table, m) == expected[name], name
-        assert mask_isolated(table, m) == expected[name][1], name
+        assert mask_isolated(table.partners, m) == expected[name][1], name
     block = np.stack([table.partners for table in built.values()])
     connected, isolated = connected_at(block, (1, m))
     assert connected[0].tolist() == [True] * 4 and isolated[0].tolist() == [1] * 4
@@ -369,7 +296,7 @@ def test_stage_handoffs(name):
     table = table_from_lists(6, 2, rows)
     connected, isolated = connected_at(table.partners[None], ms)
     assert list(zip(connected[:, 0].tolist(), isolated[:, 0].tolist())) == expected
-    assert [(uf_connected(table, m), mask_isolated(table, m)) for m in ms] == expected
+    assert [(uf_connected(table.partners, m), mask_isolated(table.partners, m)) for m in ms] == expected
     assert [kernels(table, m) for m in ms] == expected
 
 
@@ -380,8 +307,8 @@ def test_stage_handoffs_in_one_block():
     ms = range(1, 7)
     connected, isolated = connected_at(np.stack([t.partners for t in tables]), ms)
     for t, table in enumerate(tables):
-        assert connected[:, t].tolist() == [uf_connected(table, m) for m in ms]
-        assert isolated[:, t].tolist() == [mask_isolated(table, m) for m in ms]
+        assert connected[:, t].tolist() == [uf_connected(table.partners, m) for m in ms]
+        assert isolated[:, t].tolist() == [mask_isolated(table.partners, m) for m in ms]
 
 
 def test_repeated_view_sizes_answer_like_distinct_ones():

@@ -2,12 +2,12 @@
 exhaustive small-instance oracle.
 
 The n=4, k=1 scheme has exactly 3^4 = 81 equally likely pairing tables, so
-every probability is computable by brute force with an in-test DFS that
-shares no code with the library.  Monte Carlo estimates must land within
-3 standard errors of those exact values.
+every probability is computable by brute force over them, with the graph
+oracles of reference.py, which share no code with the library.  Monte
+Carlo estimates must land within 3 standard errors of those exact values.
+The census is checked against reference.py's ring sizes.
 """
 
-import itertools
 import math
 import os
 import sys
@@ -32,6 +32,7 @@ from pairdeploy.montecarlo import (
     wilson_interval,
 )
 from pairing_fixtures import assert_no_child_left, per_trial_outcomes
+from reference import all_tables, bfs_connected, mask_isolated, ring_sizes, uf_connected
 
 
 class TestWilson:
@@ -110,78 +111,34 @@ class TestValidation:
         assert ExperimentPlan(10, (1,), (1.0,)).trials == 200
 
 
-# -- exhaustive oracle for n=4, k=1 -------------------------------------------
-
-def all_tables_n4():
-    """All 81 partner arrays: each node picks one of its 3 non-self ids."""
-    for choice in itertools.product(range(3), repeat=4):
-        yield np.array(
-            [[c if c < i else c + 1] for i, c in enumerate(choice)], dtype=np.int64
-        )
-
-
-def dfs_connected(partners: np.ndarray, m: int) -> bool:
-    adj = {i: set() for i in range(m)}
-    for i in range(m):
-        for j in partners[i]:
-            if j < m:
-                adj[i].add(int(j))
-                adj[int(j)].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == m
-
-
-def dfs_isolated(partners: np.ndarray, m: int) -> int:
-    touched = set()
-    for i in range(m):
-        for j in partners[i]:
-            if j < m:
-                touched.update((i, int(j)))
-    return m - len(touched)
-
-
-def exhaustive_probabilities():
-    conn_full = conn_half = no_iso_half = node1_iso = 0
-    for partners in all_tables_n4():
-        conn_full += dfs_connected(partners, 4)
-        conn_half += dfs_connected(partners, 2)
-        no_iso_half += dfs_isolated(partners, 2) == 0
-        node1_iso += int(partners[0, 0]) != 1 and int(partners[1, 0]) != 0
-    return (
-        Fraction(conn_full, 81),
-        Fraction(conn_half, 81),
-        Fraction(no_iso_half, 81),
-        Fraction(node1_iso, 81),
-    )
-
+# -- exhaustive enumeration ---------------------------------------------------
 
 class TestExhaustiveOracle:
     def test_exact_values(self):
-        conn_full, conn_half, no_iso_half, node1_iso = exhaustive_probabilities()
+        tables = all_tables(4, 1)
+
+        def share(event):
+            return Fraction(sum(event(p) for p in tables), len(tables))
+
+        conn_full = share(lambda p: uf_connected(p, 4))
+        conn_half = share(lambda p: uf_connected(p, 2))
+        no_iso_half = share(lambda p: mask_isolated(p, 2) == 0)
+        node1_iso = share(lambda p: Fraction(mask_isolated(p, 2), 2))  # both deployed nodes alike
         assert conn_full == Fraction(26, 27)
         assert conn_half == Fraction(5, 9)
         assert no_iso_half == Fraction(5, 9)  # at m=2, connected == no isolated
         assert node1_iso == Fraction(4, 9)
 
-    def test_first_moment_formula_agrees(self):
-        _, _, _, node1_iso = exhaustive_probabilities()
-        assert math.isclose(
-            theory.isolation_prob_exact(4, 1, 0.5), float(node1_iso), rel_tol=1e-12
-        )
-
     def test_fast_paths_agree_on_all_81_tables(self):
-        tables = list(all_tables_n4())
-        block = np.stack(tables)
-        connected, isolated = connected_at(block, (1, 2, 3, 4))
-        for s, m in enumerate((1, 2, 3, 4)):
-            assert connected[s].tolist() == [dfs_connected(p, m) for p in tables]
-            assert isolated[s].tolist() == [dfs_isolated(p, m) for p in tables]
+        """connected_at at every view of all 3^4 = 81 tables of n=4, k=1 and
+        all 6^5 = 7,776 tables of n=5, k=2 answers as the oracles do."""
+        for n, k in ((4, 1), (5, 2)):
+            tables = all_tables(n, k)
+            ms = range(1, n + 1)
+            connected, isolated = connected_at(tables, ms)
+            for s, m in enumerate(ms):
+                assert connected[s].tolist() == [bfs_connected(p, m) for p in tables]
+                assert isolated[s].tolist() == [mask_isolated(p, m) for p in tables]
 
     def test_monte_carlo_within_three_standard_errors(self):
         trials = 100_000
@@ -273,6 +230,33 @@ def fake_shares(monkeypatch, cpus):
     return runs
 
 
+class BlockRef(weakref.ref):
+    """A weak reference to a drawn block that keeps the block's shape."""
+
+    def __init__(self, block):
+        super().__init__(block)
+        self.shape = block.shape
+
+
+def record_draws(monkeypatch, name="sample_pairing_block", calls=None, alone=False):
+    """Replace sampling.<name> by a wrapper that delegates to it and records
+    each call in `calls`, a new list unless one is given, which it returns:
+    (the call's arguments, a BlockRef to the block it returned).  With
+    alone, each call first asserts that no block in `calls` is alive."""
+    calls = [] if calls is None else calls
+    draw = getattr(sampling, name)
+
+    def recorded(*args):
+        if alone:
+            assert all(ref() is None for _, ref in calls), "previous block still alive"
+        block = draw(*args)
+        calls.append((args, BlockRef(block)))
+        return block
+
+    monkeypatch.setattr(sampling, name, recorded)
+    return calls
+
+
 def test_units_are_trial_ranges_per_worker(monkeypatch):
     """A wide run has one share per process, each one contiguous trial
     range of every k: the share list follows the width and the k values,
@@ -324,17 +308,10 @@ def test_pool_census_blocks_shrink_by_the_width(monkeypatch):
     where that is smaller, and never less than one trial."""
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 20 * 3)
     monkeypatch.setattr(sampling, "_CHUNK", 4 * 20)
-    shapes = []
-    draw = sampling.draw_pairing_block
-
-    def tracked(*args):
-        block = draw(*args)
-        shapes.append(block.shape)
-        return block
-
-    monkeypatch.setattr(sampling, "draw_pairing_block", tracked)
+    calls = record_draws(monkeypatch, "draw_pairing_block")
     for width in (1, 2, 3, 7):
         montecarlo._count_rings(20, 3, 4, 0, 9, width)
+    shapes = [ref.shape for _, ref in calls]
     assert shapes == [(4, 20, 3)] * 2 + [(1, 20, 3)] + [(3, 20, 3)] * 3 + [(2, 20, 3)] * 4 + [(1, 20, 3)] + [(1, 20, 3)] * 9
 
 
@@ -342,18 +319,11 @@ def test_pool_blocks_shrink_by_the_width(monkeypatch):
     """Each worker's blocks hold 1/width of a serial block, so the blocks in
     flight across the pool hold no more than one serial block."""
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 12 * 30 * 3)
-    shapes = []
-    draw = sampling.sample_pairing_block
-
-    def tracked(*args):
-        block = draw(*args)
-        shapes.append(block.shape)
-        return block
-
-    monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
+    calls = record_draws(monkeypatch)
     plan = ExperimentPlan(50, (3,), (0.2, 0.6), 14, base_seed=4)
     run_sweep(plan)
     montecarlo._count_deployments(plan, 3, 0, 7, 3, (3, 3))
+    shapes = [ref.shape for _, ref in calls]
     assert shapes == [(12, 30, 3), (2, 30, 3), (4, 30, 3), (3, 30, 3)]
 
 
@@ -441,27 +411,13 @@ def test_fractions_that_floor_to_one_view_get_equal_rows():
     assert joint == two[2]
 
 
-def count_calls(monkeypatch, name):
-    """Replace sampling.<name> by a wrapper that records each call's
-    arguments in the returned list."""
-    calls = []
-    draw = getattr(sampling, name)
-
-    def counted(*args):
-        calls.append(args)
-        return draw(*args)
-
-    monkeypatch.setattr(sampling, name, counted)
-    return calls
-
-
 def test_counts_are_sums_of_per_trial_outcomes(monkeypatch):
     """Over blocks that split the trials, and with two fractions of one view
     size, the counts are the sums of the per-trial outcomes drawn here."""
     plan = ExperimentPlan(100, (4,), (0.3, 0.5, 0.505, 1.0), 40, base_seed=8)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 6 * 100 * 4)
     connected, isolated = per_trial_outcomes(plan, 4)
-    calls = count_calls(monkeypatch, "sample_pairing_block")
+    calls = record_draws(monkeypatch)
     conn, no_iso, joint = run_sweep(plan)[4]
     assert len(calls) == 7
     assert conn.tolist() == connected.sum(axis=1).tolist()
@@ -499,16 +455,9 @@ def test_only_the_deployed_rows_are_drawn(monkeypatch):
     """Blocks hold the rows of the largest view, and are sized by them:
     four 30-row tables fit the budget, where only two 50-row ones would."""
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 4 * 30 * 3)
-    shapes = []
-    draw = sampling.sample_pairing_block
-
-    def tracked(*args):
-        block = draw(*args)
-        shapes.append(block.shape)
-        return block
-
-    monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
+    calls = record_draws(monkeypatch)
     run_sweep(ExperimentPlan(50, (3,), (0.2, 0.6), 9, base_seed=4))
+    shapes = [ref.shape for _, ref in calls]
     assert shapes == [(4, 30, 3), (4, 30, 3), (1, 30, 3)]
 
 
@@ -520,23 +469,10 @@ def test_one_block_alive_at_a_time(monkeypatch):
     unsorted blocks of one two-trial draw chunk."""
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2 * 10 * 3)
     monkeypatch.setattr(sampling, "_CHUNK", 2 * 10)
-    drawn = []
-
-    def track(name):
-        draw = getattr(sampling, name)
-
-        def tracked(*args):
-            assert all(ref() is None for ref in drawn), "previous block still alive"
-            block = draw(*args)
-            drawn.append(weakref.ref(block))
-            return block
-
-        monkeypatch.setattr(sampling, name, tracked)
-
-    track("sample_pairing_block")
+    drawn = record_draws(monkeypatch, alone=True)
     run_sweep(ExperimentPlan(10, (3,), (0.5, 1.0), 7, base_seed=2))
-    # tracked only now, as sample_pairing_block draws through it
-    track("draw_pairing_block")
+    # recorded only now, as sample_pairing_block draws through it
+    record_draws(monkeypatch, "draw_pairing_block", drawn, alone=True)
     run_keyring_census(10, 3, trials=7, base_seed=2)
     assert len(drawn) == 8
 
@@ -642,8 +578,9 @@ def test_census_block_partition_does_not_change_census(monkeypatch):
     with a draw chunk of four 40-node trials, 25 trials take 7 blocks."""
     whole = run_keyring_census(40, 3, trials=25, base_seed=7)
     monkeypatch.setattr(sampling, "_CHUNK", 4 * 40)
-    calls = count_calls(monkeypatch, "draw_pairing_block")
+    recorded = record_draws(monkeypatch, "draw_pairing_block")
     split = run_keyring_census(40, 3, trials=25, base_seed=7)
+    calls = [args for args, _ in recorded]
     assert [len(args[1]) for args in calls] == [4] * 6 + [1]
     assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
@@ -656,7 +593,7 @@ def test_census_matches_bincount_oracle_over_sorted_blocks(n, k, trials):
     a short block; at n=40000 each trial's rows span three draw chunks."""
     seed = 13
     block = sampling.sample_pairing_block(sampling.fold(seed, k), range(trials), n, k)
-    sizes = k + np.array([np.bincount(table.ravel(), minlength=n) for table in block])
+    sizes = ring_sizes(block)
     hist, max_hist = run_keyring_census(n, k, trials, seed)
     assert hist.tolist() == np.bincount(sizes.ravel(), minlength=n + k).tolist()
     assert max_hist.tolist() == np.bincount(sizes.max(axis=1), minlength=n + k).tolist()
@@ -775,21 +712,6 @@ def is_refill(trials) -> bool:
     return not isinstance(trials, range)
 
 
-def count_draws(monkeypatch):
-    """Replace sampling.sample_pairing_block by a wrapper that records each
-    call as (its arguments, whether the refill path made it) in the
-    returned list."""
-    draws = []
-    draw = sampling.sample_pairing_block
-
-    def counted(*args):
-        draws.append((args, is_refill(args[1])))
-        return draw(*args)
-
-    monkeypatch.setattr(sampling, "sample_pairing_block", counted)
-    return draws
-
-
 @pytest.mark.parametrize("width", [1, 2])
 def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
     """With every band's steps of BAND_STEPS, in one process or two, every
@@ -803,12 +725,13 @@ def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
     if width == 2:
         monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 24000)
         monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
-    draws = count_draws(monkeypatch)
+    calls = record_draws(monkeypatch)
     for steps in BAND_STEPS.values():
         fixed_steps(monkeypatch, steps)
         for name, plan in PREFIX_PLANS.items():
             assert as_lists(run_sweep(replace(plan, workers=width))) == expected[name], name
     if width == 1:
+        draws = [(args, is_refill(args[1])) for args, _ in calls]
         refilled = sum(len(args[1]) for args, refill in draws if refill)
         assert 0 < refilled < sum(len(args[1]) for args, refill in draws if not refill)
     assert_no_child_left()
@@ -822,9 +745,9 @@ def test_refills_read_the_rows_of_the_largest_undecided_view(monkeypatch):
     largest view."""
     plan = ExperimentPlan(200, (6,), (0.1, 0.3, 1.0), 60, base_seed=5)
     fixed_steps(monkeypatch, lambda k, bands: (1, k, 2))
-    draws = count_draws(monkeypatch)
+    draws = record_draws(monkeypatch)
     counts = as_lists(run_sweep(plan))
-    refills = [args for args, refill in draws if refill]
+    refills = [args for args, _ in draws if is_refill(args[1])]
     rows = [args[4].stop for args in refills]
     ids = [int(t) for args in refills for t in args[1]]
     assert set(rows) <= {20, 60, 200} and min(rows) < 200 and len(rows) == len(set(rows))
@@ -841,9 +764,9 @@ def test_refills_are_drawn_once_they_fill_a_block(monkeypatch):
     plan = ExperimentPlan(200, (6,), (0.1, 0.3, 1.0), 60, base_seed=5)
     fixed_steps(monkeypatch, lambda k, bands: (1, k, 2))
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 3 * 200 * 6)
-    draws = count_draws(monkeypatch)
+    draws = record_draws(monkeypatch)
     counts = as_lists(run_sweep(plan))
-    refills = [refill for _, refill in draws]
+    refills = [is_refill(args[1]) for args, _ in draws]
     assert all(len(args[1]) <= 3 for args, _ in draws)
     assert refills.index(True) < len(refills) - 1 - refills[::-1].index(False)
     fixed_steps(monkeypatch, BAND_STEPS["k"])
@@ -910,18 +833,9 @@ def test_prefix_and_whole_blocks_are_alive_one_at_a_time(monkeypatch):
     whole, and that block before the next prefix."""
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2 * 60 * 6)
     fixed_steps(monkeypatch, lambda k, bands: (3,) * bands)
-    drawn, whole = [], []
-    draw = sampling.sample_pairing_block
-
-    def tracked(*args):
-        assert all(ref() is None for ref in drawn), "previous block still alive"
-        block = draw(*args)
-        drawn.append(weakref.ref(block))
-        whole.append(is_refill(args[1]))
-        return block
-
-    monkeypatch.setattr(sampling, "sample_pairing_block", tracked)
+    drawn = record_draws(monkeypatch, alone=True)
     run_sweep(ExperimentPlan(60, (6,), (0.5, 1.0), 9, base_seed=2))
+    whole = [is_refill(args[1]) for args, _ in drawn]
     assert whole.count(False) == 5 and whole.count(True) > 0
 
 

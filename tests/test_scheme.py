@@ -2,7 +2,9 @@
 
 The library counts ring sizes with one formula, montecarlo._ring_sizes,
 the census's binning.  The oracle here materializes every key of every
-ring instead, one pairing at a time, and shares no code with it.
+ring instead, one pairing at a time, and shares no code with it; on
+sampler blocks, _ring_sizes is also checked against reference.py's
+ring_sizes, one np.bincount per table.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from pairdeploy.scheme import (
 )
 from pairdeploy.sampling import draw_pairing_block, sample_pairing_block
 from pairing_fixtures import table_from_lists
+from reference import ring_sizes
 
 
 # -- oracle: materialized key rings ---------------------------------------------
@@ -159,12 +162,6 @@ def test_block_ring_sizes_match_derived_rings(n, k, trials, dtype):
         assert sizes[t].tolist() == [ring.size for ring in rings]
 
 
-def bincount_oracle(block):
-    """k plus each node's reverse degree, one np.bincount per table."""
-    _, n, k = block.shape
-    return k + np.array([np.bincount(table.ravel(), minlength=n) for table in block])
-
-
 @pytest.mark.parametrize(
     "n, k, trials", [(10, 3, 7), (129, 5, 4), (2, 1, 5), (300, 20, 3)], ids=["int8", "int16", "two_nodes", "wide"]
 )
@@ -178,7 +175,7 @@ def test_ring_sizes_match_bincount_oracle_for_any_call_size(n, k, trials, entrie
     size = {"one": 1, "table_less_one": n * k - 1, "table": n * k, "three_tables_and_one": 3 * n * k + 1}
     monkeypatch.setattr(montecarlo, "_BIN_ENTRIES", size[entries])
     block = sample_pairing_block(n + 7, range(trials), n, k)
-    expected = bincount_oracle(block)
+    expected = ring_sizes(block)
     for form in (block, draw_pairing_block(n + 7, range(trials), n, k), np.ascontiguousarray(block, dtype=np.int64)):
         sizes = _ring_sizes(form)
         assert sizes.dtype == np.int64 and sizes.shape == (trials, n)
@@ -201,7 +198,7 @@ def test_ring_sizes_bins_within_budget(n, k, trials, entries, monkeypatch):
         monkeypatch.setattr(montecarlo, "_BIN_ENTRIES", entries)
     budget = montecarlo._BIN_ENTRIES
     block = draw_pairing_block(n + 3, range(trials), n, k)
-    expected = bincount_oracle(block)
+    expected = ring_sizes(block)
     calls = []
     bincount = np.bincount
 

@@ -78,10 +78,39 @@ def oracle_event(n, k, m, r):
     return grp**r * rest ** (m - r)
 
 
-def oracle_union_bound(n, k, m):
-    return mp.fsum(
-        mp.binomial(m, r) * oracle_event(n, k, m, r) for r in range(1, m // 2 + 1)
-    )
+def oracle_union_bound_tail(n, k, m, start):
+    """A bound on the union bound's terms r >= start.  Over each block
+    s = lo..e, doubling from start up to m//2, the bound of
+    connectivity_union_bound's docstring holds with the group factor taken
+    at e in place of m//2, and m - e in place of m - m//2:
+
+        log T_s <= s * (1 + ln(m/lo) + log C(n-m+e-1, k)/C(n-1, k) - k*(m-e)/(n-1)),
+
+    so where that factor b is negative the block totals at most
+    exp(lo*b) / (1 - exp(b)).  infinity where some block's b is not."""
+    total = mpf(0)
+    lo = start
+    while lo <= m // 2:
+        e = min(2 * lo, m // 2 + 1) - 1
+        b = 1 + mp.log(mpf(m) / lo) + mp.log(oracle_binom_ratio(n - m + e - 1, n - 1, k)) - mpf(k) * (m - e) / (n - 1)
+        if b >= 0:
+            return mp.inf
+        total += mp.exp(lo * b) / (1 - mp.exp(b))
+        lo = e + 1
+    return total
+
+
+def oracle_union_bound_sum(n, k, m, vacuous=mpf(1)):
+    """(sum, tail): the union bound's terms summed to 50 digits until the
+    tail bound of the rest is below 1e-17 of the sum, or below 2^-1100,
+    and that bound; or until the sum reaches `vacuous`."""
+    total = mpf(0)
+    for r in range(1, m // 2 + 1):
+        tail = oracle_union_bound_tail(n, k, m, r)
+        if total >= vacuous or tail < mpf(10) ** -17 * total or tail < mpf(2) ** -1100:
+            return total, tail
+        total += mp.binomial(m, r) * oracle_event(n, k, m, r)
+    return total, mpf(0)
 
 
 def oracle_maxring_bound(n, k, t):
@@ -299,7 +328,8 @@ def test_union_bound_fixture():
 )
 def test_union_bound_matches_oracle(n, k, g):
     m = phase_size(n, g)
-    assert rel_err(theory.connectivity_union_bound(n, k, g), oracle_union_bound(n, k, m)) < 1e-10
+    want, _ = oracle_union_bound_sum(n, k, m, vacuous=mp.inf)
+    assert rel_err(theory.connectivity_union_bound(n, k, g), want) < 1e-10
 
 
 def test_union_bound_dominates_first_term():
@@ -427,24 +457,6 @@ def test_union_bound_margin_covers_term_rounding(n, k, g):
         assert abs(mpf(t) - exact) < 32 * unit
 
 
-def oracle_union_bound_bracket(n, k, m):
-    """The union bound's terms r < R summed to 50 digits, and a bound on
-    the terms r >= R: exp(R*B(R)) / (1 - exp(B(R))), with B the bound of
-    connectivity_union_bound's docstring.  R is the first r where that
-    tail is below 1e-20 of the sum, or below 2^-1100 while the sum is 0."""
-    half = m // 2
-    slope = 1 + mp.log(oracle_binom_ratio(n - m + half - 1, n - 1, k)) - mpf(k) * (m - half) / (n - 1)
-    total = mpf(0)
-    for r in range(1, half + 1):
-        b = slope + mp.log(mpf(m) / r)
-        if b < 0:
-            tail = mp.exp(r * b) / (1 - mp.exp(b))
-            if tail < mpf(10) ** -20 * total or tail < mpf(2) ** -1100:
-                return total, tail
-        total += mp.binomial(m, r) * oracle_event(n, k, m, r)
-    return total, mpf(0)
-
-
 @pytest.mark.parametrize("n", [10**5, 10**6])
 @pytest.mark.parametrize("k", [20, 30, 40, 60, 80])
 @pytest.mark.parametrize("g", [0.3, 0.5, 0.7, 0.9, 1.0])
@@ -452,7 +464,7 @@ def test_union_bound_precise_at_large_n(n, k, g):
     """Within 1e-13 of mpmath from near the threshold (0.81 at n = 1e6,
     K = 20, gamma = 0.3) up; a 0.0 only where mpmath's value, tail
     included, rounds to 0 as a double."""
-    want, tail = oracle_union_bound_bracket(n, k, phase_size(n, g))
+    want, tail = oracle_union_bound_sum(n, k, phase_size(n, g))
     got = theory.connectivity_union_bound(n, k, g)
     if got == 0:
         assert want + tail < mpf(2) ** -1075
@@ -470,7 +482,7 @@ def test_union_bound_precise_at_large_n(n, k, g):
 def test_union_bound_prints_mpmath_digits(n, k, g, printed):
     """Nine significant digits where the lgamma form of log C(m, r) printed
     a wrong last digit (e.g. 9.36254918e-16 for the first)."""
-    want, _ = oracle_union_bound_bracket(n, k, phase_size(n, g))
+    want, _ = oracle_union_bound_sum(n, k, phase_size(n, g))
     assert mp.nstr(want, 9) == printed
     assert f"{theory.connectivity_union_bound(n, k, g):.9g}" == printed
 
@@ -666,41 +678,6 @@ def bar_cells(n, group=False):
             m = phase_size(n, g)
             if k < n and m >= 2 and (not group or 2 * (k + 1) < n and g * n > 2):
                 yield k, g, m
-
-
-def oracle_union_bound_tail(n, k, m, start):
-    """A bound on the union bound's terms r >= start.  Over each block
-    s = lo..e, doubling from start up to m//2, the bound of
-    connectivity_union_bound's docstring holds with the group factor taken
-    at e in place of m//2, and m - e in place of m - m//2:
-
-        log T_s <= s * (1 + ln(m/lo) + log C(n-m+e-1, k)/C(n-1, k) - k*(m-e)/(n-1)),
-
-    so where that factor b is negative the block totals at most
-    exp(lo*b) / (1 - exp(b)).  infinity where some block's b is not."""
-    total = mpf(0)
-    lo = start
-    while lo <= m // 2:
-        e = min(2 * lo, m // 2 + 1) - 1
-        b = 1 + mp.log(mpf(m) / lo) + mp.log(oracle_binom_ratio(n - m + e - 1, n - 1, k)) - mpf(k) * (m - e) / (n - 1)
-        if b >= 0:
-            return mp.inf
-        total += mp.exp(lo * b) / (1 - mp.exp(b))
-        lo = e + 1
-    return total
-
-
-def oracle_union_bound_sum(n, k, m, vacuous=mpf(1)):
-    """(sum, tail): the union bound's terms summed to 50 digits until the
-    tail bound of the rest is below 1e-17 of the sum, or below 2^-1100,
-    and that bound; or until the sum reaches `vacuous`."""
-    total = mpf(0)
-    for r in range(1, m // 2 + 1):
-        tail = oracle_union_bound_tail(n, k, m, r)
-        if total >= vacuous or tail < mpf(10) ** -17 * total or tail < mpf(2) ** -1100:
-            return total, tail
-        total += mp.binomial(m, r) * oracle_event(n, k, m, r)
-    return total, mpf(0)
 
 
 @pytest.mark.parametrize("n", BAR_NS)
