@@ -10,8 +10,9 @@ Layout: the package exposes its modules, and each module's __all__ is its
 API: scheme (scheme sizes, pairing tables and deployed view sizes),
 graphs (the block kernel for connectivity and isolation), theory
 (closed-form calculators), montecarlo (repeat-trial harness), sampling
-(deterministic PRNG).  cli (command-line front end) is not imported
-here, so importing the package loads no argparse, csv or json.
+(deterministic PRNG).  runner, montecarlo's fork runner, is private.  cli
+(command-line front end) is not imported here, so importing the package
+loads no argparse, csv or json.
 """
 
 from . import graphs, montecarlo, sampling, scheme, theory

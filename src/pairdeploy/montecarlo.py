@@ -31,20 +31,22 @@ that read each band (_prefix_steps); c_r = K draws band r whole, and
 where every band is whole the run is one pass.  The counts do not depend
 on any c_r.
 
-A run of width w is split into w shares: share i is trial range i of
-every k, each range walking its own blocks, and the run's counts are the
-sums of the shares' integer counts, so they do not depend on the split.
-The calling process runs share 0 and forks a child for each other share.
-The width is at most what the caller asks for (WORKERS_DEFAULT is the
-command line's default; the library runs serially unless asked), no more
-than the CPUs this process may use within its cgroup CPU quota, and 1 off
-Linux, where no run forks.  A run within one serial block, trials * rows *
-(sum of its k) <= _BLOCK_BUDGET, is one share.  A wider run's blocks shrink
-by the width, down to one trial, and no run is so wide that one of its
-widest tables per process passes the budget, so its blocks in flight stay
-within the budget, as a serial run's do.  A run whose one table (with the
-graph kernel's int64 label per row) would not fit in physical memory is
-refused before it draws.
+A run of width w is a list of calls, w per k: call i of a k counts trial
+range i of its trials, each range walking its own blocks, and the run's
+counts for a k are the sums of its calls' integer counts, so they do not
+depend on the split.  The runner module runs the calls: this process and
+w - 1 children forked for the run each take the next calls from one queue
+until none is left.  The width is at most what the caller asks for
+(WORKERS_DEFAULT is the command line's default; the library runs serially
+unless asked), no more than the CPUs this process may use within its
+cgroup CPU quota, and 1 off Linux, where no run forks.  A run within one
+serial block, trials * rows * (sum of its k) <= _BLOCK_BUDGET, is one call
+per k, run here.  A wider run's blocks shrink by the width, down to one
+trial, and no run is so wide that one of its widest tables per process
+passes the budget, so its blocks in flight stay within the budget, as a
+serial run's do.  A run whose one table (with the graph kernel's int64
+label per row) would not fit in physical memory is refused before it
+draws.
 
 Default trial counts: 200 for sweeps, 1000 for censuses.
 """
@@ -53,16 +55,13 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
-import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import NoReturn
 
 import numpy as np
 
-from . import sampling, theory
+from . import runner, sampling, theory
 from .graphs import connected_at
 from .scheme import SchemeParams, phase_size
 
@@ -97,10 +96,6 @@ _BLOCK_BUDGET = 4_000_000
 # partner ids binned per np.bincount call in _ring_sizes: its int64 copy of
 # them, 256 KiB, stays in cache
 _BIN_ENTRIES = 1 << 15
-
-# the cgroup v2 CPU quota of this process, "QUOTA PERIOD" or "max PERIOD" (in
-# microseconds), as the cgroup namespace of a container shows it
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 # the prefix policy's cost model (see _prefix_steps), per table row, in units
 # of one Floyd step of the draw loop with its share of the sort, as measured
@@ -179,6 +174,8 @@ def _check_run(n: int, low: int, high: int, trials: int, base_seed: int, workers
     SchemeParams(n, high)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if trials > 1 << 64:  # trial ids are 64-bit stream words
+        raise ValueError(f"need trials <= 2**64, got {trials}")
     if not 0 <= base_seed <= sampling.MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {base_seed}")
     if workers < 1:
@@ -230,8 +227,8 @@ def _band_block(seed: int, n: int, k: int, ids: Sequence[int], runs: list[tuple[
 def _count_deployments(
     plan: ExperimentPlan, k: int, start: int, stop: int, width: int, steps: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """run_sweep's counts for k over trials start..stop-1 alone, one k of a
-    share of a run of width `width`: (connected, no_isolated, joint), the
+    """run_sweep's counts for k over trials start..stop-1 alone, one call
+    of a run of width `width`: (connected, no_isolated, joint), the
     trials connected and with no isolated node per fraction, as int64
     arrays in the order of plan.gammas, and the trials connected at every
     fraction.
@@ -257,7 +254,7 @@ def _count_deployments(
     not split (u is the largest undecided view) nor exact (or view u, no
     larger, would be), so the first pass joined it, and it has two nodes or
     more, as a one-node view u is joined.  So refills draw few blocks, each
-    after the first-pass block before it is dropped, and a share holds the
+    after the first-pass block before it is dropped, and a call holds the
     ids of fewer than two blocks of waiting tables per view.
     """
     ms = [phase_size(plan.n, g) for g in plan.gammas]
@@ -352,121 +349,21 @@ def _prefix_steps(
     return tuple(bands)
 
 
-def _pool_cpus() -> int:
-    """The CPUs a run may spread over: those this process may use, on
-    Linux, where runs fork, and no more than its cgroup's CPU quota allows;
-    1 elsewhere, where every run is serial."""
-    if sys.platform != "linux":
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    quota = _cpu_quota()
-    return cpus if quota is None else min(cpus, quota)
-
-
-def _cpu_quota() -> int | None:
-    """The CPUs the cgroup v2 quota of this process allows, its quota over
-    its period rounded up, from _CPU_MAX; None where the file is missing or
-    malformed, or says "max", no quota."""
-    try:
-        with open(_CPU_MAX) as fp:
-            quota, period = fp.read().split()
-        if quota == "max":
-            return None
-        return max(1, -(-int(quota) // int(period)))
-    except (OSError, ValueError, ZeroDivisionError):
-        return None
-
-
 def _width(workers: int, trials: int, entries: int, table: int) -> int:
     """The width of a run of `trials` trials that draws `entries` table
     entries, `table` at most per trial: 1 when the run fits one serial
     block, else at most `workers`, one process per trial and per usable
     CPU, and never so wide that one table per process passes the budget,
-    as the shares' blocks shrink only to one trial."""
+    as the calls' blocks shrink only to one trial."""
     if entries <= _BLOCK_BUDGET:
         return 1
-    return max(1, min(workers, _BLOCK_BUDGET // table, trials, _pool_cpus()))
+    return max(1, min(workers, _BLOCK_BUDGET // table, trials, runner._pool_cpus()))
 
 
 def _trial_ranges(trials: int, width: int) -> list[tuple[int, int]]:
     """(start, stop) of `width` (at most `trials`) contiguous trial ranges,
-    one per share of a run, as equal as can be."""
+    one per call of each k of a run, as equal as can be."""
     return [(trials * i // width, trials * (i + 1) // width) for i in range(width)]
-
-
-def _run_shares(shares: list[list[Callable[[], tuple]]]) -> list[tuple]:
-    """The counts of each position of the shares' calls, summed over the
-    shares: share 0 runs here, each other one in a child forked for it (see
-    _send), whose exception is raised here.  Every child is reaped before
-    this returns or raises, and killed first if this raises."""
-    counts, pids, reads = [], [], []  # pids: the children not yet reaped
-    caller = os.getpid()
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                # from Python 3.12 a fork from a process with threads (numpy's BLAS
-                # starts some) warns: default filters hide it, and where warnings
-                # are errors CPython drops it rather than fail the fork.  Shares
-                # call no BLAS routine.
-                pid = os.fork()
-                if pid == 0:
-                    _send(share, write, caller)
-            finally:
-                os.close(write)
-            pids.append(pid)
-        counts.append([call() for call in shares[0]])
-        for read, pid in zip(reads, pids[:]):
-            payload = b"".join(iter(partial(os.read, read, 1 << 20), b""))
-            status = os.waitpid(pid, 0)[1]
-            pids.remove(pid)
-            if status or not payload:
-                code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(f"a worker process ended without its counts (exit code {code})")
-            done, result = pickle.loads(payload)
-            if not done:
-                raise result
-            counts.append(result)
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, 9)  # SIGKILL
-        raise
-    finally:
-        for read in reads:
-            os.close(read)
-        for pid in pids:
-            os.waitpid(pid, 0)
-    return [tuple(sum(field) for field in zip(*column)) for column in zip(*counts)]
-
-
-def _send(share: list[Callable[[], tuple]], write: int, caller: int) -> NoReturn:
-    """In a child forked by process `caller`: pickle the counts of the
-    share's calls, or the exception one raised, into the pipe, and end the
-    child, exiting 0 once the whole result is written, without returning
-    into the caller's frames or flushing the stdio it inherited.
-
-    A caller killed by a signal reaps nothing, so the child first asks for
-    SIGKILL when the caller's forking thread, which waits for it, ends, and
-    exits at once if the caller ended before that."""
-    code = 1
-    try:
-        import ctypes  # the command line has loaded it already
-        try:
-            ctypes.CDLL(None).prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
-        except (OSError, TypeError, AttributeError):
-            pass
-        if os.getppid() != caller:
-            os._exit(1)
-        try:
-            result = (True, [call() for call in share])
-        except BaseException as exc:
-            result = (False, exc)
-        with open(write, "wb") as fp:
-            pickle.dump(result, fp)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def run_sweep(plan: ExperimentPlan) -> dict[int, tuple[np.ndarray, np.ndarray, int]]:
@@ -483,11 +380,13 @@ def run_sweep(plan: ExperimentPlan) -> dict[int, tuple[np.ndarray, np.ndarray, i
     width = _width(plan.workers, plan.trials, entries, rows * max(plan.k_values))
     isolated = cache(partial(theory.expected_isolated, plan.n))
     steps = {k: _prefix_steps(plan.n, k, plan.gammas, isolated) for k in plan.k_values}
-    shares = [
-        [partial(_count_deployments, plan, k, *span, width, steps=steps[k]) for k in plan.k_values]
+    calls = [
+        partial(_count_deployments, plan, k, *span, width, steps=steps[k])
+        for k in plan.k_values
         for span in _trial_ranges(plan.trials, width)
     ]
-    return dict(zip(plan.k_values, _run_shares(shares)))
+    results = runner.run(calls, width)  # width calls per k, summed field by field
+    return {k: tuple(map(sum, zip(*results[i * width : (i + 1) * width]))) for i, k in enumerate(plan.k_values)}
 
 
 def run_keyring_census(
@@ -503,12 +402,12 @@ def run_keyring_census(
     _check_run(n, k, k, trials, base_seed, workers)
     _check_table(n, k, n)
     width = _width(workers, trials, trials * n * k, n * k)
-    shares = [[partial(_count_rings, n, k, base_seed, *span, width)] for span in _trial_ranges(trials, width)]
-    return _run_shares(shares)[0]
+    calls = [partial(_count_rings, n, k, base_seed, *span, width) for span in _trial_ranges(trials, width)]
+    return tuple(map(sum, zip(*runner.run(calls, width))))
 
 
 def _count_rings(n: int, k: int, base_seed: int, start: int, stop: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The census counts of trials start..stop-1 alone, the share of a run
+    """The census counts of trials start..stop-1 alone, one call of a run
     of width `width`.
 
     Ring sizes ignore the order of a row, so the tables are drawn unsorted,

@@ -13,8 +13,9 @@ drop that layer from the benchmark's per-layer numbers.  The first test
 makes such a rename fail here instead.
 
 A source scan also keeps the library off numpy's ufunc.at, whose speed
-depends on the numpy version, and another keeps the tests' reference
-answers, tests/reference.py, apart from the library.
+depends on the numpy version, another keeps forks, pipes and pickles in
+the runner module alone, and another keeps the tests' reference answers,
+tests/reference.py, apart from the library.
 """
 
 import ast
@@ -29,7 +30,7 @@ import pairdeploy
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MODULES = ("sampling", "scheme", "graphs", "theory", "montecarlo", "cli")
+MODULES = ("sampling", "scheme", "graphs", "theory", "montecarlo", "runner", "cli")
 
 TRACED = {
     "sampling": ("sample_pairing_block",),
@@ -128,6 +129,19 @@ def test_library_calls_no_ufunc_at():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "at"
     ]
     assert calls == []
+
+
+def test_only_the_runner_forks():
+    """runner is the one module that forks, opens a pipe or pickles: the
+    counting in montecarlo knows nothing of processes, and a second way to
+    run calls in parallel would show here."""
+    found = set()
+    for path in sorted((ROOT / "src/pairdeploy").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = {ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if name and getattr(node, name) in ("fork", "pipe", "pickle"):
+                found.add((path.name, getattr(node, name)))
+    assert found == {("runner.py", "fork"), ("runner.py", "pipe"), ("runner.py", "pickle")}
 
 
 def test_library_imports_no_test_only_package():

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from pairdeploy import cli, montecarlo, theory
+from pairdeploy import cli, montecarlo, runner, theory
 from pairdeploy.cli import main, parse_gamma_list, parse_k_values
 from pairing_fixtures import assert_no_child_left
 
@@ -666,7 +666,7 @@ def pools(monkeypatch):
         return pid
 
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
-    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "_pool_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", recorded)
     return forked
 
@@ -700,34 +700,57 @@ def test_run_within_one_block_forks_nothing(capsys, pools, monkeypatch):
 SLEEP_S = 30
 
 
-def failing_draw(monkeypatch, actions):
-    """Make the census's draw act by the first trial of its block: actions
-    is a list of (first trials up to, action), where the action is None for
-    a real draw, "raise", "sleep" (for SLEEP_S, far longer than the runs,
-    then end the process) or "exit" (at once, with status 3)."""
+@pytest.fixture
+def failing_draw(monkeypatch, pools, tmp_path_factory):
+    """A function that makes the census's draw act by the process it runs
+    in: given actions, actions[0] in the calling process and actions[i] in
+    the i-th child forked (a child sees the pids of the i - 1 forked before
+    it in pools).  An action is None for a real draw, "raise", "sleep" (for
+    SLEEP_S, far longer than the runs, then end the process) or "exit" (at
+    once, with status 3).
+
+    A child reports each draw in a file before it acts, and each draw in
+    the calling process first waits, at most SLEEP_S / 4, until every child
+    has reported one: so each child takes a call from the queue before the
+    calling process can take them all, and one that acts takes no other."""
     draw = montecarlo.sampling.draw_pairing_block
+    caller = os.getpid()
+    reports = tmp_path_factory.mktemp("draws") / "reports"
+    reports.write_bytes(b"")
 
-    def acting(seed, trials, *args):
-        action = next(act for upto, act in actions if trials[0] < upto)
-        if action == "raise":
-            raise RuntimeError("broken draw")
-        if action == "sleep":
-            time.sleep(SLEEP_S)
-            os._exit(4)
-        if action == "exit":
-            os._exit(3)
-        return draw(seed, trials, *args)
+    def install(actions):
+        def acting(seed, trials, *args):
+            if os.getpid() == caller:
+                deadline = time.monotonic() + SLEEP_S / 4
+                while reports.stat().st_size < len(pools) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                action = actions[0]
+            else:
+                with reports.open("ab") as fp:
+                    fp.write(b"x")
+                action = actions[len(pools) + 1]
+            if action == "raise":
+                raise RuntimeError("broken draw")
+            if action == "sleep":
+                time.sleep(SLEEP_S)
+                os._exit(4)
+            if action == "exit":
+                os._exit(3)
+            return draw(seed, trials, *args)
 
-    monkeypatch.setattr(montecarlo.sampling, "draw_pairing_block", acting)
+        monkeypatch.setattr(montecarlo.sampling, "draw_pairing_block", acting)
+
+    return install
 
 
-def test_failing_worker_cancels_the_rest_and_leaves_no_process(capsys, pools, monkeypatch):
-    """A share that raises in a child fails the run with its message on one
+def test_failing_worker_cancels_the_rest_and_leaves_no_process(capsys, pools, monkeypatch, failing_draw):
+    """A call that raises in a child fails the run with its message on one
     stderr line and exit 1: the calling process raises the child's error,
     kills the children still running, and reaps every one.  The census of
-    60 trials at width 3 has shares of trials 0-19, 20-39 and 40-59."""
-    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 3)
-    failing_draw(monkeypatch, [(20, None), (40, "raise"), (60, "sleep")])
+    60 trials at width 3 is three calls: the calling process draws, the
+    first child forked raises, and the second sleeps."""
+    monkeypatch.setattr(runner, "_pool_cpus", lambda: 3)
+    failing_draw([None, "raise", "sleep"])
     start = time.monotonic()
     code, out, err = run_cli(capsys, *POOL_RUNS["census"].split(), "--workers", "3")
     assert time.monotonic() - start < SLEEP_S / 2  # the sleeping child was killed
@@ -739,20 +762,20 @@ def test_failing_worker_cancels_the_rest_and_leaves_no_process(capsys, pools, mo
 @pytest.mark.parametrize(
     "actions,message",
     [
-        ([(30, "raise"), (60, "sleep")], "broken draw"),
-        ([(30, None), (60, "exit")], "a worker process ended without its counts (exit code 3)"),
+        (["raise", "sleep"], "broken draw"),
+        ([None, "exit"], "a worker process ended without its results (exit code 3)"),
     ],
     ids=["raise_in_parent", "child_exits"],
 )
-def test_failed_share_leaves_no_process(capsys, pools, monkeypatch, tmp_path, actions, message):
-    """A share that raises in the calling process kills and reaps the
-    child; a child that ends without sending its counts fails the run with
-    a one-line message and exit 1.  Either way an existing --out file is
-    left as it was, and no child is left.  At width 2 the census's shares
-    are trials 0-29 and 30-59."""
+def test_failed_share_leaves_no_process(capsys, pools, failing_draw, tmp_path, actions, message):
+    """A call that raises in the calling process kills and reaps the child;
+    a child that ends without sending its results fails the run with a
+    one-line message and exit 1.  Either way an existing --out file is left
+    as it was, and no child is left.  At width 2 the census is two calls,
+    one per process."""
     target = tmp_path / "census.csv"
     target.write_text("previous results\n")
-    failing_draw(monkeypatch, actions)
+    failing_draw(actions)
     argv = [*POOL_RUNS["census"].split(), "--workers", "2", "--out", str(target)]
     start = time.monotonic()
     code, out, err = run_cli(capsys, *argv)
@@ -785,8 +808,8 @@ def test_children_die_with_a_killed_caller(sig):
     the child is gone or a zombie within 2 s.  Without the death signal
     the child was re-parented and kept computing."""
     code = (
-        "from pairdeploy import cli, montecarlo\n"
-        "montecarlo._pool_cpus = lambda: 2\n"
+        "from pairdeploy import cli, runner\n"
+        "runner._pool_cpus = lambda: 2\n"
         "cli.main(['census', '--n', '100', '--k', '3', '--trials', '3000000000', '--workers', '2'])\n"
     )
     caller = subprocess.Popen(
@@ -822,9 +845,9 @@ def test_pooled_runs_load_no_process_pool():
     code = (
         "import contextlib, io, os, sys\n"
         "print('buffered', end=' ')\n"
-        "from pairdeploy import cli, montecarlo\n"
+        "from pairdeploy import cli, montecarlo, runner\n"
         "montecarlo._BLOCK_BUDGET = 1000\n"
-        "montecarlo._pool_cpus = lambda: 2\n"
+        "runner._pool_cpus = lambda: 2\n"
         "forked = []\n"
         "fork = os.fork\n"
         "os.fork = lambda: forked.append(1) or fork()\n"
@@ -846,18 +869,20 @@ def test_pooled_runs_load_no_process_pool():
         (["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
         (["--trials", "0"], "need trials >= 1, got 0"),
         (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--trials", str(2**64 + 1)], f"need trials <= 2**64, got {2**64 + 1}"),
     ],
-    ids=["seed", "trials", "workers"],
+    ids=["seed", "trials", "workers", "trials_past_ids"],
 )
 @pytest.mark.parametrize("command", POOL_RUNS)
 def test_run_refused_before_any_process_starts(capsys, monkeypatch, command, argv, message):
-    """Runs big enough to fork are checked before one does."""
+    """Runs big enough to fork are checked before one does.  Trial ids are
+    64-bit stream words, so a run of more than 2**64 trials is refused."""
 
     def no_fork():
         raise AssertionError("a process was forked before the run was checked")
 
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
-    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "_pool_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     code, out, err = run_cli(capsys, *POOL_RUNS[command].split(), *argv)
     assert (code, out, err) == (2, "", f"pairdeploy: {message}\n")

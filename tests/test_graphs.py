@@ -166,17 +166,25 @@ DEEP_HOOK_CHAINS = {
     (26, 46, 30, 3, 15): (True, 0),
     (19, 20, 50, 2, 33): (True, 0),
     (5, 34, 30, 2, 15): (False, 2),
+    (22, 54, 30, 2, 20): (True, 0),
+    (3, 0, 50, 2, 33): (True, 0),
+    (24, 4, 30, 2, 15): (False, 0),
+    (0, 2, 30, 3, 10): (False, 2),
 }
 
 
 @pytest.mark.parametrize("seed,trial,n,k,m", DEEP_HOOK_CHAINS)
 def test_connected_at_on_deep_hook_chains(seed, trial, n, k, m):
-    """Views whose hooking builds chains of roots in one round.  Stopping
-    after a single pointer jump loses a link: on a one-table block, where no
-    other table's rounds jump the labels again, it says False for the
-    connected views (26, 46, ...) and (19, 20, ...), and counts a third
-    isolated node on (5, 34, ...).  The oracles pin what each view is, so a
-    case that stopped being connected would fail here, not pass unseen."""
+    """Views whose hooking builds chains of roots in one round: some hooked
+    root takes two or three jumps to reach its final root.  A kernel that
+    stops after a single jump of the hooked roots leaves labels that point
+    at no root: on a one-table block, where no other table's rounds jump the
+    labels again, it says False for the connected views (22, 54, ...) and
+    (3, 0, ...), and counts one isolated node too many on (24, 4, ...) and
+    (0, 2, ...).  It answers the first five cases right, as the plain
+    pointer jump after each round shortens their chains in time.  The
+    oracles pin what each view is, so a case that stopped being connected
+    would fail here, not pass unseen."""
     block = sample_pairing_block(seed, range(trial, trial + 1), n, k)
     table = PairingTable(SchemeParams(n, k), block[0])
     expected = DEEP_HOOK_CHAINS[seed, trial, n, k, m]

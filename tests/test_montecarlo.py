@@ -20,7 +20,7 @@ from functools import cache, partial
 import numpy as np
 import pytest
 
-from pairdeploy import montecarlo, sampling, theory
+from pairdeploy import montecarlo, runner, sampling, theory
 from pairdeploy.graphs import connected_at
 from pairdeploy.montecarlo import (
     CENSUS_TRIALS_DEFAULT,
@@ -99,6 +99,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentPlan(10, (1,), (0.5,), trials=5, workers=0)
         ExperimentPlan(10, (1,), (0.5,), trials=5, base_seed=2**64 - 1)
+        ExperimentPlan(10, (1,), (0.5,), trials=2**64)  # trial ids 0..2**64-1, the stream words
+        with pytest.raises(ValueError, match=r"need trials <= 2\*\*64, got 18446744073709551617"):
+            ExperimentPlan(10, (1,), (0.5,), trials=2**64 + 1)
+        with pytest.raises(ValueError, match=r"need trials <= 2\*\*64"):
+            run_keyring_census(10, 1, trials=2**64 + 1)
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
                 ExperimentPlan(10, (1,), (0.5,), trials=5, base_seed=seed)
@@ -208,7 +213,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
-    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "_pool_cpus", lambda: 2)
     assert as_lists(run_sweep(small_plan(workers=2))) == as_lists(serial)
     pooled = run_keyring_census(40, 3, trials=25, base_seed=7, workers=2)
     assert all(np.array_equal(a, b) for a, b in zip(pooled, census))
@@ -216,17 +221,18 @@ def test_worker_count_does_not_change_results(monkeypatch):
     assert_no_child_left()
 
 
-def fake_shares(monkeypatch, cpus):
-    """Replace the share runner by one that records the shares and returns
-    zero counts, so no share runs and nothing forks, on `cpus` usable CPUs."""
+def fake_runner(monkeypatch, cpus):
+    """Replace the runner by one that records each run's calls and width
+    and returns zero counts, so no call runs and nothing forks, on `cpus`
+    usable CPUs."""
     runs = []
 
-    def record(shares):
-        runs.append(shares)
-        return [(np.zeros(2, dtype=np.int64),) * 2 + (0,)] * len(shares[0])
+    def record(calls, width):
+        runs.append((calls, width))
+        return [(np.zeros(2, dtype=np.int64),) * 2 + (0,)] * len(calls)
 
-    monkeypatch.setattr(montecarlo, "_run_shares", record)
-    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: cpus)
+    monkeypatch.setattr(runner, "run", record)
+    monkeypatch.setattr(runner, "_pool_cpus", lambda: cpus)
     return runs
 
 
@@ -258,31 +264,34 @@ def record_draws(monkeypatch, name="sample_pairing_block", calls=None, alone=Fal
 
 
 def test_units_are_trial_ranges_per_worker(monkeypatch):
-    """A wide run has one share per process, each one contiguous trial
-    range of every k: the share list follows the width and the k values,
-    not the trials."""
-    runs = fake_shares(monkeypatch, 8)
-    run_sweep(ExperimentPlan(1000, (3, 5), (0.5, 1.0), 10**12, workers=4))
+    """A wide run has one call per process and k, each one contiguous trial
+    range of its k, in the order of the k values: the call list follows the
+    width and the k values, not the trials."""
+    runs = fake_runner(monkeypatch, 8)
+    run_sweep(ExperimentPlan(1000, (5, 3), (0.5, 1.0), 10**12, workers=4))
     quarter = 10**12 // 4
-    assert [[u.args[1:] for u in share] for share in runs[-1]] == [
-        [(k, i * quarter, (i + 1) * quarter, 4) for k in (3, 5)] for i in range(4)
-    ]
+    calls, width = runs[-1]
+    assert width == 4
+    assert [u.args[1:] for u in calls] == [(k, i * quarter, (i + 1) * quarter, 4) for k in (5, 3) for i in range(4)]
     run_keyring_census(1000, 24, 10**12, workers=3)
-    assert [[u.args[-3:] for u in share] for share in runs[-1]] == [
-        [(0, 333333333333, 3)], [(333333333333, 666666666666, 3)], [(666666666666, 10**12, 3)]
+    calls, width = runs[-1]
+    assert width == 3
+    assert [u.args[-3:] for u in calls] == [
+        (0, 333333333333, 3), (333333333333, 666666666666, 3), (666666666666, 10**12, 3)
     ]
 
 
 def test_run_within_one_block_starts_no_pool(monkeypatch):
-    """trials * rows * sum(k) at the budget is one share, run in this
-    process; one more trial's worth of entries makes it a run of width 4."""
-    runs = fake_shares(monkeypatch, 8)
+    """trials * rows * sum(k) at the budget is one call per k, run in this
+    process; one more trial's worth of entries makes it a run of width 4,
+    four calls per k."""
+    runs = fake_runner(monkeypatch, 8)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 40 * 50 * 5)
     run_sweep(ExperimentPlan(100, (2, 3), (0.25, 0.5), 40, workers=4))
     run_sweep(ExperimentPlan(100, (2, 3), (0.25, 0.5), 41, workers=4))
     run_keyring_census(50, 5, 40, workers=4)
     run_keyring_census(50, 5, 41, workers=4)
-    assert [(len(shares), len(shares[0])) for shares in runs] == [(1, 2), (4, 2), (1, 1), (4, 1)]
+    assert [(width, len(calls)) for calls, width in runs] == [(1, 2), (4, 8), (1, 1), (4, 4)]
 
 
 def test_pool_is_no_wider_than_the_budget_splits(monkeypatch):
@@ -290,17 +299,17 @@ def test_pool_is_no_wider_than_the_budget_splits(monkeypatch):
     as blocks shrink only to one trial, so the blocks in flight never pass
     it: at n = 1e6 and K = 40 one trial's table is past the budget, and the
     run is serial whatever the workers and CPUs."""
-    runs = fake_shares(monkeypatch, 16)
+    runs = fake_runner(monkeypatch, 16)
     run_sweep(ExperimentPlan(10**6, (40,), (0.5, 1.0), 4, workers=16))
     run_keyring_census(10**6, 40, 4, workers=16)
-    assert [len(shares) for shares in runs] == [1, 1]
+    assert [width for _, width in runs] == [1, 1]
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
     for k_values, width in (((2, 3), 3), ((3, 2), 3), ((2, 4), 2), ((2, 6), 1)):
         run_sweep(ExperimentPlan(100, k_values, (0.5, 1.0), 10**6, workers=16))
-        assert len(runs[-1]) == width
+        assert runs[-1][1] == width
     for k, width in ((3, 3), (5, 2), (9, 1)):
         run_keyring_census(100, k, 10**6, workers=16)
-        assert len(runs[-1]) == width
+        assert runs[-1][1] == width
 
 
 def test_pool_census_blocks_shrink_by_the_width(monkeypatch):
@@ -724,7 +733,7 @@ def test_prefix_pass_does_not_change_the_counts(monkeypatch, width):
         expected[name] = as_lists(run_sweep(plan))
     if width == 2:
         monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 24000)
-        monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
+        monkeypatch.setattr(runner, "_pool_cpus", lambda: 2)
     calls = record_draws(monkeypatch)
     for steps in BAND_STEPS.values():
         fixed_steps(monkeypatch, steps)
@@ -851,7 +860,7 @@ def test_prefix_policy_is_asked_once_per_k_in_the_calling_process(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_prefix_steps", policy)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2000)
-    monkeypatch.setattr(montecarlo, "_pool_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "_pool_cpus", lambda: 2)
     forked = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
@@ -1008,10 +1017,10 @@ def test_cgroup_quota_caps_the_cpus(monkeypatch, tmp_path, text, quota):
     path = tmp_path / "cpu.max"
     if text is not None:
         path.write_text(text)
-    monkeypatch.setattr(montecarlo, "_CPU_MAX", str(path))
-    assert montecarlo._cpu_quota() == quota
+    monkeypatch.setattr(runner, "_CPU_MAX", str(path))
+    assert runner._cpu_quota() == quota
     usable_cpus(monkeypatch, "linux", set(range(4)))
-    assert montecarlo._pool_cpus() == min(4, quota or 4)
+    assert runner._pool_cpus() == min(4, quota or 4)
     assert _width(montecarlo.WORKERS_DEFAULT, 10**6, PAST_ONE_BLOCK, 1) == min(2, quota or 2)
 
 
@@ -1019,7 +1028,7 @@ def test_cgroup_quota_narrows_the_pool(monkeypatch, tmp_path):
     """On four usable CPUs, a quota of one CPU runs a run that asks for
     four processes in this one, and a quota of two forks one child."""
     path = tmp_path / "cpu.max"
-    monkeypatch.setattr(montecarlo, "_CPU_MAX", str(path))
+    monkeypatch.setattr(runner, "_CPU_MAX", str(path))
     usable_cpus(monkeypatch, "linux", set(range(4)))
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 1000)
     forked = []
