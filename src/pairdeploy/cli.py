@@ -23,9 +23,11 @@ process may use within its cgroup CPU quota, at most 2.  Runs fork only on
 Linux, and are serial elsewhere, whatever --workers says.  A run within one serial block forks
 nothing.  Output does not depend on the worker count.
 
-Exit codes: 0 success, 1 runtime/output failure, 2 usage error.  Past
-argument parsing, a failure prints one "pairdeploy: ..." line to stderr,
-never a traceback.
+Exit codes: 0 success, 1 runtime/output failure, 2 usage error, 130 when
+interrupted (SIGINT, Ctrl-C), 143 when terminated (SIGTERM).  Past argument
+parsing, a failure prints one "pairdeploy: ..." line to stderr, never a
+traceback; an interrupted or terminated run, too, removes its --out
+temporary file and kills and reaps the processes it forked.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ import csv
 import json
 import math
 import os
+import signal
 import sys
-from typing import IO, Any, Callable, Sequence
+from threading import current_thread, main_thread
+from typing import IO, Any, Callable, NoReturn, Sequence
 
 from . import montecarlo, theory
 from .scheme import SchemeParams
@@ -391,13 +395,32 @@ def _run_to_file(args: argparse.Namespace) -> None:
         raise OSError(exc.errno, exc.strerror, args.out) from None
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the calling process stands, so a terminated
+    run unwinds as a failed one does: a BaseException, as
+    KeyboardInterrupt is, so no `except Exception` takes it."""
+
+
+def _terminate(signum: int, frame: object) -> NoReturn:
+    raise _Terminated
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM raises _Terminated for this call alone, where a handler can be set
+    # (the main thread); forked children restore its default action (see runner._send)
+    previous = signal.signal(signal.SIGTERM, _terminate) if current_thread() is main_thread() else None
     try:
         if args.out is None:
             _run(args, sys.stdout)
         else:
             _run_to_file(args)
+    except KeyboardInterrupt:
+        print("pairdeploy: interrupted", file=sys.stderr)
+        return 130
+    except _Terminated:
+        print("pairdeploy: terminated", file=sys.stderr)
+        return 143
     except ValueError as exc:
         print(f"pairdeploy: {exc}", file=sys.stderr)
         return 2
@@ -407,4 +430,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:
         print(f"pairdeploy: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     return 0

@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
@@ -134,7 +134,9 @@ class ExperimentPlan:
     is the most processes the run may use, this one included; 1 runs it
     in this process alone.  k_values is kept as a tuple; a range is checked
     by its ends and listed only once its widest table is known to fit, so
-    a huge one is refused at once, without allocating."""
+    a huge one is refused at once, without allocating.  views, derived
+    from n and the gammas (so dataclasses.replace derives it again), holds
+    each fraction's view size, phase_size(n, gamma), in their order."""
 
     n: int
     k_values: Sequence[int]
@@ -142,6 +144,7 @@ class ExperimentPlan:
     trials: int = SWEEP_TRIALS_DEFAULT
     base_seed: int = 0
     workers: int = 1
+    views: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         ks = self.k_values
@@ -159,11 +162,11 @@ class ExperimentPlan:
             raise ValueError("schedule needs at least one deployment fraction")
         if any(a >= b for a, b in zip(gs, gs[1:])):
             raise ValueError(f"deployment fractions must be strictly increasing, got {gs}")
-        for g in gs:
-            phase_size(self.n, g)  # validates 0 < gamma <= 1 and floor(gamma*n) >= 1
-        _check_table(self.n, high, phase_size(self.n, gs[-1]))
+        views = tuple(phase_size(self.n, g) for g in gs)  # validates 0 < gamma <= 1 and floor(gamma*n) >= 1
+        _check_table(self.n, high, views[-1])
         object.__setattr__(self, "k_values", tuple(ks))
         object.__setattr__(self, "gammas", gs)
+        object.__setattr__(self, "views", views)
 
 
 def _check_run(n: int, low: int, high: int, trials: int, base_seed: int, workers: int) -> None:
@@ -257,7 +260,7 @@ def _count_deployments(
     after the first-pass block before it is dropped, and a call holds the
     ids of fewer than two blocks of waiting tables per view.
     """
-    ms = [phase_size(plan.n, g) for g in plan.gammas]
+    ms = plan.views
     runs: list[tuple[int, int, int]] = []  # (first row, end row, steps) of the bands merged by steps
     for lo, m, c in zip([0, *ms], ms, steps):
         if lo == m:
@@ -306,15 +309,13 @@ def _count_deployments(
     return counts[0], counts[1], joint
 
 
-def _prefix_steps(
-    n: int, k: int, gammas: tuple[float, ...], isolated: Callable[[int, float], float]
-) -> tuple[int, ...]:
+def _prefix_steps(plan: ExperimentPlan, k: int, isolated: Callable[[int, float], float]) -> tuple[int, ...]:
     """How many of each row's k Floyd steps a run's first pass draws, per
     band (see _count_deployments): for band r, k, drawn whole, unless a
     shorter prefix is expected to cost less than _PREFIX_GAIN of the whole
-    draw, priced over the views that read the band, gammas[r:].
-    isolated(c, gamma) is theory.expected_isolated at this n; a run passes
-    one memo for all its k.
+    draw, priced over the views that read the band, plan.gammas[r:], one
+    fraction per view size.  isolated(c, gamma) is theory.expected_isolated
+    at plan.n; a run passes one memo for all its k.
 
     A prefix of c >= 2 steps (one step gives a 1-out graph, never connected)
     costs its draw, sort and kernel, plus, for the share of its tables that
@@ -338,10 +339,10 @@ def _prefix_steps(
     whole = cost(k)
     bound = _PREFIX_GAIN * whole
     bands = []
-    for r in range(len(gammas)):
-        views = [g for m, g in {phase_size(n, g): g for g in gammas[r:]}.items() if 2 <= m < n]
+    for r in range(len(plan.views)):
+        fractions = [g for m, g in dict(zip(plan.views[r:], plan.gammas[r:])).items() if 2 <= m < plan.n]
         price = {
-            c: cost(c) - math.expm1(-math.fsum(isolated(c, g) for g in views)) * whole
+            c: cost(c) - math.expm1(-math.fsum(isolated(c, g) for g in fractions)) * whole
             for c in range(k - 1, 1, -1)
             if cost(c) < bound
         }
@@ -375,11 +376,11 @@ def run_sweep(plan: ExperimentPlan) -> dict[int, tuple[np.ndarray, np.ndarray, i
     and with no isolated node per fraction, as int64 arrays in the order
     of plan.gammas, and the trials connected at every fraction.
     """
-    rows = phase_size(plan.n, plan.gammas[-1])
+    rows = plan.views[-1]
     entries = plan.trials * rows * sum(plan.k_values)
     width = _width(plan.workers, plan.trials, entries, rows * max(plan.k_values))
     isolated = cache(partial(theory.expected_isolated, plan.n))
-    steps = {k: _prefix_steps(plan.n, k, plan.gammas, isolated) for k in plan.k_values}
+    steps = {k: _prefix_steps(plan, k, isolated) for k in plan.k_values}
     calls = [
         partial(_count_deployments, plan, k, *span, width, steps=steps[k])
         for k in plan.k_values

@@ -14,6 +14,7 @@ a call changes no result."""
 import os
 import pickle
 import select
+import signal
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
@@ -122,9 +123,13 @@ def _send(calls: Sequence[Callable[[], object]], queue: int, per: int, write: in
 
     A caller killed by a signal reaps nothing, so the child first asks for
     SIGKILL when the caller's forking thread, which waits for it, ends, and
-    exits at once if the caller ended before that."""
+    exits at once if the caller ended before that.  It also restores
+    SIGTERM's default action, so a SIGTERM ends it at once: the command
+    line's handler, which it inherits, would raise into the caller's
+    frames."""
     code = 1
     try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         import ctypes  # numpy has loaded it already
         try:
             ctypes.CDLL(None).prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL

@@ -89,13 +89,6 @@ class TestSweep:
         _, b, _ = run_cli(capsys, *base, "--seed", "99")
         assert a != b
 
-    def test_workers_flag_is_invisible_in_output(self, capsys, pools):
-        base = ("sweep", "--n", "50", "--k", "2,3", "--gamma", "0.5", "--trials", "20")
-        _, serial, _ = run_cli(capsys, *base, "--workers", "1")
-        _, parallel, _ = run_cli(capsys, *base, "--workers", "2")
-        assert serial == parallel
-        assert len(pools) == 1
-
     def test_full_deployment_two_selections_connects(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--n", "1000", "--k", "2", "--gamma", "1.0",
@@ -800,20 +793,36 @@ def running(pid):
     not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
     reason="needs Linux's list of a thread's children (runs fork only on Linux)",
 )
-@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["kill", "term"])
-def test_children_die_with_a_killed_caller(sig):
-    """A caller ended by SIGKILL, or by SIGTERM, whose default action Python
-    keeps, reaps no child, so each child must end with it.  Here a census
-    that would run for hours forks one child; once the caller is killed,
-    the child is gone or a zombie within 2 s.  Without the death signal
-    the child was re-parented and kept computing."""
-    code = (
+@pytest.mark.parametrize(
+    "sig,code,err",
+    [
+        (signal.SIGKILL, -signal.SIGKILL, ""),
+        (signal.SIGTERM, 143, "pairdeploy: terminated\n"),
+        (signal.SIGINT, 130, "pairdeploy: interrupted\n"),
+    ],
+    ids=["kill", "term", "int"],
+)
+def test_children_die_with_a_killed_caller(tmp_path, sig, code, err):
+    """A caller ended by SIGKILL reaps no child, so each child must end
+    with it; one sent SIGTERM or SIGINT (Ctrl-C) ends as a failed run
+    does, with one stderr line and exit 143 or 130, its children killed
+    and reaped and its --out temporary file removed.  Here a census that
+    would run for hours forks one child; once the caller is signalled, the
+    child is gone or a zombie within 2 s.  Without the death signal the
+    child was re-parented and kept computing.  The caller's SIGINT raises
+    KeyboardInterrupt, as in a shell's foreground job, even where this
+    test's own process ignores it."""
+    script = (
+        "import signal\n"
         "from pairdeploy import cli, runner\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
         "runner._pool_cpus = lambda: 2\n"
-        "cli.main(['census', '--n', '100', '--k', '3', '--trials', '3000000000', '--workers', '2'])\n"
-    )
+        "raise SystemExit(cli.main(['census', '--n', '100', '--k', '3', '--trials', '3000000000',\n"
+        "                           '--workers', '2', '--out', %r]))\n"
+    ) % str(tmp_path / "c.csv")
     caller = subprocess.Popen(
-        [sys.executable, "-c", code], env=checkout_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        [sys.executable, "-c", script], env=checkout_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True,
     )
     children = []
     try:
@@ -824,14 +833,17 @@ def test_children_die_with_a_killed_caller(sig):
             with open(f"/proc/{caller.pid}/task/{caller.pid}/children") as fp:
                 children = [int(pid) for pid in fp.read().split()]
         caller.send_signal(sig)
-        assert caller.wait(timeout=10) == -sig
+        assert (caller.wait(timeout=10), caller.stderr.read()) == (code, err)
         deadline = time.monotonic() + 2
         while any(running(pid) for pid in children):
             assert time.monotonic() < deadline, "a child outlived its caller"
             time.sleep(0.02)
+        if sig != signal.SIGKILL:  # which runs no cleanup
+            assert list(tmp_path.iterdir()) == []
     finally:
         caller.kill()
         caller.wait()
+        caller.stderr.close()
         for pid in children:
             if running(pid):
                 os.kill(pid, signal.SIGKILL)

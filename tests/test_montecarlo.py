@@ -115,6 +115,20 @@ class TestValidation:
         assert CENSUS_TRIALS_DEFAULT == 1000
         assert ExperimentPlan(10, (1,), (1.0,)).trials == 200
 
+    def test_views_are_derived_from_n_and_the_fractions(self):
+        """A plan keeps each fraction's view size, two fractions that floor
+        to one size included, and dataclasses.replace derives them again;
+        they are no argument of the plan."""
+        plan = ExperimentPlan(100, (2,), (0.5, 0.505), trials=5)
+        assert plan.views == (50, 50)
+        assert replace(plan, n=200).views == (100, 101)
+        assert replace(plan, gammas=(0.25, 1.0)).views == (25, 100)
+        assert plan.views == (50, 50)
+        with pytest.raises(TypeError):
+            ExperimentPlan(100, (2,), (0.5,), trials=5, views=(50,))
+        with pytest.raises(ValueError):
+            replace(plan, views=(1, 2))
+
 
 # -- exhaustive enumeration ---------------------------------------------------
 
@@ -710,7 +724,7 @@ BAND_STEPS = {
 def fixed_steps(monkeypatch, steps):
     """Make every run draw its first pass with steps(k, bands) Floyd steps
     per band."""
-    monkeypatch.setattr(montecarlo, "_prefix_steps", lambda n, k, gammas, isolated=None: steps(k, len(gammas)))
+    monkeypatch.setattr(montecarlo, "_prefix_steps", lambda plan, k, isolated=None: steps(k, len(plan.gammas)))
 
 
 def is_refill(trials) -> bool:
@@ -853,10 +867,10 @@ def test_prefix_policy_is_asked_once_per_k_in_the_calling_process(monkeypatch):
     share forks: a call in a child would fail the run."""
     caller, asked = os.getpid(), []
 
-    def policy(n, k, gammas, isolated):
+    def policy(plan, k, isolated):
         assert os.getpid() == caller
         asked.append(k)
-        return (max(2, k // 2),) * len(gammas)
+        return (max(2, k // 2),) * len(plan.gammas)
 
     monkeypatch.setattr(montecarlo, "_prefix_steps", policy)
     monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 2000)
@@ -882,12 +896,12 @@ def test_prefix_policy_never_raises_on_small_networks():
     for n in range(2, 31):
         for gammas in ((1.0,), (0.5,), (1 / n, 1.0), (1 / n, 2 / n, 0.5), (0.1, 0.3, 0.7, 1.0), (0.9,)):
             try:
-                ExperimentPlan(n, (1,), gammas)
+                plan = ExperimentPlan(n, range(1, n), gammas)
             except ValueError:
                 continue  # a fraction of no node at this n
             isolated = isolated_memo(n)
             for k in range(1, n):
-                steps = montecarlo._prefix_steps(n, k, gammas, isolated)
+                steps = montecarlo._prefix_steps(plan, k, isolated)
                 assert len(steps) == len(gammas), (n, k, gammas, steps)
                 assert all(c == k or 2 <= c < k for c in steps), (n, k, gammas, steps)
 
@@ -906,20 +920,20 @@ def test_prefix_policy_on_the_benchmarked_shapes():
     K=37, the phased schedule takes 17, 9 and 2 steps, and each of its
     fractions alone a prefix."""
     n, ks, gammas = BENCH_SWEEP
-    isolated = isolated_memo(n)
-    bands = [montecarlo._prefix_steps(n, k, gammas, isolated) for k in ks]
+    plan, isolated = ExperimentPlan(n, ks, gammas), isolated_memo(n)
+    bands = [montecarlo._prefix_steps(plan, k, isolated) for k in ks]
     assert [b[0] for b in bands] == list(ks)
     assert bands[:14] == [(k,) * 4 for k in range(1, 15)]
     assert bands[14] == (15, 15, 15, 4) and bands[24] == (25, 10, 7, 5)
     n, ks, gammas = QUARTER_SWEEP
-    isolated = isolated_memo(n)
-    bands = [montecarlo._prefix_steps(n, k, gammas, isolated) for k in ks]
+    plan, isolated = ExperimentPlan(n, ks, gammas), isolated_memo(n)
+    bands = [montecarlo._prefix_steps(plan, k, isolated) for k in ks]
     assert [b[0] for b in bands] == list(ks)
     assert bands[:10] == [(k,) * 4 for k in range(1, 11)] and bands[10] == (11, 11, 11, 2)
     isolated = isolated_memo(2000)
-    assert montecarlo._prefix_steps(2000, 37, (0.25, 0.5, 1.0), isolated) == (17, 9, 2)
+    assert montecarlo._prefix_steps(ExperimentPlan(2000, (37,), (0.25, 0.5, 1.0)), 37, isolated) == (17, 9, 2)
     for gammas in ((0.25,), (0.5,), (1.0,)):
-        (steps,) = montecarlo._prefix_steps(2000, 37, gammas, isolated)
+        (steps,) = montecarlo._prefix_steps(ExperimentPlan(2000, (37,), gammas), 37, isolated)
         assert 2 <= steps < 37
 
 
@@ -970,11 +984,11 @@ PINNED_STEPS = {
 def test_prefix_policy_keeps_its_pinned_steps(name):
     """Every K of each pinned run takes its pinned steps per band."""
     n, gammas, rows = PINNED_STEPS[name]
-    isolated = isolated_memo(n)
+    plan, isolated = ExperimentPlan(n, range(rows[0][0], rows[-1][1] + 1), gammas), isolated_memo(n)
     for first, last, steps in rows:
         for k in range(first, last + 1):
             expected = tuple(k if c == K else c for c in steps)
-            assert montecarlo._prefix_steps(n, k, gammas, isolated) == expected, (name, k)
+            assert montecarlo._prefix_steps(plan, k, isolated) == expected, (name, k)
 
 
 @pytest.mark.parametrize("shape", [BENCH_SWEEP, BENCH_PHASED], ids=["sweep", "phased"])
@@ -989,6 +1003,22 @@ def test_prefix_policy_prices_each_term_once_per_run(monkeypatch, shape):
     run_sweep(ExperimentPlan(n, tuple(ks), gammas, 1))
     assert 0 < len(calls)
     assert len(set(calls)) == len(calls)
+
+
+def test_view_sizes_are_floored_once_per_plan(monkeypatch):
+    """The plan floors each fraction to its view size once, and nothing in
+    montecarlo floors one again: on the benchmarked sweep plan, phase_size
+    runs 4 times for the plan and 96 in theory, for the 48 terms the
+    prefix policy prices."""
+    calls, floor = [], montecarlo.phase_size
+    for module in (montecarlo, theory):
+        monkeypatch.setattr(
+            module, "phase_size", lambda *args, name=module.__name__: calls.append(name) or floor(*args)
+        )
+    n, ks, gammas = BENCH_SWEEP
+    run_sweep(ExperimentPlan(n, ks, gammas, 1))
+    assert calls.count(montecarlo.__name__) == len(gammas)
+    assert len(calls) == 100
 
 
 @pytest.mark.parametrize(

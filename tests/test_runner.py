@@ -5,6 +5,7 @@ children and allocates nothing."""
 
 import os
 import select
+import signal
 import time
 from functools import partial
 
@@ -50,18 +51,29 @@ def child_exits():
     os._exit(5)
 
 
+def child_terminated():
+    os.kill(os.getpid(), signal.SIGTERM)
+
+
+def handled_sigterm(signum, frame):
+    raise ValueError("SIGTERM raised as an exception")
+
+
 @pytest.mark.parametrize(
     "action,error,message",
     [
         (child_raises, ValueError, "^raised in a child$"),
         (child_exits, RuntimeError, r"^a worker process ended without its results \(exit code 5\)$"),
+        (child_terminated, RuntimeError, r"^a worker process ended without its results \(exit code -15\)$"),
     ],
-    ids=["raise", "exit"],
+    ids=["raise", "exit", "term"],
 )
 def test_a_failed_child_fails_the_run(action, error, message):
     """A child's exception is raised in the calling process, and a child
     that ends without sending its results fails the run with a one-line
-    RuntimeError that gives its exit code.  Each call in the calling
+    RuntimeError that gives its exit code.  The calling process handles
+    SIGTERM here by raising, as the command line does, and a child still
+    ends at once on SIGTERM, its default action.  Each call in the calling
     process first waits, at most 10 s, until the child has started one, so
     the child takes a call before the calling process can take all four."""
     caller = os.getpid()
@@ -74,10 +86,12 @@ def test_a_failed_child_fails_the_run(action, error, message):
         select.select([started], [], [], 10)
         return 0
 
+    previous = signal.signal(signal.SIGTERM, handled_sigterm)
     try:
         with pytest.raises(error, match=message):
             runner.run([call] * 4, 2)
     finally:
+        signal.signal(signal.SIGTERM, previous)
         os.close(started)
         os.close(start)
     assert_no_child_left()
